@@ -17,26 +17,24 @@ Two entry points share the instrumented flow runner below:
   router stops popping fewer nodes than Dijkstra on the largest fabric
   (``min_astar_pop_reduction``), the timing-driven flow's throughput on
   the largest design falls more than ``regression_factor``× below
-  ``timing_driven_flows_per_s``, the router's serial wall-clock on the
-  largest design exceeds ``router_route_s`` by more than the same factor,
-  or the net-parallel router stops forming groups (``min_parallel_groups``).
+  ``timing_driven_flows_per_s``, or the router's wall-clock on the largest
+  design exceeds ``router_route_s`` by more than the same factor.
 
-Schema 4 extensions: ``--kernel {auto,python,numpy}`` selects the compute
-backend (recorded per document and per record; both backends are
-bit-identical, only speed differs), the place and serial-route stages are
-timed **best-of-N** (``--rounds``, deterministic reruns — the minimum
-filters out scheduler noise that otherwise swamps a 3× speedup), the route
-stage is timed with ``parallel=False`` so kernel comparisons are not
-confounded by group/replay overhead (a separate single parallel route
-records ``parallel_groups`` / ``conflict_replays`` and asserts tree parity
-with the serial router), and registry circuits (``qdi_multiplier_2x2``)
-join the generated specs as full-flow records.  ``perf_floor.json`` may
-carry per-kernel overrides under a ``"kernels"`` key so CI can ratchet the
-numpy legs ~3× above the pure-python floors.
+``--kernel {auto,python,numpy}`` selects the compute backend (recorded per
+document and per record; both backends are bit-identical, only speed
+differs).  The place and route stages are timed **best-of-N** (``--rounds``,
+deterministic reruns — the minimum filters out scheduler noise), and the
+route stage calls ``route_design`` with its defaults, the same router the
+flow runs.  Registry circuits (``qdi_multiplier_2x2``) join the generated
+specs as full-flow records.  Schema 5 records ``cpu_count`` next to the
+python version and platform.  ``perf_floor.json`` may carry per-kernel
+overrides under a ``"kernels"`` key so CI can ratchet the numpy legs above
+the pure-python floors.
 """
 
 import argparse
 import json
+import os
 import platform
 import sys
 import time
@@ -59,11 +57,10 @@ HARNESS_WIDTHS = (1, 2, 4, 8)
 #: Generator-family circuits the harness runs end to end (bitgen included)
 #: on their recommended fabrics, alongside the adder ladder.
 GENERATED_SPECS = ("gen:mult8x8@micropipeline",)
-#: Registry circuits the harness runs as full flows — the multiplier is the
-#: net-parallel router's acceptance bench (dirty-net count clears the
-#: grouping threshold, so ``parallel_groups`` must come back nonzero).
+#: Registry circuits the harness runs as full flows on the standard
+#: routable fabric (the decomposed multiplier).
 REGISTRY_CIRCUITS = ("qdi_multiplier_2x2",)
-BENCH_SCHEMA = 4
+BENCH_SCHEMA = 5
 #: Deterministic stage reruns per timing measurement; the minimum is kept.
 TIMING_ROUNDS = 5
 DEFAULT_FLOOR_FILE = Path(__file__).with_name("perf_floor.json")
@@ -94,9 +91,7 @@ def instrumented_flow(
 
     Returns a flat record of the stage wall-clocks plus the incremental
     placer/router counters — the unit of ``BENCH_cad.json``.  The place and
-    route stages run under *kernel* and are timed best-of-*rounds*; the
-    route stage is serial (``parallel=False``) so kernels compare cleanly,
-    with a separate parallel route recording the grouping counters.
+    route stages run under *kernel* and are timed best-of-*rounds*.
     """
     adder = qdi_ripple_adder(bits)
     design: MappedDesign = adder.mapped
@@ -116,19 +111,12 @@ def instrumented_flow(
         lambda: place_design(design, fabric, seed=seed, kernel=kernel), rounds
     )
     routing, route_s = _best_of(
-        lambda: route_design(design, placement, graph, kernel=kernel, parallel=False),
-        rounds,
+        lambda: route_design(design, placement, graph, kernel=kernel), rounds
     )
-
-    # Grouped routing: counters + bit-identity against the serial trees.
-    t4 = time.perf_counter()
-    parallel_routing = route_design(design, placement, graph, kernel=kernel, parallel=True)
-    t5 = time.perf_counter()
 
     # A* counter reference: the identical route with the lower bound off.
-    dijkstra = route_design(
-        design, placement, graph, kernel=kernel, astar=False, parallel=False
-    )
+    t5 = time.perf_counter()
+    dijkstra = route_design(design, placement, graph, kernel=kernel, astar=False)
     t6 = time.perf_counter()
 
     # Timing quality + wall-clock: the full flow, baseline vs timing-driven.
@@ -153,7 +141,6 @@ def instrumented_flow(
             "pack": round(t1 - t0, 6),
             "place": round(place_s, 6),
             "route": round(route_s, 6),
-            "route_parallel": round(t5 - t4, 6),
         },
         "placement": {
             "cost": round(placement.cost, 1),
@@ -177,9 +164,6 @@ def instrumented_flow(
             "total_reroutes": routing.total_reroutes,
             "full_reroute_equiv": routing.iterations * len(routing.routed),
             "wirelength": routing.total_wirelength,
-            "parallel_groups": parallel_routing.parallel_groups,
-            "conflict_replays": parallel_routing.conflict_replays,
-            "parallel_parity": parallel_routing.routed == routing.routed,
         },
         "astar": {
             "pops": routing.node_pops,
@@ -213,7 +197,7 @@ def instrumented_flow(
 def _flow_record(
     name: str, bench, params: ArchitectureParams, seed: int, kernel: str
 ) -> dict[str, object]:
-    """Full flow (bitstream included) of one circuit, with parallel counters."""
+    """Full flow (bitstream included) of one circuit."""
     t0 = time.perf_counter()
     result = CadFlow(params, FlowOptions(placement_seed=seed, kernel=kernel)).run(bench)
     flow_s = time.perf_counter() - t0
@@ -230,8 +214,6 @@ def _flow_record(
         "total_wirelength": summary.get("total_wirelength", 0),
         "cycle_time_ps": summary.get("cycle_time_ps", 0),
         "bitstream_bits_set": summary.get("bitstream_bits_set", 0),
-        "parallel_groups": summary.get("router_parallel_groups", 0),
-        "conflict_replays": summary.get("router_conflict_replays", 0),
     }
 
 
@@ -282,13 +264,13 @@ def run_harness(
         for spec in GENERATED_SPECS
     ]
     largest = designs[-1]
-    flow_records = registry + generated
     return {
         "schema": BENCH_SCHEMA,
         "benchmark": "bench_cad_flow",
         "generated_unix": round(time.time(), 1),
         "python": platform.python_version(),
         "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
         "seed": seed,
         "kernel": backend,
         "timing_rounds": max(1, int(rounds)),
@@ -300,12 +282,6 @@ def run_harness(
             "kernel": backend,
             "placement_moves_per_s": largest["placement"]["moves_per_s"],
             "router_route_s": largest["stages_s"]["route"],
-            "parallel_groups": sum(
-                record["parallel_groups"] for record in flow_records
-            ),
-            "parallel_conflict_replays": sum(
-                record["conflict_replays"] for record in flow_records
-            ),
             "placement_eval_reduction": largest["placement"]["eval_reduction"],
             "router_total_reroutes": largest["routing"]["total_reroutes"],
             "router_full_reroute_equiv": largest["routing"]["full_reroute_equiv"],
@@ -350,11 +326,6 @@ def check_floor(document: dict[str, object], floor: dict[str, object]) -> list[s
                 f"{design['name']} failed to route — the throughput numbers "
                 "below would be measured on a broken router"
             )
-        if not design["routing"].get("parallel_parity", True):
-            problems.append(
-                f"{design['name']}: grouped routing diverged from the serial "
-                "trees — the net-parallel router must stay bit-identical"
-            )
     for design in document.get("registry", []):
         if not design["routing_success"]:
             problems.append(f"{design['name']} failed to route")
@@ -363,17 +334,6 @@ def check_floor(document: dict[str, object], floor: dict[str, object]) -> list[s
             problems.append(
                 f"{design['name']} failed to route on its recommended fabric"
             )
-    min_groups = int(floor.get("min_parallel_groups", 0))
-    if min_groups > 0:
-        for record in list(document.get("registry", [])) + list(
-            document.get("generated", [])
-        ):
-            if int(record.get("parallel_groups", 0)) < min_groups:
-                problems.append(
-                    f"{record['name']}: router formed "
-                    f"{record.get('parallel_groups', 0)} parallel group(s), "
-                    f"floor requires >= {min_groups} (grouping disengaged?)"
-                )
     headline = document["headline"]
     floor_moves = float(floor.get("placement_moves_per_s", 0.0))
     factor = float(floor.get("regression_factor", 3.0))
@@ -471,9 +431,8 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"registry {design['name']}: grid {design['grid']} "
             f"cw {design['channel_width']}, {design['les']} LEs / "
-            f"{design['plbs']} PLBs, routed={design['routing_success']}, "
-            f"{design['parallel_groups']} parallel group(s) / "
-            f"{design['conflict_replays']} replay(s) in {design['flow_s']:.2f}s"
+            f"{design['plbs']} PLBs, routed={design['routing_success']} "
+            f"in {design['flow_s']:.2f}s"
         )
     for design in document["generated"]:
         print(
@@ -497,7 +456,6 @@ def main(argv: list[str] | None = None) -> int:
             f"route {document['headline']['router_route_s']:.4f}s, "
             f"{document['headline']['placement_eval_reduction']}x fewer net evals, "
             f"{document['headline']['astar_pop_reduction']}x fewer A* pops, "
-            f"{document['headline']['parallel_groups']} parallel group(s), "
             f"timing-driven {document['headline']['timing_driven_flows_per_s']:.3f} flows/s"
         )
     return 0

@@ -23,6 +23,7 @@ Invariants the sweep engine builds on:
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -41,6 +42,8 @@ from repro.core.params import ArchitectureParams, SerializableParams
 from repro.core.rrgraph import RoutingResourceGraph, cached_rr_graph
 from repro.netlist.netlist import Netlist
 from repro.styles.base import StyledCircuit
+
+logger = logging.getLogger(__name__)
 
 #: VPR-style criticality sharpening applied before the placer/router blends:
 #: raw criticalities of shallow asynchronous netlists cluster near 1.0, and
@@ -209,11 +212,6 @@ class FlowResult:
         ``router_node_pops``
             Dijkstra/A* heap pops over the whole routing run — the counter
             the A* geometric lower bound reduces versus plain Dijkstra.
-        ``router_parallel_groups``, ``router_conflict_replays``
-            Net-parallel routing counters: speculative net groups routed
-            concurrently and nets replayed serially after a commit-time
-            conflict (both 0 when grouping never engaged; the result is
-            bit-identical to serial routing either way).
         ``routing_warm_started``
             Only when a routing-tree warm start seeded this run (the sweep
             engine's channel-width ladders): how many nets inherited a
@@ -266,8 +264,6 @@ class FlowResult:
             data["router_iterations"] = self.routing.iterations
             data["router_nets_rerouted"] = self.routing.total_reroutes
             data["router_node_pops"] = self.routing.node_pops
-            data["router_parallel_groups"] = self.routing.parallel_groups
-            data["router_conflict_replays"] = self.routing.conflict_replays
             if self.routing.warm_started_nets:
                 # Only present when a warm-start seed actually fired, so
                 # plain flows keep their historical key set.
@@ -713,7 +709,7 @@ class CadFlow:
                 crits: Mapping[str, float] | None,
                 seed: Mapping[str, Sequence[int]] | None,
             ) -> RoutingResult:
-                return route_design(
+                routing = route_design(
                     mapped,
                     target,
                     self.rr_graph,
@@ -727,6 +723,23 @@ class CadFlow:
                     restart_on_failure=crits is None,
                     kernel=backend,
                 )
+                if not routing.success:
+                    # One record per failed rung of the ladder below, so a
+                    # fallback never fires silently.
+                    rung = "warm-started " if seed else ""
+                    rung += "congestion" if crits is None else "timing-driven"
+                    rung += " routing"
+                    if baseline_placement is not None:
+                        which = "baseline" if target is baseline_placement else "polished"
+                        rung += f" on the {which} placement"
+                    logger.info(
+                        "%s: %s failed after %d iterations with %d overused nodes",
+                        name,
+                        rung,
+                        routing.iterations,
+                        routing.overused_nodes,
+                    )
+                return routing
 
             routing = attempt(result.placement, criticalities, warm_start)
             if warm_start and not routing.success:

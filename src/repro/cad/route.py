@@ -51,10 +51,9 @@ Primary inputs/outputs use the IO pads chosen by the placer.
 from __future__ import annotations
 
 import heapq
-import os
-from concurrent.futures import ThreadPoolExecutor
+import logging
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 from repro.cad.kernels import resolve_kernel
 from repro.cad.lemap import MappedDesign
@@ -62,6 +61,8 @@ from repro.cad.place import Placement
 from repro.cad.timing import TimingModel
 from repro.core.rrgraph import RoutingResourceGraph
 from repro.core.schema import CorruptArtifactError, decoding, require_version
+
+logger = logging.getLogger(__name__)
 
 #: Schema version of :meth:`RoutingResult.to_dict` payloads.  Node ids are
 #: serialized as RR-graph node *names* (stable per fabric across processes);
@@ -75,16 +76,6 @@ MAX_CRITICALITY = 0.98
 #: Default margin (in channel units) added around a net's terminal bounding
 #: box for search pruning; ``None`` disables pruning.
 DEFAULT_BBOX_MARGIN = 3
-
-
-#: Worker cap for grouped (net-parallel) routing under the numpy kernel.
-PARALLEL_ROUTE_WORKERS = max(1, min(4, os.cpu_count() or 1))
-
-#: Grouped routing only engages when an iteration has at least this many
-#: dirty nets — in practice the full-population iterations (the first, and
-#: full-recovery sweeps), where group utilization is highest.  Small dirty
-#: batches cannot amortize the snapshot/validation cost.
-PARALLEL_MIN_DIRTY = 24
 
 
 class RoutingError(RuntimeError):
@@ -127,13 +118,6 @@ class RoutingResult:
     counts Dijkstra/A* heap pops over the whole run -- the counter the A*
     lower bound reduces; ``warm_started_nets`` how many nets iteration 1
     inherited from a warm-start seed instead of routing.
-
-    ``parallel_groups`` counts the net groups routed as concurrent
-    speculative units across all grouped iterations (0 when grouping was
-    disabled or never engaged); ``conflict_replays`` counts the nets
-    whose speculative result was discarded at commit time — another
-    group had already written a cell their search read — and which were
-    therefore replayed serially at the true congestion state.
     """
 
     routed: dict[str, RoutedNet] = field(default_factory=dict)
@@ -146,8 +130,9 @@ class RoutingResult:
     warm_started_nets: int = 0
     bbox_fallbacks: int = 0
     critical_reroutes: int = 0
-    parallel_groups: int = 0
-    conflict_replays: int = 0
+    # Always 0 (routing is serial); perfbench/spans.py reads both per traced route.
+    parallel_groups: ClassVar[int] = 0
+    conflict_replays: ClassVar[int] = 0
 
     @property
     def total_wirelength(self) -> int:
@@ -196,8 +181,6 @@ class RoutingResult:
             "warm_started_nets": self.warm_started_nets,
             "bbox_fallbacks": self.bbox_fallbacks,
             "critical_reroutes": self.critical_reroutes,
-            "parallel_groups": self.parallel_groups,
-            "conflict_replays": self.conflict_replays,
         }
 
     @classmethod
@@ -245,10 +228,6 @@ class RoutingResult:
                 warm_started_nets=int(data["warm_started_nets"]),
                 bbox_fallbacks=int(data["bbox_fallbacks"]),
                 critical_reroutes=int(data["critical_reroutes"]),
-                # Additive (same schema version): absent in pre-parallel
-                # artifacts, so default rather than fail.
-                parallel_groups=int(data.get("parallel_groups", 0)),
-                conflict_replays=int(data.get("conflict_replays", 0)),
             )
 
     def channel_occupancy(self, graph: RoutingResourceGraph) -> dict[int, int]:
@@ -427,7 +406,6 @@ def route_design(
     warm_start: Mapping[str, Sequence[int]] | None = None,
     restart_on_failure: bool = True,
     kernel: str = "python",
-    parallel: bool = True,
 ) -> RoutingResult:
     """PathFinder routing of all inter-block nets of a placed design.
 
@@ -461,16 +439,9 @@ def route_design(
     picks numpy when installed.  Both backends produce bit-identical
     results, trees and counters.
 
-    ``parallel`` enables grouped routing: each iteration's dirty nets are
-    partitioned into fabric-quadrant groups routed speculatively against
-    private snapshots of the iteration-start congestion — concurrently
-    under the numpy kernel, in a deterministic serial schedule under the
-    python kernel.  Capacity conflicts are detected at commit time (a
-    net's search visited a cell another group already wrote) and the
-    conflicting nets are replayed serially at the true state, so results
-    are bit-identical to ``parallel=False`` regardless of kernel or
-    thread scheduling.  ``RoutingResult.parallel_groups`` counts groups
-    attempted, ``conflict_replays`` counts nets replayed.
+    Each PathFinder iteration logs one DEBUG line on this module's logger
+    (dirty nets, overused nodes, ``pres_fac``, full recovery on/off); the
+    A*→Dijkstra restart logs at INFO.
     """
     sources, sinks, assignments = _collect_net_endpoints(design, placement, graph)
 
@@ -534,19 +505,9 @@ def route_design(
         table = None
 
     def search_python(
-        net: str,
-        crit: float,
-        box: tuple[int, int, int, int] | None,
-        occupancy: list[int],
-        cells: set[int] | None,
+        net: str, crit: float, box: tuple[int, int, int, int] | None
     ) -> tuple[RoutedNet | None, int]:
-        """Grow one net's tree; ``(None, pops)`` when the box was too tight.
-
-        ``occupancy`` is the congestion state to search against (the live
-        router state, or a group-private snapshot during parallel phase 1);
-        ``cells`` (when given) collects the fabric cells of every node the
-        search visits, for commit-time conflict detection.
-        """
+        """Grow one net's tree; ``(None, pops)`` when the box was too tight."""
         source = sources[net]
         targets = set(sinks[net])
         tree: set[int] = {source}
@@ -561,7 +522,6 @@ def route_design(
         pops = 0
         heappush = heapq.heappush
         heappop = heapq.heappop
-        cell_of = geometry["cell_of"] if cells is not None else None
         while remaining:
             if use_astar:
                 sink_coords = [(node_x[s], node_y[s]) for s in remaining]
@@ -604,8 +564,6 @@ def route_design(
                 if visited[node_id]:
                     continue
                 visited[node_id] = 1
-                if cells is not None:
-                    cells.add(cell_of[node_id])
                 if node_id in remaining:
                     found = node_id
                     break
@@ -657,21 +615,15 @@ def route_design(
         return routed, pops
 
     def search_numpy(
-        net: str,
-        crit: float,
-        box: tuple[int, int, int, int] | None,
-        occupancy: list[int],
-        view,
-        cells: set[int] | None,
+        net: str, crit: float, box: tuple[int, int, int, int] | None
     ) -> tuple[RoutedNet | None, int]:
         """The same search over the kernel's precomputed cost/bound arrays.
 
-        ``view`` (a :class:`RouterCostTable` or a group-private
-        :class:`GroupCostView`) supplies ``cost_list[n]`` — exactly the
-        step cost the reference search would derive for a node outside
+        The :class:`RouterCostTable` supplies ``cost_list[n]`` — exactly
+        the step cost the reference search would derive for a node outside
         the net's own tree; in-tree nodes (the own-usage discount) fall
         back to the reference arithmetic.  The box prune is folded into
-        the view's filtered adjacency, so the inner loop never tests it.
+        the table's filtered adjacency, so the inner loop never tests it.
         """
         source = sources[net]
         targets = set(sinks[net])
@@ -682,15 +634,14 @@ def route_design(
         anti_crit = 1.0 - crit
         half_fac = 0.5 * (crit * min_delay_cost + anti_crit * min_base_cost)
         pops = 0
-        pres = view.pres_fac
-        cost_list = view.cost_list(crit)
-        neighbours = view.adjacency(box)
-        zeros = view.zeros
+        pres = table.pres_fac
+        cost_list = table.cost_list(crit)
+        neighbours = table.adjacency(box)
+        zeros = table.zeros
         heappush = heapq.heappush
         heappop = heapq.heappop
-        cell_of = geometry["cell_of"] if cells is not None else None
         while remaining:
-            lb = view.lower_bounds(remaining, half_fac) if use_astar else zeros
+            lb = table.lower_bounds(remaining, half_fac) if use_astar else zeros
             distances = [infinity] * node_count
             previous = [0] * node_count
             visited = bytearray(node_count)
@@ -735,8 +686,6 @@ def route_design(
                     if visited[node_id]:
                         continue
                     visited[node_id] = 1
-                    if cells is not None:
-                        cells.add(cell_of[node_id])
                     if node_id in remaining:
                         found = node_id
                         break
@@ -767,18 +716,7 @@ def route_design(
         )
         return routed, pops
 
-    if table is None:
-
-        def search_impl(net, crit, box, occ, view, cells):
-            return search_python(net, crit, box, occ, cells)
-
-    else:
-        search_impl = search_numpy
-
-    def search(
-        net: str, crit: float, box: tuple[int, int, int, int] | None
-    ) -> tuple[RoutedNet | None, int]:
-        return search_impl(net, crit, box, occupancy, table, None)
+    search = search_python if table is None else search_numpy
 
     def net_box(net: str) -> tuple[int, int, int, int] | None:
         if bbox_margin is None:
@@ -811,221 +749,6 @@ def route_design(
         if routed is None:
             raise RoutingError(f"net {net!r} is unroutable (no path to a sink)")
         return routed, pops
-
-    # ------------------------------------------------------------------
-    # Grouped (net-parallel) iteration machinery
-    #
-    # Each grouped iteration runs in two phases.  Phase 1 partitions the
-    # dirty nets into fabric-quadrant groups and routes every group
-    # against a *private snapshot* of the iteration-start congestion
-    # state (concurrently under the numpy kernel, a deterministic serial
-    # schedule otherwise), recording the fabric cells each search visits.
-    # Phase 2 walks the dirty nets in the serial order and commits each
-    # phase-1 tree — unless a cell the net's search visited was already
-    # written by an earlier net of a *different* group, in which case the
-    # net is replayed serially against the true state (counted in
-    # ``conflict_replays``).
-    #
-    # Soundness of the conflict check: every edge of the RR graph spans
-    # at most one cell per axis (verified once per graph), so everything
-    # a search *reads* — the costs of the neighbours it relaxes — lies
-    # within one cell of the cells it visits.  Committed writes are
-    # therefore marked with a one-cell halo: a net whose visited cells
-    # miss every foreign halo read exactly the state the serial schedule
-    # would have shown it, making its phase-1 tree and pop count
-    # bit-identical to the serial router's.  A replay that lands a
-    # different tree than phase 1 taints its group (later group-mates
-    # routed against a stale snapshot), forcing them through the serial
-    # path too.
-    # ------------------------------------------------------------------
-    geometry: dict = {}
-
-    def grouped_geometry() -> dict:
-        """Lazy fabric geometry for tile partitioning and conflict tracking.
-
-        ``locality`` records whether every graph edge spans at most one
-        cell per axis — the property that confines a search's read set to
-        the one-cell dilation of its visited cells.  Exotic graphs with
-        long-range edges simply never route grouped.
-        """
-        if geometry:
-            return geometry
-        x_lo = min(node_x)
-        x_hi = max(node_x)
-        y_lo = min(node_y)
-        y_hi = max(node_y)
-        y_span = y_hi - y_lo + 1
-        cell_of = [
-            (node_x[node_id] - x_lo) * y_span + (node_y[node_id] - y_lo)
-            for node_id in range(node_count)
-        ]
-        locality = getattr(graph, "_edge_locality_ok", None)
-        if locality is None:
-            locality = True
-            for node_id in range(node_count):
-                x = node_x[node_id]
-                y = node_y[node_id]
-                for neighbour in edge_targets[
-                    edge_starts[node_id] : edge_starts[node_id + 1]
-                ]:
-                    if abs(node_x[neighbour] - x) > 1 or abs(node_y[neighbour] - y) > 1:
-                        locality = False
-                        break
-                if not locality:
-                    break
-            graph._edge_locality_ok = locality
-        geometry.update(
-            x_lo=x_lo,
-            x_hi=x_hi,
-            y_lo=y_lo,
-            y_hi=y_hi,
-            y_span=y_span,
-            x_cells=x_hi - x_lo + 1,
-            cell_of=cell_of,
-            locality=locality,
-            halos={},
-        )
-        return geometry
-
-    def cell_halo(cell: int) -> tuple:
-        """The 3x3 in-bounds cell neighbourhood of a fabric cell (cached)."""
-        halos = geometry["halos"]
-        cached = halos.get(cell)
-        if cached is None:
-            y_span = geometry["y_span"]
-            x_cells = geometry["x_cells"]
-            cell_x, cell_y = divmod(cell, y_span)
-            cells = []
-            for dx in (-1, 0, 1):
-                x = cell_x + dx
-                if 0 <= x < x_cells:
-                    for dy in (-1, 0, 1):
-                        y = cell_y + dy
-                        if 0 <= y < y_span:
-                            cells.append(x * y_span + y)
-            cached = tuple(cells)
-            halos[cell] = cached
-        return cached
-
-    def tile_groups(dirty: list[str]) -> list[list[str]]:
-        """Partition dirty nets into fabric quadrants by terminal-box center.
-
-        A pure spatial split: nets whose activity centers share a
-        quadrant negotiate against each other constantly and belong
-        together; cross-quadrant interactions are the (checked,
-        replayable) exception.  Net order within a group preserves the
-        serial dirty order.
-        """
-        x_mid = geometry["x_lo"] + geometry["x_hi"]
-        y_mid = geometry["y_lo"] + geometry["y_hi"]
-        grouped: dict[int, list[str]] = {}
-        for net in dirty:
-            terminals = [sources[net]] + sinks[net]
-            xs = [node_x[node_id] for node_id in terminals]
-            ys = [node_y[node_id] for node_id in terminals]
-            tile = (2 if min(xs) + max(xs) > x_mid else 0) + (
-                1 if min(ys) + max(ys) > y_mid else 0
-            )
-            grouped.setdefault(tile, []).append(net)
-        return [grouped[tile] for tile in sorted(grouped)]
-
-    def run_group(nets: list[str]) -> dict:
-        """Phase 1: route one group's nets against a private snapshot.
-
-        Maps each net to ``(tree, pops, visited_cells)``, or ``None`` when
-        the pruning box was too tight under the snapshot (the commit pass
-        replays it, with the box fallback, at the true state).  Live
-        router state is never touched.
-        """
-        group_occupancy = occupancy[:]
-        view = table.group_view(group_occupancy) if table is not None else None
-        out: dict = {}
-        for net in nets:
-            previous_route = routes.get(net)
-            if previous_route is not None:
-                for node_id in previous_route.nodes:
-                    group_occupancy[node_id] -= 1
-                if view is not None:
-                    view.update(previous_route.nodes)
-            cells: set[int] = set()
-            routed, pops = search_impl(
-                net, net_crit(net), net_box(net), group_occupancy, view, cells
-            )
-            if routed is None:
-                # Later group-mates would route against a snapshot the
-                # serial schedule can never produce; leave them to the
-                # commit pass's replay path.
-                out[net] = None
-                break
-            for node_id in routed.nodes:
-                group_occupancy[node_id] += 1
-            if view is not None:
-                view.update(routed.nodes)
-            out[net] = (routed, pops, cells)
-        return out
-
-    def route_groups(groups: list[list[str]], dirty: list[str]) -> None:
-        """Phase 2: validate and commit phase-1 trees in serial net order."""
-        if table is not None and len(groups) > 1:
-            workers = min(len(groups), PARALLEL_ROUTE_WORKERS)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                phase1 = list(pool.map(run_group, groups))
-        else:
-            phase1 = [run_group(group) for group in groups]
-        group_of = {net: gid for gid, nets in enumerate(groups) for net in nets}
-        phase1_results: dict = {}
-        for out in phase1:
-            phase1_results.update(out)
-        cell_of = geometry["cell_of"]
-        written: dict[int, int] = {}
-        tainted = [False] * len(groups)
-        for net in dirty:
-            gid = group_of[net]
-            res = phase1_results.get(net)
-            valid = res is not None and not tainted[gid]
-            if valid:
-                routed, pops, cells = res
-                for cell in cells:
-                    owner = written.get(cell)
-                    if owner is not None and owner != gid:
-                        valid = False
-                        break
-            previous_route = routes.get(net)
-            if previous_route is not None:
-                release(previous_route.nodes)
-                if table is not None:
-                    table.update(previous_route.nodes)
-            if not valid:
-                routed, pops = route_net(net)
-                result.conflict_replays += 1
-                if res is None or routed.nodes != res[0].nodes:
-                    tainted[gid] = True
-            result.node_pops += pops
-            routes[net] = routed
-            occupy(routed.nodes)
-            if table is not None:
-                table.update(routed.nodes)
-            # Publish this net's writes (old tree released, new tree
-            # occupied) with a one-cell halo for later nets' read checks.
-            # Pin nodes are excluded: a pin belongs to exactly one net, so
-            # no other net's search ever reads a foreign pin's cost.
-            touched = {
-                cell_of[node_id] for node_id in routed.nodes if is_wire[node_id]
-            }
-            if previous_route is not None:
-                touched.update(
-                    cell_of[node_id]
-                    for node_id in previous_route.nodes
-                    if is_wire[node_id]
-                )
-            for cell in touched:
-                for halo_cell in cell_halo(cell):
-                    owner = written.get(halo_cell)
-                    if owner is None:
-                        written[halo_cell] = gid
-                    elif owner != gid:
-                        written[halo_cell] = -1
-        result.parallel_groups += len(groups)
 
     net_order = sorted(sources)
 
@@ -1067,26 +790,28 @@ def route_design(
             # history are fixed for the whole iteration, so one pass gives
             # every search below its cost table.
             table.refresh(pres_fac)
-        routed_grouped = False
-        if parallel and len(dirty) >= PARALLEL_MIN_DIRTY and grouped_geometry()["locality"]:
-            groups = tile_groups(dirty)
-            if len(groups) > 1:
-                route_groups(groups, dirty)
-                routed_grouped = True
-        if not routed_grouped:
-            for net in dirty:
-                previous_route = routes.get(net)
-                if previous_route is not None:
-                    release(previous_route.nodes)
-                    if table is not None:
-                        table.update(previous_route.nodes)
-                routed, pops = route_net(net)
-                result.node_pops += pops
-                routes[net] = routed
-                occupy(routed.nodes)
+        for net in dirty:
+            previous_route = routes.get(net)
+            if previous_route is not None:
+                release(previous_route.nodes)
                 if table is not None:
-                    table.update(routed.nodes)
+                    table.update(previous_route.nodes)
+            routed, pops = route_net(net)
+            result.node_pops += pops
+            routes[net] = routed
+            occupy(routed.nodes)
+            if table is not None:
+                table.update(routed.nodes)
         result.reroutes_per_iteration.append(len(dirty))
+        logger.debug(
+            "PathFinder iteration %d: %d dirty nets, %d overused nodes, "
+            "pres_fac %.4g, full recovery %s",
+            iteration,
+            len(dirty),
+            len(overused),
+            pres_fac,
+            "on" if full_recovery else "off",
+        )
 
         if not overused:
             result.routed = routes
@@ -1135,6 +860,12 @@ def route_design(
         # let the accelerator cost routability, restart the whole
         # negotiation with plain Dijkstra — bit-identical to astar=False —
         # and carry the counters over so the retry's cost stays visible.
+        logger.info(
+            "A* negotiation failed after %d iterations with %d overused nodes; "
+            "restarting with plain Dijkstra",
+            iteration,
+            len(overused),
+        )
         retry = route_design(
             design,
             placement,
@@ -1150,12 +881,9 @@ def route_design(
             bbox_margin=bbox_margin,
             warm_start=warm_start,
             kernel=backend,
-            parallel=parallel,
         )
         retry.node_pops += result.node_pops
         retry.bbox_fallbacks += result.bbox_fallbacks
-        retry.parallel_groups += result.parallel_groups
-        retry.conflict_replays += result.conflict_replays
         retry.reroutes_per_iteration = (
             result.reroutes_per_iteration + retry.reroutes_per_iteration
         )

@@ -34,9 +34,10 @@ def test_harness_document_schema(tmp_path):
     assert document["benchmark"] == "bench_cad_flow"
     assert document["kernel"] == "python"
     assert document["timing_rounds"] == 1
+    assert document["cpu_count"] >= 1
     assert [design["bits"] for design in document["designs"]] == [1, 2]
     for design in document["designs"]:
-        assert set(design["stages_s"]) == {"pack", "place", "route", "route_parallel"}
+        assert set(design["stages_s"]) == {"pack", "place", "route"}
         assert design["kernel"] == "python"
         placement = design["placement"]
         assert placement["moves_per_s"] > 0
@@ -46,9 +47,6 @@ def test_harness_document_schema(tmp_path):
         assert routing["success"] is True
         assert sum(routing["reroutes_per_iteration"]) == routing["total_reroutes"]
         assert routing["reroutes_per_iteration"][0] == routing["nets"]
-        assert routing["parallel_parity"] is True
-        assert routing["parallel_groups"] >= 0
-        assert routing["conflict_replays"] >= 0
         astar = design["astar"]
         assert astar["parity"] is True
         assert astar["pops"] > 0 and astar["dijkstra_pops"] > 0
@@ -58,8 +56,6 @@ def test_harness_document_schema(tmp_path):
         assert timing["timing_driven_cycle_time_ps"] > 0
         assert timing["timing_driven_flow_s"] > 0
         assert timing["timing_driven_flows_per_s"] > 0
-    # Registry circuits run as full flows; the multiplier is the acceptance
-    # bench of the net-parallel router, so its groups must be nonzero.
     registry = document["registry"]
     assert [record["name"] for record in registry] == list(
         bench_cad_flow.REGISTRY_CIRCUITS
@@ -67,12 +63,10 @@ def test_harness_document_schema(tmp_path):
     for record in registry:
         assert record["routing_success"] is True
         assert record["kernel"] == "python"
-        assert record["parallel_groups"] >= 1
     headline = document["headline"]
     assert headline["largest_design"] == document["designs"][-1]["name"]
     assert headline["kernel"] == "python"
     assert headline["router_route_s"] > 0
-    assert headline["parallel_groups"] >= 1
     assert headline["astar_pop_reduction"] > 0
     assert headline["timing_driven_flows_per_s"] > 0
 
@@ -124,18 +118,6 @@ def test_floor_check_passes_and_fails_correctly():
         {"placement_moves_per_s": 1.0, "router_route_s": 1e-9, "regression_factor": 3},
     )
     assert problems and "router wall-clock" in problems[0]
-    # The net-parallel router silently disengaging trips min_parallel_groups.
-    problems = bench_cad_flow.check_floor(
-        document, {"placement_moves_per_s": 1.0, "min_parallel_groups": 10**6}
-    )
-    assert problems and "parallel group" in problems[0]
-    # Grouped routing diverging from the serial trees is always fatal.
-    diverged = copy.deepcopy(document)
-    diverged["designs"][-1]["routing"]["parallel_parity"] = False
-    problems = bench_cad_flow.check_floor(
-        diverged, {"placement_moves_per_s": 1.0, "regression_factor": 3}
-    )
-    assert problems and "bit-identical" in problems[0]
     # Per-kernel overrides: the document ran kernel=python, so a brutal
     # numpy-only floor must not apply to it...
     assert bench_cad_flow.check_floor(
@@ -168,7 +150,6 @@ def test_checked_in_floor_file_is_well_formed():
     assert floor["min_eval_reduction"] >= 1
     assert floor["min_astar_pop_reduction"] >= 1
     assert floor["timing_driven_flows_per_s"] > 0
-    assert floor["min_parallel_groups"] >= 1
     # The numpy leg is ratcheted ~3x above the pure-python floors.
     numpy_floor = floor["kernels"]["numpy"]
     assert numpy_floor["placement_moves_per_s"] >= 2 * floor["placement_moves_per_s"]

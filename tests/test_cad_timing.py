@@ -16,9 +16,14 @@ Four families of guarantees introduced by the criticality-fed CAD refactor:
 * **A\\* router** — routed parity with plain Dijkstra while popping fewer
   heap nodes on the largest benchmarked fabric, and the warm-start seed
   path reaches parity-quality routings while inheriting most trees.
+
+The routing fallbacks are pinned too: the flow's ladder logs one INFO record
+per failed rung, the A*→Dijkstra restart one INFO record, and PathFinder one
+DEBUG line per iteration.
 """
 
 import copy
+import logging
 import random
 
 import pytest
@@ -201,6 +206,37 @@ def test_timing_driven_summary_key_set():
     }
 
 
+def test_timing_driven_flow_logs_each_failed_routing_rung(caplog, monkeypatch):
+    # Seed 5 on 6x6/cw10 fails the first timing-driven rung (the polished
+    # placement) and recovers further down the ladder: every failed rung
+    # must leave exactly one INFO record, so no fallback fires silently.
+    import repro.cad.flow as flow_module
+
+    attempts = []
+
+    def recording_route_design(*args, **kwargs):
+        attempts.append(route_design(*args, **kwargs))
+        return attempts[-1]
+
+    monkeypatch.setattr(flow_module, "route_design", recording_route_design)
+    arch = ArchitectureParams(width=6, height=6, routing=RoutingParams(channel_width=10))
+    options = FlowOptions(timing_driven=True, placement_seed=5, generate_bitstream=False)
+    with caplog.at_level(logging.DEBUG, logger="repro.cad"):
+        result = CadFlow(arch, options).run(build_circuit("qdi_multiplier_2x2"))
+
+    assert result.summary()["routing_success"] is True
+    failed = [routing for routing in attempts if not routing.success]
+    assert failed
+    rungs = [r for r in caplog.records if r.name == "repro.cad.flow"]
+    assert [r.levelno for r in rungs] == [logging.INFO] * len(failed)
+    assert "timing-driven routing on the polished placement failed" in rungs[0].getMessage()
+    # One DEBUG line per PathFinder iteration across every rung.
+    iterations = [
+        r for r in caplog.records if r.name == "repro.cad.route" and r.levelno == logging.DEBUG
+    ]
+    assert len(iterations) == sum(routing.iterations for routing in attempts)
+
+
 # ----------------------------------------------------------------------
 # Critical-net refinement
 # ----------------------------------------------------------------------
@@ -278,16 +314,25 @@ def test_astar_parity_and_pop_reduction_on_largest_fabric():
     assert accelerated.node_pops < plain.node_pops
 
 
-def test_astar_failure_restarts_with_dijkstra_parity():
+def test_astar_failure_restarts_with_dijkstra_parity(caplog):
     # The knife-edge instance: the decomposed multiplier at channel width 8
     # only converges under classic frontier ordering.  astar=True must reach
     # the exact same routability via its internal restart.
     design, flow = _mapped("qdi_multiplier_2x2")
     placement = place_design(design, flow.fabric, seed=1)
-    accelerated = route_design(design, placement, flow.rr_graph, astar=True)
+    with caplog.at_level(logging.DEBUG, logger="repro.cad.route"):
+        accelerated = route_design(design, placement, flow.rr_graph, astar=True)
     plain = route_design(design, placement, flow.rr_graph, astar=False)
     assert accelerated.success == plain.success is True
     assert accelerated.total_wirelength == plain.total_wirelength
+    # The restart is never silent, and every iteration of both negotiations
+    # logged its convergence state.
+    records = [r for r in caplog.records if r.name == "repro.cad.route"]
+    restarts = [r for r in records if r.levelno == logging.INFO]
+    assert len(restarts) == 1
+    assert "restarting with plain Dijkstra" in restarts[0].getMessage()
+    iterations = [r for r in records if r.levelno == logging.DEBUG]
+    assert len(iterations) == accelerated.iterations
 
 
 # ----------------------------------------------------------------------
