@@ -20,16 +20,14 @@ Two entry points share the instrumented flow runner below:
   ``timing_driven_flows_per_s``, or the router's wall-clock on the largest
   design exceeds ``router_route_s`` by more than the same factor.
 
-``--kernel {auto,python,numpy}`` selects the compute backend (recorded per
-document and per record; both backends are bit-identical, only speed
-differs).  The place and route stages are timed **best-of-N** (``--rounds``,
+The place and route stages are timed **best-of-N** (``--rounds``,
 deterministic reruns — the minimum filters out scheduler noise), and the
 route stage calls ``route_design`` with its defaults, the same router the
 flow runs.  Registry circuits (``qdi_multiplier_2x2``) join the generated
-specs as full-flow records.  Schema 5 records ``cpu_count`` next to the
-python version and platform.  ``perf_floor.json`` may carry per-kernel
-overrides under a ``"kernels"`` key so CI can ratchet the numpy legs above
-the pure-python floors.
+specs as full-flow records.  The document records ``cpu_count`` next to
+the python version and platform.  Schema 6 dropped the per-kernel fields:
+the placer and router have one implementation, so ``perf_floor.json``
+holds one set of floors.
 """
 
 import argparse
@@ -47,7 +45,6 @@ from repro.cad.pack import pack_design
 from repro.cad.place import place_design
 from repro.cad.route import route_design
 from repro.circuits.adders import qdi_ripple_adder
-from repro.cad.kernels import resolve_kernel
 from repro.core.fabric import Fabric
 from repro.core.params import ArchitectureParams, RoutingParams
 from repro.core.rrgraph import cached_rr_graph
@@ -60,7 +57,7 @@ GENERATED_SPECS = ("gen:mult8x8@micropipeline",)
 #: Registry circuits the harness runs as full flows on the standard
 #: routable fabric (the decomposed multiplier).
 REGISTRY_CIRCUITS = ("qdi_multiplier_2x2",)
-BENCH_SCHEMA = 5
+BENCH_SCHEMA = 6
 #: Deterministic stage reruns per timing measurement; the minimum is kept.
 TIMING_ROUNDS = 5
 DEFAULT_FLOOR_FILE = Path(__file__).with_name("perf_floor.json")
@@ -85,13 +82,13 @@ def _best_of(run, rounds: int):
 
 
 def instrumented_flow(
-    bits: int, seed: int = 1, kernel: str = "python", rounds: int = TIMING_ROUNDS
+    bits: int, seed: int = 1, rounds: int = TIMING_ROUNDS
 ) -> dict[str, object]:
     """Pack, place and route one synthetic adder, timing each stage.
 
     Returns a flat record of the stage wall-clocks plus the incremental
     placer/router counters — the unit of ``BENCH_cad.json``.  The place and
-    route stages run under *kernel* and are timed best-of-*rounds*.
+    route stages are timed best-of-*rounds*.
     """
     adder = qdi_ripple_adder(bits)
     design: MappedDesign = adder.mapped
@@ -108,23 +105,22 @@ def instrumented_flow(
     graph = cached_rr_graph(fabric)
 
     placement, place_s = _best_of(
-        lambda: place_design(design, fabric, seed=seed, kernel=kernel), rounds
+        lambda: place_design(design, fabric, seed=seed), rounds
     )
-    routing, route_s = _best_of(
-        lambda: route_design(design, placement, graph, kernel=kernel), rounds
-    )
+    routing, route_s = _best_of(lambda: route_design(design, placement, graph), rounds)
 
     # A* counter reference: the identical route with the lower bound off.
     t5 = time.perf_counter()
-    dijkstra = route_design(design, placement, graph, kernel=kernel, astar=False)
+    dijkstra = route_design(design, placement, graph, astar=False)
     t6 = time.perf_counter()
 
     # Timing quality + wall-clock: the full flow, baseline vs timing-driven.
-    flow_options = dict(generate_bitstream=False, kernel=kernel)
     t7 = time.perf_counter()
-    baseline_flow = CadFlow(params, FlowOptions(**flow_options)).run(adder)
+    baseline_flow = CadFlow(params, FlowOptions(generate_bitstream=False)).run(adder)
     t8 = time.perf_counter()
-    timing_flow = CadFlow(params, FlowOptions(timing_driven=True, **flow_options)).run(adder)
+    timing_flow = CadFlow(
+        params, FlowOptions(generate_bitstream=False, timing_driven=True)
+    ).run(adder)
     t9 = time.perf_counter()
     baseline_s = t8 - t7
     timing_s = t9 - t8
@@ -135,7 +131,6 @@ def instrumented_flow(
         "grid": f"{side}x{side}",
         "les": len(design.les),
         "plbs": len(design.plbs),
-        "kernel": kernel,
         "timing_rounds": max(1, int(rounds)),
         "stages_s": {
             "pack": round(t1 - t0, 6),
@@ -195,11 +190,11 @@ def instrumented_flow(
 
 
 def _flow_record(
-    name: str, bench, params: ArchitectureParams, seed: int, kernel: str
+    name: str, bench, params: ArchitectureParams, seed: int
 ) -> dict[str, object]:
     """Full flow (bitstream included) of one circuit."""
     t0 = time.perf_counter()
-    result = CadFlow(params, FlowOptions(placement_seed=seed, kernel=kernel)).run(bench)
+    result = CadFlow(params, FlowOptions(placement_seed=seed)).run(bench)
     flow_s = time.perf_counter() - t0
     summary = result.summary()
     return {
@@ -208,7 +203,6 @@ def _flow_record(
         "channel_width": params.routing.channel_width,
         "les": summary["les"],
         "plbs": summary["plbs"],
-        "kernel": kernel,
         "flow_s": round(flow_s, 6),
         "routing_success": summary.get("routing_success", False),
         "total_wirelength": summary.get("total_wirelength", 0),
@@ -217,9 +211,7 @@ def _flow_record(
     }
 
 
-def generated_flow_record(
-    spec_name: str, seed: int = 1, kernel: str = "python"
-) -> dict[str, object]:
+def generated_flow_record(spec_name: str, seed: int = 1) -> dict[str, object]:
     """Full flow (bitstream included) of one generated circuit.
 
     The fabric comes from ``recommended_fabric``, so this also exercises the
@@ -230,39 +222,24 @@ def generated_flow_record(
     from repro.circuits.specs import build_from_spec
 
     bench = build_from_spec(spec_name)
-    return _flow_record(spec_name, bench, recommended_fabric(bench), seed, kernel)
+    return _flow_record(spec_name, bench, recommended_fabric(bench), seed)
 
 
-def registry_flow_record(
-    name: str, seed: int = 1, kernel: str = "python"
-) -> dict[str, object]:
+def registry_flow_record(name: str, seed: int = 1) -> dict[str, object]:
     """Full flow of one registry circuit on the standard routable fabric."""
     from repro.circuits.registry import build_circuit
 
     params = ArchitectureParams(routing=RoutingParams(channel_width=10))
-    return _flow_record(name, build_circuit(name), params, seed, kernel)
+    return _flow_record(name, build_circuit(name), params, seed)
 
 
 def run_harness(
-    widths=HARNESS_WIDTHS,
-    seed: int = 1,
-    kernel: str = "auto",
-    rounds: int = TIMING_ROUNDS,
+    widths=HARNESS_WIDTHS, seed: int = 1, rounds: int = TIMING_ROUNDS
 ) -> dict[str, object]:
     """The full ``BENCH_cad.json`` document for the given adder widths."""
-    backend = resolve_kernel(kernel)
-    designs = [
-        instrumented_flow(bits, seed=seed, kernel=backend, rounds=rounds)
-        for bits in widths
-    ]
-    registry = [
-        registry_flow_record(name, seed=seed, kernel=backend)
-        for name in REGISTRY_CIRCUITS
-    ]
-    generated = [
-        generated_flow_record(spec, seed=seed, kernel=backend)
-        for spec in GENERATED_SPECS
-    ]
+    designs = [instrumented_flow(bits, seed=seed, rounds=rounds) for bits in widths]
+    registry = [registry_flow_record(name, seed=seed) for name in REGISTRY_CIRCUITS]
+    generated = [generated_flow_record(spec, seed=seed) for spec in GENERATED_SPECS]
     largest = designs[-1]
     return {
         "schema": BENCH_SCHEMA,
@@ -272,14 +249,12 @@ def run_harness(
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
         "seed": seed,
-        "kernel": backend,
         "timing_rounds": max(1, int(rounds)),
         "designs": designs,
         "registry": registry,
         "generated": generated,
         "headline": {
             "largest_design": largest["name"],
-            "kernel": backend,
             "placement_moves_per_s": largest["placement"]["moves_per_s"],
             "router_route_s": largest["stages_s"]["route"],
             "placement_eval_reduction": largest["placement"]["eval_reduction"],
@@ -296,20 +271,6 @@ def run_harness(
     }
 
 
-def _floor_for_kernel(floor: dict[str, object], kernel: str) -> dict[str, object]:
-    """Flatten per-kernel floor overrides into one floor mapping.
-
-    The base keys are the pure-python floors; a ``"kernels"`` section may
-    override any of them per backend (CI ratchets the numpy legs ~3× above
-    python without needing two floor files).
-    """
-    merged = {key: value for key, value in floor.items() if key != "kernels"}
-    overrides = floor.get("kernels", {})
-    if isinstance(overrides, dict):
-        merged.update(overrides.get(kernel, {}))
-    return merged
-
-
 def check_floor(document: dict[str, object], floor: dict[str, object]) -> list[str]:
     """Floor violations of a harness document (empty list == healthy).
 
@@ -318,7 +279,6 @@ def check_floor(document: dict[str, object], floor: dict[str, object]) -> list[s
     it, so slower CI machines don't flap while a real algorithmic regression
     (the asymptotic kind this PR removed) still trips it.
     """
-    floor = _floor_for_kernel(floor, str(document.get("kernel", "python")))
     problems: list[str] = []
     for design in document["designs"]:
         if not design["routing"]["success"]:
@@ -388,11 +348,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=1, help="placement seed")
     parser.add_argument(
-        "--kernel", choices=("auto", "python", "numpy"), default="auto",
-        help="compute backend for the place/route stages (default: auto = "
-        "numpy when importable; both backends are bit-identical)",
-    )
-    parser.add_argument(
         "--rounds", type=int, default=TIMING_ROUNDS, metavar="N",
         help="deterministic reruns per place/route timing, best kept "
         "(default: %(default)s)",
@@ -404,9 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    document = run_harness(
-        widths=args.widths, seed=args.seed, kernel=args.kernel, rounds=args.rounds
-    )
+    document = run_harness(widths=args.widths, seed=args.seed, rounds=args.rounds)
     args.json.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
     rows = [
@@ -426,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
         for design in document["designs"]
     ]
     print(format_table(rows))
-    print(f"kernel: {document['kernel']} (best of {document['timing_rounds']} rounds)")
+    print(f"best of {document['timing_rounds']} rounds")
     for design in document["registry"]:
         print(
             f"registry {design['name']}: grid {design['grid']} "
@@ -451,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
         if problems:
             return 1
         print(
-            f"perf floor ok ({document['kernel']}): "
+            "perf floor ok: "
             f"{document['headline']['placement_moves_per_s']:.0f} moves/s, "
             f"route {document['headline']['router_route_s']:.4f}s, "
             f"{document['headline']['placement_eval_reduction']}x fewer net evals, "

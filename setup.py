@@ -31,11 +31,6 @@ setup(
     python_requires=">=3.11",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    extras_require={
-        # Optional array-native CAD kernels (FlowOptions.kernel="numpy"):
-        # bit-identical to the pure-python reference, ~3x faster place/route.
-        "fast": ["numpy"],
-    },
     entry_points={
         "console_scripts": [
             "repro-sweep=repro.cli:main",

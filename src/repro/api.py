@@ -88,7 +88,6 @@ def run_sweep(
     backoff: float = 0.0,
     fail_fast: bool = False,
     fallback: Iterable[str] = (),
-    kernel: str = "auto",
 ) -> SweepReport:
     """Run a (circuit × architecture × options) grid through the batch engine.
 
@@ -139,12 +138,6 @@ def run_sweep(
     fallback:
         Opt-in executor degradation ladder (e.g. ``("thread", "serial")``)
         engaged after repeated worker-pool failures.
-    kernel:
-        Compute backend for every executed point -- ``"auto"`` (numpy when
-        importable, else pure python), ``"python"`` or ``"numpy"``.
-        Execution-side like ``artifact_dir``: both backends are bit-identical,
-        so the choice never enters sweep keys or cached summaries; executed
-        records report the resolved backend under ``"kernel"``.
 
     Returns
     -------
@@ -175,7 +168,6 @@ def run_sweep(
         placement_cache=placement_cache,
         routing_cache=routing_cache,
         artifacts=str(artifact_dir) if artifact_dir is not None else None,
-        kernel=kernel,
     )
     return runner.run(spec)
 

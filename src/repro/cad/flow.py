@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 from repro.cad.bitgen import ConfiguredPLB, configure_plb, generate_bitstream
-from repro.cad.kernels import KERNELS, resolve_kernel
 from repro.cad.lemap import MappedDesign
 from repro.cad.metrics import FillingRatioReport, filling_ratio
 from repro.cad.pack import pack_design, packing_summary
@@ -94,33 +93,19 @@ class FlowOptions(SerializableParams):
     #: meaningful with ``artifact_store``; excluded from :meth:`to_dict`
     #: like it.
     checkpoint_stages: tuple[str, ...] | None = field(default=None, compare=False)
-    #: Kernel backend for the placer/router hot paths (see
-    #: :mod:`repro.cad.kernels`): ``"auto"`` uses numpy when installed,
-    #: ``"python"`` forces the reference implementation, ``"numpy"``
-    #: requires the optional dependency.  **Execution-side knob**: both
-    #: backends produce bit-identical results, so like ``artifact_store``
-    #: it is excluded from :meth:`to_dict`, equality and hashing — the
-    #: same flow must hit the same cache entries under either backend.
-    kernel: str = field(default="auto", compare=False)
 
     def __post_init__(self) -> None:
         if self.checkpoint_stages is not None and not isinstance(self.checkpoint_stages, tuple):
             # Normalise JSON-borne lists so the dataclass stays hashable.
             object.__setattr__(self, "checkpoint_stages", tuple(self.checkpoint_stages))
-        if self.kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; expected one of {KERNELS}"
-            )
 
     def to_dict(self) -> dict[str, object]:
         data = super().to_dict()
-        # The artifact/kernel knobs steer persistence and execution, not
-        # semantics: dropping them keeps sweep keys, flow keys and
-        # stable_hash() byte-stable whether or not a run checkpoints, and
-        # whichever backend computes the (bit-identical) result.
+        # The artifact knobs steer persistence, not semantics: dropping
+        # them keeps sweep keys, flow keys and stable_hash() byte-stable
+        # whether or not a run checkpoints.
         del data["artifact_store"]
         del data["checkpoint_stages"]
-        del data["kernel"]
         return data
 
     @classmethod
@@ -160,11 +145,8 @@ class FlowResult:
     #: Findings of the ``verify_stages`` lint gate (``None`` when the gate
     #: did not run); each is a :class:`repro.verify.Finding`.
     lint_findings: list | None = None
-    #: The resolved kernel backend (``"python"``/``"numpy"``) this flow
-    #: executed with.  Deliberately **not** part of :meth:`summary` — both
-    #: backends produce identical summaries, and the execution backend must
-    #: never leak into cached or golden-pinned result dicts.
-    kernel: str | None = None
+    # Always "python" (one implementation); perfbench/workloads.py reads it per flow op.
+    kernel: ClassVar[str] = "python"
 
     # ------------------------------------------------------------------
     # Reporting
@@ -441,8 +423,8 @@ class CadFlow:
 
         Served from :func:`repro.core.rrgraph.cached_rr_graph`, so repeated
         flows over the same architecture — a batch sweep, a channel-width
-        ladder — reuse one graph instance (and its attached kernel arrays)
-        instead of rebuilding it per :class:`CadFlow`.
+        ladder — reuse one graph instance instead of rebuilding it per
+        :class:`CadFlow`.
         """
         if self._rr_graph is None:
             self._rr_graph = cached_rr_graph(self.fabric)
@@ -609,11 +591,6 @@ class CadFlow:
         result = FlowResult(circuit_name=name, architecture=self.architecture, mapped=mapped)
         result.packing = packing_summary(mapped)
         result.filling = filling_ratio(mapped)
-        # Resolve the backend once per run: an "auto" request binds to the
-        # same concrete kernel for placement and routing, and the result
-        # records what actually executed.
-        backend = resolve_kernel(self.options.kernel)
-        result.kernel = backend
 
         model = self.options.timing_model
         engine: TimingEngine | None = None
@@ -641,7 +618,6 @@ class CadFlow:
                     self.fabric,
                     seed=self.options.placement_seed,
                     effort=self.options.placement_effort,
-                    kernel=backend,
                 )
                 if placement is not None:
                     result.placement_cache_hit = False
@@ -669,7 +645,6 @@ class CadFlow:
                         objective=objective,
                         initial=baseline_placement,
                         temperature_factor=0.02,
-                        kernel=backend,
                     )
             if session is not None and result.placement is not None:
                 session.checkpoint("placement", loaded, result.placement.to_dict())
@@ -721,7 +696,6 @@ class CadFlow:
                     # only the final congestion rung keeps the router's
                     # internal A*→Dijkstra restart (baseline semantics).
                     restart_on_failure=crits is None,
-                    kernel=backend,
                 )
                 if not routing.success:
                     # One record per failed rung of the ladder below, so a

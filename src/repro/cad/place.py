@@ -35,7 +35,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from repro.cad.kernels import resolve_kernel
 from repro.cad.lemap import MappedDesign
 from repro.core.fabric import Fabric, IOPad
 from repro.core.schema import decoding, require_version
@@ -572,6 +571,479 @@ class NetCostCache:
 HpwlCache = NetCostCache
 
 
+class FlatNetCostCache(NetCostCache):
+    """:class:`NetCostCache` over flat per-terminal coordinate lists.
+
+    Semantics, counters and float results are those of the base class, bit
+    for bit; only the data layout of the anneal's hot path differs:
+
+    * every terminal gets an integer id; per-net terminal-id rows and flat
+      ``x``/``y`` coordinate lists replace name-keyed dict lookups in the
+      bounding-box scan (the anneal's hottest function);
+    * a per-terminal-id net index replaces the name-keyed ``_nets_of`` dict
+      in the propose path;
+    * under the plain HPWL objective, :meth:`propose_moves` runs one fused
+      loop over generation-stamped per-net slots instead of building a
+      pending dict per proposal.
+
+    Coordinates are integer-valued doubles well below 2**53, so every min,
+    max and sum here is exact in any evaluation order, which is what keeps
+    the fused delta equal to the base class's.  Other objectives keep the
+    base propose/commit and get only the flat :meth:`_scan_box`.
+    """
+
+    def __init__(
+        self,
+        nets: dict[str, list[str]],
+        plb_sites: dict[str, tuple[int, int]],
+        io_positions: dict[str, tuple[float, float]],
+        objective: WirelengthObjective | None = None,
+    ) -> None:
+        # Flat terminal structures must exist before the base constructor
+        # runs: it builds the initial boxes through our _scan_box override.
+        self.plb_sites = plb_sites
+        self.io_positions = io_positions
+        tid_of: dict[str, int] = {}
+        names: list[str] = []
+        term_tids: list[list[int]] = []
+        for terminals in nets.values():
+            row: list[int] = []
+            for terminal in terminals:
+                tid = tid_of.get(terminal)
+                if tid is None:
+                    tid = len(names)
+                    tid_of[terminal] = tid
+                    names.append(terminal)
+                row.append(tid)
+            term_tids.append(row)
+        self._tid_of = tid_of
+        self._tid_names = names
+        self._io_net = [
+            name[3:] if name.startswith("io:") else None for name in names
+        ]
+        self._term_tids = term_tids
+        count = len(names)
+        self._pos_x: list[float | None] = [None] * count
+        self._pos_y: list[float | None] = [None] * count
+        for tid in range(count):
+            self._refresh_tid(tid)
+        nets_of_tid: list[list[int]] = [[] for _ in range(count)]
+        for index, row in enumerate(term_tids):
+            for tid in row:
+                nets_of_tid[tid].append(index)
+        self._nets_of_tid: list[tuple[int, ...]] = [
+            tuple(indices) for indices in nets_of_tid
+        ]
+        # Per-net (a, b) terminal pair for two-terminal nets (None for
+        # larger nets): the propose loop's dominant branch keys off it
+        # without re-measuring the terminal row.
+        self._two_pin: list[tuple[int, int] | None] = [
+            (row[0], row[1]) if len(row) == 2 else None for row in term_tids
+        ]
+        self._pos_undo: list[tuple[int, float | None, float | None]] = []
+        # Generation-stamped proposal slots: ``_slot_gen[i] == _prop_gen``
+        # means net ``i`` was touched by the current proposal and its
+        # working box lives in ``_slot_box[i]`` (``_slot_final`` marks
+        # rescanned nets that take no further shifts).  Stamping avoids
+        # allocating a dict + set per proposal on the anneal hot path.
+        net_count = len(term_tids)
+        self._prop_gen = 0
+        self._slot_gen = [0] * net_count
+        self._slot_final = [0] * net_count
+        self._slot_box: list[list | None] = [None] * net_count
+        self._fold_gen = [0] * net_count
+        self._plan: list[tuple[int, tuple[float, float], tuple[float, float]]] | None = None
+        self._plain = objective is None or type(objective) is WirelengthObjective
+        super().__init__(nets, plb_sites, io_positions, objective=objective)
+
+    # ------------------------------------------------------------------
+    # Flat-coordinate maintenance
+    # ------------------------------------------------------------------
+    def _refresh_tid(self, tid: int) -> None:
+        """Re-read one terminal's coordinates from the caller's dicts."""
+        io_net = self._io_net[tid]
+        if io_net is not None:
+            position = self.io_positions.get(io_net)
+            if position is None:
+                self._pos_x[tid] = None
+                self._pos_y[tid] = None
+            else:
+                self._pos_x[tid] = position[0]
+                self._pos_y[tid] = position[1]
+        else:
+            x, y = self.plb_sites[self._tid_names[tid]]
+            self._pos_x[tid] = float(x)
+            self._pos_y[tid] = float(y)
+
+    # ------------------------------------------------------------------
+    # Hot-path overrides (same counters, same floats, flat lookups)
+    # ------------------------------------------------------------------
+    def _scan_box(self, index: int):
+        self.evaluations += 1
+        px = self._pos_x
+        py = self._pos_y
+        row = self._term_tids[index]
+        if len(row) == 2:
+            # Two-terminal nets dominate the netlists and always rescan
+            # (either terminal is an extreme), so they get a branch-only
+            # path: no intermediate lists, no count() passes.
+            tid_a, tid_b = row
+            x_a = px[tid_a]
+            x_b = px[tid_b]
+            if x_a is None or x_b is None:
+                return None
+            y_a = py[tid_a]
+            y_b = py[tid_b]
+            if x_a < x_b:
+                xmin, xmax, cxmin, cxmax = x_a, x_b, 1, 1
+            elif x_b < x_a:
+                xmin, xmax, cxmin, cxmax = x_b, x_a, 1, 1
+            else:
+                xmin = xmax = x_a
+                cxmin = cxmax = 2
+            if y_a < y_b:
+                ymin, ymax, cymin, cymax = y_a, y_b, 1, 1
+            elif y_b < y_a:
+                ymin, ymax, cymin, cymax = y_b, y_a, 1, 1
+            else:
+                ymin = ymax = y_a
+                cymin = cymax = 2
+            return [xmin, xmax, ymin, ymax, cxmin, cxmax, cymin, cymax]
+        if len(row) == 3:
+            # Unrolled three-terminal scan: no intermediate lists, counts
+            # as boolean sums (same float equality as list.count).
+            tid_a, tid_b, tid_c = row
+            x_a = px[tid_a]
+            x_b = px[tid_b]
+            x_c = px[tid_c]
+            if x_a is not None and x_b is not None and x_c is not None:
+                y_a = py[tid_a]
+                y_b = py[tid_b]
+                y_c = py[tid_c]
+                xmin = x_b if x_b < x_a else x_a
+                if x_c < xmin:
+                    xmin = x_c
+                xmax = x_b if x_b > x_a else x_a
+                if x_c > xmax:
+                    xmax = x_c
+                ymin = y_b if y_b < y_a else y_a
+                if y_c < ymin:
+                    ymin = y_c
+                ymax = y_b if y_b > y_a else y_a
+                if y_c > ymax:
+                    ymax = y_c
+                return [
+                    xmin,
+                    xmax,
+                    ymin,
+                    ymax,
+                    (x_a == xmin) + (x_b == xmin) + (x_c == xmin),
+                    (x_a == xmax) + (x_b == xmax) + (x_c == xmax),
+                    (y_a == ymin) + (y_b == ymin) + (y_c == ymin),
+                    (y_a == ymax) + (y_b == ymax) + (y_c == ymax),
+                ]
+        if len(row) == 4:
+            tid_a, tid_b, tid_c, tid_d = row
+            x_a = px[tid_a]
+            x_b = px[tid_b]
+            x_c = px[tid_c]
+            x_d = px[tid_d]
+            if (
+                x_a is not None
+                and x_b is not None
+                and x_c is not None
+                and x_d is not None
+            ):
+                y_a = py[tid_a]
+                y_b = py[tid_b]
+                y_c = py[tid_c]
+                y_d = py[tid_d]
+                xmin = x_b if x_b < x_a else x_a
+                if x_c < xmin:
+                    xmin = x_c
+                if x_d < xmin:
+                    xmin = x_d
+                xmax = x_b if x_b > x_a else x_a
+                if x_c > xmax:
+                    xmax = x_c
+                if x_d > xmax:
+                    xmax = x_d
+                ymin = y_b if y_b < y_a else y_a
+                if y_c < ymin:
+                    ymin = y_c
+                if y_d < ymin:
+                    ymin = y_d
+                ymax = y_b if y_b > y_a else y_a
+                if y_c > ymax:
+                    ymax = y_c
+                if y_d > ymax:
+                    ymax = y_d
+                return [
+                    xmin,
+                    xmax,
+                    ymin,
+                    ymax,
+                    (x_a == xmin) + (x_b == xmin) + (x_c == xmin) + (x_d == xmin),
+                    (x_a == xmax) + (x_b == xmax) + (x_c == xmax) + (x_d == xmax),
+                    (y_a == ymin) + (y_b == ymin) + (y_c == ymin) + (y_d == ymin),
+                    (y_a == ymax) + (y_b == ymax) + (y_c == ymax) + (y_d == ymax),
+                ]
+        xs = [px[tid] for tid in row]
+        if None in xs:
+            positioned = [tid for tid in row if px[tid] is not None]
+            xs = [px[tid] for tid in positioned]
+            ys = [py[tid] for tid in positioned]
+        else:
+            ys = [py[tid] for tid in row]
+        if len(xs) < 2:
+            return None
+        xmin = min(xs)
+        xmax = max(xs)
+        ymin = min(ys)
+        ymax = max(ys)
+        return [
+            xmin,
+            xmax,
+            ymin,
+            ymax,
+            xs.count(xmin),
+            xs.count(xmax),
+            ys.count(ymin),
+            ys.count(ymax),
+        ]
+
+    def propose(self, affected: Iterable[int]) -> float:
+        affected = list(affected)
+        self._plan = None
+        undo = []
+        seen: set[int] = set()
+        for index in affected:
+            for tid in self._term_tids[index]:
+                if tid in seen:
+                    continue
+                seen.add(tid)
+                undo.append((tid, self._pos_x[tid], self._pos_y[tid]))
+                self._refresh_tid(tid)
+        self._pos_undo = undo
+        return super().propose(affected)
+
+    def propose_moves(
+        self, moves: Sequence[tuple[str, tuple[float, float], tuple[float, float]]]
+    ) -> float:
+        px = self._pos_x
+        py = self._pos_y
+        undo = []
+        plan: list[tuple[int, tuple[float, float], tuple[float, float]]] = []
+        moved: set[int] = set()
+        for terminal, old, new in moves:
+            tid = self._tid_of.get(terminal)
+            if tid is None:
+                continue
+            undo.append((tid, px[tid], py[tid]))
+            # Apply every coordinate before any box work: a rescan must see
+            # the final positions (the reference reads the mutated dicts).
+            px[tid] = new[0]
+            py[tid] = new[1]
+            plan.append((tid, old, new))
+            moved.add(tid)
+        self._pos_undo = undo
+
+        # ``order`` preserves the reference's first-touch order; the
+        # stamped slot arrays carry the working boxes (see __init__).
+        if not self._plain:
+            # General objectives keep the reference propose/commit (same
+            # dict-order float summation); they still get the flat-array
+            # _scan_box.  Only the exact plain-HPWL path takes the fused
+            # loop below.
+            return super().propose_moves(moves)
+
+        gen = self._prop_gen + 1
+        self._prop_gen = gen
+        slot_gen = self._slot_gen
+        slot_final = self._slot_final
+        slot_box = self._slot_box
+        nets_of_tid = self._nets_of_tid
+        two_pin = self._two_pin
+        boxes = self.boxes
+        costs = self.costs
+        scan = self._scan_box
+        bbox_hits = 0
+        fast_evals = 0
+        # Every cost here is an integer-valued double (see the module
+        # docstring), so accumulating ``delta += new - prev`` per store —
+        # re-stores subtracting their earlier contribution — is exact and
+        # equals the reference's ordered (new_sum - old_sum).  ``commit``
+        # replays ``plan`` to fold the slot boxes in.
+        self._plan = plan
+        delta = 0.0
+        for tid, old, new in plan:
+            old_x, old_y = old
+            new_x, new_y = new
+            for index in nets_of_tid[tid]:
+                if slot_gen[index] == gen:
+                    if slot_final[index] == gen:
+                        continue
+                    base = slot_box[index]
+                    prev = (base[1] - base[0]) + (base[3] - base[2])
+                else:
+                    slot_gen[index] = gen
+                    base = boxes[index]
+                    prev = costs[index]
+                    if base is None:
+                        box = scan(index)
+                        slot_box[index] = box
+                        slot_final[index] = gen
+                        if box is not None:
+                            delta += (box[1] - box[0]) + (box[3] - box[2]) - prev
+                        else:
+                            delta -= prev
+                        continue
+                pair = two_pin[index]
+                if pair is not None:
+                    tid_a, tid_b = pair
+                    other = tid_b if tid_a == tid else tid_a
+                    if other not in moved:
+                        # Fast path for the dominant case: a two-terminal
+                        # net whose other endpoint did not move.  The new
+                        # box is the two-point box of (new, other) however
+                        # the reference gets there; only the counter
+                        # differs — an axis shift succeeds exactly when
+                        # that axis did not move or the old box was
+                        # degenerate on it (both-shift success is a
+                        # ``bbox_updates``, anything else is a rescan).
+                        other_x = px[other]
+                        other_y = py[other]
+                        if (new_x == old_x or old_x == other_x) and (
+                            new_y == old_y or old_y == other_y
+                        ):
+                            bbox_hits += 1
+                        else:
+                            fast_evals += 1
+                        if new_x < other_x:
+                            xmin, xmax, cxmin, cxmax = new_x, other_x, 1, 1
+                        elif other_x < new_x:
+                            xmin, xmax, cxmin, cxmax = other_x, new_x, 1, 1
+                        else:
+                            xmin = xmax = new_x
+                            cxmin = cxmax = 2
+                        if new_y < other_y:
+                            ymin, ymax, cymin, cymax = new_y, other_y, 1, 1
+                        elif other_y < new_y:
+                            ymin, ymax, cymin, cymax = other_y, new_y, 1, 1
+                        else:
+                            ymin = ymax = new_y
+                            cymin = cymax = 2
+                        slot_box[index] = [
+                            xmin, xmax, ymin, ymax, cxmin, cxmax, cymin, cymax,
+                        ]
+                        delta += (xmax - xmin) + (ymax - ymin) - prev
+                        continue
+                # Both-axis bbox shift, inlined from the reference
+                # NetCostCache._shift_axis (x axis first, short-circuit on
+                # the unresolvable remove-last-extreme case).
+                b0, b1, b2, b3, c0, c1, c2, c3 = base
+                ok = True
+                if new_x != old_x:
+                    if old_x == b0:
+                        if c0 == 1:
+                            ok = False
+                        else:
+                            c0 -= 1
+                    if ok:
+                        if old_x == b1:
+                            if c1 == 1:
+                                ok = False
+                            else:
+                                c1 -= 1
+                        if ok:
+                            if new_x < b0:
+                                b0 = new_x
+                                c0 = 1
+                            elif new_x == b0:
+                                c0 += 1
+                            if new_x > b1:
+                                b1 = new_x
+                                c1 = 1
+                            elif new_x == b1:
+                                c1 += 1
+                if ok and new_y != old_y:
+                    if old_y == b2:
+                        if c2 == 1:
+                            ok = False
+                        else:
+                            c2 -= 1
+                    if ok:
+                        if old_y == b3:
+                            if c3 == 1:
+                                ok = False
+                            else:
+                                c3 -= 1
+                        if ok:
+                            if new_y < b2:
+                                b2 = new_y
+                                c2 = 1
+                            elif new_y == b2:
+                                c2 += 1
+                            if new_y > b3:
+                                b3 = new_y
+                                c3 = 1
+                            elif new_y == b3:
+                                c3 += 1
+                if ok:
+                    bbox_hits += 1
+                    slot_box[index] = [b0, b1, b2, b3, c0, c1, c2, c3]
+                    delta += (b1 - b0) + (b3 - b2) - prev
+                else:
+                    box = scan(index)
+                    slot_box[index] = box
+                    slot_final[index] = gen
+                    if box is not None:
+                        delta += (box[1] - box[0]) + (box[3] - box[2]) - prev
+                    else:
+                        delta -= prev
+        self.bbox_updates += bbox_hits
+        self.evaluations += fast_evals
+        return delta
+
+    def commit(self) -> None:
+        self._pos_undo = []
+        plan = self._plan
+        if plan is not None:
+            # Replay the plan to find the touched nets (first-touch order,
+            # deduplicated by the fold stamp — same order, same exact
+            # floats as the reference's pending-list fold).
+            self._plan = None
+            gen = self._prop_gen
+            fold_gen = self._fold_gen
+            slot_box = self._slot_box
+            nets_of_tid = self._nets_of_tid
+            boxes = self.boxes
+            costs = self.costs
+            total = self.total
+            for tid, _old, _new in plan:
+                for index in nets_of_tid[tid]:
+                    if fold_gen[index] == gen:
+                        continue
+                    fold_gen[index] = gen
+                    box = slot_box[index]
+                    boxes[index] = box
+                    cost = (
+                        0.0 if box is None else (box[1] - box[0]) + (box[3] - box[2])
+                    )
+                    total += cost - costs[index]
+                    costs[index] = cost
+            self.total = total
+        super().commit()
+
+    def reject(self) -> None:
+        for tid, x, y in self._pos_undo:
+            self._pos_x[tid] = x
+            self._pos_y[tid] = y
+        self._pos_undo = []
+        self._plan = None
+        self._pending = []  # the base reject, inlined (hot on rejected moves)
+
+
 class _FreeList:
     """An O(1) pick/remove/add pool (list + index map, swap-pop removal)."""
 
@@ -607,7 +1079,6 @@ def place_design(
     objective: WirelengthObjective | None = None,
     initial: Placement | None = None,
     temperature_factor: float = 0.2,
-    kernel: str = "python",
 ) -> Placement:
     """Place a packed design on *fabric* with simulated annealing.
 
@@ -634,11 +1105,6 @@ def place_design(
     temperature_factor:
         The starting temperature as a fraction of the initial cost (0.2 is
         the classic full-anneal schedule; polish passes use ~0.02).
-    kernel:
-        Cost-cache backend (see :mod:`repro.cad.kernels`): ``"python"``
-        is the reference :class:`NetCostCache`, ``"numpy"`` the
-        array-backed cache, ``"auto"`` picks numpy when installed.  Both
-        anneal bit-identically for a given seed.
     """
     if not design.plbs:
         raise PlacementError("design has no packed PLBs; run pack_design first")
@@ -677,13 +1143,7 @@ def place_design(
         io_sites = {net: pads[index] for index, net in enumerate(io_nets)}
     io_positions = {net: _pad_position(pad, fabric) for net, pad in io_sites.items()}
 
-    if resolve_kernel(kernel) == "numpy":
-        from repro.cad.kernels.placement import NumpyNetCostCache
-
-        cache_cls: type[NetCostCache] = NumpyNetCostCache
-    else:
-        cache_cls = NetCostCache
-    cache = cache_cls(
+    cache = FlatNetCostCache(
         _build_net_terminals(design), plb_sites, io_positions, objective=objective
     )
     initial_cost = cache.total

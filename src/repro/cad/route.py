@@ -8,20 +8,24 @@ update (present + historical congestion) resolves overuse across iterations.
 Three cost layers compose in the hot loop:
 
 * **congestion** -- ``base_cost * (1 + pres_fac * overuse) + hist_fac *
-  history``, the classic PathFinder node cost;
+  history``, the classic PathFinder node cost, kept in one plain list that
+  is rebuilt once per PathFinder iteration and re-costed node by node as
+  trees are ripped up and committed (pins cost ``+inf``, so a search can
+  never step onto a foreign net's pin);
 * **timing** -- with per-net criticalities (from
   :class:`repro.cad.timing.TimingEngine`) the node cost becomes the VPR-style
   blend ``crit * delay + (1 - crit) * congestion``: critical nets chase short
   (low-delay) trees, non-critical nets keep negotiating congestion;
-* **A\\*** -- an admissible geometric lower bound over the graph's flattened
-  coordinate arrays prunes the Dijkstra frontier: one switch-box or
-  connection-box hop moves at most one unit in each coordinate, so
-  ``manhattan / 2`` hops (times the cheapest possible per-node cost) never
-  over-estimates the remaining cost.  ``RoutingResult.node_pops`` counts heap
-  pops, the headline counter A* reduces.  Each search is additionally pruned
-  to the net's terminal bounding box (plus a margin); a net that cannot be
-  reached inside its box falls back to an unpruned search, so pruning never
-  costs routability.
+* **A\\*** -- an admissible geometric lower bound prunes the Dijkstra
+  frontier: one switch-box or connection-box hop moves at most one unit in
+  each coordinate, so ``manhattan / 2`` hops (times the cheapest possible
+  per-node cost) never over-estimates the remaining cost.  RR-node
+  coordinates take few values (49 grid cells on a 6x6 fabric), so the bound
+  is a per-cell table.  ``RoutingResult.node_pops`` counts heap pops, the
+  headline counter A* reduces.  Each search is additionally pruned to the
+  net's terminal bounding box (plus a margin); a net that cannot be reached
+  inside its box falls back to an unpruned search, so pruning never costs
+  routability.
 
 The router is **incremental**: the first iteration routes every net, but
 later iterations rip up and re-route only *dirty* nets — nets whose routed
@@ -55,7 +59,6 @@ import logging
 from dataclasses import dataclass, field
 from typing import ClassVar, Mapping, Sequence
 
-from repro.cad.kernels import resolve_kernel
 from repro.cad.lemap import MappedDesign
 from repro.cad.place import Placement
 from repro.cad.timing import TimingModel
@@ -73,9 +76,17 @@ ROUTING_SCHEMA = 1
 #: critical net's cost -- negotiation must stay able to resolve overuse.
 MAX_CRITICALITY = 0.98
 
-#: Default margin (in channel units) added around a net's terminal bounding
-#: box for search pruning; ``None`` disables pruning.
-DEFAULT_BBOX_MARGIN = 3
+#: PathFinder's present-congestion factor at iteration 1 (and after a
+#: full-recovery reset), and its per-iteration growth.
+PRES_FAC_INITIAL = 0.5
+PRES_FAC_MULT = 1.6
+
+#: Weight of the accumulated historical overuse in a node's cost.
+HIST_FAC = 0.4
+
+#: Margin (in channel units) added around a net's terminal bounding box for
+#: search pruning.
+BBOX_MARGIN = 3
 
 
 class RoutingError(RuntimeError):
@@ -390,22 +401,35 @@ def _validate_warm_tree(
     return sorted(reachable)
 
 
+def _cell_geometry(
+    graph: RoutingResourceGraph,
+) -> tuple[list[int], list[int], list[int]]:
+    """Each node's grid-cell index, plus every cell's ``x`` and ``y``.
+
+    RR-node coordinates take few distinct values (7x7 cells on a 6x6
+    fabric), so per-cell tables are far smaller than per-node ones.
+    """
+    x0 = min(graph.x)
+    y0 = min(graph.y)
+    columns = max(graph.x) - x0 + 1
+    rows = max(graph.y) - y0 + 1
+    cell_of = [(x - x0) * rows + (y - y0) for x, y in zip(graph.x, graph.y)]
+    cell_x = [x0 + cell // rows for cell in range(columns * rows)]
+    cell_y = [y0 + cell % rows for cell in range(columns * rows)]
+    return cell_of, cell_x, cell_y
+
+
 def route_design(
     design: MappedDesign,
     placement: Placement,
     graph: RoutingResourceGraph,
     max_iterations: int = 30,
-    pres_fac_initial: float = 0.5,
-    pres_fac_mult: float = 1.6,
-    hist_fac: float = 0.4,
     incremental: bool = True,
     criticalities: Mapping[str, float] | None = None,
     timing_model: TimingModel | None = None,
     astar: bool = True,
-    bbox_margin: int | None = DEFAULT_BBOX_MARGIN,
     warm_start: Mapping[str, Sequence[int]] | None = None,
     restart_on_failure: bool = True,
-    kernel: str = "python",
 ) -> RoutingResult:
     """PathFinder routing of all inter-block nets of a placed design.
 
@@ -420,8 +444,8 @@ def route_design(
     supplies the delay numbers (defaults to :class:`TimingModel`).
 
     ``astar`` enables the admissible geometric lower bound (identical path
-    costs, fewer heap pops — see ``RoutingResult.node_pops``); ``bbox_margin``
-    prunes each search to the net's terminal bounding box plus that margin,
+    costs, fewer heap pops — see ``RoutingResult.node_pops``).  Every search
+    is pruned to the net's terminal bounding box plus :data:`BBOX_MARGIN`,
     falling back to an unpruned search when the box turns out too tight.
 
     ``warm_start`` maps net names to node-id trees (typically a neighbouring
@@ -432,12 +456,6 @@ def route_design(
     negotiation restarts once with plain Dijkstra ordering so enabling A*
     can never cost routability.  Callers managing their own fallback ladder
     (the timing-driven flow) disable it to avoid paying twice.
-
-    ``kernel`` selects the cost-evaluation backend (see
-    :mod:`repro.cad.kernels`): ``"python"`` is the reference, ``"numpy"``
-    precomputes vectorized congestion costs and A* bounds, ``"auto"``
-    picks numpy when installed.  Both backends produce bit-identical
-    results, trees and counters.
 
     Each PathFinder iteration logs one DEBUG line on this module's logger
     (dirty nets, overused nodes, ``pres_fac``, full recovery on/off); the
@@ -458,9 +476,15 @@ def route_design(
     is_wire = graph.is_wire
     edge_starts = graph.edge_starts
     edge_targets = graph.edge_targets
+    neighbours = [
+        edge_targets[edge_starts[node_id] : edge_starts[node_id + 1]]
+        for node_id in range(node_count)
+    ]
     node_x = graph.x
     node_y = graph.y
+    cell_of, cell_x, cell_y = _cell_geometry(graph)
     routes: dict[str, RoutedNet] = {}
+    infinity = float("inf")
 
     timing_driven = criticalities is not None
     if timing_driven:
@@ -488,198 +512,99 @@ def route_design(
             if occupancy[node_id] <= capacity[node_id]:
                 overused.discard(node_id)
 
-    # Pin nodes belong to exactly one net by construction, so congestion only
-    # develops on wires.
-    pres_fac = pres_fac_initial
+    pres_fac = PRES_FAC_INITIAL
 
-    use_astar = astar
+    # The PathFinder congestion cost of stepping onto each node, rebuilt at
+    # the start of every iteration (pres_fac and history are fixed within
+    # one) and re-costed node by node as trees are ripped up and committed.
+    # Pins cost +inf: a pin belongs to exactly one net, so relaxing into a
+    # foreign pin fails numerically; a net's own sinks get their real cost
+    # for the length of its search.
+    cong: list[float] = []
 
-    backend = resolve_kernel(kernel)
-    if backend == "numpy":
-        from repro.cad.kernels.routing import RouterCostTable
+    def node_cong(node_id: int) -> float:
+        over = occupancy[node_id] + 1 - capacity[node_id]
+        step = base_cost[node_id]
+        if over > 0:
+            step *= 1.0 + pres_fac * over
+        return step + HIST_FAC * history[node_id]
 
-        table: "RouterCostTable | None" = RouterCostTable(
-            graph, occupancy, history, hist_fac, delay_cost if timing_driven else None
-        )
-    else:
-        table = None
+    def recost(nodes: list[int]) -> None:
+        for node_id in nodes:
+            if is_wire[node_id]:
+                cong[node_id] = node_cong(node_id)
 
-    def search_python(
+    # Manhattan distances from every cell to a sink's cell, memoised per
+    # call: a net's sink sets recur on every re-route.
+    distance_rows: dict[int, list[int]] = {}
+
+    def distances_to(sink: int) -> list[int]:
+        row = distance_rows.get(sink)
+        if row is None:
+            sx = node_x[sink]
+            sy = node_y[sink]
+            row = [abs(x - sx) + abs(y - sy) for x, y in zip(cell_x, cell_y)]
+            distance_rows[sink] = row
+        return row
+
+    # Per pruning box (memoised per call, boxes recur on every re-route):
+    # one byte per node, 1 outside the box.  Each search copies it into its
+    # visited flags, so pruned nodes are never relaxed and the inner loop
+    # never tests the box.
+    pruned_by_box: dict[tuple[int, int, int, int] | None, bytes] = {None: bytes(node_count)}
+
+    def pruned_nodes(box: tuple[int, int, int, int] | None) -> bytes:
+        pruned = pruned_by_box.get(box)
+        if pruned is None:
+            x0, x1, y0, y1 = box
+            outside = bytes(
+                not (x0 <= x <= x1 and y0 <= y <= y1) for x, y in zip(cell_x, cell_y)
+            )
+            pruned = bytes(map(outside.__getitem__, cell_of))
+            pruned_by_box[box] = pruned
+        return pruned
+
+    zero_bound = [0.0] * len(cell_x)
+
+    def search(
         net: str, crit: float, box: tuple[int, int, int, int] | None
     ) -> tuple[RoutedNet | None, int]:
         """Grow one net's tree; ``(None, pops)`` when the box was too tight."""
         source = sources[net]
         targets = set(sinks[net])
         tree: set[int] = {source}
-        all_nodes: set[int] = {source}
         remaining = set(targets)
-        infinity = float("inf")
         anti_crit = 1.0 - crit
         # The cheapest possible per-node cost, for the A* lower bound: every
         # hop costs at least this much, and one hop shrinks the Manhattan
         # distance to a sink by at most 2 (a diagonal switch-box step).
         half_fac = 0.5 * (crit * min_delay_cost + anti_crit * min_base_cost)
+        pruned = pruned_nodes(box)
         pops = 0
         heappush = heapq.heappush
         heappop = heapq.heappop
-        while remaining:
-            if use_astar:
-                sink_coords = [(node_x[s], node_y[s]) for s in remaining]
-                if len(sink_coords) == 1:
-                    only_sx, only_sy = sink_coords[0]
-
-                    def lower_bound(node_id: int) -> float:
-                        return half_fac * (
-                            abs(node_x[node_id] - only_sx) + abs(node_y[node_id] - only_sy)
-                        )
-
+        for sink in targets:
+            cong[sink] = node_cong(sink)
+        try:
+            while remaining:
+                # The A* lower bound, one entry per grid cell.
+                if astar:
+                    rows = [distances_to(sink) for sink in remaining]
+                    nearest = rows[0] if len(rows) == 1 else list(map(min, *rows))
+                    bound = [half_fac * distance for distance in nearest]
                 else:
-
-                    def lower_bound(node_id: int) -> float:
-                        nx = node_x[node_id]
-                        ny = node_y[node_id]
-                        return half_fac * min(
-                            abs(nx - sx) + abs(ny - sy) for sx, sy in sink_coords
-                        )
-
-            else:
-
-                def lower_bound(node_id: int) -> float:
-                    return 0.0
-
-            # Dijkstra/A* from the current tree to the nearest remaining sink.
-            # Flat per-node arrays replace dict/set frontier bookkeeping: the
-            # comparisons and updates are identical, only cheaper.
-            distances = [infinity] * node_count
-            previous = [0] * node_count
-            visited = bytearray(node_count)
-            for node_id in tree:
-                distances[node_id] = 0.0
-            heap = [(lower_bound(node_id), 0.0, node_id) for node_id in tree]
-            heapq.heapify(heap)
-            found = -1
-            while heap:
-                _priority, distance, node_id = heappop(heap)
-                pops += 1
-                if visited[node_id]:
-                    continue
-                visited[node_id] = 1
-                if node_id in remaining:
-                    found = node_id
-                    break
-                for neighbour in edge_targets[edge_starts[node_id] : edge_starts[node_id + 1]]:
-                    if visited[neighbour]:
-                        continue
-                    # Do not route through foreign pins.
-                    if not is_wire[neighbour]:
-                        if neighbour not in remaining and neighbour != source:
-                            continue
-                    elif box is not None and not (
-                        box[0] <= node_x[neighbour] <= box[1]
-                        and box[2] <= node_y[neighbour] <= box[3]
-                    ):
-                        continue
-                    # Inlined PathFinder node cost: present congestion
-                    # (discounting this net's own usage) plus history, blended
-                    # with the node delay under the net's criticality.
-                    usage = occupancy[neighbour]
-                    if neighbour in all_nodes:
-                        usage -= 1
-                    over = usage + 1 - capacity[neighbour]
-                    step = base_cost[neighbour]
-                    if over > 0:
-                        step *= 1.0 + pres_fac * over
-                    step += hist_fac * history[neighbour]
-                    if timing_driven:
-                        step = crit * delay_cost[neighbour] + anti_crit * step
-                    new_distance = distance + step
-                    if new_distance < distances[neighbour]:
-                        distances[neighbour] = new_distance
-                        previous[neighbour] = node_id
-                        heappush(
-                            heap,
-                            (new_distance + lower_bound(neighbour), new_distance, neighbour),
-                        )
-            if found < 0:
-                return None, pops
-            # Back-trace the path into the tree.
-            cursor = found
-            while cursor not in tree:
-                all_nodes.add(cursor)
-                tree.add(cursor)
-                cursor = previous[cursor]
-            remaining.discard(found)
-        routed = RoutedNet(
-            net=net, source_node=source, sink_nodes=list(targets), nodes=sorted(all_nodes)
-        )
-        return routed, pops
-
-    def search_numpy(
-        net: str, crit: float, box: tuple[int, int, int, int] | None
-    ) -> tuple[RoutedNet | None, int]:
-        """The same search over the kernel's precomputed cost/bound arrays.
-
-        The :class:`RouterCostTable` supplies ``cost_list[n]`` — exactly
-        the step cost the reference search would derive for a node outside
-        the net's own tree; in-tree nodes (the own-usage discount) fall
-        back to the reference arithmetic.  The box prune is folded into
-        the table's filtered adjacency, so the inner loop never tests it.
-        """
-        source = sources[net]
-        targets = set(sinks[net])
-        tree: set[int] = {source}
-        all_nodes: set[int] = {source}
-        remaining = set(targets)
-        infinity = float("inf")
-        anti_crit = 1.0 - crit
-        half_fac = 0.5 * (crit * min_delay_cost + anti_crit * min_base_cost)
-        pops = 0
-        pres = table.pres_fac
-        cost_list = table.cost_list(crit)
-        neighbours = table.adjacency(box)
-        zeros = table.zeros
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        while remaining:
-            lb = table.lower_bounds(remaining, half_fac) if use_astar else zeros
-            distances = [infinity] * node_count
-            previous = [0] * node_count
-            visited = bytearray(node_count)
-            for node_id in tree:
-                distances[node_id] = 0.0
-            heap = [(lb[node_id], 0.0, node_id) for node_id in tree]
-            heapq.heapify(heap)
-            found = -1
-            # The tree and the remaining-sink set are fixed for the whole
-            # sink search, so both net-specific cost exceptions — the
-            # own-usage discount for tree nodes and the real (non-inf)
-            # cost of the net's own sink pins — are patched straight into
-            # the cost list up front (the reference arithmetic,
-            # element-wise).  The relaxation below is then a single list
-            # lookup per edge: foreign pins fail it numerically at +inf.
-            # Restored on exit.
-            patched = []
-            for node_id in all_nodes:
-                over = occupancy[node_id] - capacity[node_id]
-                step = base_cost[node_id]
-                if over > 0:
-                    step *= 1.0 + pres * over
-                step += hist_fac * history[node_id]
-                if timing_driven:
-                    step = crit * delay_cost[node_id] + anti_crit * step
-                patched.append((node_id, cost_list[node_id]))
-                cost_list[node_id] = step
-            for node_id in remaining:
-                over = occupancy[node_id] + 1 - capacity[node_id]
-                step = base_cost[node_id]
-                if over > 0:
-                    step *= 1.0 + pres * over
-                step += hist_fac * history[node_id]
-                if timing_driven:
-                    step = crit * delay_cost[node_id] + anti_crit * step
-                patched.append((node_id, cost_list[node_id]))
-                cost_list[node_id] = step
-            try:
+                    bound = zero_bound
+                # Dijkstra/A* from the current tree to the nearest remaining
+                # sink.  Tree nodes sit at distance 0 and every step costs
+                # more than 0, so no relaxation ever re-enters the tree.
+                distances = [infinity] * node_count
+                previous = [0] * node_count
+                visited = bytearray(pruned)
+                for node_id in tree:
+                    distances[node_id] = 0.0
+                heap = [(bound[cell_of[node_id]], 0.0, node_id) for node_id in tree]
+                heapq.heapify(heap)
+                found = -1
                 while heap:
                     _priority, distance, node_id = heappop(heap)
                     pops += 1
@@ -692,43 +617,46 @@ def route_design(
                     for neighbour in neighbours[node_id]:
                         if visited[neighbour]:
                             continue
-                        new_distance = distance + cost_list[neighbour]
+                        step = cong[neighbour]
+                        if crit:
+                            step = crit * delay_cost[neighbour] + anti_crit * step
+                        new_distance = distance + step
                         if new_distance < distances[neighbour]:
                             distances[neighbour] = new_distance
                             previous[neighbour] = node_id
                             heappush(
                                 heap,
-                                (new_distance + lb[neighbour], new_distance, neighbour),
+                                (
+                                    new_distance + bound[cell_of[neighbour]],
+                                    new_distance,
+                                    neighbour,
+                                ),
                             )
-            finally:
-                for node_id, old_cost in patched:
-                    cost_list[node_id] = old_cost
-            if found < 0:
-                return None, pops
-            cursor = found
-            while cursor not in tree:
-                all_nodes.add(cursor)
-                tree.add(cursor)
-                cursor = previous[cursor]
-            remaining.discard(found)
+                if found < 0:
+                    return None, pops
+                # Back-trace the path into the tree.
+                cursor = found
+                while cursor not in tree:
+                    tree.add(cursor)
+                    cursor = previous[cursor]
+                remaining.discard(found)
+        finally:
+            for sink in targets:
+                cong[sink] = infinity
         routed = RoutedNet(
-            net=net, source_node=source, sink_nodes=list(targets), nodes=sorted(all_nodes)
+            net=net, source_node=source, sink_nodes=list(targets), nodes=sorted(tree)
         )
         return routed, pops
 
-    search = search_python if table is None else search_numpy
-
-    def net_box(net: str) -> tuple[int, int, int, int] | None:
-        if bbox_margin is None:
-            return None
+    def net_box(net: str) -> tuple[int, int, int, int]:
         terminals = [sources[net]] + sinks[net]
         xs = [node_x[node_id] for node_id in terminals]
         ys = [node_y[node_id] for node_id in terminals]
         return (
-            min(xs) - bbox_margin,
-            max(xs) + bbox_margin,
-            min(ys) - bbox_margin,
-            max(ys) + bbox_margin,
+            min(xs) - BBOX_MARGIN,
+            max(xs) + BBOX_MARGIN,
+            min(ys) - BBOX_MARGIN,
+            max(ys) + BBOX_MARGIN,
         )
 
     def net_crit(net: str) -> float:
@@ -739,7 +667,7 @@ def route_design(
     def route_net(net: str) -> tuple[RoutedNet, int]:
         crit = net_crit(net)
         routed, pops = search(net, crit, net_box(net))
-        if routed is None and bbox_margin is not None:
+        if routed is None:
             # The pruning box was too tight (congestion pushed the net out of
             # its own bounding box): retry without pruning before declaring
             # the net unroutable.
@@ -785,23 +713,20 @@ def route_design(
                 for net in net_order
                 if any(node_id in overused for node_id in routes[net].nodes)
             ]
-        if table is not None:
-            # Vectorized congestion/history cost recompute: pres_fac and
-            # history are fixed for the whole iteration, so one pass gives
-            # every search below its cost table.
-            table.refresh(pres_fac)
+        cong = [
+            node_cong(node_id) if is_wire[node_id] else infinity
+            for node_id in range(node_count)
+        ]
         for net in dirty:
             previous_route = routes.get(net)
             if previous_route is not None:
                 release(previous_route.nodes)
-                if table is not None:
-                    table.update(previous_route.nodes)
+                recost(previous_route.nodes)
             routed, pops = route_net(net)
             result.node_pops += pops
             routes[net] = routed
             occupy(routed.nodes)
-            if table is not None:
-                table.update(routed.nodes)
+            recost(routed.nodes)
         result.reroutes_per_iteration.append(len(dirty))
         logger.debug(
             "PathFinder iteration %d: %d dirty nets, %d overused nodes, "
@@ -843,10 +768,10 @@ def route_design(
                 if stalled >= 3:
                     full_recovery = True
                     stalled = 0
-                    pres_fac = pres_fac_initial
+                    pres_fac = PRES_FAC_INITIAL
         for node_id in overused:
             history[node_id] += occupancy[node_id] - capacity[node_id]
-        pres_fac *= pres_fac_mult
+        pres_fac *= PRES_FAC_MULT
 
     result.routed = routes
     result.iterations = iteration
@@ -871,16 +796,11 @@ def route_design(
             placement,
             graph,
             max_iterations=max_iterations,
-            pres_fac_initial=pres_fac_initial,
-            pres_fac_mult=pres_fac_mult,
-            hist_fac=hist_fac,
             incremental=incremental,
             criticalities=criticalities,
             timing_model=timing_model,
             astar=False,
-            bbox_margin=bbox_margin,
             warm_start=warm_start,
-            kernel=backend,
         )
         retry.node_pops += result.node_pops
         retry.bbox_fallbacks += result.bbox_fallbacks

@@ -8,8 +8,8 @@ Six subcommands over :func:`repro.api.run_sweep` and
   ``--backoff`` / ``--fail-fast`` drive the supervision layer
   (``docs/robustness.md``);
 * ``stats``  -- store observability: record counts, on-disk bytes, how many
-  records belong to retired code fingerprints, per-status and per-kernel
-  breakdowns and the quarantine;
+  records belong to retired code fingerprints, per-status breakdowns and
+  the quarantine;
 * ``gc``     -- delete retired-fingerprint records (``--keep-latest N``
   spares the N most recent retired generations; ``--dry-run`` previews) and
   reap the quarantine;
@@ -168,7 +168,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         backoff=args.backoff,
         fail_fast=args.fail_fast,
         fallback=tuple(args.fallback or ()),
-        kernel=args.kernel,
     )
     if args.csv:
         print(f"wrote {write_csv(report, args.csv)}")
@@ -523,14 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="executor degradation ladder, engaged in order after repeated "
         "worker-pool failures; repeatable (e.g. --fallback thread "
         "--fallback serial)",
-    )
-    run.add_argument(
-        "--kernel",
-        choices=("auto", "python", "numpy"),
-        default="auto",
-        help="compute backend for executed points (default: auto = numpy "
-        "when importable, else pure python; both are bit-identical, so "
-        "cache keys and summaries are unaffected)",
     )
     run.add_argument("--csv", metavar="PATH", help="also write the report as CSV")
     run.add_argument("--json", metavar="PATH", help="also write the report as JSON")

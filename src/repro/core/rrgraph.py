@@ -263,8 +263,7 @@ def cached_rr_graph(fabric: Fabric) -> RoutingResourceGraph:
     Graph construction is pure in the architecture parameters and the graph
     is immutable after ``__init__`` (the router keeps occupancy externally),
     so one instance can back every flow over the same geometry — a batch
-    sweep amortizes construction and the kernel layer's attached arrays
-    (:mod:`repro.cad.kernels.arrays`) across all of its points.
+    sweep amortizes construction across all of its points.
 
     The cache key pairs the parameters' stable hash with the repo's code
     fingerprint: an edited graph builder misses rather than serving a graph
@@ -284,7 +283,7 @@ def cached_rr_graph(fabric: Fabric) -> RoutingResourceGraph:
         existing = _rr_graph_cache.get(key)
         if existing is not None:
             # A concurrent build won the race; keep the first instance so
-            # every caller shares one set of kernel arrays.
+            # every caller shares one graph.
             _rr_graph_cache.move_to_end(key)
             return existing
         _rr_graph_cache[key] = graph

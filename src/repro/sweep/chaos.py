@@ -160,17 +160,17 @@ class FaultPlan:
                 return kind
         return None
 
-    def torn_for(self, key: str) -> bool:
-        """Whether the store write for *key* gets torn."""
+    def torn_for(self, label: str) -> bool:
+        """Whether the store write of the record for *label* gets torn."""
         if self.p_torn_write <= 0:
             return False
-        return _unit(self.seed, "torn", key) < self.p_torn_write
+        return _unit(self.seed, "torn", label) < self.p_torn_write
 
-    def torn_offset(self, key: str, size: int) -> int:
+    def torn_offset(self, label: str, size: int) -> int:
         """The seeded byte offset the torn file is truncated at."""
         if size <= 1:
             return 0
-        return int(_unit(self.seed, "offset", key) * (size - 1))
+        return int(_unit(self.seed, "offset", label) * (size - 1))
 
 
 class _FaultToken:
@@ -301,11 +301,15 @@ class ChaosStore(SweepResultStore):
     """A result store whose selected writes are torn mid-file.
 
     :meth:`put` writes the record normally (atomic temp + replace), then
-    -- when the plan selects the key -- truncates the file at a seeded
+    -- when the plan selects the record -- truncates the file at a seeded
     offset, simulating the torn/partial write a crash between ``write``
     and ``fsync`` leaves behind.  The next :meth:`get` of that key must
     quarantine-and-miss rather than raise; ``torn_keys`` records what was
     torn so campaigns know which records to expect in ``.quarantine/``.
+
+    The roll uses the record's point ``label``, not the store key: keys
+    embed the code fingerprint, and which records tear must not change
+    with every source edit.  Records without a label roll on their key.
     """
 
     def __init__(
@@ -317,9 +321,10 @@ class ChaosStore(SweepResultStore):
 
     def put(self, key: str, record: dict[str, object]) -> Path:
         path = super().put(key, record)
-        if self.plan.torn_for(key):
+        label = str(record.get("label", key))
+        if self.plan.torn_for(label):
             size = path.stat().st_size
-            offset = self.plan.torn_offset(key, size)
+            offset = self.plan.torn_offset(label, size)
             with path.open("r+b") as handle:
                 handle.truncate(offset)
             self.torn_keys.append(key)

@@ -185,7 +185,6 @@ def execute_point(point_data: Mapping[str, object]) -> dict[str, object]:
     placement_store_root = data.pop("placement_store", None)
     routing_store_root = data.pop("routing_store", None)
     artifact_store_root = data.pop("artifact_store", None)
-    kernel = str(data.pop("kernel", "auto"))
     point = SweepPoint.from_dict(data)
     record: dict[str, object] = {
         "version": SWEEP_SCHEMA_VERSION,
@@ -206,12 +205,6 @@ def execute_point(point_data: Mapping[str, object]) -> dict[str, object]:
             flow_options = dataclasses.replace(
                 flow_options, artifact_store=str(artifact_store_root)
             )
-        if kernel != "auto":
-            # Like artifact_store, the kernel is an execution-side knob:
-            # injected into the executed options only, excluded from
-            # to_dict(), so cache keys and stored summaries are identical
-            # under either backend.
-            flow_options = dataclasses.replace(flow_options, kernel=kernel)
         flow = CadFlow(point.architecture, flow_options)
 
         injected: Placement | None = None
@@ -306,9 +299,6 @@ def execute_point(point_data: Mapping[str, object]) -> dict[str, object]:
 
         record["status"] = STATUS_OK
         record["summary"] = result.summary()
-        # The backend that actually executed (resolved from the request, so
-        # "auto" records what it bound to).  Summaries stay kernel-free.
-        record["kernel"] = result.kernel
         record["error"] = None
         record["cacheable"] = True
         record["transient"] = False
@@ -1128,13 +1118,6 @@ class SweepRunner:
         ``repro-sweep export --bitstreams``, ``repro-lint --artifacts`` and
         out-of-band flow resumes.  Purely additive: summaries, records and
         cache keys are byte-identical with or without it.
-    kernel:
-        Kernel backend for every executed flow's placer/router hot paths
-        (``"auto"`` / ``"python"`` / ``"numpy"``, see
-        :mod:`repro.cad.kernels`).  Execution-side like ``artifacts``: both
-        backends are bit-identical, so cache keys and summaries never
-        depend on it; each record reports the backend that computed it
-        under its ``kernel`` key.
     """
 
     def __init__(
@@ -1146,10 +1129,7 @@ class SweepRunner:
         placement_cache: bool = True,
         routing_cache: bool = False,
         artifacts: str | None = None,
-        kernel: str = "auto",
     ) -> None:
-        from repro.cad.kernels import KERNELS
-
         if isinstance(store, (str,)) or hasattr(store, "__fspath__"):
             store = SweepResultStore(store)
         self.store: SweepResultStore | None = store
@@ -1159,13 +1139,10 @@ class SweepRunner:
             raise ValueError(
                 "pass either config or the workers/executor scalars, not both"
             )
-        if kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
         self.config = config
         self.placement_cache = placement_cache
         self.routing_cache = routing_cache
         self.artifacts = str(artifacts) if artifacts is not None else None
-        self.kernel = kernel
 
     @property
     def workers(self) -> int:
@@ -1235,8 +1212,6 @@ class SweepRunner:
                     payload["routing_store"] = routing_store
                 if self.artifacts is not None:
                     payload["artifact_store"] = self.artifacts
-                if self.kernel != "auto":
-                    payload["kernel"] = self.kernel
                 miss_payloads.append(payload)
 
             # Points sharing a placement key must not race: if they all ran

@@ -329,10 +329,7 @@ class SweepResultStore:
         report.  Flow records are additionally bucketed by the supervision
         status vocabulary (``ok_records`` / ``error_records`` /
         ``poisoned_records``; see ``docs/robustness.md``) so
-        ``repro-sweep stats`` can report fault outcomes, and by the compute
-        backend that produced them (``kernels`` -- a ``{name: count}`` map
-        over records stamped with a ``"kernel"`` key; cached summaries keep
-        the stamp of whichever backend originally computed them).
+        ``repro-sweep stats`` can report fault outcomes.
         """
         if current_fingerprint is None:
             from repro.fingerprint import code_fingerprint
@@ -351,7 +348,6 @@ class SweepResultStore:
             "error_records": 0,
             "poisoned_records": 0,
         }
-        kernels: dict[str, int] = {}
         fingerprints: set[str] = set()
         for key in self.keys():
             record = self.get(key)
@@ -376,9 +372,6 @@ class SweepResultStore:
                 status = record.get("status")
                 if isinstance(status, str) and f"{status}_records" in totals:
                     totals[f"{status}_records"] += 1
-                kernel = record.get("kernel")
-                if isinstance(kernel, str):
-                    kernels[kernel] = kernels.get(kernel, 0) + 1
             if fingerprint == current_fingerprint:
                 totals["current_records"] += 1
                 totals["current_bytes"] += size
@@ -392,7 +385,6 @@ class SweepResultStore:
             for path in quarantined
             if (size := _safe_size(path)) is not None
         )
-        totals["kernels"] = kernels
         totals["fingerprints"] = len(fingerprints)
         totals["current_fingerprint"] = current_fingerprint
         return totals

@@ -17,13 +17,11 @@ import bench_cad_flow  # noqa: E402  (path shim above)
 
 
 def test_harness_document_schema(tmp_path):
-    # --kernel python keeps the schema test independent of numpy presence;
     # --rounds 1 keeps it fast (the timing fields are still populated).
     exit_code = bench_cad_flow.main(
         [
             "--json", str(tmp_path / "BENCH_cad.json"),
             "--widths", "1,2",
-            "--kernel", "python",
             "--rounds", "1",
         ]
     )
@@ -32,13 +30,11 @@ def test_harness_document_schema(tmp_path):
 
     assert document["schema"] == bench_cad_flow.BENCH_SCHEMA
     assert document["benchmark"] == "bench_cad_flow"
-    assert document["kernel"] == "python"
     assert document["timing_rounds"] == 1
     assert document["cpu_count"] >= 1
     assert [design["bits"] for design in document["designs"]] == [1, 2]
     for design in document["designs"]:
         assert set(design["stages_s"]) == {"pack", "place", "route"}
-        assert design["kernel"] == "python"
         placement = design["placement"]
         assert placement["moves_per_s"] > 0
         assert placement["net_evals"] <= placement["full_recompute_evals"]
@@ -62,17 +58,15 @@ def test_harness_document_schema(tmp_path):
     )
     for record in registry:
         assert record["routing_success"] is True
-        assert record["kernel"] == "python"
     headline = document["headline"]
     assert headline["largest_design"] == document["designs"][-1]["name"]
-    assert headline["kernel"] == "python"
     assert headline["router_route_s"] > 0
     assert headline["astar_pop_reduction"] > 0
     assert headline["timing_driven_flows_per_s"] > 0
 
 
 def test_floor_check_passes_and_fails_correctly():
-    document = bench_cad_flow.run_harness(widths=(1, 2), kernel="python", rounds=1)
+    document = bench_cad_flow.run_harness(widths=(1, 2), rounds=1)
     # A floor far below any real machine: healthy.
     assert bench_cad_flow.check_floor(
         document, {"placement_moves_per_s": 1.0, "regression_factor": 3}
@@ -118,26 +112,6 @@ def test_floor_check_passes_and_fails_correctly():
         {"placement_moves_per_s": 1.0, "router_route_s": 1e-9, "regression_factor": 3},
     )
     assert problems and "router wall-clock" in problems[0]
-    # Per-kernel overrides: the document ran kernel=python, so a brutal
-    # numpy-only floor must not apply to it...
-    assert bench_cad_flow.check_floor(
-        document,
-        {
-            "placement_moves_per_s": 1.0,
-            "regression_factor": 3,
-            "kernels": {"numpy": {"placement_moves_per_s": 1e12}},
-        },
-    ) == []
-    # ...while a python override does.
-    problems = bench_cad_flow.check_floor(
-        document,
-        {
-            "placement_moves_per_s": 1.0,
-            "regression_factor": 3,
-            "kernels": {"python": {"placement_moves_per_s": 1e12}},
-        },
-    )
-    assert problems and "below the floor" in problems[0]
 
 
 def test_checked_in_floor_file_is_well_formed():
@@ -150,7 +124,7 @@ def test_checked_in_floor_file_is_well_formed():
     assert floor["min_eval_reduction"] >= 1
     assert floor["min_astar_pop_reduction"] >= 1
     assert floor["timing_driven_flows_per_s"] > 0
-    # The numpy leg is ratcheted ~3x above the pure-python floors.
-    numpy_floor = floor["kernels"]["numpy"]
-    assert numpy_floor["placement_moves_per_s"] >= 2 * floor["placement_moves_per_s"]
-    assert numpy_floor["router_route_s"] <= floor["router_route_s"] / 2
+    # One implementation, one set of floors; they only ever tighten.
+    assert "kernels" not in floor
+    assert floor["placement_moves_per_s"] >= 100000
+    assert floor["router_route_s"] <= 0.07

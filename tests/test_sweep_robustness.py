@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.fingerprint as fingerprint_module
 from repro.artifacts import ArtifactStore
 from repro.cad.flow import FlowOptions
 from repro.core.params import ArchitectureParams, RoutingParams
@@ -408,3 +409,20 @@ def test_chaos_campaign_replays_bit_identically(tmp_path):
     for key in ("statuses", "injected", "faulted_labels", "torn_keys", "plan"):
         assert first[key] == second[key]
     assert FaultPlan.from_dict(plan.to_dict()) == plan
+
+
+def test_torn_writes_do_not_depend_on_the_code_fingerprint(tmp_path, monkeypatch):
+    # Store keys embed the code fingerprint; the torn set must not, or every
+    # source edit would re-roll which records a seeded campaign tears.
+    spec = _spec(widths=(8, 10, 12))
+    plan = FaultPlan(seed=7, p_torn_write=0.5)
+    torn_labels = []
+    store_keys = []
+    for fingerprint in ("0" * 16, "f" * 16):
+        monkeypatch.setattr(fingerprint_module, "_process_fingerprint", fingerprint)
+        label_of = {point.key(): point.label() for point in spec.points()}
+        outcome = run_campaign(spec, plan, store=str(tmp_path / fingerprint))
+        torn_labels.append(sorted(label_of[key] for key in outcome["torn_keys"]))
+        store_keys.append(set(label_of))
+    assert store_keys[0].isdisjoint(store_keys[1])
+    assert torn_labels[0] and torn_labels[0] == torn_labels[1]
