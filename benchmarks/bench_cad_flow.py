@@ -25,9 +25,7 @@ deterministic reruns — the minimum filters out scheduler noise), and the
 route stage calls ``route_design`` with its defaults, the same router the
 flow runs.  Registry circuits (``qdi_multiplier_2x2``) join the generated
 specs as full-flow records.  The document records ``cpu_count`` next to
-the python version and platform.  Schema 6 dropped the per-kernel fields:
-the placer and router have one implementation, so ``perf_floor.json``
-holds one set of floors.
+the python version and platform.
 """
 
 import argparse

@@ -6,14 +6,15 @@ A hypothesis-driven random anneal protocol (mutate → propose →
 commit/reject) compares the two move by move, and both against the full
 :func:`repro.cad.place._hpwl` recompute.  The acceptance benches
 (``qdi_multiplier_2x2``, ``gen:mult8x8@micropipeline``) must route under
-default options.  Exact flow outputs are pinned by
+default options, and a flow and a one-point sweep must route in a
+process where numpy cannot be imported.  Exact flow outputs are pinned by
 ``tests/test_golden_digests.py``.
 """
 
 import os
 import subprocess
 import sys
-import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,38 +28,42 @@ from repro.core.params import ArchitectureParams, RoutingParams
 #: The standard routable fabric (the golden multiplier test's geometry).
 ROUTABLE = ArchitectureParams(routing=RoutingParams(channel_width=10))
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: Blocks numpy from import, then routes a flow and a one-point sweep.
+_NO_NUMPY_SCRIPT = """
+import sys
+
+sys.modules["numpy"] = None
+import repro.api
+from repro.cad.flow import CadFlow
+from repro.circuits.registry import build_circuit
+from repro.core.params import ArchitectureParams
+from repro.sweep import SweepRunner, SweepSpec
+
+result = CadFlow(ArchitectureParams()).run(build_circuit("qdi_full_adder"))
+assert result.summary()["routing_success"] is True
+report = SweepRunner().run(SweepSpec.build(["qdi_full_adder"], ArchitectureParams()))
+assert report.ok_count == 1, report.rows()
+assert report.outcomes[0].summary["routing_success"] is True
+print("routed")
+"""
 
 
 def test_flow_and_sweep_route_with_numpy_blocked():
-    # The package needs nothing outside the standard library: with numpy
-    # made unimportable, a flow and a one-point sweep still route.
-    script = textwrap.dedent(
-        """
-        import sys
-
-        sys.modules["numpy"] = None
-        import repro.api
-        from repro.cad.flow import CadFlow
-        from repro.circuits.registry import build_circuit
-        from repro.core.params import ArchitectureParams
-        from repro.sweep import SweepRunner, SweepSpec
-
-        result = CadFlow(ArchitectureParams()).run(build_circuit("qdi_full_adder"))
-        assert result.summary()["routing_success"] is True
-        spec = SweepSpec.build(["qdi_full_adder"], ArchitectureParams())
-        report = SweepRunner().run(spec)
-        assert report.ok_count == 1, report.rows()
-        assert report.outcomes[0].summary["routing_success"] is True
-        print("routed")
-        """
+    # The package needs nothing outside the standard library.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=REPO_ROOT,
+        timeout=300,
     )
-    env = dict(os.environ, PYTHONPATH=SRC)
-    completed = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env
-    )
-    assert completed.returncode == 0, completed.stderr
-    assert completed.stdout.strip() == "routed"
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "routed"
 
 
 # ----------------------------------------------------------------------
