@@ -10,8 +10,7 @@ Three cost layers compose in the hot loop:
 * **congestion** -- ``base_cost * (1 + pres_fac * overuse) + hist_fac *
   history``, the classic PathFinder node cost, kept in one plain list that
   is rebuilt once per PathFinder iteration and re-costed node by node as
-  trees are ripped up and committed (pins cost ``+inf``, so a search can
-  never step onto a foreign net's pin);
+  trees are ripped up and committed;
 * **timing** -- with per-net criticalities (from
   :class:`repro.cad.timing.TimingEngine`) the node cost becomes the VPR-style
   blend ``crit * delay + (1 - crit) * congestion``: critical nets chase short
@@ -25,7 +24,8 @@ Three cost layers compose in the hot loop:
   headline counter A* reduces.  Each search is additionally pruned to the
   net's terminal bounding box (plus a margin); a net that cannot be reached
   inside its box falls back to an unpruned search, so pruning never costs
-  routability.
+  routability.  Foreign pins and out-of-box nodes start every search
+  marked visited, so the relaxation loop tests neither.
 
 The router is **incremental**: the first iteration routes every net, but
 later iterations rip up and re-route only *dirty* nets — nets whose routed
@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import heapq
 import logging
+import operator
 from dataclasses import dataclass, field
 from typing import ClassVar, Mapping, Sequence
 
@@ -517,9 +518,6 @@ def route_design(
     # The PathFinder congestion cost of stepping onto each node, rebuilt at
     # the start of every iteration (pres_fac and history are fixed within
     # one) and re-costed node by node as trees are ripped up and committed.
-    # Pins cost +inf: a pin belongs to exactly one net, so relaxing into a
-    # foreign pin fails numerically; a net's own sinks get their real cost
-    # for the length of its search.
     cong: list[float] = []
 
     def node_cong(node_id: int) -> float:
@@ -531,8 +529,7 @@ def route_design(
 
     def recost(nodes: list[int]) -> None:
         for node_id in nodes:
-            if is_wire[node_id]:
-                cong[node_id] = node_cong(node_id)
+            cong[node_id] = node_cong(node_id)
 
     # Manhattan distances from every cell to a sink's cell, memoised per
     # call: a net's sink sets recur on every re-route.
@@ -547,22 +544,24 @@ def route_design(
             distance_rows[sink] = row
         return row
 
-    # Per pruning box (memoised per call, boxes recur on every re-route):
-    # one byte per node, 1 outside the box.  Each search copies it into its
-    # visited flags, so pruned nodes are never relaxed and the inner loop
-    # never tests the box.
-    pruned_by_box: dict[tuple[int, int, int, int] | None, bytes] = {None: bytes(node_count)}
+    # Nodes no search may enter, one byte per node: every pin (a pin belongs
+    # to exactly one net) and, per pruning box, every node outside it.
+    # Memoised per call, since boxes recur on every re-route.  A search
+    # copies the bytes into its visited flags and clears its own net's
+    # pins, so the inner loop needs no pin or box test of its own.
+    pins = bytes(not wire for wire in is_wire)
+    blocked_by_box: dict[tuple[int, int, int, int] | None, bytes] = {None: pins}
 
-    def pruned_nodes(box: tuple[int, int, int, int] | None) -> bytes:
-        pruned = pruned_by_box.get(box)
-        if pruned is None:
+    def blocked_nodes(box: tuple[int, int, int, int] | None) -> bytes:
+        blocked = blocked_by_box.get(box)
+        if blocked is None:
             x0, x1, y0, y1 = box
             outside = bytes(
                 not (x0 <= x <= x1 and y0 <= y <= y1) for x, y in zip(cell_x, cell_y)
             )
-            pruned = bytes(map(outside.__getitem__, cell_of))
-            pruned_by_box[box] = pruned
-        return pruned
+            blocked = bytes(map(operator.or_, pins, map(outside.__getitem__, cell_of)))
+            blocked_by_box[box] = blocked
+        return blocked
 
     zero_bound = [0.0] * len(cell_x)
 
@@ -579,70 +578,67 @@ def route_design(
         # hop costs at least this much, and one hop shrinks the Manhattan
         # distance to a sink by at most 2 (a diagonal switch-box step).
         half_fac = 0.5 * (crit * min_delay_cost + anti_crit * min_base_cost)
-        pruned = pruned_nodes(box)
+        blocked = bytearray(blocked_nodes(box))
+        blocked[source] = 0
+        for sink in targets:
+            blocked[sink] = 0
         pops = 0
         heappush = heapq.heappush
         heappop = heapq.heappop
-        for sink in targets:
-            cong[sink] = node_cong(sink)
-        try:
-            while remaining:
-                # The A* lower bound, one entry per grid cell.
-                if astar:
-                    rows = [distances_to(sink) for sink in remaining]
-                    nearest = rows[0] if len(rows) == 1 else list(map(min, *rows))
-                    bound = [half_fac * distance for distance in nearest]
-                else:
-                    bound = zero_bound
-                # Dijkstra/A* from the current tree to the nearest remaining
-                # sink.  Tree nodes sit at distance 0 and every step costs
-                # more than 0, so no relaxation ever re-enters the tree.
-                distances = [infinity] * node_count
-                previous = [0] * node_count
-                visited = bytearray(pruned)
-                for node_id in tree:
-                    distances[node_id] = 0.0
-                heap = [(bound[cell_of[node_id]], 0.0, node_id) for node_id in tree]
-                heapq.heapify(heap)
-                found = -1
-                while heap:
-                    _priority, distance, node_id = heappop(heap)
-                    pops += 1
-                    if visited[node_id]:
+        while remaining:
+            # The A* lower bound, one entry per grid cell.
+            if astar:
+                rows = [distances_to(sink) for sink in remaining]
+                nearest = rows[0] if len(rows) == 1 else list(map(min, *rows))
+                bound = [half_fac * distance for distance in nearest]
+            else:
+                bound = zero_bound
+            # Dijkstra/A* from the current tree to the nearest remaining
+            # sink.  Tree nodes sit at distance 0 and every step costs
+            # more than 0, so no relaxation ever re-enters the tree.
+            distances = [infinity] * node_count
+            previous = [0] * node_count
+            visited = bytearray(blocked)
+            for node_id in tree:
+                distances[node_id] = 0.0
+            heap = [(bound[cell_of[node_id]], 0.0, node_id) for node_id in tree]
+            heapq.heapify(heap)
+            found = -1
+            while heap:
+                _priority, distance, node_id = heappop(heap)
+                pops += 1
+                if visited[node_id]:
+                    continue
+                visited[node_id] = 1
+                if node_id in remaining:
+                    found = node_id
+                    break
+                for neighbour in neighbours[node_id]:
+                    if visited[neighbour]:
                         continue
-                    visited[node_id] = 1
-                    if node_id in remaining:
-                        found = node_id
-                        break
-                    for neighbour in neighbours[node_id]:
-                        if visited[neighbour]:
-                            continue
-                        step = cong[neighbour]
-                        if crit:
-                            step = crit * delay_cost[neighbour] + anti_crit * step
-                        new_distance = distance + step
-                        if new_distance < distances[neighbour]:
-                            distances[neighbour] = new_distance
-                            previous[neighbour] = node_id
-                            heappush(
-                                heap,
-                                (
-                                    new_distance + bound[cell_of[neighbour]],
-                                    new_distance,
-                                    neighbour,
-                                ),
-                            )
-                if found < 0:
-                    return None, pops
-                # Back-trace the path into the tree.
-                cursor = found
-                while cursor not in tree:
-                    tree.add(cursor)
-                    cursor = previous[cursor]
-                remaining.discard(found)
-        finally:
-            for sink in targets:
-                cong[sink] = infinity
+                    step = cong[neighbour]
+                    if crit:
+                        step = crit * delay_cost[neighbour] + anti_crit * step
+                    new_distance = distance + step
+                    if new_distance < distances[neighbour]:
+                        distances[neighbour] = new_distance
+                        previous[neighbour] = node_id
+                        heappush(
+                            heap,
+                            (
+                                new_distance + bound[cell_of[neighbour]],
+                                new_distance,
+                                neighbour,
+                            ),
+                        )
+            if found < 0:
+                return None, pops
+            # Back-trace the path into the tree.
+            cursor = found
+            while cursor not in tree:
+                tree.add(cursor)
+                cursor = previous[cursor]
+            remaining.discard(found)
         routed = RoutedNet(
             net=net, source_node=source, sink_nodes=list(targets), nodes=sorted(tree)
         )
@@ -713,10 +709,7 @@ def route_design(
                 for net in net_order
                 if any(node_id in overused for node_id in routes[net].nodes)
             ]
-        cong = [
-            node_cong(node_id) if is_wire[node_id] else infinity
-            for node_id in range(node_count)
-        ]
+        cong = [node_cong(node_id) for node_id in range(node_count)]
         for net in dirty:
             previous_route = routes.get(net)
             if previous_route is not None:
