@@ -475,12 +475,8 @@ def route_design(
     base_cost = graph.base_cost
     capacity = graph.capacity
     is_wire = graph.is_wire
-    edge_starts = graph.edge_starts
-    edge_targets = graph.edge_targets
-    neighbours = [
-        edge_targets[edge_starts[node_id] : edge_starts[node_id + 1]]
-        for node_id in range(node_count)
-    ]
+    # Each node's own edge list, shared with the graph (no per-call copies).
+    neighbours = [node.edges for node in graph.nodes]
     node_x = graph.x
     node_y = graph.y
     cell_of, cell_x, cell_y = _cell_geometry(graph)
@@ -498,8 +494,10 @@ def route_design(
     min_base_cost = min(base_cost)
 
     # The overused-node set is maintained incrementally as tree occupancies
-    # change, so no iteration ever scans all graph nodes for congestion.
+    # change, so no iteration ever scans all graph nodes for congestion;
+    # ``congested`` collects every node that ever gained history.
     overused: set[int] = set()
+    congested: set[int] = set()
 
     def occupy(nodes: list[int]) -> None:
         for node_id in nodes:
@@ -559,7 +557,10 @@ def route_design(
             outside = bytes(
                 not (x0 <= x <= x1 and y0 <= y <= y1) for x, y in zip(cell_x, cell_y)
             )
-            blocked = bytes(map(operator.or_, pins, map(outside.__getitem__, cell_of)))
+            if any(outside):
+                blocked = bytes(map(operator.or_, pins, map(outside.__getitem__, cell_of)))
+            else:
+                blocked = pins  # the box spans the whole grid
             blocked_by_box[box] = blocked
         return blocked
 
@@ -709,7 +710,11 @@ def route_design(
                 for net in net_order
                 if any(node_id in overused for node_id in routes[net].nodes)
             ]
-        cong = [node_cong(node_id) for node_id in range(node_count)]
+        # An unoccupied node with no history costs exactly its base cost.
+        cong = list(base_cost)
+        for tree in routes.values():
+            recost(tree.nodes)
+        recost(congested)
         for net in dirty:
             previous_route = routes.get(net)
             if previous_route is not None:
@@ -764,6 +769,7 @@ def route_design(
                     pres_fac = PRES_FAC_INITIAL
         for node_id in overused:
             history[node_id] += occupancy[node_id] - capacity[node_id]
+        congested.update(overused)
         pres_fac *= PRES_FAC_MULT
 
     result.routed = routes
