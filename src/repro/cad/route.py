@@ -41,10 +41,12 @@ parity reference for the A* counters).
 
 After negotiation, :func:`refine_critical_nets` post-optimises a legal
 routing for cycle time: critical nets are ripped up one at a time and
-re-routed on a *pure-delay* cost under hard capacity constraints, keeping the
-new tree only when its delay actually improved — legality and every other
-net's delay are untouched, so the handshake cycle time is monotonically
-non-increasing.
+re-routed on a *pure-delay* cost by the same tree search, keeping the new
+tree only when its delay actually improved and the routing stays legal.
+Refinement's modes are inputs to that search, not a second loop: hard
+capacity adds every full node to the blocked bytes, and displacement (take
+the minimum-delay tree, relocate the less critical nets in its way) searches
+a delay cost list that charges an epsilon per net a full node would lose.
 
 Before routing, logical PLB pins are assigned to physical pins: every external
 input net of a packed PLB gets one of the PLB's ``in*`` pins and every
@@ -58,7 +60,7 @@ import heapq
 import logging
 import operator
 from dataclasses import dataclass, field
-from typing import ClassVar, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 from repro.cad.lemap import MappedDesign
 from repro.cad.place import Placement
@@ -76,6 +78,10 @@ ROUTING_SCHEMA = 1
 #: Criticality is capped below 1.0 so congestion never fully vanishes from a
 #: critical net's cost -- negotiation must stay able to resolve overuse.
 MAX_CRITICALITY = 0.98
+
+#: Nets at or above this criticality are re-routed by
+#: :func:`refine_critical_nets`.
+REFINE_CRIT_THRESHOLD = 0.6
 
 #: PathFinder's present-congestion factor at iteration 1 (and after a
 #: full-recovery reset), and its per-iteration growth.
@@ -387,13 +393,12 @@ def _validate_warm_tree(
     tree = {node_id for node_id in nodes if 0 <= node_id < node_count}
     if source not in tree or not targets.issubset(tree):
         return None
-    edge_starts = graph.edge_starts
-    edge_targets = graph.edge_targets
+    nodes_by_id = graph.nodes
     reachable = {source}
     frontier = [source]
     while frontier:
         node_id = frontier.pop()
-        for neighbour in edge_targets[edge_starts[node_id] : edge_starts[node_id + 1]]:
+        for neighbour in nodes_by_id[node_id].edges:
             if neighbour in tree and neighbour not in reachable:
                 reachable.add(neighbour)
                 frontier.append(neighbour)
@@ -402,22 +407,163 @@ def _validate_warm_tree(
     return sorted(reachable)
 
 
-def _cell_geometry(
-    graph: RoutingResourceGraph,
-) -> tuple[list[int], list[int], list[int]]:
-    """Each node's grid-cell index, plus every cell's ``x`` and ``y``.
+class _TreeSearch:
+    """Grows routing trees over one RR graph: Dijkstra, or A* on a per-cell bound.
 
-    RR-node coordinates take few distinct values (7x7 cells on a 6x6
-    fabric), so per-cell tables are far smaller than per-node ones.
+    One instance serves one :func:`route_design` or
+    :func:`refine_critical_nets` call and memoises what recurs across its
+    searches: each node's grid cell, the Manhattan rows of the A* bound and
+    the blocked-node bytes of every pruning box.  Nothing is attached to the
+    graph.  ``pops`` counts heap pops over every :meth:`grow`.
     """
-    x0 = min(graph.x)
-    y0 = min(graph.y)
-    columns = max(graph.x) - x0 + 1
-    rows = max(graph.y) - y0 + 1
-    cell_of = [(x - x0) * rows + (y - y0) for x, y in zip(graph.x, graph.y)]
-    cell_x = [x0 + cell // rows for cell in range(columns * rows)]
-    cell_y = [y0 + cell % rows for cell in range(columns * rows)]
-    return cell_of, cell_x, cell_y
+
+    def __init__(self, graph: RoutingResourceGraph) -> None:
+        # Each node's own edge list, shared with the graph (no per-call copies).
+        self.neighbours = [node.edges for node in graph.nodes]
+        self.node_x = graph.x
+        self.node_y = graph.y
+        # RR-node coordinates take few distinct values (7x7 cells on a 6x6
+        # fabric), so per-cell tables are far smaller than per-node ones.
+        x0 = min(graph.x)
+        y0 = min(graph.y)
+        columns = max(graph.x) - x0 + 1
+        rows = max(graph.y) - y0 + 1
+        self.cell_of = [(x - x0) * rows + (y - y0) for x, y in zip(graph.x, graph.y)]
+        self.cell_x = [x0 + cell // rows for cell in range(columns * rows)]
+        self.cell_y = [y0 + cell % rows for cell in range(columns * rows)]
+        self.zero_bound = [0.0] * (columns * rows)
+        # Nodes no search may enter, one byte per node: every pin (a pin
+        # belongs to exactly one net) and, per pruning box, every node
+        # outside it.  Boxes and sink sets recur on every re-route.  A
+        # search copies the bytes into its visited flags and clears its own
+        # net's pins, so the inner loop needs no pin or box test of its own.
+        self.pins = bytes(not wire for wire in graph.is_wire)
+        self._blocked_by_box: dict[tuple[int, int, int, int] | None, bytes] = {
+            None: self.pins
+        }
+        self._distance_rows: dict[int, list[int]] = {}
+        self.pops = 0
+
+    def blocked(self, box: tuple[int, int, int, int] | None) -> bytes:
+        """Every pin, plus every node outside *box* (``None``: no box)."""
+        blocked = self._blocked_by_box.get(box)
+        if blocked is None:
+            x0, x1, y0, y1 = box
+            outside = bytes(
+                not (x0 <= x <= x1 and y0 <= y <= y1)
+                for x, y in zip(self.cell_x, self.cell_y)
+            )
+            if any(outside):
+                blocked = bytes(
+                    map(operator.or_, self.pins, map(outside.__getitem__, self.cell_of))
+                )
+            else:
+                blocked = self.pins  # the box spans the whole grid
+            self._blocked_by_box[box] = blocked
+        return blocked
+
+    def _distances_to(self, sink: int) -> list[int]:
+        """Manhattan distance from every cell to *sink*'s cell."""
+        row = self._distance_rows.get(sink)
+        if row is None:
+            sx = self.node_x[sink]
+            sy = self.node_y[sink]
+            row = [abs(x - sx) + abs(y - sy) for x, y in zip(self.cell_x, self.cell_y)]
+            self._distance_rows[sink] = row
+        return row
+
+    def grow(
+        self,
+        source: int,
+        targets: Iterable[int],
+        cost: Sequence[float],
+        blocked: bytes | bytearray,
+        factor: float | None,
+        crit: float = 0.0,
+        delay: Sequence[float] = (),
+    ) -> list[int] | None:
+        """The sorted nodes of a tree joining *source* to every target.
+
+        Stepping onto node ``n`` costs ``cost[n]``, or the timing blend
+        ``crit * delay[n] + (1 - crit) * cost[n]`` when *crit* is nonzero.
+        Nodes flagged in *blocked* (other than the source and the targets)
+        are never entered.  With an A* *factor* (``None``: plain Dijkstra)
+        the lower bound is ``factor`` times the Manhattan distance to the
+        nearest remaining target; it is admissible when *factor* is half the
+        cheapest step, since one hop moves at most one unit in each
+        coordinate.  ``None`` when a target cannot be reached.
+        """
+        neighbours = self.neighbours
+        cell_of = self.cell_of
+        node_count = len(neighbours)
+        infinity = float("inf")
+        tree: set[int] = {source}
+        remaining = set(targets)
+        anti_crit = 1.0 - crit
+        blocked = bytearray(blocked)
+        blocked[source] = 0
+        for sink in remaining:
+            blocked[sink] = 0
+        pops = 0
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        while remaining:
+            # The A* lower bound, one entry per grid cell.
+            if factor is None:
+                bound = self.zero_bound
+            else:
+                rows = [self._distances_to(sink) for sink in remaining]
+                nearest = rows[0] if len(rows) == 1 else list(map(min, *rows))
+                bound = [factor * distance for distance in nearest]
+            # Dijkstra/A* from the current tree to the nearest remaining
+            # sink.  Tree nodes sit at distance 0 and every step costs
+            # more than 0, so no relaxation ever re-enters the tree.
+            distances = [infinity] * node_count
+            previous = [0] * node_count
+            visited = bytearray(blocked)
+            for node_id in tree:
+                distances[node_id] = 0.0
+            heap = [(bound[cell_of[node_id]], 0.0, node_id) for node_id in tree]
+            heapq.heapify(heap)
+            found = -1
+            while heap:
+                _priority, distance, node_id = heappop(heap)
+                pops += 1
+                if visited[node_id]:
+                    continue
+                visited[node_id] = 1
+                if node_id in remaining:
+                    found = node_id
+                    break
+                for neighbour in neighbours[node_id]:
+                    if visited[neighbour]:
+                        continue
+                    step = cost[neighbour]
+                    if crit:
+                        step = crit * delay[neighbour] + anti_crit * step
+                    new_distance = distance + step
+                    if new_distance < distances[neighbour]:
+                        distances[neighbour] = new_distance
+                        previous[neighbour] = node_id
+                        heappush(
+                            heap,
+                            (
+                                new_distance + bound[cell_of[neighbour]],
+                                new_distance,
+                                neighbour,
+                            ),
+                        )
+            if found < 0:
+                self.pops += pops
+                return None
+            # Back-trace the path into the tree.
+            cursor = found
+            while cursor not in tree:
+                tree.add(cursor)
+                cursor = previous[cursor]
+            remaining.discard(found)
+        self.pops += pops
+        return sorted(tree)
 
 
 def route_design(
@@ -474,14 +620,10 @@ def route_design(
     history = [0.0] * node_count
     base_cost = graph.base_cost
     capacity = graph.capacity
-    is_wire = graph.is_wire
-    # Each node's own edge list, shared with the graph (no per-call copies).
-    neighbours = [node.edges for node in graph.nodes]
     node_x = graph.x
     node_y = graph.y
-    cell_of, cell_x, cell_y = _cell_geometry(graph)
+    search = _TreeSearch(graph)
     routes: dict[str, RoutedNet] = {}
-    infinity = float("inf")
 
     timing_driven = criticalities is not None
     if timing_driven:
@@ -529,122 +671,6 @@ def route_design(
         for node_id in nodes:
             cong[node_id] = node_cong(node_id)
 
-    # Manhattan distances from every cell to a sink's cell, memoised per
-    # call: a net's sink sets recur on every re-route.
-    distance_rows: dict[int, list[int]] = {}
-
-    def distances_to(sink: int) -> list[int]:
-        row = distance_rows.get(sink)
-        if row is None:
-            sx = node_x[sink]
-            sy = node_y[sink]
-            row = [abs(x - sx) + abs(y - sy) for x, y in zip(cell_x, cell_y)]
-            distance_rows[sink] = row
-        return row
-
-    # Nodes no search may enter, one byte per node: every pin (a pin belongs
-    # to exactly one net) and, per pruning box, every node outside it.
-    # Memoised per call, since boxes recur on every re-route.  A search
-    # copies the bytes into its visited flags and clears its own net's
-    # pins, so the inner loop needs no pin or box test of its own.
-    pins = bytes(not wire for wire in is_wire)
-    blocked_by_box: dict[tuple[int, int, int, int] | None, bytes] = {None: pins}
-
-    def blocked_nodes(box: tuple[int, int, int, int] | None) -> bytes:
-        blocked = blocked_by_box.get(box)
-        if blocked is None:
-            x0, x1, y0, y1 = box
-            outside = bytes(
-                not (x0 <= x <= x1 and y0 <= y <= y1) for x, y in zip(cell_x, cell_y)
-            )
-            if any(outside):
-                blocked = bytes(map(operator.or_, pins, map(outside.__getitem__, cell_of)))
-            else:
-                blocked = pins  # the box spans the whole grid
-            blocked_by_box[box] = blocked
-        return blocked
-
-    zero_bound = [0.0] * len(cell_x)
-
-    def search(
-        net: str, crit: float, box: tuple[int, int, int, int] | None
-    ) -> tuple[RoutedNet | None, int]:
-        """Grow one net's tree; ``(None, pops)`` when the box was too tight."""
-        source = sources[net]
-        targets = set(sinks[net])
-        tree: set[int] = {source}
-        remaining = set(targets)
-        anti_crit = 1.0 - crit
-        # The cheapest possible per-node cost, for the A* lower bound: every
-        # hop costs at least this much, and one hop shrinks the Manhattan
-        # distance to a sink by at most 2 (a diagonal switch-box step).
-        half_fac = 0.5 * (crit * min_delay_cost + anti_crit * min_base_cost)
-        blocked = bytearray(blocked_nodes(box))
-        blocked[source] = 0
-        for sink in targets:
-            blocked[sink] = 0
-        pops = 0
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        while remaining:
-            # The A* lower bound, one entry per grid cell.
-            if astar:
-                rows = [distances_to(sink) for sink in remaining]
-                nearest = rows[0] if len(rows) == 1 else list(map(min, *rows))
-                bound = [half_fac * distance for distance in nearest]
-            else:
-                bound = zero_bound
-            # Dijkstra/A* from the current tree to the nearest remaining
-            # sink.  Tree nodes sit at distance 0 and every step costs
-            # more than 0, so no relaxation ever re-enters the tree.
-            distances = [infinity] * node_count
-            previous = [0] * node_count
-            visited = bytearray(blocked)
-            for node_id in tree:
-                distances[node_id] = 0.0
-            heap = [(bound[cell_of[node_id]], 0.0, node_id) for node_id in tree]
-            heapq.heapify(heap)
-            found = -1
-            while heap:
-                _priority, distance, node_id = heappop(heap)
-                pops += 1
-                if visited[node_id]:
-                    continue
-                visited[node_id] = 1
-                if node_id in remaining:
-                    found = node_id
-                    break
-                for neighbour in neighbours[node_id]:
-                    if visited[neighbour]:
-                        continue
-                    step = cong[neighbour]
-                    if crit:
-                        step = crit * delay_cost[neighbour] + anti_crit * step
-                    new_distance = distance + step
-                    if new_distance < distances[neighbour]:
-                        distances[neighbour] = new_distance
-                        previous[neighbour] = node_id
-                        heappush(
-                            heap,
-                            (
-                                new_distance + bound[cell_of[neighbour]],
-                                new_distance,
-                                neighbour,
-                            ),
-                        )
-            if found < 0:
-                return None, pops
-            # Back-trace the path into the tree.
-            cursor = found
-            while cursor not in tree:
-                tree.add(cursor)
-                cursor = previous[cursor]
-            remaining.discard(found)
-        routed = RoutedNet(
-            net=net, source_node=source, sink_nodes=list(targets), nodes=sorted(tree)
-        )
-        return routed, pops
-
     def net_box(net: str) -> tuple[int, int, int, int]:
         terminals = [sources[net]] + sinks[net]
         xs = [node_x[node_id] for node_id in terminals]
@@ -661,19 +687,28 @@ def route_design(
             return 0.0
         return min(MAX_CRITICALITY, max(0.0, criticalities.get(net, 0.0)))
 
-    def route_net(net: str) -> tuple[RoutedNet, int]:
+    def route_net(net: str) -> RoutedNet:
         crit = net_crit(net)
-        routed, pops = search(net, crit, net_box(net))
-        if routed is None:
+        source = sources[net]
+        targets = set(sinks[net])
+        # Half the cheapest possible step: the A* bound's factor.
+        factor = (
+            0.5 * (crit * min_delay_cost + (1.0 - crit) * min_base_cost) if astar else None
+        )
+        nodes = search.grow(
+            source, targets, cong, search.blocked(net_box(net)), factor, crit, delay_cost
+        )
+        if nodes is None:
             # The pruning box was too tight (congestion pushed the net out of
             # its own bounding box): retry without pruning before declaring
             # the net unroutable.
             result.bbox_fallbacks += 1
-            routed, extra_pops = search(net, crit, None)
-            pops += extra_pops
-        if routed is None:
+            nodes = search.grow(
+                source, targets, cong, search.blocked(None), factor, crit, delay_cost
+            )
+        if nodes is None:
             raise RoutingError(f"net {net!r} is unroutable (no path to a sink)")
-        return routed, pops
+        return RoutedNet(net=net, source_node=source, sink_nodes=list(targets), nodes=nodes)
 
     net_order = sorted(sources)
 
@@ -720,11 +755,11 @@ def route_design(
             if previous_route is not None:
                 release(previous_route.nodes)
                 recost(previous_route.nodes)
-            routed, pops = route_net(net)
-            result.node_pops += pops
+            routed = route_net(net)
             routes[net] = routed
             occupy(routed.nodes)
             recost(routed.nodes)
+        result.node_pops = search.pops
         result.reroutes_per_iteration.append(len(dirty))
         logger.debug(
             "PathFinder iteration %d: %d dirty nets, %d overused nodes, "
@@ -811,159 +846,30 @@ def route_design(
     return result
 
 
-class _RefineRouter:
-    """Single-net searches over a live occupancy map (the refinement pass).
-
-    Three cost modes share one A* search:
-
-    * ``delay-hard`` — pure node delay, nodes that would become overused are
-      not expanded (legal by construction);
-    * ``delay-free`` — pure node delay with a *tiny* overuse tie-breaker:
-      finds the net's minimum-delay tree, preferring the variant that
-      displaces the fewest other nets;
-    * ``congestion-hard`` — plain base cost under hard capacity, used to
-      relocate the nets a critical net displaced.
-    """
-
-    def __init__(self, graph: RoutingResourceGraph, model: TimingModel, astar: bool) -> None:
-        self.graph = graph
-        self.model = model
-        self.astar = astar
-        self.delay_cost = _delay_costs(graph, model)
-        self.min_delay_cost = min(self.delay_cost)
-        self.min_base_cost = min(graph.base_cost)
-        self.occupancy = [0] * len(graph)
-        #: Which nets occupy each node (for displacement bookkeeping).
-        self.users: dict[int, set[str]] = {}
-        self.pops = 0
-
-    def occupy(self, net: str, nodes: Sequence[int]) -> None:
-        for node_id in nodes:
-            self.occupancy[node_id] += 1
-            self.users.setdefault(node_id, set()).add(net)
-
-    def release(self, net: str, nodes: Sequence[int]) -> None:
-        for node_id in nodes:
-            self.occupancy[node_id] -= 1
-            users = self.users.get(node_id)
-            if users is not None:
-                users.discard(net)
-
-    def search(
-        self, source: int, targets: set[int], mode: str
-    ) -> list[int] | None:
-        """The tree of one net under *mode*, or ``None`` when unreachable."""
-        graph = self.graph
-        capacity = graph.capacity
-        is_wire = graph.is_wire
-        base_cost = graph.base_cost
-        edge_starts = graph.edge_starts
-        edge_targets = graph.edge_targets
-        node_x = graph.x
-        node_y = graph.y
-        delay_cost = self.delay_cost
-        occupancy = self.occupancy
-        hard = mode != "delay-free"
-        delay_driven = mode != "congestion-hard"
-        min_step = self.min_delay_cost if delay_driven else self.min_base_cost
-
-        tree: set[int] = {source}
-        all_nodes: set[int] = {source}
-        remaining = set(targets)
-        infinity = float("inf")
-        while remaining:
-            sink_coords = [(node_x[s], node_y[s]) for s in remaining]
-            if self.astar:
-
-                def lower_bound(node_id: int) -> float:
-                    nx = node_x[node_id]
-                    ny = node_y[node_id]
-                    return (
-                        0.5
-                        * min_step
-                        * min(abs(nx - sx) + abs(ny - sy) for sx, sy in sink_coords)
-                    )
-
-            else:
-
-                def lower_bound(node_id: int) -> float:
-                    return 0.0
-
-            distances = {node_id: 0.0 for node_id in tree}
-            previous: dict[int, int] = {}
-            heap = [(lower_bound(node_id), 0.0, node_id) for node_id in tree]
-            heapq.heapify(heap)
-            visited: set[int] = set()
-            found: int | None = None
-            while heap:
-                _priority, distance, node_id = heapq.heappop(heap)
-                self.pops += 1
-                if node_id in visited:
-                    continue
-                visited.add(node_id)
-                if node_id in remaining:
-                    found = node_id
-                    break
-                for neighbour in edge_targets[edge_starts[node_id] : edge_starts[node_id + 1]]:
-                    if neighbour in visited:
-                        continue
-                    if not is_wire[neighbour]:
-                        if neighbour not in remaining and neighbour != source:
-                            continue
-                    usage = occupancy[neighbour]
-                    if neighbour in all_nodes:
-                        usage -= 1
-                    over = usage + 1 - capacity[neighbour]
-                    if hard and over > 0:
-                        continue
-                    step = delay_cost[neighbour] if delay_driven else base_cost[neighbour]
-                    if not hard and over > 0:
-                        # Minimum-delay stays the objective; the epsilon just
-                        # prefers the min-delay tree displacing fewest nets.
-                        step += 0.001 * over
-                    new_distance = distance + step
-                    if new_distance < distances.get(neighbour, infinity):
-                        distances[neighbour] = new_distance
-                        previous[neighbour] = node_id
-                        heapq.heappush(
-                            heap,
-                            (new_distance + lower_bound(neighbour), new_distance, neighbour),
-                        )
-            if found is None:
-                return None
-            cursor = found
-            while cursor not in tree:
-                all_nodes.add(cursor)
-                tree.add(cursor)
-                cursor = previous[cursor]
-            remaining.discard(found)
-        return sorted(all_nodes)
-
-
 def refine_critical_nets(
     routing: RoutingResult,
     graph: RoutingResourceGraph,
     criticalities: Mapping[str, float],
     timing_model: TimingModel | None = None,
-    crit_threshold: float = 0.6,
-    astar: bool = True,
-    displace: bool = True,
     max_wirelength: int | None = None,
 ) -> int:
     """Re-route critical nets of a *legal* routing for delay, in place.
 
-    Nets with criticality >= *crit_threshold* are ripped up one at a time (in
-    decreasing criticality) and re-routed on a **pure-delay** cost.  Two
-    escalation levels keep the result legal by construction:
+    Nets with criticality >= :data:`REFINE_CRIT_THRESHOLD` are ripped up one
+    at a time (in decreasing criticality) and re-routed on a **pure-delay**
+    cost by the router's own tree search.  Two escalation levels keep the
+    result legal by construction:
 
-    1. *hard-capacity* re-route: the new tree may only use free resources —
-       kept when its modelled delay strictly improves;
-    2. *displacement* (``displace=True``): when free resources don't suffice,
-       the net takes its minimum-delay tree anyway and every **less
-       critical** net squatting on it is relocated under hard capacity; the
-       whole bundle rolls back unless every displaced net finds a home, the
-       critical net's delay strictly improves, and the total wirelength stays
-       within *max_wirelength* (when given).
+    1. *hard-capacity* re-route: the new tree may only use free resources
+       (every pin but the net's own and every full node is blocked) — kept
+       when its modelled delay strictly improves;
+    2. *displacement*: when free resources don't suffice, the net takes its
+       minimum-delay tree anyway (full nodes cost an epsilon per net they
+       would displace, so the variant displacing fewest wins ties) and every
+       **less critical** net squatting on it is relocated on base cost under
+       hard capacity; the whole bundle rolls back unless every displaced net
+       finds a home, the critical net's delay strictly improves, and the
+       total wirelength stays within *max_wirelength* (when given).
 
     Returns the number of critical nets whose trees actually improved (also
     accumulated on ``routing.critical_reroutes``); heap pops land on
@@ -974,15 +880,50 @@ def refine_critical_nets(
     if not routing.success or not routing.routed:
         return 0
     model = timing_model if timing_model is not None else TimingModel()
-    router = _RefineRouter(graph, model, astar)
-    for net, routed in routing.routed.items():
-        router.occupy(net, routed.nodes)
+    search = _TreeSearch(graph)
+    pins = search.pins
     capacity = graph.capacity
+    base_cost = graph.base_cost
+    delay = _delay_costs(graph, model)
+    delay_factor = 0.5 * min(delay)
+    base_factor = 0.5 * min(base_cost)
+    occupancy = [0] * len(graph)
+    # Which nets occupy each node (for displacement bookkeeping).
+    users: dict[int, set[str]] = {}
+    # The search inputs that follow occupancy, kept current node by node:
+    # hard capacity blocks every pin and every full node, and the
+    # displacement search's cost adds an epsilon per net a node would lose.
+    hard_blocked = bytearray(pins)
+    free_cost = list(delay)
+
+    def restep(node_id: int) -> None:
+        over = occupancy[node_id] + 1 - capacity[node_id]
+        if over > 0:
+            hard_blocked[node_id] = 1
+            free_cost[node_id] = delay[node_id] + 0.001 * over
+        else:
+            hard_blocked[node_id] = pins[node_id]
+            free_cost[node_id] = delay[node_id]
+
+    def occupy(net: str, nodes: Sequence[int]) -> None:
+        for node_id in nodes:
+            occupancy[node_id] += 1
+            users.setdefault(node_id, set()).add(net)
+            restep(node_id)
+
+    def release(net: str, nodes: Sequence[int]) -> None:
+        for node_id in nodes:
+            occupancy[node_id] -= 1
+            users[node_id].discard(net)
+            restep(node_id)
+
+    for net, routed in routing.routed.items():
+        occupy(net, routed.nodes)
 
     current_wirelength = routing.total_wirelength
 
     candidates = sorted(
-        (net for net in routing.routed if criticalities.get(net, 0.0) >= crit_threshold),
+        (net for net in routing.routed if criticalities.get(net, 0.0) >= REFINE_CRIT_THRESHOLD),
         key=lambda net: (-criticalities.get(net, 0.0), net),
     )
 
@@ -992,17 +933,16 @@ def refine_critical_nets(
         old = routing.routed[net]
         old_delay = model.routed_net_delay(graph, old.nodes)
         source = old.source_node
-        targets = set(old.sink_nodes)
-        router.release(net, old.nodes)
+        release(net, old.nodes)
 
         accepted: list[int] | None = None
         displaced_moves: list[tuple[str, list[int], list[int]]] = []
 
-        hard_tree = router.search(source, targets, "delay-hard")
+        hard_tree = search.grow(source, old.sink_nodes, delay, hard_blocked, delay_factor)
         if hard_tree is not None and model.routed_net_delay(graph, hard_tree) < old_delay:
             accepted = hard_tree
-        elif displace:
-            free_tree = router.search(source, targets, "delay-free")
+        else:
+            free_tree = search.grow(source, old.sink_nodes, free_cost, pins, delay_factor)
             if (
                 free_tree is not None
                 and model.routed_net_delay(graph, free_tree) < old_delay
@@ -1011,8 +951,8 @@ def refine_critical_nets(
                 victims: set[str] = set()
                 blocked = False
                 for node_id in free_tree:
-                    if router.occupancy[node_id] + 1 > capacity[node_id]:
-                        for victim in router.users.get(node_id, ()):
+                    if occupancy[node_id] + 1 > capacity[node_id]:
+                        for victim in users[node_id]:
                             if criticalities.get(victim, 0.0) >= crit:
                                 blocked = True
                                 break
@@ -1021,21 +961,23 @@ def refine_critical_nets(
                         break
                 if not blocked:
                     for victim in sorted(victims):
-                        router.release(victim, routing.routed[victim].nodes)
-                    router.occupy(net, free_tree)
+                        release(victim, routing.routed[victim].nodes)
+                    occupy(net, free_tree)
                     relocated: list[tuple[str, list[int], list[int]]] = []
                     success = True
                     for victim in sorted(victims):
                         victim_old = routing.routed[victim]
-                        new_home = router.search(
+                        new_home = search.grow(
                             victim_old.source_node,
-                            set(victim_old.sink_nodes),
-                            "congestion-hard",
+                            victim_old.sink_nodes,
+                            base_cost,
+                            hard_blocked,
+                            base_factor,
                         )
                         if new_home is None:
                             success = False
                             break
-                        router.occupy(victim, new_home)
+                        occupy(victim, new_home)
                         relocated.append((victim, victim_old.nodes, new_home))
                     if success:
                         new_total = (
@@ -1056,17 +998,17 @@ def refine_critical_nets(
                         # Roll back the bundle: re-seat every relocated
                         # victim on its old tree and vacate the new one.
                         for victim, old_nodes, new_home in relocated:
-                            router.release(victim, new_home)
-                        router.release(net, free_tree)
+                            release(victim, new_home)
+                        release(net, free_tree)
                         for victim in sorted(victims):
-                            router.occupy(victim, routing.routed[victim].nodes)
+                            occupy(victim, routing.routed[victim].nodes)
 
         if accepted is None:
-            router.occupy(net, old.nodes)
+            occupy(net, old.nodes)
             continue
 
         if not displaced_moves:
-            router.occupy(net, accepted)
+            occupy(net, accepted)
         # (with displacement, occupancy was already updated in-flight)
         routing.routed[net] = RoutedNet(
             net=net, source_node=source, sink_nodes=list(old.sink_nodes), nodes=accepted
@@ -1082,6 +1024,6 @@ def refine_critical_nets(
         current_wirelength = routing.total_wirelength
         improved += 1
 
-    routing.node_pops += router.pops
+    routing.node_pops += search.pops
     routing.critical_reroutes += improved
     return improved

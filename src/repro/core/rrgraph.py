@@ -56,9 +56,9 @@ class RoutingResourceGraph:
     """The routing-resource graph of one fabric instance.
 
     Besides the :class:`RRNode` object list the graph carries **flattened
-    parallel arrays** (:attr:`base_cost`, :attr:`capacity`, :attr:`is_wire`
-    and the CSR adjacency :attr:`edge_starts` / :attr:`edge_targets`), built
-    once after construction.  The router's hot loops index these plain lists
+    parallel arrays** (:attr:`base_cost`, :attr:`capacity`, :attr:`is_wire`,
+    :attr:`x` and :attr:`y`), built once after construction.  The router's
+    hot loops index these plain lists (and each node's own ``edges`` list)
     instead of chasing ``graph.node(i).attr`` per edge relaxation; the graph
     is immutable after ``__init__``, so the arrays never go stale.
     """
@@ -210,11 +210,7 @@ class RoutingResourceGraph:
                 self._add_edge(ipin.node_id, wire)
 
     def _flatten(self) -> None:
-        """Build the flat parallel arrays the router's inner loops index.
-
-        ``edge_starts[i]:edge_starts[i + 1]`` slices ``edge_targets`` into
-        node *i*'s neighbours (classic CSR layout).
-        """
+        """Build the flat parallel arrays the router's inner loops index."""
         self.base_cost: list[float] = [node.base_cost for node in self.nodes]
         self.capacity: list[int] = [node.capacity for node in self.nodes]
         self.is_wire: list[bool] = [
@@ -225,13 +221,6 @@ class RoutingResourceGraph:
         # coordinate, so Manhattan distance / 2 under-counts the hops left).
         self.x: list[int] = [node.x for node in self.nodes]
         self.y: list[int] = [node.y for node in self.nodes]
-        starts = [0]
-        targets: list[int] = []
-        for node in self.nodes:
-            targets.extend(node.edges)
-            starts.append(len(targets))
-        self.edge_starts: list[int] = starts
-        self.edge_targets: list[int] = targets
 
     # ------------------------------------------------------------------
     # Statistics
