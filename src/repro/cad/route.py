@@ -949,17 +949,17 @@ def refine_critical_nets(
             ):
                 # Who is in the way, and are they all less critical?
                 victims: set[str] = set()
-                blocked = False
+                outranked = False
                 for node_id in free_tree:
                     if occupancy[node_id] + 1 > capacity[node_id]:
                         for victim in users[node_id]:
                             if criticalities.get(victim, 0.0) >= crit:
-                                blocked = True
+                                outranked = True
                                 break
                             victims.add(victim)
-                    if blocked:
+                    if outranked:
                         break
-                if not blocked:
+                if not outranked:
                     for victim in sorted(victims):
                         release(victim, routing.routed[victim].nodes)
                     occupy(net, free_tree)
