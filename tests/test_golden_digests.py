@@ -14,6 +14,12 @@ criticality-polished placement) on fabrics from 4x4 to 6x6.  Two of those
 (:data:`REFINING_FLOWS`) re-route critical nets in the post-negotiation
 refinement pass, so its accepted, displaced and rolled-back trees are pinned
 too, not only its searches.
+
+:data:`GOLDEN_MAPPED` pins the mapped design of every registry circuit on
+the paper-default architecture, one sha256 over its ``to_dict()`` JSON.  The
+flow digests reach only eight circuits; this table also covers the ``gen:``
+specs, the wider adders and the 4x4 multiplier, so a mapping or
+decomposition edit that changes any LE function fails here first.
 """
 
 import hashlib
@@ -22,7 +28,7 @@ import json
 import pytest
 
 from repro.cad.flow import CadFlow, FlowOptions
-from repro.circuits.registry import build_circuit
+from repro.circuits.registry import build_circuit, circuit_registry
 from repro.core.params import ArchitectureParams, RoutingParams
 
 #: The standard routable fabric (the golden multiplier test's geometry).
@@ -94,6 +100,43 @@ GOLDEN_TIMING = {
 }
 
 
+#: sha256 of ``json.dumps(mapped.to_dict(), sort_keys=True)`` per registry
+#: circuit on ``ArchitectureParams()``.
+GOLDEN_MAPPED = {
+    "qdi_full_adder": "370ffe199a9f7d016fac23cb8ff78e4895354136ce13520b72661e832fca1838",
+    "qdi_full_adder_1of4": "b39ebdf0e34705b09fca8c6b7f584eeeeb709674c79e964a5ffbf727c0838763",
+    "micropipeline_full_adder": "3986cb85b98dab160c42e0eca9ba0c1a7775e9fa54eafb98d8f3cb15b19a6b44",
+    "qdi_multiplier_2x2": "660428de739c5a7d2ffae900262456a2c0005fe750d8c0f63c45379866958658",
+    "qdi_multiplier_4x4": "0139f3a5da3ad938cef40652b4c41934bf9b64404b3e415b9d78ffce51831524",
+    "wchb_fifo_4": "6991bbf5677dc72287212e269c561115b2365abed7f63ca56d4ce09898c0a6e5",
+    "wchb_fifo_8": "1250fe4ea57e4ad591dffe11720876ae98b10665bd73d1ea6ecde3607dc68918",
+    "qdi_ripple_adder_2": "19d7578dbe7d3f639b9168d3aee6c63ef28d5aecedb661a5bb89f940571157fc",
+    "micropipeline_ripple_adder_2": "201365b1fa7c5e31151a63e2b866477620c26342569cb4b8be3b62b7ba39b436",
+    "qdi_ripple_adder_4": "4a629cc383538c3ff52d3845a4ee3d1294e508fb6cf177b320af753f843eb15d",
+    "micropipeline_ripple_adder_4": "919b2f8e4a0e34142e745c5859b124425c00111e1c8842aebd8efd6bf82057af",
+    "qdi_ripple_adder_8": "f5d396edb53f2ef3afb184d93a0f66f1def17f6303f19d07c932e975eb00b57d",
+    "micropipeline_ripple_adder_8": "7f9f4f97fa2b3df3cb2c8f889da048f1e170bb5c75a9fc6811fdb063fab6dbdd",
+    "qdi_ripple_adder_16": "2955a04f4ec2225d22280a28a523c0d744b420d8865b64c2ca30f688652fabf3",
+    "micropipeline_ripple_adder_16": "d5f031b60706663d9223204e05653af8a5df3daab7cfb80fef024155d6bd7350",
+    "gen:mult2x2@qdi": "76a417c9db1765a4ffc0968777a02f5ca9bb9bdeec18418d7f636572c7cef110",
+    "gen:mult2x2@micropipeline": "300862ad4444fdb8ef86bf22a16fee1cf44c9613b817b8b7813da8727ffcd51c",
+    "gen:mult4x4@qdi": "46c4622c290865f488a8f1d60c44d11f18d4cc2d4fa93141df8db7b3f58faf31",
+    "gen:mult4x4@micropipeline": "78e595e43ef9f259a8bb2afe54ef11eb4e8dbb38384147789b31b09ebe56cb55",
+    "gen:alu2@qdi": "4c6a2bbe9fa98d59e452af82b081dd3716e2d743dfbb947af59549fcd91d7b3d",
+    "gen:alu2@micropipeline": "d71b0a5a1e72748ec307622ba2ac58b44cba4e0de2142204ec37de073c2555de",
+    "gen:alu4@qdi": "b0637626dfe7b9d7b229b55b701c69cc62d9b6dee2afb6b0da53df560edd1600",
+    "gen:alu4@micropipeline": "85ec17c153d67753f2f8672c63da82d42a6cd51dc38774bf72e8a904b1906d30",
+    "gen:crc4@qdi": "437b5804af2091546ac1b200bfaca984e005facb1374588044e547d8333b2eb2",
+    "gen:crc4@micropipeline": "4b4e9f99f3dd36a99576db1ed914bdc69af85e72bd1519cb5386d2b02c122fad",
+    "gen:crc8@qdi": "ccc0c27bba2e8c78ec4e80465ab1a8fc6be998ba99b5b1a47d5f30c5ad71f687",
+    "gen:crc8@micropipeline": "3d756f03a50faa02ad50c895b848e629f7642a133e4b8e523899040f81fc97b3",
+    "gen:mac2@qdi": "3eedd9487b5c607b9602eca1e02f97cac7fb15681227f6888ff14f9871497848",
+    "gen:mac2@micropipeline": "e32599000f5f02311d51edd704bf15b460db075371dd43e3d4d15b54f1a4a1b6",
+    "gen:mac4@qdi": "cb07f89dfed667bfa355f0a8c7583f9368f534cb478c09c8c80d1aa7c4901e1a",
+    "gen:mac4@micropipeline": "3ed19fd7bc0cadd7ebd288e1042dfb49e8d8cd52e10f889713901d006caa1ddb",
+}
+
+
 def flow_digest(result) -> str:
     """sha256 over the summary JSON, the bitstream and the routed trees."""
     digest = hashlib.sha256()
@@ -124,3 +167,19 @@ def test_timing_driven_flow_matches_golden_digest(name, seed, architecture):
     if key in REFINING_FLOWS:
         assert result.summary()["critical_nets_rerouted"] > 0
     assert flow_digest(result) == GOLDEN_TIMING[key]
+
+
+def test_golden_mapping_table_covers_the_registry():
+    assert list(GOLDEN_MAPPED) == list(circuit_registry())
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_MAPPED))
+def test_mapped_design_matches_golden_digest(name):
+    circuit = build_circuit(name)
+    # Composed circuits (ripple adders, the 4x4 multiplier, the gen: specs)
+    # carry a design mapped at build time; the others map through the flow.
+    mapped = getattr(circuit, "mapped", None)
+    if mapped is None:
+        mapped = CadFlow(ArchitectureParams()).map(circuit)
+    payload = json.dumps(mapped.to_dict(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == GOLDEN_MAPPED[name]
