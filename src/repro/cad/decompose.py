@@ -163,8 +163,12 @@ def _column_classes(
     free = tuple(name for name in table.inputs if name not in bound)
     positions = {name: table.inputs.index(name) for name in table.inputs}
     bound_positions = [positions[name] for name in bound]
-    free_positions = [positions[name] for name in free]
+    # free_rows[free_index] is the row offset of one free-variable assignment.
+    free_rows = [0]
+    for name in free:
+        free_rows += [row | (1 << positions[name]) for row in free_rows]
 
+    bits = table.bits
     class_of: dict[tuple[int, ...], int] = {}
     columns: list[tuple[int, ...]] = []
     for bound_index in range(1 << len(bound)):
@@ -174,13 +178,7 @@ def _column_classes(
             bit = (bound_index >> offset) & 1
             values.append(bit)
             base |= bit << position
-        column = []
-        for free_index in range(1 << len(free)):
-            row = base
-            for offset, position in enumerate(free_positions):
-                row |= ((free_index >> offset) & 1) << position
-            column.append(table.bits[row])
-        column_t = tuple(column)
+        column_t = tuple(bits[base | row] for row in free_rows)
         if column_t not in columns:
             if len(columns) == 2:
                 return None

@@ -83,17 +83,18 @@ def _stamp_decomposition(design: MappedDesign, stats: DecompositionStats) -> Non
 # ----------------------------------------------------------------------
 # Template mapping: QDI
 # ----------------------------------------------------------------------
-def _qdi_rail_function(
+def _qdi_rail_tables(
     input_channels: list[Channel],
-    output_channel: Channel,
-    rail_wire: str,
+    output_channels: list[Channel],
     circuit: StyledCircuit,
-) -> TruthTable:
-    """The looped-LUT next-state function of one QDI output rail.
+) -> dict[str, TruthTable]:
+    """The looped-LUT next-state function of every output rail of a QDI block.
 
-    The rail rises when every input digit is valid and the reference function
-    asserts this rail; it falls when every input digit is neutral; it holds
-    its value otherwise (partial input code words during transitions).
+    A rail rises when every input digit is valid and the reference function
+    asserts it; it falls when every input digit is neutral; it holds its value
+    otherwise (partial input code words during transitions).  Each table is
+    over ``input_wires + (rail,)``, so one pass over the input assignments
+    fills the feedback-low and feedback-high halves of every rail at once.
     """
     function = circuit.metadata.get("reference_function")
     if function is None:
@@ -101,35 +102,29 @@ def _qdi_rail_function(
             f"circuit {circuit.name!r} carries no reference function; "
             "template QDI mapping needs it"
         )
-    input_wires: list[str] = []
-    for channel in input_channels:
-        input_wires.extend(channel.data_wires())
-    table_inputs = tuple(input_wires) + (rail_wire,)
-
-    def next_state(*values: int) -> int:
-        assignment = dict(zip(table_inputs, values))
-        wire_values = {wire: assignment[wire] for wire in input_wires}
-        all_valid = all(
-            channel.is_valid({w: wire_values[w] for w in channel.data_wires()})
-            for channel in input_channels
-        )
-        all_neutral = all(
-            channel.is_neutral({w: wire_values[w] for w in channel.data_wires()})
-            for channel in input_channels
-        )
-        if all_valid:
-            channel_values = {
-                channel.name: channel.decode({w: wire_values[w] for w in channel.data_wires()})
-                for channel in input_channels
-            }
-            outputs = function(channel_values)
-            encoded = output_channel.encode(outputs[output_channel.name])
-            return encoded[rail_wire]
-        if all_neutral:
-            return 0
-        return assignment[rail_wire]
-
-    return TruthTable.from_function(table_inputs, next_state, name=f"rail_{rail_wire}")
+    input_wires = tuple(wire for channel in input_channels for wire in channel.data_wires())
+    rails = [wire for channel in output_channels for wire in channel.data_wires()]
+    low: dict[str, list[int]] = {rail: [] for rail in rails}
+    high: dict[str, list[int]] = {rail: [] for rail in rails}
+    for index in range(1 << len(input_wires)):
+        values = {wire: (index >> position) & 1 for position, wire in enumerate(input_wires)}
+        if all(channel.is_valid(values) for channel in input_channels):
+            outputs = function({channel.name: channel.decode(values) for channel in input_channels})
+            encoded: dict[str, int] = {}
+            for channel in output_channels:
+                encoded.update(channel.encode(outputs[channel.name]))
+            for rail in rails:
+                low[rail].append(encoded[rail])
+                high[rail].append(encoded[rail])
+            continue
+        hold = 0 if all(channel.is_neutral(values) for channel in input_channels) else 1
+        for rail in rails:
+            low[rail].append(0)
+            high[rail].append(hold)
+    return {
+        rail: TruthTable(input_wires + (rail,), tuple(low[rail] + high[rail]), name=f"rail_{rail}")
+        for rail in rails
+    }
 
 
 def _map_qdi(circuit: StyledCircuit, params: PLBParams) -> MappedDesign:
@@ -157,13 +152,13 @@ def _map_qdi(circuit: StyledCircuit, params: PLBParams) -> MappedDesign:
     namer = NetNamer(reserved)
     stats = DecompositionStats()
 
+    rail_tables = _qdi_rail_tables(input_channels, output_channels, circuit)
     rail_functions: list[tuple[Channel, str, LEFunction]] = []
     decomposition_functions: list[LEFunction] = []
     for out_channel in output_channels:
         for rail_wire in out_channel.data_wires():
-            table = _qdi_rail_function(input_channels, out_channel, rail_wire, circuit)
             fitted = _fit_function(
-                LEFunction(output_net=rail_wire, table=table, role="logic"),
+                LEFunction(output_net=rail_wire, table=rail_tables[rail_wire], role="logic"),
                 le_params.lut_inputs,
                 namer,
                 stats,

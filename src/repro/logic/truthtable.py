@@ -217,13 +217,15 @@ class TruthTable:
         missing = [name for name in self.inputs if name not in inputs]
         if missing:
             raise ValueError(f"target inputs {inputs!r} must contain {missing!r}")
-        bits = []
-        for index in range(1 << len(inputs)):
-            assignment = {
-                name: (index >> position) & 1 for position, name in enumerate(inputs)
-            }
-            bits.append(self.evaluate(assignment))
-        return TruthTable(inputs=inputs, bits=tuple(bits), name=self.name)
+        # rows[index] is the source row of target row *index*; each target
+        # input doubles the list, adding its source weight (0 for extras).
+        weights = {name: 1 << position for position, name in enumerate(self.inputs)}
+        rows = [0]
+        for name in inputs:
+            weight = weights.get(name, 0)
+            rows += [row | weight for row in rows]
+        bits = self.bits
+        return TruthTable(inputs=inputs, bits=tuple(bits[row] for row in rows), name=self.name)
 
     def compose(self, substitutions: Mapping[str, "TruthTable"]) -> "TruthTable":
         """Substitute input variables by whole functions.

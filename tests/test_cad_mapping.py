@@ -5,8 +5,9 @@ import pytest
 from repro.cad.lemap import LEFunction, MappedDesign, MappedLE, MappedPDE, MappedPLB, merge_mapped_designs
 from repro.cad.metrics import filling_ratio, utilisation_report
 from repro.cad.pack import PackingError, pack_design, packing_summary
-from repro.cad.techmap import MappingError, generic_map, template_map
+from repro.cad.techmap import MappingError, _qdi_rail_tables, generic_map, template_map
 from repro.circuits.fulladder import micropipeline_full_adder, qdi_full_adder, reference_sum_carry
+from repro.circuits.registry import build_circuit
 from repro.core.params import LEParams, PLBParams
 from repro.logic.functions import and_table, c_element_table, or_table, xor_table
 from repro.logic.truthtable import TruthTable
@@ -133,6 +134,61 @@ def test_template_map_qdi_preserves_behaviour():
     expected = [reference_sum_carry(*v) for v in vectors]
     assert sums.received == [s for s, _ in expected]
     assert carries.received == [c for _, c in expected]
+
+
+def _per_row_rail_table(circuit, output_channel, rail_wire):
+    """One QDI rail's next-state table, built row by row (the test oracle).
+
+    The rail rises when every input digit is valid and the reference function
+    asserts this rail; it falls when every input digit is neutral; it holds
+    its value otherwise.
+    """
+    function = circuit.metadata["reference_function"]
+    input_channels = list(circuit.input_channels)
+    input_wires = [wire for channel in input_channels for wire in channel.data_wires()]
+    table_inputs = tuple(input_wires) + (rail_wire,)
+
+    def next_state(*values):
+        assignment = dict(zip(table_inputs, values))
+        wire_values = {wire: assignment[wire] for wire in input_wires}
+        all_valid = all(
+            channel.is_valid({w: wire_values[w] for w in channel.data_wires()})
+            for channel in input_channels
+        )
+        all_neutral = all(
+            channel.is_neutral({w: wire_values[w] for w in channel.data_wires()})
+            for channel in input_channels
+        )
+        if all_valid:
+            channel_values = {
+                channel.name: channel.decode({w: wire_values[w] for w in channel.data_wires()})
+                for channel in input_channels
+            }
+            outputs = function(channel_values)
+            return output_channel.encode(outputs[output_channel.name])[rail_wire]
+        if all_neutral:
+            return 0
+        return assignment[rail_wire]
+
+    return TruthTable.from_function(table_inputs, next_state, name=f"rail_{rail_wire}")
+
+
+@pytest.mark.parametrize("name", ["qdi_full_adder", "qdi_full_adder_1of4", "qdi_multiplier_2x2"])
+def test_qdi_rail_tables_match_per_row_definition(name):
+    circuit = build_circuit(name)
+    tables = _qdi_rail_tables(
+        list(circuit.input_channels), list(circuit.output_channels), circuit
+    )
+    expected = {
+        rail: _per_row_rail_table(circuit, channel, rail)
+        for channel in circuit.output_channels
+        for rail in channel.data_wires()
+    }
+    assert list(tables) == list(expected)
+    for rail, table in tables.items():
+        assert table.inputs == expected[rail].inputs
+        assert table.bits == expected[rail].bits
+        assert table.name == expected[rail].name
 
 
 def test_template_map_micropipeline_structure():

@@ -42,10 +42,21 @@ def test_cofactor_shannon_expansion(table):
 @given(truth_tables())
 @settings(max_examples=60, deadline=None)
 def test_extend_inputs_preserves_function(table):
-    extended = table.extend_inputs(tuple(table.inputs) + ("extra0", "extra1"))
-    for row in range(1 << table.arity):
-        assignment = {name: (row >> index) & 1 for index, name in enumerate(table.inputs)}
-        assert extended.evaluate({**assignment, "extra0": 1, "extra1": 0}) == table.evaluate(assignment)
+    # Appended extras, and a target order that reverses the table's own
+    # inputs and interleaves the extras among them.
+    reversed_inputs = tuple(reversed(table.inputs))
+    middle = len(reversed_inputs) // 2
+    interleaved = (
+        ("extra0",) + reversed_inputs[:middle] + ("extra1",) + reversed_inputs[middle:]
+    )
+    for target in (tuple(table.inputs) + ("extra0", "extra1"), interleaved):
+        extended = table.extend_inputs(target)
+        assert extended.inputs == target
+        for row in range(1 << table.arity):
+            assignment = {name: (row >> index) & 1 for index, name in enumerate(table.inputs)}
+            for extras in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                full = {**assignment, "extra0": extras[0], "extra1": extras[1]}
+                assert extended.evaluate(full) == table.evaluate(assignment)
 
 
 @given(truth_tables())
