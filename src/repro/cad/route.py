@@ -941,6 +941,7 @@ def refine_critical_nets(
         hard_tree = search.grow(source, old.sink_nodes, delay, hard_blocked, delay_factor)
         if hard_tree is not None and model.routed_net_delay(graph, hard_tree) < old_delay:
             accepted = hard_tree
+            occupy(net, accepted)
         else:
             free_tree = search.grow(source, old.sink_nodes, free_cost, pins, delay_factor)
             if (
@@ -1007,9 +1008,8 @@ def refine_critical_nets(
             occupy(net, old.nodes)
             continue
 
-        if not displaced_moves:
-            occupy(net, accepted)
-        # (with displacement, occupancy was already updated in-flight)
+        # Both branches have occupied the accepted tree (displacement does so
+        # before relocating its victims).
         routing.routed[net] = RoutedNet(
             net=net, source_node=source, sink_nodes=list(old.sink_nodes), nodes=accepted
         )

@@ -225,14 +225,14 @@ def test_place_design_audited_anneal_and_final_cost():
 
 def test_incremental_placer_saves_net_evaluations():
     # The reason the rewrite exists: far fewer per-net evaluations than the
-    # full-recompute annealer's moves * nets.
+    # full-recompute annealer's moves * nets (at least the perf floor's 5x).
     adder = build_circuit("qdi_ripple_adder_4")
     design = adder.mapped
     pack_design(design)
     fabric = Fabric(ArchitectureParams(width=7, height=7))
     placement = place_design(design, fabric, seed=1)
     full_equivalent = placement.iterations * placement.net_count
-    assert placement.net_evaluations * 4 < full_equivalent
+    assert placement.net_evaluations * 5 < full_equivalent
 
 
 def test_placement_counters_serialize():

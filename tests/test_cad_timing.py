@@ -31,7 +31,8 @@ import pytest
 from repro.cad.flow import CadFlow, FlowOptions
 from repro.cad.pack import pack_design
 from repro.cad.place import NetCostCache, TimingObjective, place_design
-from repro.cad.route import refine_critical_nets, route_design
+from repro.cad import route as route_module
+from repro.cad.route import RoutedNet, RoutingResult, refine_critical_nets, route_design
 from repro.cad.timing import TimingEngine, TimingModel, analyse_timing
 from repro.circuits.registry import build_circuit
 from repro.core.fabric import Fabric
@@ -285,6 +286,41 @@ def test_refine_noop_on_failed_routing():
     assert refine_critical_nets(failed, flow.rr_graph, {"any": 1.0}) == 0
 
 
+def test_refine_victimless_displacement_occupies_its_tree_once(monkeypatch):
+    # Net "a" takes the displacement branch (its hard-capacity search fails)
+    # with a free-node tree that displaces nobody.  That tree must count once
+    # on the capacity-2 node it shares with net "b"'s faster tree, so "b"'s
+    # hard-capacity search still finds the node open.
+    graph = RoutingResourceGraph(Fabric(ArchitectureParams()))
+    wires = [node for node, is_wire in enumerate(graph.is_wire) if is_wire]
+    pins = [node for node, is_wire in enumerate(graph.is_wire) if not is_wire]
+    shared = wires[0]
+    graph.capacity[shared] = 2
+    a_src, a_sink, b_src, b_sink = pins[:4]
+    routing = RoutingResult(
+        routed={
+            "a": RoutedNet("a", a_src, [a_sink], sorted([a_src, a_sink, *wires[1:5]])),
+            "b": RoutedNet("b", b_src, [b_sink], sorted([b_src, b_sink, *wires[5:9]])),
+        },
+        success=True,
+    )
+    faster = {a_src: sorted([a_src, a_sink, shared]), b_src: sorted([b_src, b_sink, shared])}
+    searches = []
+
+    def grow(self, source, targets, cost, blocked, factor, crit=0.0, delay=()):
+        searches.append(source)
+        if source == a_src and searches.count(a_src) == 1:
+            return None
+        return None if blocked[shared] else faster[source]
+
+    monkeypatch.setattr(route_module._TreeSearch, "grow", grow)
+    assert refine_critical_nets(routing, graph, {"a": 1.0, "b": 0.9}) == 2
+    # "b" was accepted on its hard-capacity search, not outranked by "a".
+    assert searches == [a_src, a_src, b_src]
+    assert routing.routed["b"].nodes == faster[b_src]
+    _assert_legal(routing, graph)
+
+
 # ----------------------------------------------------------------------
 # A*: routed parity with plain Dijkstra, fewer pops
 # ----------------------------------------------------------------------
@@ -309,9 +345,10 @@ def test_astar_parity_and_pop_reduction_on_largest_fabric():
     _assert_legal(accelerated, graph)
     assert accelerated.routed.keys() == plain.routed.keys()
     # Both orderings run cost-optimal searches; quality stays within the
-    # repo-wide 2% parity tolerance and the lower bound must actually prune.
+    # repo-wide 2% parity tolerance and the lower bound must actually prune:
+    # plain Dijkstra pops at least 5% more nodes (the perf floor's bound).
     assert accelerated.total_wirelength <= plain.total_wirelength * 1.02
-    assert accelerated.node_pops < plain.node_pops
+    assert plain.node_pops >= 1.05 * accelerated.node_pops
 
 
 def test_astar_failure_restarts_with_dijkstra_parity(caplog):
