@@ -224,8 +224,8 @@ class TruthTable:
         for name in inputs:
             weight = weights.get(name, 0)
             rows += [row | weight for row in rows]
-        bits = self.bits
-        return TruthTable(inputs=inputs, bits=tuple(bits[row] for row in rows), name=self.name)
+        bits = tuple(map(self.bits.__getitem__, rows))
+        return TruthTable(inputs=inputs, bits=bits, name=self.name)
 
     def compose(self, substitutions: Mapping[str, "TruthTable"]) -> "TruthTable":
         """Substitute input variables by whole functions.
