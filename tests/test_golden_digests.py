@@ -20,13 +20,22 @@ the paper-default architecture, one sha256 over its ``to_dict()`` JSON.  The
 flow digests reach only eight circuits; this table also covers the ``gen:``
 specs, the wider adders and the 4x4 multiplier, so a mapping or
 decomposition edit that changes any LE function fails here first.
+
+:data:`GOLDEN_PLACEMENTS` pins every placement those flows anneal, one
+sha256 over each ``Placement.to_dict()`` JSON: the default anneal of every
+default flow, and both the baseline anneal and the criticality polish of
+every timing-driven flow.  The summary sees only the final placement and
+none of the annealer's ``bbox_updates``, so a cost-cache edit that drifts a
+counter, or the baseline the polish replaces, fails here and nowhere else.
 """
 
 import hashlib
 import json
+import sys
 
 import pytest
 
+import repro.cad.flow as flow_module
 from repro.cad.flow import CadFlow, FlowOptions
 from repro.circuits.registry import build_circuit, circuit_registry
 from repro.core.params import ArchitectureParams, RoutingParams
@@ -137,6 +146,115 @@ GOLDEN_MAPPED = {
 }
 
 
+#: sha256 of ``json.dumps(placement.to_dict(), sort_keys=True)`` for every
+#: ``place_design`` call of each golden flow, in call order: one anneal per
+#: default flow, the baseline anneal then the polish per timing-driven flow.
+GOLDEN_PLACEMENTS = {
+    "qdi_full_adder@1": [
+        "f38ce3411b68c2b2c012db91bb88ac3b9c86193a4c932a90e9a3b6f0c6564cde",
+    ],
+    "qdi_full_adder@7": [
+        "457f577a8f5233a2e526c31d83447234c52f3f585559279619136147ceb2e7f1",
+    ],
+    "qdi_full_adder_1of4@1": [
+        "701767593d5befaa69a9db93426a3d2c0d950863c3825531615de850f26c7c64",
+    ],
+    "qdi_full_adder_1of4@7": [
+        "b23566567e6baf2e4eca9db47fb90d6a99bb1cda9fe09708d3916e8934fd9c36",
+    ],
+    "micropipeline_full_adder@1": [
+        "ab46153b91697dc9e6a1b2e38d8986a3572bd0528b4c19d804ff96a57bcf8ee8",
+    ],
+    "micropipeline_full_adder@7": [
+        "b33970f442f9e0faaf9f93c1e48f2400c447950cb8973b51b8dc69dae1036ca8",
+    ],
+    "qdi_multiplier_2x2@1": [
+        "677eec9461936db1c3b4d625879897fe64210f276d706adbf57d17187438736e",
+    ],
+    "qdi_multiplier_2x2@7": [
+        "921626e3fa692a85fec0b0221ec10b02232d96543708acbbc96a6822015c652a",
+    ],
+    "wchb_fifo_4@1": [
+        "e0fb3062d219aa5dee4e5355fb87066141a4efdb03b78ed626234be9bd03abf3",
+    ],
+    "wchb_fifo_4@7": [
+        "de34e7e8317915c129f1da775444996314ec2ac9013f05e66275739b98cdd9dc",
+    ],
+    "wchb_fifo_8@1": [
+        "efebdc6d0012750388a2102d77908e4888d335f079e75570be4776b468c03a24",
+    ],
+    "wchb_fifo_8@7": [
+        "a069a5c23b3127a46ed7447ffa6db1733041f675207094a803735813100fb1ae",
+    ],
+    "qdi_ripple_adder_2@1": [
+        "f187acf0f024dabb2f8e7ba45bb3e01e39cb1c6acd3c058ec21adc4e78ea291e",
+    ],
+    "qdi_ripple_adder_2@7": [
+        "2ecbd3299622c6715a32dc6f1a08bb69ef8192e84f1a5c40dc46398fd0b1e0c7",
+    ],
+    "qdi_ripple_adder_4@1": [
+        "d939b6547f652d8b987a0ad829f34dd61de2b28582ae332b290415fc8006a042",
+    ],
+    "qdi_ripple_adder_4@7": [
+        "06019be164391d4a1ddcf4397af986d5515bd105da9f95430891768c73614ca9",
+    ],
+    "timing:qdi_multiplier_2x2@5": [
+        "d8f865e44ec522754b2d87ca8e954f38a780bc1aae8cd736d06012797946c5db",
+        "303e6fc4556027a6a37316f9ca0f3511057a68c4962780e702bb41929d67b648",
+    ],
+    "timing:wchb_fifo_8@5": [
+        "1380ee148d07baa58894b84b966a65483e9d69212cedb6eeac87397c5a7a7881",
+        "e40550377a2d2a50091d057aec626fe7de03e7267de31362509a9d1ce4722c26",
+    ],
+    "timing:qdi_ripple_adder_2@5": [
+        "23d42d9e39b88d12237463d71179c2415db13a1f3cf409c0148738e594037fe3",
+        "725bdac7c66a4d107aa3264eab12371ea5c56f74faf1dfa369aba11980122982",
+    ],
+    "timing:qdi_ripple_adder_4@8": [
+        "98d27b0671dc598a3bf5af3a54e8f92e94547eb587f8143093c711004e51da7d",
+        "f2973af88b9bd45633bfb7af1c4d2a8f5f5efb1389f04b38256eb552d29057cd",
+    ],
+    "timing:qdi_multiplier_2x2@1": [
+        "677eec9461936db1c3b4d625879897fe64210f276d706adbf57d17187438736e",
+        "2b2e177bab2985c2e2970fd6753e70e89981be9c75661bb5d076ad998776130d",
+    ],
+    "timing:qdi_multiplier_2x2@2": [
+        "34a1b08af534d46b0c7c64d1524d20963e232b757fe2ea962bcbdc8346126b77",
+        "842d2457a6aa4f4d25b964cf7536aac19f2e05fa61be8ae6a059287cd5518395",
+    ],
+}
+
+#: Python 3.12's ``sum()`` is compensated and 3.11's is not, so the blended
+#: ``cost`` and ``initial_cost`` of two polishes differ in their last bits
+#: between the interpreters.  Their sites, pads and counters do not.
+if sys.version_info >= (3, 12):
+    GOLDEN_PLACEMENTS["timing:qdi_multiplier_2x2@5"][1] = (
+        "c88bfd8233b20f35c704484d95d834ffaf434c6286b20a416e167c6ac085e3a3"
+    )
+    GOLDEN_PLACEMENTS["timing:qdi_multiplier_2x2@1"][1] = (
+        "5b02cff6826737bf48f3e96474b5a1288f011084a3434312c0bfb7caf62b1742"
+    )
+
+
+def placement_digest(placement) -> str:
+    payload = json.dumps(placement.to_dict(), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def capture_placements(monkeypatch) -> list:
+    """Wrap the flow's ``place_design``; the list fills with its placements."""
+    captured: list = []
+    original = flow_module.place_design
+
+    def place_and_capture(*args, **kwargs):
+        placement = original(*args, **kwargs)
+        captured.append(placement)
+        return placement
+
+    monkeypatch.setattr(flow_module, "place_design", place_and_capture)
+    return captured
+
+
 def flow_digest(result) -> str:
     """sha256 over the summary JSON, the bitstream and the routed trees."""
     digest = hashlib.sha256()
@@ -153,13 +271,17 @@ def flow_digest(result) -> str:
 
 @pytest.mark.parametrize("name", PARITY_CIRCUITS)
 @pytest.mark.parametrize("seed", PARITY_SEEDS)
-def test_default_flow_matches_golden_digest(name, seed):
+def test_default_flow_matches_golden_digest(name, seed, monkeypatch):
+    placements = capture_placements(monkeypatch)
     result = CadFlow(ROUTABLE, FlowOptions(placement_seed=seed)).run(build_circuit(name))
-    assert flow_digest(result) == GOLDEN_DEFAULT[f"{name}@{seed}"]
+    key = f"{name}@{seed}"
+    assert flow_digest(result) == GOLDEN_DEFAULT[key]
+    assert [placement_digest(p) for p in placements] == GOLDEN_PLACEMENTS[key]
 
 
 @pytest.mark.parametrize(("name", "seed", "architecture"), TIMING_FLOWS)
-def test_timing_driven_flow_matches_golden_digest(name, seed, architecture):
+def test_timing_driven_flow_matches_golden_digest(name, seed, architecture, monkeypatch):
+    placements = capture_placements(monkeypatch)
     options = FlowOptions(placement_seed=seed, timing_driven=True)
     result = CadFlow(architecture, options).run(build_circuit(name))
     assert result.timing_driven
@@ -167,6 +289,13 @@ def test_timing_driven_flow_matches_golden_digest(name, seed, architecture):
     if key in REFINING_FLOWS:
         assert result.summary()["critical_nets_rerouted"] > 0
     assert flow_digest(result) == GOLDEN_TIMING[key]
+    # Baseline anneal, then the polish under the blended objective.
+    assert [placement_digest(p) for p in placements] == GOLDEN_PLACEMENTS[f"timing:{key}"]
+
+
+def test_golden_placement_table_covers_every_flow():
+    flows = list(GOLDEN_DEFAULT) + [f"timing:{key}" for key in GOLDEN_TIMING]
+    assert sorted(GOLDEN_PLACEMENTS) == sorted(flows)
 
 
 def test_golden_mapping_table_covers_the_registry():
