@@ -8,14 +8,17 @@ cost** of the inter-block nets:
   delay — ``(1 - tradeoff) * hpwl + tradeoff * crit * bbox_delay`` — which is
   how the timing-driven flow pulls critical connections short.
 
-Cost evaluation is **incremental** (VPR-style) on two levels.  A per-net cost
-cache plus a block→nets index mean that a move or swap re-evaluates only the
-nets touching the moved blocks; and each net's bounding box is updated
-*incrementally* from the moved terminal's old/new coordinates (per-edge
-occupancy counts), so a touched net is only rescanned terminal-by-terminal
-when a terminal moves off a bounding-box edge it alone defined.  Site and pad
-bookkeeping is O(1) per move (occupancy maps with swap-pop free lists), and
-the acceptance test uses a per-batch precomputed inverse temperature.
+Cost evaluation is **incremental** (VPR-style) on two levels.  One per-net
+cost cache, :class:`NetCostCache`, gives every terminal an integer id and
+keeps a terminal→nets index, so a move or swap re-prices only the nets
+touching the moved terminals.  A net of three or more terminals updates its
+bounding box *incrementally* from the moved terminal's old/new coordinates
+(per-edge occupancy counts) and is only rescanned terminal-by-terminal when
+a terminal moves off a bounding-box edge it alone defined; a two-terminal
+net is priced straight from its endpoints.  The annealer proposes moves by
+terminal id and site or pad index.  Site and pad bookkeeping is O(1) per
+move (swap-pop free lists of indices), and the acceptance test uses a
+per-batch precomputed inverse temperature.
 
 Determinism: for a given seed the anneal draws one fixed RNG stream —
 per-net costs are exact in the default objective (HPWL sums of integer-valued
@@ -23,8 +26,9 @@ coordinates, well below 2**53, so float addition is exact in any order) and
 therefore the delta path accepts exactly the moves a full-recompute path
 would.  The invariant ``NetCostCache.total == full recompute`` holds
 throughout the anneal and is enforced by tests (and on demand via
-``place_design(..., audit_interval=N)``); blended objectives multiply by
-non-integer weights, so their audit uses a tight relative tolerance instead
+``place_design(..., audit_interval=N)``).  Blended objectives multiply by
+non-integer weights, so the cache sums their deltas and folds their totals
+in one fixed order, and their audit uses a tight relative tolerance instead
 of exact equality.
 """
 
@@ -264,6 +268,15 @@ class WirelengthObjective:
     def bind(self, net_names: Sequence[str]) -> None:
         """Called once by the cache with the net order (hook for subclasses)."""
 
+    def blend(self) -> tuple[float, list[float], float, float] | None:
+        """How the cache's fused loop prices a net of span ``s = dx + dy``.
+
+        ``None`` prices it as ``s``; ``(scale, weights, base, per_hop)``
+        prices net *i* as ``scale * s + weights[i] * (base + s * per_hop)``,
+        which must equal :meth:`net_cost` bit for bit.
+        """
+        return None
+
     def net_cost(self, index: int, dx: float, dy: float) -> float:
         return dx + dy
 
@@ -302,6 +315,12 @@ class TimingObjective(WirelengthObjective):
     def bind(self, net_names: Sequence[str]) -> None:
         self._crit = [self.criticalities.get(net, 0.0) for net in net_names]
 
+    def blend(self) -> tuple[float, list[float], float, float]:
+        # ``tradeoff * crit * x`` multiplies left to right, so folding
+        # ``tradeoff * crit`` per net keeps every product bit-identical.
+        weights = [self.tradeoff * crit for crit in self._crit]
+        return (1.0 - self.tradeoff, weights, self._base, self._per_hop)
+
     def net_cost(self, index: int, dx: float, dy: float) -> float:
         span = dx + dy
         crit = self._crit[index]
@@ -316,402 +335,173 @@ class TimingObjective(WirelengthObjective):
 _Box = list  # [xmin, xmax, ymin, ymax, n_xmin, n_xmax, n_ymin, n_ymax]
 
 
+def _shift_box(box: _Box, old_x: float, old_y: float, new_x: float, new_y: float):
+    """*box* with one terminal moved, or ``None`` when it needs a rescan.
+
+    Removing the old coordinate first, then inserting the new one, keeps the
+    edge counts exact; the only unresolvable case is removing the last
+    terminal from an extreme, which requires finding the runner-up.  The x
+    axis goes first and a failure stops before the y axis.
+    """
+    b0, b1, b2, b3, c0, c1, c2, c3 = box
+    if new_x != old_x:
+        if old_x == b0:
+            if c0 == 1:
+                return None
+            c0 -= 1
+        if old_x == b1:
+            if c1 == 1:
+                return None
+            c1 -= 1
+        if new_x < b0:
+            b0 = new_x
+            c0 = 1
+        elif new_x == b0:
+            c0 += 1
+        if new_x > b1:
+            b1 = new_x
+            c1 = 1
+        elif new_x == b1:
+            c1 += 1
+    if new_y != old_y:
+        if old_y == b2:
+            if c2 == 1:
+                return None
+            c2 -= 1
+        if old_y == b3:
+            if c3 == 1:
+                return None
+            c3 -= 1
+        if new_y < b2:
+            b2 = new_y
+            c2 = 1
+        elif new_y == b2:
+            c2 += 1
+        if new_y > b3:
+            b3 = new_y
+            c3 = 1
+        elif new_y == b3:
+            c3 += 1
+    return [b0, b1, b2, b3, c0, c1, c2, c3]
+
+
+#: The pending proposal after a commit or reject: nothing to fold.
+_NOTHING: tuple = ((), (), ())
+
+
 class NetCostCache:
     """Per-net costs with delta evaluation for annealing moves.
 
-    The cache holds live references to the caller's ``plb_sites`` and
-    ``io_positions`` dicts.  Two proposal paths exist:
+    Every PLB of ``plb_sites``, every IO net of ``io_positions`` (as
+    ``io:<net>``) and any other terminal of *nets* gets an integer *terminal
+    id* (:attr:`tid_of`).  The cache owns their coordinates from construction
+    on: the two dicts are read once, and :attr:`x` / :attr:`y` (``None`` for
+    an unpositioned IO) are the live state.  Moves are proposed by terminal
+    id, for positioned terminals:
 
-    * :meth:`propose` (the original API) re-scans every affected net's
-      terminals against the already-mutated position dicts;
-    * :meth:`propose_moves` takes the moved terminals' old/new coordinates
-      and updates each affected net's bounding box **incrementally** — a full
-      terminal scan only happens when a terminal moves off a box edge it
-      alone occupied.
+    * :meth:`propose_move` moves one terminal to new coordinates;
+    * :meth:`propose_swap` exchanges two terminals' coordinates.
 
-    Either way the new per-net costs are held pending until :meth:`commit`
-    or :meth:`reject`; :attr:`total` is unchanged until then.
+    Both run one fused loop over the touched nets.  A net of three or more
+    terminals updates its bounding box **incrementally** from the moved
+    terminal's old and new coordinates; it is rescanned only when a terminal
+    leaves an extreme it alone occupied.  A two-terminal net keeps no box and
+    is priced from its endpoints.  Each touched net is priced through the
+    objective: its span (HPWL) by default, the blend of
+    :meth:`WirelengthObjective.blend` otherwise.  The new coordinates and
+    per-net costs stay pending until :meth:`commit` or :meth:`reject`;
+    :attr:`total` is unchanged until then.
 
-    Under the default :class:`WirelengthObjective` all terminal coordinates
-    are integer-valued, so per-net costs and the running :attr:`total` are
-    exact floats: ``total`` equals a full recompute at every step, not just
-    approximately.
+    Float order: a delta is ``sum(new costs) - sum(old costs)`` over the
+    touched nets in first-touch order, and :meth:`commit` folds
+    ``total += new - old`` in that order.  Under the default objective every
+    cost is an integer-valued float, so ``total`` equals a full recompute
+    exactly at every step; blended costs are not, and this fixed order is
+    what keeps their anneal reproducible.
+
+    ``evaluations`` counts full terminal scans, and ``bbox_updates`` the
+    touched nets priced without one (see :class:`Placement`).
     """
 
     def __init__(
         self,
         nets: dict[str, list[str]],
-        plb_sites: dict[str, tuple[int, int]],
-        io_positions: dict[str, tuple[float, float]],
+        plb_sites: Mapping[str, tuple[int, int]],
+        io_positions: Mapping[str, tuple[float, float]],
         objective: WirelengthObjective | None = None,
     ) -> None:
-        self.nets = nets
-        self.net_names: list[str] = list(nets.keys())
-        self.terminals: list[list[str]] = list(nets.values())
-        self.plb_sites = plb_sites
-        self.io_positions = io_positions
+        self.net_names: list[str] = list(nets)
         self.objective = objective if objective is not None else WirelengthObjective()
         self.objective.bind(self.net_names)
-        buckets: dict[str, list[int]] = {}
-        for index, terminals in enumerate(self.terminals):
+        self._blend = self.objective.blend()
+        self.tid_of: dict[str, int] = {}
+        self.x: list[float | None] = []
+        self.y: list[float | None] = []
+        for name, site in plb_sites.items():
+            self._add_terminal(name, site)
+        for net, position in io_positions.items():
+            self._add_terminal(f"io:{net}", position)
+        self._rows: list[tuple[int, ...]] = []
+        for name, terminals in nets.items():
             for terminal in terminals:
-                buckets.setdefault(terminal, []).append(index)
-        self._nets_of: dict[str, tuple[int, ...]] = {
-            terminal: tuple(indices) for terminal, indices in buckets.items()
-        }
+                if terminal not in self.tid_of:
+                    # An IO without a position; a PLB without a site raises.
+                    self._add_terminal(
+                        terminal,
+                        io_positions.get(terminal[3:])
+                        if terminal.startswith("io:")
+                        else plb_sites[terminal],
+                    )
+            row = tuple(self.tid_of[terminal] for terminal in terminals)
+            if len(set(row)) < len(row):
+                raise ValueError(f"net {name!r} lists a terminal twice")
+            self._rows.append(row)
+        # Per terminal id: ``(net index, partner)`` for every net it is on,
+        # in net order; ``partner`` is the other end of a two-terminal net
+        # and -1 on larger nets.
+        links: list[list[tuple[int, int]]] = [[] for _ in self.x]
+        for index, row in enumerate(self._rows):
+            for tid in row:
+                partner = (row[1] if row[0] == tid else row[0]) if len(row) == 2 else -1
+                links[tid].append((index, partner))
+        self._links: list[tuple[tuple[int, int], ...]] = [tuple(each) for each in links]
         self.evaluations = 0
         self.bbox_updates = 0
-        self.boxes: list[_Box | None] = [
-            self._scan_box(index) for index in range(len(self.terminals))
-        ]
-        self.costs: list[float] = [
-            self._box_cost(index, box) for index, box in enumerate(self.boxes)
-        ]
+        self.boxes: list[_Box | None] = []
+        self.costs: list[float] = []
+        for index, row in enumerate(self._rows):
+            if len(row) == 2:
+                self.evaluations += 1  # a pair's scan is reading its two ends
+                box = None
+            else:
+                box = self._scan_box(index)
+            self.boxes.append(box)
+            self.costs.append(self._price(index, row, box))
         self.total: float = sum(self.costs)
-        self._pending: list[tuple[int, _Box | None, float]] = []
+        self._pending = _NOTHING
+        self._undo: tuple = ()
+
+    def _add_terminal(self, terminal: str, position) -> None:
+        self.tid_of[terminal] = len(self.x)
+        self.x.append(None if position is None else float(position[0]))
+        self.y.append(None if position is None else float(position[1]))
 
     @property
     def net_count(self) -> int:
-        return len(self.terminals)
-
-    def nets_of(self, *terminals: str) -> list[int]:
-        """Indices of the nets touching any of *terminals* (stable, deduped)."""
-        if len(terminals) == 1:
-            return list(self._nets_of.get(terminals[0], ()))
-        seen: set[int] = set()
-        affected: list[int] = []
-        for terminal in terminals:
-            for index in self._nets_of.get(terminal, ()):
-                if index not in seen:
-                    seen.add(index)
-                    affected.append(index)
-        return affected
+        return len(self._rows)
 
     # ------------------------------------------------------------------
-    # Bounding boxes
+    # Scans (initial pricing, rescans, the audit)
     # ------------------------------------------------------------------
-    def _term_position(self, terminal: str) -> tuple[float, float] | None:
-        if terminal.startswith("io:"):
-            return self.io_positions.get(terminal[3:])
-        x, y = self.plb_sites[terminal]
-        return (float(x), float(y))
-
     def _scan_box(self, index: int) -> _Box | None:
         """Full terminal scan of one net (the costly path the counts avoid)."""
         self.evaluations += 1
-        xs: list[float] = []
-        ys: list[float] = []
-        for terminal in self.terminals[index]:
-            position = self._term_position(terminal)
-            if position is None:
-                continue
-            xs.append(position[0])
-            ys.append(position[1])
-        if len(xs) < 2:
-            return None
-        xmin, xmax = min(xs), max(xs)
-        ymin, ymax = min(ys), max(ys)
-        return [
-            xmin,
-            xmax,
-            ymin,
-            ymax,
-            xs.count(xmin),
-            xs.count(xmax),
-            ys.count(ymin),
-            ys.count(ymax),
-        ]
-
-    def _box_cost(self, index: int, box: _Box | None) -> float:
-        if box is None:
-            return 0.0
-        return self.objective.net_cost(index, box[1] - box[0], box[3] - box[2])
-
-    @staticmethod
-    def _shift_axis(box: _Box, low: int, high: int, old: float, new: float) -> bool:
-        """Move one terminal's coordinate on one axis; ``False`` needs a rescan.
-
-        ``low``/``high`` index the extreme slots (counts sit 4 positions
-        later).  Removing the old coordinate first, then inserting the new
-        one, keeps the counts exact; the only unresolvable case is removing
-        the last terminal from an extreme, which requires finding the
-        runner-up — that is the full-rescan path.
-        """
-        if new == old:
-            return True
-        # Remove the old coordinate.
-        if old == box[low]:
-            if box[low + 4] == 1:
-                return False
-            box[low + 4] -= 1
-        if old == box[high]:
-            if box[high + 4] == 1:
-                return False
-            box[high + 4] -= 1
-        # Insert the new coordinate.
-        if new < box[low]:
-            box[low] = new
-            box[low + 4] = 1
-        elif new == box[low]:
-            box[low + 4] += 1
-        if new > box[high]:
-            box[high] = new
-            box[high + 4] = 1
-        elif new == box[high]:
-            box[high + 4] += 1
-        return True
-
-    # ------------------------------------------------------------------
-    # Proposals
-    # ------------------------------------------------------------------
-    def propose(self, affected: Iterable[int]) -> float:
-        """Cost delta of re-scanning *affected* nets against mutated positions."""
-        pending = [
-            (index, box, self._box_cost(index, box))
-            for index, box in ((index, self._scan_box(index)) for index in affected)
-        ]
-        self._pending = pending
-        return sum(cost for _index, _box, cost in pending) - sum(
-            self.costs[index] for index, _box, _cost in pending
-        )
-
-    def propose_moves(
-        self, moves: Sequence[tuple[str, tuple[float, float], tuple[float, float]]]
-    ) -> float:
-        """Cost delta of moving terminals ``(terminal, old_xy, new_xy)``.
-
-        Bounding boxes are updated incrementally from the coordinate change;
-        the position dicts must already reflect the new coordinates (they are
-        only consulted when an update degenerates into a rescan).
-        """
-        pending_boxes: dict[int, _Box | None] = {}
-        order: list[int] = []
-        # Nets whose pending box came from a full rescan: the scan read the
-        # *final* (already fully mutated) positions, so later moves touching
-        # the same net are already folded in and must not re-apply.
-        final: set[int] = set()
-        for terminal, old, new in moves:
-            for index in self._nets_of.get(terminal, ()):
-                if index in final:
-                    continue
-                if index in pending_boxes:
-                    base = pending_boxes[index]
-                else:
-                    base = self.boxes[index]
-                    order.append(index)
-                if base is None:
-                    pending_boxes[index] = self._scan_box(index)
-                    final.add(index)
-                    continue
-                candidate = list(base)
-                if self._shift_axis(candidate, 0, 1, old[0], new[0]) and self._shift_axis(
-                    candidate, 2, 3, old[1], new[1]
-                ):
-                    self.bbox_updates += 1
-                    pending_boxes[index] = candidate
-                else:
-                    pending_boxes[index] = self._scan_box(index)
-                    final.add(index)
-        pending = [
-            (index, pending_boxes[index], self._box_cost(index, pending_boxes[index]))
-            for index in order
-        ]
-        self._pending = pending
-        return sum(cost for _index, _box, cost in pending) - sum(
-            self.costs[index] for index, _box, _cost in pending
-        )
-
-    def commit(self) -> None:
-        """Fold the pending per-net costs into the cache and the total."""
-        for index, box, cost in self._pending:
-            self.total += cost - self.costs[index]
-            self.costs[index] = cost
-            self.boxes[index] = box
-        self._pending = []
-
-    def reject(self) -> None:
-        """Drop the pending evaluation (caller has reverted the positions)."""
-        self._pending = []
-
-    # ------------------------------------------------------------------
-    # Reference recomputes (audits / tests)
-    # ------------------------------------------------------------------
-    def full_recompute(self) -> float:
-        """The objective summed from fresh terminal scans (no state change)."""
-        total = 0.0
-        for index in range(len(self.terminals)):
-            xs: list[float] = []
-            ys: list[float] = []
-            for terminal in self.terminals[index]:
-                position = self._term_position(terminal)
-                if position is None:
-                    continue
-                xs.append(position[0])
-                ys.append(position[1])
-            if len(xs) >= 2:
-                total += self.objective.net_cost(
-                    index, max(xs) - min(xs), max(ys) - min(ys)
-                )
-        return total
-
-    def wirelength(self) -> float:
-        """Pure HPWL over the current positions, whatever the objective."""
-        return _hpwl(self.nets, self.plb_sites, self.io_positions)
-
-    def audit_matches(self) -> bool:
-        """Whether :attr:`total` matches a full recompute (exact when possible)."""
-        reference = self.full_recompute()
-        if self.objective.exact:
-            return self.total == reference
-        return math.isclose(self.total, reference, rel_tol=1e-9, abs_tol=1e-6)
-
-
-#: Backwards-compatible name: the original HPWL-only cache is the generic
-#: cache under its default objective.
-HpwlCache = NetCostCache
-
-
-class FlatNetCostCache(NetCostCache):
-    """:class:`NetCostCache` over flat per-terminal coordinate lists.
-
-    Semantics, counters and float results are those of the base class, bit
-    for bit; only the data layout of the anneal's hot path differs:
-
-    * every terminal gets an integer id; per-net terminal-id rows and flat
-      ``x``/``y`` coordinate lists replace name-keyed dict lookups in the
-      bounding-box scan (the anneal's hottest function);
-    * a per-terminal-id net index replaces the name-keyed ``_nets_of`` dict
-      in the propose path;
-    * under the plain HPWL objective, :meth:`propose_moves` runs one fused
-      loop over generation-stamped per-net slots instead of building a
-      pending dict per proposal.
-
-    Coordinates are integer-valued doubles well below 2**53, so every min,
-    max and sum here is exact in any evaluation order, which is what keeps
-    the fused delta equal to the base class's.  Other objectives keep the
-    base propose/commit and get only the flat :meth:`_scan_box`.
-    """
-
-    def __init__(
-        self,
-        nets: dict[str, list[str]],
-        plb_sites: dict[str, tuple[int, int]],
-        io_positions: dict[str, tuple[float, float]],
-        objective: WirelengthObjective | None = None,
-    ) -> None:
-        # Flat terminal structures must exist before the base constructor
-        # runs: it builds the initial boxes through our _scan_box override.
-        self.plb_sites = plb_sites
-        self.io_positions = io_positions
-        tid_of: dict[str, int] = {}
-        names: list[str] = []
-        term_tids: list[list[int]] = []
-        for terminals in nets.values():
-            row: list[int] = []
-            for terminal in terminals:
-                tid = tid_of.get(terminal)
-                if tid is None:
-                    tid = len(names)
-                    tid_of[terminal] = tid
-                    names.append(terminal)
-                row.append(tid)
-            term_tids.append(row)
-        self._tid_of = tid_of
-        self._tid_names = names
-        self._io_net = [
-            name[3:] if name.startswith("io:") else None for name in names
-        ]
-        self._term_tids = term_tids
-        count = len(names)
-        self._pos_x: list[float | None] = [None] * count
-        self._pos_y: list[float | None] = [None] * count
-        for tid in range(count):
-            self._refresh_tid(tid)
-        nets_of_tid: list[list[int]] = [[] for _ in range(count)]
-        for index, row in enumerate(term_tids):
-            for tid in row:
-                nets_of_tid[tid].append(index)
-        self._nets_of_tid: list[tuple[int, ...]] = [
-            tuple(indices) for indices in nets_of_tid
-        ]
-        # Per-net (a, b) terminal pair for two-terminal nets (None for
-        # larger nets): the propose loop's dominant branch keys off it
-        # without re-measuring the terminal row.
-        self._two_pin: list[tuple[int, int] | None] = [
-            (row[0], row[1]) if len(row) == 2 else None for row in term_tids
-        ]
-        self._pos_undo: list[tuple[int, float | None, float | None]] = []
-        # Generation-stamped proposal slots: ``_slot_gen[i] == _prop_gen``
-        # means net ``i`` was touched by the current proposal and its
-        # working box lives in ``_slot_box[i]`` (``_slot_final`` marks
-        # rescanned nets that take no further shifts).  Stamping avoids
-        # allocating a dict + set per proposal on the anneal hot path.
-        net_count = len(term_tids)
-        self._prop_gen = 0
-        self._slot_gen = [0] * net_count
-        self._slot_final = [0] * net_count
-        self._slot_box: list[list | None] = [None] * net_count
-        self._fold_gen = [0] * net_count
-        self._plan: list[tuple[int, tuple[float, float], tuple[float, float]]] | None = None
-        self._plain = objective is None or type(objective) is WirelengthObjective
-        super().__init__(nets, plb_sites, io_positions, objective=objective)
-
-    # ------------------------------------------------------------------
-    # Flat-coordinate maintenance
-    # ------------------------------------------------------------------
-    def _refresh_tid(self, tid: int) -> None:
-        """Re-read one terminal's coordinates from the caller's dicts."""
-        io_net = self._io_net[tid]
-        if io_net is not None:
-            position = self.io_positions.get(io_net)
-            if position is None:
-                self._pos_x[tid] = None
-                self._pos_y[tid] = None
-            else:
-                self._pos_x[tid] = position[0]
-                self._pos_y[tid] = position[1]
-        else:
-            x, y = self.plb_sites[self._tid_names[tid]]
-            self._pos_x[tid] = float(x)
-            self._pos_y[tid] = float(y)
-
-    # ------------------------------------------------------------------
-    # Hot-path overrides (same counters, same floats, flat lookups)
-    # ------------------------------------------------------------------
-    def _scan_box(self, index: int):
-        self.evaluations += 1
-        px = self._pos_x
-        py = self._pos_y
-        row = self._term_tids[index]
-        if len(row) == 2:
-            # Two-terminal nets dominate the netlists and always rescan
-            # (either terminal is an extreme), so they get a branch-only
-            # path: no intermediate lists, no count() passes.
-            tid_a, tid_b = row
-            x_a = px[tid_a]
-            x_b = px[tid_b]
-            if x_a is None or x_b is None:
-                return None
-            y_a = py[tid_a]
-            y_b = py[tid_b]
-            if x_a < x_b:
-                xmin, xmax, cxmin, cxmax = x_a, x_b, 1, 1
-            elif x_b < x_a:
-                xmin, xmax, cxmin, cxmax = x_b, x_a, 1, 1
-            else:
-                xmin = xmax = x_a
-                cxmin = cxmax = 2
-            if y_a < y_b:
-                ymin, ymax, cymin, cymax = y_a, y_b, 1, 1
-            elif y_b < y_a:
-                ymin, ymax, cymin, cymax = y_b, y_a, 1, 1
-            else:
-                ymin = ymax = y_a
-                cymin = cymax = 2
-            return [xmin, xmax, ymin, ymax, cxmin, cxmax, cymin, cymax]
+        px = self.x
+        py = self.y
+        row = self._rows[index]
         if len(row) == 3:
-            # Unrolled three-terminal scan: no intermediate lists, counts
-            # as boolean sums (same float equality as list.count).
+            # Three-terminal nets dominate the rescans: unrolled, with the
+            # counts as boolean sums (the same float equality as count()).
             tid_a, tid_b, tid_c = row
             x_a = px[tid_a]
             x_b = px[tid_b]
@@ -742,18 +532,13 @@ class FlatNetCostCache(NetCostCache):
                     (y_a == ymin) + (y_b == ymin) + (y_c == ymin),
                     (y_a == ymax) + (y_b == ymax) + (y_c == ymax),
                 ]
-        if len(row) == 4:
+        elif len(row) == 4:
             tid_a, tid_b, tid_c, tid_d = row
             x_a = px[tid_a]
             x_b = px[tid_b]
             x_c = px[tid_c]
             x_d = px[tid_d]
-            if (
-                x_a is not None
-                and x_b is not None
-                and x_c is not None
-                and x_d is not None
-            ):
+            if x_a is not None and x_b is not None and x_c is not None and x_d is not None:
                 y_a = py[tid_a]
                 y_b = py[tid_b]
                 y_c = py[tid_c]
@@ -788,15 +573,11 @@ class FlatNetCostCache(NetCostCache):
                     (y_a == ymin) + (y_b == ymin) + (y_c == ymin) + (y_d == ymin),
                     (y_a == ymax) + (y_b == ymax) + (y_c == ymax) + (y_d == ymax),
                 ]
-        xs = [px[tid] for tid in row]
-        if None in xs:
-            positioned = [tid for tid in row if px[tid] is not None]
-            xs = [px[tid] for tid in positioned]
-            ys = [py[tid] for tid in positioned]
-        else:
-            ys = [py[tid] for tid in row]
-        if len(xs) < 2:
+        positioned = [tid for tid in row if px[tid] is not None]
+        if len(positioned) < 2:
             return None
+        xs = [px[tid] for tid in positioned]
+        ys = [py[tid] for tid in positioned]
         xmin = min(xs)
         xmax = max(xs)
         ymin = min(ys)
@@ -812,261 +593,204 @@ class FlatNetCostCache(NetCostCache):
             ys.count(ymax),
         ]
 
-    def propose(self, affected: Iterable[int]) -> float:
-        affected = list(affected)
-        self._plan = None
-        undo = []
-        seen: set[int] = set()
-        for index in affected:
-            for tid in self._term_tids[index]:
-                if tid in seen:
-                    continue
-                seen.add(tid)
-                undo.append((tid, self._pos_x[tid], self._pos_y[tid]))
-                self._refresh_tid(tid)
-        self._pos_undo = undo
-        return super().propose(affected)
+    def _price(self, index: int, row: tuple[int, ...], box: _Box | None) -> float:
+        """One net's cost from its box, or from its endpoints when it has two."""
+        if len(row) == 2:
+            x_a, x_b = self.x[row[0]], self.x[row[1]]
+            if x_a is None or x_b is None:
+                return 0.0
+            dx = abs(x_a - x_b)
+            dy = abs(self.y[row[0]] - self.y[row[1]])
+        elif box is None:
+            return 0.0
+        else:
+            dx = box[1] - box[0]
+            dy = box[3] - box[2]
+        return self.objective.net_cost(index, dx, dy)
 
-    def propose_moves(
-        self, moves: Sequence[tuple[str, tuple[float, float], tuple[float, float]]]
-    ) -> float:
-        px = self._pos_x
-        py = self._pos_y
-        undo = []
-        plan: list[tuple[int, tuple[float, float], tuple[float, float]]] = []
-        moved: set[int] = set()
-        for terminal, old, new in moves:
-            tid = self._tid_of.get(terminal)
-            if tid is None:
-                continue
-            undo.append((tid, px[tid], py[tid]))
-            # Apply every coordinate before any box work: a rescan must see
-            # the final positions (the reference reads the mutated dicts).
-            px[tid] = new[0]
-            py[tid] = new[1]
-            plan.append((tid, old, new))
-            moved.add(tid)
-        self._pos_undo = undo
+    # ------------------------------------------------------------------
+    # Proposals
+    # ------------------------------------------------------------------
+    def propose_move(self, tid: int, x: float, y: float) -> float:
+        """Cost delta of moving terminal *tid* to ``(x, y)``."""
+        old_x = self.x[tid]
+        old_y = self.y[tid]
+        self.x[tid] = x
+        self.y[tid] = y
+        self._undo = ((tid, old_x, old_y),)
+        return self._propose(((tid, old_x, old_y, x, y, -1),))
 
-        # ``order`` preserves the reference's first-touch order; the
-        # stamped slot arrays carry the working boxes (see __init__).
-        if not self._plain:
-            # General objectives keep the reference propose/commit (same
-            # dict-order float summation); they still get the flat-array
-            # _scan_box.  Only the exact plain-HPWL path takes the fused
-            # loop below.
-            return super().propose_moves(moves)
+    def propose_swap(self, a: int, b: int) -> float:
+        """Cost delta of exchanging the coordinates of distinct terminals *a* and *b*."""
+        px = self.x
+        py = self.y
+        ax = px[a]
+        ay = py[a]
+        bx = px[b]
+        by = py[b]
+        px[a] = bx
+        py[a] = by
+        px[b] = ax
+        py[b] = ay
+        self._undo = ((a, ax, ay), (b, bx, by))
+        return self._propose(((a, ax, ay, bx, by, b), (b, bx, by, ax, ay, -2)))
 
-        gen = self._prop_gen + 1
-        self._prop_gen = gen
-        slot_gen = self._slot_gen
-        slot_final = self._slot_final
-        slot_box = self._slot_box
-        nets_of_tid = self._nets_of_tid
-        two_pin = self._two_pin
+    def _propose(self, moves: tuple) -> float:
+        """The fused loop: re-price every net the *moves* touch.
+
+        Each move is ``(tid, old_x, old_y, new_x, new_y, partner)``, with
+        the coordinates already applied.  A swap's first move names the
+        other terminal as its partner and prices the nets the two share;
+        the second (partner -2) skips them.  The counters follow the
+        per-move box updates a net would see, move by move.
+        """
+        px = self.x
+        py = self.y
+        rows = self._rows
         boxes = self.boxes
         costs = self.costs
-        scan = self._scan_box
-        bbox_hits = 0
-        fast_evals = 0
-        # Every cost here is an integer-valued double (see the module
-        # docstring), so accumulating ``delta += new - prev`` per store —
-        # re-stores subtracting their earlier contribution — is exact and
-        # equals the reference's ordered (new_sum - old_sum).  ``commit``
-        # replays ``plan`` to fold the slot boxes in.
-        self._plan = plan
-        delta = 0.0
-        for tid, old, new in plan:
-            old_x, old_y = old
-            new_x, new_y = new
-            for index in nets_of_tid[tid]:
-                if slot_gen[index] == gen:
-                    if slot_final[index] == gen:
+        links = self._links
+        blend = self._blend
+        if blend is not None:
+            scale, weights, base, per_hop = blend
+        nets: list[int] = []
+        new_costs: list[float] = []
+        new_boxes: list[tuple[int, _Box | None]] = []
+        hits = 0
+        evals = 0
+        first = moves[0][0]
+        for tid, old_x, old_y, x, y, partner in moves:
+            for index, other in links[tid]:
+                if other >= 0:
+                    ox = px[other]
+                    oy = py[other]
+                    if other == partner:
+                        # Both ends swap: the box is unchanged, but each
+                        # end's update succeeds only on a degenerate box.
+                        if x == old_x and y == old_y:
+                            hits += 2
+                        else:
+                            evals += 1
+                    elif partner == -2 and other == first:
+                        continue  # priced with the swap's first move
+                    elif ox is None:
+                        evals += 1
+                        nets.append(index)
+                        new_costs.append(0.0)
                         continue
-                    base = slot_box[index]
-                    prev = (base[1] - base[0]) + (base[3] - base[2])
-                else:
-                    slot_gen[index] = gen
-                    base = boxes[index]
-                    prev = costs[index]
-                    if base is None:
-                        box = scan(index)
-                        slot_box[index] = box
-                        slot_final[index] = gen
-                        if box is not None:
-                            delta += (box[1] - box[0]) + (box[3] - box[2]) - prev
-                        else:
-                            delta -= prev
-                        continue
-                pair = two_pin[index]
-                if pair is not None:
-                    tid_a, tid_b = pair
-                    other = tid_b if tid_a == tid else tid_a
-                    if other not in moved:
-                        # Fast path for the dominant case: a two-terminal
-                        # net whose other endpoint did not move.  The new
-                        # box is the two-point box of (new, other) however
-                        # the reference gets there; only the counter
-                        # differs — an axis shift succeeds exactly when
-                        # that axis did not move or the old box was
-                        # degenerate on it (both-shift success is a
-                        # ``bbox_updates``, anything else is a rescan).
-                        other_x = px[other]
-                        other_y = py[other]
-                        if (new_x == old_x or old_x == other_x) and (
-                            new_y == old_y or old_y == other_y
-                        ):
-                            bbox_hits += 1
-                        else:
-                            fast_evals += 1
-                        if new_x < other_x:
-                            xmin, xmax, cxmin, cxmax = new_x, other_x, 1, 1
-                        elif other_x < new_x:
-                            xmin, xmax, cxmin, cxmax = other_x, new_x, 1, 1
-                        else:
-                            xmin = xmax = new_x
-                            cxmin = cxmax = 2
-                        if new_y < other_y:
-                            ymin, ymax, cymin, cymax = new_y, other_y, 1, 1
-                        elif other_y < new_y:
-                            ymin, ymax, cymin, cymax = other_y, new_y, 1, 1
-                        else:
-                            ymin = ymax = new_y
-                            cymin = cymax = 2
-                        slot_box[index] = [
-                            xmin, xmax, ymin, ymax, cxmin, cxmax, cymin, cymax,
-                        ]
-                        delta += (xmax - xmin) + (ymax - ymin) - prev
-                        continue
-                # Both-axis bbox shift, inlined from the reference
-                # NetCostCache._shift_axis (x axis first, short-circuit on
-                # the unresolvable remove-last-extreme case).
-                b0, b1, b2, b3, c0, c1, c2, c3 = base
-                ok = True
-                if new_x != old_x:
-                    if old_x == b0:
-                        if c0 == 1:
-                            ok = False
-                        else:
-                            c0 -= 1
-                    if ok:
-                        if old_x == b1:
-                            if c1 == 1:
-                                ok = False
-                            else:
-                                c1 -= 1
-                        if ok:
-                            if new_x < b0:
-                                b0 = new_x
-                                c0 = 1
-                            elif new_x == b0:
-                                c0 += 1
-                            if new_x > b1:
-                                b1 = new_x
-                                c1 = 1
-                            elif new_x == b1:
-                                c1 += 1
-                if ok and new_y != old_y:
-                    if old_y == b2:
-                        if c2 == 1:
-                            ok = False
-                        else:
-                            c2 -= 1
-                    if ok:
-                        if old_y == b3:
-                            if c3 == 1:
-                                ok = False
-                            else:
-                                c3 -= 1
-                        if ok:
-                            if new_y < b2:
-                                b2 = new_y
-                                c2 = 1
-                            elif new_y == b2:
-                                c2 += 1
-                            if new_y > b3:
-                                b3 = new_y
-                                c3 = 1
-                            elif new_y == b3:
-                                c3 += 1
-                if ok:
-                    bbox_hits += 1
-                    slot_box[index] = [b0, b1, b2, b3, c0, c1, c2, c3]
-                    delta += (b1 - b0) + (b3 - b2) - prev
-                else:
-                    box = scan(index)
-                    slot_box[index] = box
-                    slot_final[index] = gen
-                    if box is not None:
-                        delta += (box[1] - box[0]) + (box[3] - box[2]) - prev
+                    # The moved end's box update succeeds when its axis did
+                    # not move or the box was degenerate on it.
+                    elif (x == old_x or old_x == ox) and (y == old_y or old_y == oy):
+                        hits += 1
                     else:
-                        delta -= prev
-        self.bbox_updates += bbox_hits
-        self.evaluations += fast_evals
-        return delta
+                        evals += 1
+                    span = (x - ox if x > ox else ox - x) + (y - oy if y > oy else oy - y)
+                else:
+                    row = rows[index]
+                    if partner == -2 and first in row:
+                        continue  # priced with the swap's first move
+                    box = boxes[index]
+                    if box is not None:
+                        box = _shift_box(box, old_x, old_y, x, y)
+                        if box is not None:
+                            hits += 1
+                            if partner >= 0 and partner in row:
+                                box = _shift_box(box, x, y, old_x, old_y)
+                                if box is not None:
+                                    hits += 1
+                    if box is None:
+                        box = self._scan_box(index)
+                    new_boxes.append((index, box))
+                    if box is None:
+                        nets.append(index)
+                        new_costs.append(0.0)
+                        continue
+                    span = (box[1] - box[0]) + (box[3] - box[2])
+                nets.append(index)
+                if blend is None:
+                    new_costs.append(span)
+                else:
+                    new_costs.append(scale * span + weights[index] * (base + span * per_hop))
+        self.bbox_updates += hits
+        self.evaluations += evals
+        self._pending = (nets, new_costs, new_boxes)
+        return sum(new_costs) - sum(map(costs.__getitem__, nets))
 
     def commit(self) -> None:
-        self._pos_undo = []
-        plan = self._plan
-        if plan is not None:
-            # Replay the plan to find the touched nets (first-touch order,
-            # deduplicated by the fold stamp — same order, same exact
-            # floats as the reference's pending-list fold).
-            self._plan = None
-            gen = self._prop_gen
-            fold_gen = self._fold_gen
-            slot_box = self._slot_box
-            nets_of_tid = self._nets_of_tid
-            boxes = self.boxes
-            costs = self.costs
-            total = self.total
-            for tid, _old, _new in plan:
-                for index in nets_of_tid[tid]:
-                    if fold_gen[index] == gen:
-                        continue
-                    fold_gen[index] = gen
-                    box = slot_box[index]
-                    boxes[index] = box
-                    cost = (
-                        0.0 if box is None else (box[1] - box[0]) + (box[3] - box[2])
-                    )
-                    total += cost - costs[index]
-                    costs[index] = cost
-            self.total = total
-        super().commit()
+        """Fold the pending per-net costs into the cache and the total."""
+        nets, new_costs, new_boxes = self._pending
+        costs = self.costs
+        total = self.total
+        for index, cost in zip(nets, new_costs):
+            total += cost - costs[index]
+            costs[index] = cost
+        self.total = total
+        boxes = self.boxes
+        for index, box in new_boxes:
+            boxes[index] = box
+        self._pending = _NOTHING
+        self._undo = ()
 
     def reject(self) -> None:
-        for tid, x, y in self._pos_undo:
-            self._pos_x[tid] = x
-            self._pos_y[tid] = y
-        self._pos_undo = []
-        self._plan = None
-        self._pending = []  # the base reject, inlined (hot on rejected moves)
+        """Drop the pending proposal and restore the moved coordinates."""
+        for tid, x, y in self._undo:
+            self.x[tid] = x
+            self.y[tid] = y
+        self._pending = _NOTHING
+        self._undo = ()
+
+    # ------------------------------------------------------------------
+    # Reference recomputes (audits / tests)
+    # ------------------------------------------------------------------
+    def full_recompute(self, net_cost=None) -> float:
+        """The objective summed from fresh scans of the live coordinates.
+
+        *net_cost* overrides the objective's per-net cost (the audit's
+        reference; :meth:`wirelength` passes plain HPWL).
+        """
+        net_cost = net_cost or self.objective.net_cost
+        px = self.x
+        py = self.y
+        total = 0.0
+        for index, row in enumerate(self._rows):
+            positioned = [tid for tid in row if px[tid] is not None]
+            if len(positioned) >= 2:
+                xs = [px[tid] for tid in positioned]
+                ys = [py[tid] for tid in positioned]
+                total += net_cost(index, max(xs) - min(xs), max(ys) - min(ys))
+        return total
+
+    def wirelength(self) -> float:
+        """Pure HPWL over the live coordinates, whatever the objective."""
+        return self.full_recompute(WirelengthObjective().net_cost)
+
+    def audit_matches(self) -> bool:
+        """Whether :attr:`total` matches a full recompute (exact when possible)."""
+        reference = self.full_recompute()
+        if self.objective.exact:
+            return self.total == reference
+        return math.isclose(self.total, reference, rel_tol=1e-9, abs_tol=1e-6)
 
 
 class _FreeList:
-    """An O(1) pick/remove/add pool (list + index map, swap-pop removal)."""
+    """An O(1) pick/remove/add pool of indices (list + position map, swap-pop)."""
 
-    def __init__(self, items: Iterable[object], key=lambda item: item) -> None:
+    def __init__(self, items: Iterable[int]) -> None:
         self.items = list(items)
-        self._key = key
-        self._index = {key(item): position for position, item in enumerate(self.items)}
+        self._index = {item: position for position, item in enumerate(self.items)}
 
     def __len__(self) -> int:
         return len(self.items)
 
-    def __bool__(self) -> bool:
-        return bool(self.items)
-
-    def take(self, item: object) -> None:
-        position = self._index.pop(self._key(item))
+    def take(self, item: int) -> None:
+        position = self._index.pop(item)
         last = self.items.pop()
         if position < len(self.items):
             self.items[position] = last
-            self._index[self._key(last)] = position
+            self._index[last] = position
 
-    def add(self, item: object) -> None:
-        self._index[self._key(item)] = len(self.items)
+    def add(self, item: int) -> None:
+        self._index[item] = len(self.items)
         self.items.append(item)
 
 
@@ -1089,9 +813,10 @@ def place_design(
     effort:
         Scales the number of annealing moves (1.0 is the default schedule).
     audit_interval:
-        When ``> 0``, assert every N proposed moves that the incremental
-        cost cache equals a full recompute (tests/debugging; the default
-        skips the O(nets) audit entirely).
+        When ``> 0``, check every N proposed moves that the incremental
+        cost cache equals a full recompute of its live coordinates and
+        raise :class:`AssertionError` if not, also under ``python -O``
+        (tests/debugging; the default skips the O(nets) audit entirely).
     objective:
         The per-net cost (default: pure HPWL).  The timing-driven flow
         passes a :class:`TimingObjective` built from the timing engine's
@@ -1143,7 +868,7 @@ def place_design(
         io_sites = {net: pads[index] for index, net in enumerate(io_nets)}
     io_positions = {net: _pad_position(pad, fabric) for net, pad in io_sites.items()}
 
-    cache = FlatNetCostCache(
+    cache = NetCostCache(
         _build_net_terminals(design), plb_sites, io_positions, objective=objective
     )
     initial_cost = cache.total
@@ -1152,30 +877,51 @@ def place_design(
     temperature = max(1.0, cache.total * temperature_factor)
     plb_names = [plb.name for plb in design.plbs]
 
-    occupied = set(plb_sites.values())
-    free_sites = _FreeList(site for site in sites if site not in occupied)
-    used_pad_names = {pad.name for pad in io_sites.values()}
-    free_pads = _FreeList(
-        (pad for pad in pads if pad.name not in used_pad_names),
-        key=lambda pad: pad.name,
-    )
+    # The anneal works on indices: each PLB's terminal id and site index,
+    # each IO net's terminal id and pad index.  The free lists hold indices
+    # in the order the name-keyed lists held sites and pads, so every pick
+    # is the same; the position dicts are written back after the anneal.
+    tid_of = cache.tid_of
+    site_index = {site: index for index, site in enumerate(sites)}
+    site_x = [float(x) for x, _ in sites]
+    site_y = [float(y) for _, y in sites]
+    plb_tid = [tid_of[name] for name in plb_names]
+    plb_site = [site_index[plb_sites[name]] for name in plb_names]
+    pad_index = {pad.name: index for index, pad in enumerate(pads)}
+    pad_x = [float(_pad_position(pad, fabric)[0]) for pad in pads]
+    pad_y = [float(_pad_position(pad, fabric)[1]) for pad in pads]
+    io_tid = [tid_of[f"io:{net}"] for net in io_nets]
+    io_pad = [pad_index[io_sites[net].name] for net in io_nets]
+    occupied = set(plb_site)
+    free_sites = _FreeList(index for index in range(len(sites)) if index not in occupied)
+    used_pads = set(io_pad)
+    free_pads = _FreeList(index for index in range(len(pads)) if index not in used_pads)
 
     iterations = 0
     moves_accepted = 0
     inv_temperature = 1.0 / temperature
 
-    # Site coordinates as floats, precomputed once (the anneal reads them
-    # on every PLB move); hot callables hoisted to locals for the loop.
-    # ``randbelow`` draws exactly like ``rng.choice`` does internally
-    # (``seq[rng._randbelow(len(seq))]``), keeping the pick sequence
-    # byte-identical while skipping the wrapper frame.
-    pos_of = {site: (float(site[0]), float(site[1])) for site in sites}
+    # Hot callables hoisted to locals for the loop.  Every index draw is
+    # ``Random._randbelow_with_getrandbits`` inlined (``getrandbits(k)``
+    # until below ``n``, ``k = n.bit_length()``), the draw ``rng.choice``
+    # makes, so the pick sequence stays byte-identical without its frame.
+    # A free list's length never changes (an accepted move takes one
+    # entry and adds one back), so each ``k`` is computed once.
     rng_random = rng.random
-    randbelow = rng._randbelow
+    getrandbits = rng.getrandbits
     exp = math.exp
-    propose_moves = cache.propose_moves
+    propose_move = cache.propose_move
+    propose_swap = cache.propose_swap
     cache_commit = cache.commit
     cache_reject = cache.reject
+    plb_count = len(plb_names)
+    io_count = len(io_nets)
+    site_count = len(free_sites)
+    pad_count = len(free_pads)
+    plb_bits = plb_count.bit_length()
+    io_bits = io_count.bit_length()
+    site_bits = site_count.bit_length()
+    pad_bits = pad_count.bit_length()
 
     while iterations < moves:
         batch = min(TEMPERATURE_BATCH, moves - iterations)
@@ -1184,99 +930,90 @@ def place_design(
         for _ in range(batch):
             iterations += 1
             if audit_interval > 0 and iterations % audit_interval == 0:
-                assert cache.audit_matches(), (
-                    f"incremental cost drifted at move {iterations}: "
-                    f"cached {cache.total} != full {cache.full_recompute()}"
-                )
+                # Raised, not asserted: ``python -O`` must not drop an
+                # audit the caller asked for.
+                if not cache.audit_matches():
+                    raise AssertionError(
+                        f"incremental cost drifted at move {iterations}: "
+                        f"cached {cache.total} != full {cache.full_recompute()}"
+                    )
             if rng_random() < 0.7 and plb_names:
                 # Move or swap a PLB.
-                name = plb_names[randbelow(len(plb_names))]
-                old_site = plb_sites[name]
+                block = getrandbits(plb_bits)
+                while block >= plb_count:
+                    block = getrandbits(plb_bits)
                 if free_sites.items and rng_random() < 0.5:
-                    items = free_sites.items
-                    new_site = items[randbelow(len(items))]
-                    plb_sites[name] = new_site
-                    delta = propose_moves(
-                        [(name, pos_of[old_site], pos_of[new_site])]
-                    )
+                    pick = getrandbits(site_bits)
+                    while pick >= site_count:
+                        pick = getrandbits(site_bits)
+                    new_site = free_sites.items[pick]
+                    delta = propose_move(plb_tid[block], site_x[new_site], site_y[new_site])
                     # Metropolis criterion at the current batch temperature
                     # (inlined at each proposal site below).
                     if delta <= 0 or rng_random() < exp(-delta * inv_temperature):
                         cache_commit()
                         moves_accepted += 1
                         free_sites.take(new_site)
-                        free_sites.add(old_site)
+                        free_sites.add(plb_site[block])
+                        plb_site[block] = new_site
                     else:
                         cache_reject()
-                        plb_sites[name] = old_site
                 else:
-                    other = plb_names[randbelow(len(plb_names))]
-                    if other == name:
+                    other = getrandbits(plb_bits)
+                    while other >= plb_count:
+                        other = getrandbits(plb_bits)
+                    if other == block:
                         continue
-                    other_site = plb_sites[other]
-                    plb_sites[name], plb_sites[other] = other_site, old_site
-                    delta = propose_moves(
-                        [
-                            (name, pos_of[old_site], pos_of[other_site]),
-                            (other, pos_of[other_site], pos_of[old_site]),
-                        ]
-                    )
+                    delta = propose_swap(plb_tid[block], plb_tid[other])
                     if delta <= 0 or rng_random() < exp(-delta * inv_temperature):
                         cache_commit()
                         moves_accepted += 1
+                        plb_site[block], plb_site[other] = plb_site[other], plb_site[block]
                     else:
                         cache_reject()
-                        plb_sites[name], plb_sites[other] = old_site, other_site
             else:
                 # Swap two IO pads (or move one to a free pad).
                 if not io_nets:
                     continue
-                net = io_nets[randbelow(len(io_nets))]
+                port = getrandbits(io_bits)
+                while port >= io_count:
+                    port = getrandbits(io_bits)
                 if free_pads.items and rng_random() < 0.6:
-                    old_pad = io_sites[net]
-                    old_position = io_positions[net]
-                    items = free_pads.items
-                    new_pad = items[randbelow(len(items))]
-                    new_position = _pad_position(new_pad, fabric)
-                    io_sites[net] = new_pad
-                    io_positions[net] = new_position
-                    delta = propose_moves([(f"io:{net}", old_position, new_position)])
+                    pick = getrandbits(pad_bits)
+                    while pick >= pad_count:
+                        pick = getrandbits(pad_bits)
+                    new_pad = free_pads.items[pick]
+                    delta = propose_move(io_tid[port], pad_x[new_pad], pad_y[new_pad])
                     if delta <= 0 or rng_random() < exp(-delta * inv_temperature):
                         cache_commit()
                         moves_accepted += 1
                         free_pads.take(new_pad)
-                        free_pads.add(old_pad)
+                        free_pads.add(io_pad[port])
+                        io_pad[port] = new_pad
                     else:
                         cache_reject()
-                        io_sites[net] = old_pad
-                        io_positions[net] = old_position
                 else:
-                    other = io_nets[randbelow(len(io_nets))]
-                    if other == net:
+                    other = getrandbits(io_bits)
+                    while other >= io_count:
+                        other = getrandbits(io_bits)
+                    if other == port:
                         continue
-                    net_position = io_positions[net]
-                    other_position = io_positions[other]
-                    io_sites[net], io_sites[other] = io_sites[other], io_sites[net]
-                    io_positions[net] = other_position
-                    io_positions[other] = net_position
-                    delta = propose_moves(
-                        [
-                            (f"io:{net}", net_position, other_position),
-                            (f"io:{other}", other_position, net_position),
-                        ]
-                    )
+                    delta = propose_swap(io_tid[port], io_tid[other])
                     if delta <= 0 or rng_random() < exp(-delta * inv_temperature):
                         cache_commit()
                         moves_accepted += 1
+                        io_pad[port], io_pad[other] = io_pad[other], io_pad[port]
                     else:
                         cache_reject()
-                        io_sites[net], io_sites[other] = io_sites[other], io_sites[net]
-                        io_positions[net] = net_position
-                        io_positions[other] = other_position
 
+    # Written back in place: the dicts keep their key order.
+    for name, site in zip(plb_names, plb_site):
+        plb_sites[name] = sites[site]
+    for net, pad in zip(io_nets, io_pad):
+        io_sites[net] = pads[pad]
     return Placement(
-        plb_sites=dict(plb_sites),
-        io_sites=dict(io_sites),
+        plb_sites=plb_sites,
+        io_sites=io_sites,
         cost=cache.total,
         iterations=iterations,
         initial_cost=initial_cost,

@@ -4,7 +4,9 @@ Three families of guarantees introduced by the delta-HPWL placer and the
 dirty-net PathFinder router:
 
 * the placer's per-net cost cache equals a full ``_hpwl`` recompute at every
-  step of any move sequence (property test + in-anneal audit);
+  step of any move sequence (property tests), and the in-anneal audit holds
+  on the default anneal and on the timing polish, and still raises under
+  ``python -O``;
 * dirty-net re-routing stays *legal* (no overused node in a successful
   result) and is never worse than full re-routing in success or channel
   width across registry circuits × seeds;
@@ -14,7 +16,11 @@ dirty-net PathFinder router:
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,12 +28,22 @@ from hypothesis import strategies as st
 
 from repro.cad.flow import CadFlow
 from repro.cad.pack import pack_design
-from repro.cad.place import HpwlCache, _build_net_terminals, _hpwl, _pad_position, place_design
+from repro.cad.place import (
+    NetCostCache,
+    TimingObjective,
+    _build_net_terminals,
+    _hpwl,
+    _pad_position,
+    place_design,
+)
 from repro.cad.route import route_design
+from repro.cad.timing import TimingEngine
 from repro.circuits.registry import build_circuit
 from repro.core.fabric import Fabric
 from repro.core.params import ArchitectureParams, RoutingParams
 from repro.core.rrgraph import RoutingResourceGraph
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 # ----------------------------------------------------------------------
@@ -67,27 +83,32 @@ def test_delta_hpwl_equals_full_recompute_after_random_moves(
     if not nets:
         return
 
-    cache = HpwlCache(nets, plb_sites, io_positions)
+    cache = NetCostCache(nets, plb_sites, io_positions)
     assert cache.total == _hpwl(nets, plb_sites, io_positions)
+    tid_of = cache.tid_of
 
     for _ in range(n_moves):
+        before = _hpwl(nets, plb_sites, io_positions)
         kind = rng.choice(["move", "swap", "io"] if io_nets else ["move", "swap"])
         if kind == "move":
             name = rng.choice(blocks)
             saved = plb_sites[name]
             plb_sites[name] = random_site()
-            affected = cache.nets_of(name)
+            delta = cache.propose_move(tid_of[name], *map(float, plb_sites[name]))
         elif kind == "swap":
             a, b = rng.choice(blocks), rng.choice(blocks)
+            if a == b:
+                continue  # the annealer never swaps a block with itself
             saved = (plb_sites[a], plb_sites[b])
             plb_sites[a], plb_sites[b] = plb_sites[b], plb_sites[a]
-            affected = cache.nets_of(a, b)
+            delta = cache.propose_swap(tid_of[a], tid_of[b])
         else:
             name = rng.choice(io_nets)
             saved = io_positions[name]
             io_positions[name] = random_io_position()
-            affected = cache.nets_of(f"io:{name}")
-        delta = cache.propose(affected)
+            delta = cache.propose_move(tid_of[f"io:{name}"], *io_positions[name])
+        # The delta is exactly the change of the full recompute.
+        assert delta == _hpwl(nets, plb_sites, io_positions) - before
         if rng.random() < 0.5:
             cache.commit()
             assert math.isfinite(cache.total)
@@ -102,7 +123,6 @@ def test_delta_hpwl_equals_full_recompute_after_random_moves(
         # The headline invariant: the cached total is *exactly* the full
         # recompute (integer-valued coordinates make float sums exact).
         assert cache.total == _hpwl(nets, plb_sites, io_positions)
-        assert isinstance(delta, (int, float))
 
 
 @settings(max_examples=60, deadline=None)
@@ -142,11 +162,9 @@ def test_incremental_bbox_updates_equal_full_recompute(
     if not nets:
         return
 
-    cache = HpwlCache(nets, plb_sites, io_positions)
+    cache = NetCostCache(nets, plb_sites, io_positions)
     assert cache.total == _hpwl(nets, plb_sites, io_positions)
-
-    def pos(site):
-        return (float(site[0]), float(site[1]))
+    tid_of = cache.tid_of
 
     for _ in range(n_moves):
         kind = rng.choice(["move", "swap", "io"] if io_nets else ["move", "swap"])
@@ -154,21 +172,19 @@ def test_incremental_bbox_updates_equal_full_recompute(
             name = rng.choice(blocks)
             saved = plb_sites[name]
             plb_sites[name] = random_site()
-            moves = [(name, pos(saved), pos(plb_sites[name]))]
+            cache.propose_move(tid_of[name], *map(float, plb_sites[name]))
         elif kind == "swap":
             a, b = rng.choice(blocks), rng.choice(blocks)
+            if a == b:
+                continue  # the annealer never swaps a block with itself
             saved = (plb_sites[a], plb_sites[b])
             plb_sites[a], plb_sites[b] = plb_sites[b], plb_sites[a]
-            moves = [
-                (a, pos(saved[0]), pos(plb_sites[a])),
-                (b, pos(saved[1]), pos(plb_sites[b])),
-            ]
+            cache.propose_swap(tid_of[a], tid_of[b])
         else:
             name = rng.choice(io_nets)
             saved = io_positions[name]
             io_positions[name] = random_io_position()
-            moves = [(f"io:{name}", saved, io_positions[name])]
-        cache.propose_moves(moves)
+            cache.propose_move(tid_of[f"io:{name}"], *io_positions[name])
         if rng.random() < 0.5:
             cache.commit()
         else:
@@ -180,6 +196,7 @@ def test_incremental_bbox_updates_equal_full_recompute(
             else:
                 io_positions[name] = saved
         assert cache.total == _hpwl(nets, plb_sites, io_positions)
+        assert cache.audit_matches()
 
 
 def test_bbox_update_avoids_rescan_for_interior_terminal():
@@ -187,20 +204,18 @@ def test_bbox_update_avoids_rescan_for_interior_terminal():
     # terminal strictly inside its net's bounding box must not rescan.
     nets = {"n0": ["a", "b", "c"]}
     plb_sites = {"a": (0, 0), "b": (4, 4), "c": (2, 2)}
-    cache = HpwlCache(nets, plb_sites, {})
+    cache = NetCostCache(nets, plb_sites, {})
     scans_before = cache.evaluations
-    plb_sites["c"] = (1, 3)  # still interior
-    delta = cache.propose_moves([("c", (2.0, 2.0), (1.0, 3.0))])
+    delta = cache.propose_move(cache.tid_of["c"], 1.0, 3.0)  # still interior
     cache.commit()
     assert delta == 0.0
     assert cache.bbox_updates == 1
     assert cache.evaluations == scans_before  # no terminal rescan happened
     # Moving the sole terminal off an extreme degenerates into a rescan.
-    plb_sites["b"] = (1, 1)
-    cache.propose_moves([("b", (4.0, 4.0), (1.0, 1.0))])
+    cache.propose_move(cache.tid_of["b"], 1.0, 1.0)
     cache.commit()
     assert cache.evaluations == scans_before + 1
-    assert cache.total == _hpwl(nets, plb_sites, {})
+    assert cache.total == _hpwl(nets, {"a": (0, 0), "b": (1, 1), "c": (1, 3)}, {})
 
 
 def test_place_design_audited_anneal_and_final_cost():
@@ -221,6 +236,78 @@ def test_place_design_audited_anneal_and_final_cost():
     assert placement.net_count == len(nets)
     assert placement.iterations >= 200
     assert 0 < placement.moves_accepted <= placement.iterations
+
+
+def test_timing_polish_audited_anneal():
+    # The flow's polish: the blended objective from the engine's
+    # criticalities, warm-started from the baseline at low temperature.
+    # audit_interval=1 checks the cache against a full recompute on every
+    # move, and the audit must not perturb the anneal.
+    circuit = build_circuit("qdi_full_adder")
+    flow = CadFlow(ArchitectureParams(width=5, height=5))
+    design = flow.map(circuit)
+    pack_design(design, flow.architecture.plb)
+    baseline = place_design(design, flow.fabric, seed=3)
+    engine = TimingEngine(design)
+    engine.estimate_from_placement(baseline, flow.fabric)
+    criticalities = engine.criticalities()
+    assert any(0.0 < crit < 1.0 for crit in criticalities.values())
+
+    def polish(audit_interval):
+        return place_design(
+            design,
+            flow.fabric,
+            seed=3,
+            effort=0.4,
+            audit_interval=audit_interval,
+            objective=TimingObjective(criticalities, tradeoff=0.5),
+            initial=baseline,
+            temperature_factor=0.02,
+        )
+
+    audited = polish(1)
+    assert audited.to_dict() == polish(0).to_dict()
+    assert audited.matches_design(design, flow.fabric)
+    assert audited.moves_accepted > 0
+
+
+#: Under ``python -O``: an audit that fails must still raise.
+_OPTIMISED_AUDIT_SCRIPT = """
+import sys
+
+assert sys.flags.optimize, "run under python -O"
+from repro.cad.flow import CadFlow
+from repro.cad.pack import pack_design
+from repro.cad.place import NetCostCache, place_design
+from repro.circuits.registry import build_circuit
+from repro.core.params import ArchitectureParams
+
+flow = CadFlow(ArchitectureParams(width=5, height=5))
+design = flow.map(build_circuit("qdi_full_adder"))
+pack_design(design, flow.architecture.plb)
+NetCostCache.audit_matches = lambda self: False
+try:
+    place_design(design, flow.fabric, seed=3, effort=0.1, audit_interval=7)
+except AssertionError as exc:
+    print(exc)
+else:
+    print("no audit")
+"""
+
+
+def test_audit_interval_raises_under_python_optimize():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMISED_AUDIT_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=REPO_ROOT,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("incremental cost drifted at move 7:"), proc.stdout
 
 
 def test_incremental_placer_saves_net_evaluations():

@@ -519,17 +519,16 @@ def test_timing_objective_cache_tracks_full_recompute_under_random_moves():
     cache = NetCostCache(nets, plb_sites, {}, objective=objective)
     for _ in range(120):
         name = rng.choice(blocks)
-        old = plb_sites[name]
-        new = (rng.randrange(6), rng.randrange(6))
-        plb_sites[name] = new
-        cache.propose_moves(
-            [(name, (float(old[0]), float(old[1])), (float(new[0]), float(new[1])))]
-        )
+        if rng.random() < 0.5:
+            new = (rng.randrange(6), rng.randrange(6))
+            cache.propose_move(cache.tid_of[name], float(new[0]), float(new[1]))
+        else:
+            other = rng.choice([block for block in blocks if block != name])
+            cache.propose_swap(cache.tid_of[name], cache.tid_of[other])
         if rng.random() < 0.5:
             cache.commit()
         else:
             cache.reject()
-            plb_sites[name] = old
         assert cache.audit_matches()
 
 

@@ -1,10 +1,13 @@
-"""The CAD hot paths: the placer's flat cost cache and default-option routing.
+"""The CAD hot paths: the placer's cost cache and default-option routing.
 
-The annealer always runs :class:`repro.cad.place.FlatNetCostCache`, a
-flat-list layout of the reference :class:`~repro.cad.place.NetCostCache`.
-A hypothesis-driven random anneal protocol (mutate → propose →
-commit/reject) compares the two move by move, and both against the full
-:func:`repro.cad.place._hpwl` recompute.  The acceptance benches
+The annealer runs one cost cache, :class:`repro.cad.place.NetCostCache`,
+which proposes moves by terminal id over flat coordinate lists.
+:class:`ReferenceCache` below is the name-keyed incremental path it
+replaced, kept here as the oracle.  A hypothesis-driven random anneal
+protocol (single moves and swaps of PLB and IO terminals, then commit or
+reject) runs both move by move under both objectives and demands the same
+delta, total and counters at every step, and the plain total equal to the
+full :func:`repro.cad.place._hpwl` recompute.  The acceptance benches
 (``qdi_multiplier_2x2``, ``gen:mult8x8@micropipeline``) must route under
 default options, and a flow and a one-point sweep must route in a
 process where numpy cannot be imported.  Exact flow outputs are pinned by
@@ -21,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cad.flow import CadFlow, FlowOptions
-from repro.cad.place import FlatNetCostCache, NetCostCache, _hpwl
+from repro.cad.place import NetCostCache, TimingObjective, WirelengthObjective, _hpwl
 from repro.circuits.registry import build_circuit
 from repro.core.params import ArchitectureParams, RoutingParams
 
@@ -87,17 +90,144 @@ def test_acceptance_benches_route_under_default_options(name):
 
 
 # ----------------------------------------------------------------------
-# Placement cache parity, property-based
+# Placement cache parity against the reference, property-based
 # ----------------------------------------------------------------------
+class ReferenceCache:
+    """The name-keyed incremental cost path the annealer used to run.
+
+    It holds live references to the caller's position dicts, which must
+    already hold the new coordinates when :meth:`propose_moves` is called
+    with ``(terminal, old_xy, new_xy)`` per moved terminal.  Each touched
+    net's box is shifted move by move (x axis first), and rescanned from
+    the dicts when a terminal leaves an extreme it alone occupied.  The
+    delta is ``sum(new) - sum(old)`` in first-touch order and
+    :meth:`commit` folds the total in that order.
+    """
+
+    def __init__(self, nets, plb_sites, io_positions, objective=None):
+        self.plb_sites = plb_sites
+        self.io_positions = io_positions
+        self.terminals = list(nets.values())
+        self.objective = objective if objective is not None else WirelengthObjective()
+        self.objective.bind(list(nets))
+        self._nets_of = {}
+        for index, terminals in enumerate(self.terminals):
+            for terminal in terminals:
+                self._nets_of.setdefault(terminal, []).append(index)
+        self.evaluations = 0
+        self.bbox_updates = 0
+        self.boxes = [self._scan_box(index) for index in range(len(self.terminals))]
+        self.costs = [self._box_cost(index, box) for index, box in enumerate(self.boxes)]
+        self.total = sum(self.costs)
+        self._pending = []
+
+    def _term_position(self, terminal):
+        if terminal.startswith("io:"):
+            return self.io_positions.get(terminal[3:])
+        x, y = self.plb_sites[terminal]
+        return (float(x), float(y))
+
+    def _scan_box(self, index):
+        self.evaluations += 1
+        positions = [self._term_position(t) for t in self.terminals[index]]
+        xs = [p[0] for p in positions if p is not None]
+        ys = [p[1] for p in positions if p is not None]
+        if len(xs) < 2:
+            return None
+        xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
+        return [xmin, xmax, ymin, ymax, xs.count(xmin), xs.count(xmax), ys.count(ymin), ys.count(ymax)]
+
+    def _box_cost(self, index, box):
+        if box is None:
+            return 0.0
+        return self.objective.net_cost(index, box[1] - box[0], box[3] - box[2])
+
+    @staticmethod
+    def _shift_axis(box, low, high, old, new):
+        """Move one coordinate on one axis; ``False`` needs a rescan."""
+        if new == old:
+            return True
+        if old == box[low]:
+            if box[low + 4] == 1:
+                return False
+            box[low + 4] -= 1
+        if old == box[high]:
+            if box[high + 4] == 1:
+                return False
+            box[high + 4] -= 1
+        if new < box[low]:
+            box[low] = new
+            box[low + 4] = 1
+        elif new == box[low]:
+            box[low + 4] += 1
+        if new > box[high]:
+            box[high] = new
+            box[high + 4] = 1
+        elif new == box[high]:
+            box[high + 4] += 1
+        return True
+
+    def propose_moves(self, moves):
+        pending_boxes = {}
+        order = []
+        final = set()  # rescanned nets already read the final positions
+        for terminal, old, new in moves:
+            for index in self._nets_of.get(terminal, ()):
+                if index in final:
+                    continue
+                if index in pending_boxes:
+                    base = pending_boxes[index]
+                else:
+                    base = self.boxes[index]
+                    order.append(index)
+                if base is None:
+                    pending_boxes[index] = self._scan_box(index)
+                    final.add(index)
+                    continue
+                candidate = list(base)
+                if self._shift_axis(candidate, 0, 1, old[0], new[0]) and self._shift_axis(
+                    candidate, 2, 3, old[1], new[1]
+                ):
+                    self.bbox_updates += 1
+                    pending_boxes[index] = candidate
+                else:
+                    pending_boxes[index] = self._scan_box(index)
+                    final.add(index)
+        self._pending = [
+            (index, pending_boxes[index], self._box_cost(index, pending_boxes[index]))
+            for index in order
+        ]
+        return sum(cost for _i, _b, cost in self._pending) - sum(
+            self.costs[index] for index, _b, _c in self._pending
+        )
+
+    def commit(self):
+        for index, box, cost in self._pending:
+            self.total += cost - self.costs[index]
+            self.costs[index] = cost
+            self.boxes[index] = box
+        self._pending = []
+
+    def reject(self):
+        self._pending = []
+
+
+#: IO coordinates drawn from a handful of boundary spots, so that several
+#: terminals share one (the default fabric puts 96 pads on 24 positions).
+_IO_SPOTS = [(-1.0, 0.0), (-1.0, 2.0), (0.0, -1.0), (3.0, 7.0)]
+
+
 @st.composite
 def _anneal_protocol(draw):
-    """A random net structure plus a random mutate/propose/commit protocol."""
+    """Random nets and a random move/swap/commit protocol over them."""
     coord = st.integers(min_value=0, max_value=6)
     n_plbs = draw(st.integers(min_value=2, max_value=5))
     plb_names = [f"plb{i}" for i in range(n_plbs)]
-    io_names = ["in0", "out0"]
-    terminals = plb_names + [f"io:{name}" for name in io_names]
-    n_nets = draw(st.integers(min_value=1, max_value=6))
+    io_names = ["in0", "in1", "out0"]
+    # "io:float" is never positioned: its nets price without it, and a net
+    # it leaves with one positioned terminal rescans on every touch.
+    terminals = plb_names + [f"io:{name}" for name in io_names] + ["io:float"]
+    n_nets = draw(st.integers(min_value=1, max_value=7))
     nets = {
         f"net{i}": draw(
             st.lists(st.sampled_from(terminals), min_size=1, max_size=4, unique=True)
@@ -105,59 +235,110 @@ def _anneal_protocol(draw):
         for i in range(n_nets)
     }
     plb_sites = {name: (draw(coord), draw(coord)) for name in plb_names}
-    io_positions = {name: (float(draw(coord)), float(draw(coord))) for name in io_names}
-    steps = draw(
-        st.lists(
-            st.tuples(
-                st.sampled_from(plb_names),  # terminal to move
-                coord,  # new x
-                coord,  # new y
-                st.booleans(),  # commit?
-            ),
-            min_size=1,
-            max_size=12,
-        )
+    io_positions = {name: draw(st.sampled_from(_IO_SPOTS)) for name in io_names}
+    movable = plb_names + [f"io:{name}" for name in io_names]
+    step = st.one_of(
+        st.tuples(st.just("move"), st.sampled_from(movable), coord, coord, st.booleans()),
+        st.tuples(st.just("swap"), st.sampled_from(movable), st.sampled_from(movable),
+                  st.just(0), st.booleans()),
+        # Swap two terminals of one net (both ends, on a two-terminal net).
+        st.tuples(st.just("net"), st.sampled_from(sorted(nets)), st.just(""),
+                  st.just(0), st.booleans()),
     )
-    return nets, plb_sites, io_positions, steps
+    steps = draw(st.lists(step, min_size=1, max_size=14))
+    crits = {net: draw(st.floats(min_value=0.0, max_value=1.0)) for net in nets}
+    return nets, plb_sites, io_positions, steps, crits
+
+
+def _swap_pair(kind, first, second, nets):
+    """The two same-kind terminals a swap step exchanges, or ``None``."""
+    if kind == "net":
+        on_net = [t for t in nets[first] if t != "io:float"]
+        plbs = [t for t in on_net if not t.startswith("io:")]
+        ios = [t for t in on_net if t.startswith("io:")]
+        pair = plbs[:2] if len(plbs) >= 2 else ios[:2]
+        return tuple(pair) if len(pair) == 2 else None
+    if first == second or first.startswith("io:") != second.startswith("io:"):
+        return None  # the annealer swaps two PLBs or two IO pads
+    return first, second
 
 
 @settings(max_examples=60, deadline=None)
 @given(_anneal_protocol())
 def test_flat_cache_matches_reference_and_full_hpwl(protocol):
-    nets, plb_sites, io_positions, steps = protocol
-    caches = [
-        NetCostCache(nets, dict(plb_sites), dict(io_positions)),
-        FlatNetCostCache(nets, dict(plb_sites), dict(io_positions)),
-    ]
-    assert caches[1].total == caches[0].total
-    assert caches[0].total == _hpwl(nets, plb_sites, io_positions)
-    live = dict(plb_sites)
-    for terminal, new_x, new_y, commit in steps:
-        old = live[terminal]
-        new = (new_x, new_y)
-        deltas = []
-        for cache in caches:
-            # The place_design protocol: mutate the live dict, then propose
-            # the move with old/new coordinates.
-            cache.plb_sites[terminal] = new
-            deltas.append(
-                cache.propose_moves(
-                    [(terminal, (float(old[0]), float(old[1])), (float(new_x), float(new_y)))]
-                )
-            )
-        assert deltas[1] == deltas[0]
-        if commit:
-            live[terminal] = new
-            for cache in caches:
-                cache.commit()
+    _check_against_reference(protocol, timing=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_anneal_protocol())
+def test_cache_matches_reference_under_timing_objective(protocol):
+    # Blended costs are not integer-valued: equal deltas and totals need
+    # the reference's float order, not just its arithmetic.
+    _check_against_reference(protocol, timing=True)
+
+
+def _check_against_reference(protocol, timing):
+    """Run *protocol* on the cache and the oracle; compare after every step."""
+    nets, plb_sites, io_positions, steps, crits = protocol
+
+    def objective():
+        return TimingObjective(crits, tradeoff=0.6) if timing else None
+
+    live_sites = dict(plb_sites)
+    live_io = dict(io_positions)
+    reference = ReferenceCache(nets, live_sites, live_io, objective())
+    cache = NetCostCache(nets, plb_sites, io_positions, objective())
+
+    def position(terminal):
+        if terminal.startswith("io:"):
+            return live_io[terminal[3:]]
+        x, y = live_sites[terminal]
+        return (float(x), float(y))
+
+    def place(terminal, xy):
+        if terminal.startswith("io:"):
+            live_io[terminal[3:]] = xy
         else:
-            for cache in caches:
-                cache.plb_sites[terminal] = old
-                cache.reject()
-        reference = _hpwl(nets, live, io_positions)
-        for cache in caches:
-            assert cache.total == reference
-    # Counter parity: evaluations and bbox fast-path hits are part of the
-    # pinned summary contract, so the flat cache must count identically.
-    assert caches[1].evaluations == caches[0].evaluations
-    assert caches[1].bbox_updates == caches[0].bbox_updates
+            live_sites[terminal] = xy
+
+    def same_state():
+        assert cache.total == reference.total
+        assert cache.evaluations == reference.evaluations
+        assert cache.bbox_updates == reference.bbox_updates
+        if timing:
+            assert cache.audit_matches()
+        else:
+            assert cache.total == _hpwl(nets, live_sites, live_io)
+
+    same_state()
+    for kind, first, second, y, commit in steps:
+        if kind == "move":
+            old = position(first)
+            new = _IO_SPOTS[second % len(_IO_SPOTS)] if first.startswith("io:") else (
+                float(second), float(y)
+            )
+            place(first, new)
+            expected = reference.propose_moves([(first, old, new)])
+            delta = cache.propose_move(cache.tid_of[first], *new)
+            undo = [(first, old)]
+        else:
+            pair = _swap_pair(kind, first, second, nets)
+            if pair is None:
+                continue
+            a, b = pair
+            pos_a, pos_b = position(a), position(b)
+            place(a, pos_b)
+            place(b, pos_a)
+            expected = reference.propose_moves([(a, pos_a, pos_b), (b, pos_b, pos_a)])
+            delta = cache.propose_swap(cache.tid_of[a], cache.tid_of[b])
+            undo = [(a, pos_a), (b, pos_b)]
+        assert delta == expected
+        if commit:
+            reference.commit()
+            cache.commit()
+        else:
+            for terminal, xy in undo:
+                place(terminal, xy)
+            reference.reject()
+            cache.reject()
+        same_state()
