@@ -386,7 +386,7 @@ def _shift_box(box: _Box, old_x: float, old_y: float, new_x: float, new_y: float
 
 
 #: The pending proposal after a commit or reject: nothing to fold.
-_NOTHING: tuple = ((), (), ())
+_NOTHING: tuple = ((), ())
 
 
 class NetCostCache:
@@ -402,15 +402,16 @@ class NetCostCache:
     * :meth:`propose_move` moves one terminal to new coordinates;
     * :meth:`propose_swap` exchanges two terminals' coordinates.
 
-    Both run one fused loop over the touched nets.  A net of three or more
-    terminals updates its bounding box **incrementally** from the moved
+    Each runs one fused loop over the nets it touches.  A net of three or
+    more terminals updates its bounding box **incrementally** from the moved
     terminal's old and new coordinates; it is rescanned only when a terminal
     leaves an extreme it alone occupied.  A two-terminal net keeps no box and
     is priced from its endpoints.  Each touched net is priced through the
     objective: its span (HPWL) by default, the blend of
-    :meth:`WirelengthObjective.blend` otherwise.  The new coordinates and
-    per-net costs stay pending until :meth:`commit` or :meth:`reject`;
-    :attr:`total` is unchanged until then.
+    :meth:`WirelengthObjective.blend` otherwise.  A proposal applies its
+    coordinates at once and keeps the new per-net costs and boxes pending:
+    :meth:`commit` folds them in, :meth:`reject` restores the coordinates.
+    :attr:`total` is unchanged until a commit.
 
     Float order: a delta is ``sum(new costs) - sum(old costs)`` over the
     touched nets in first-touch order, and :meth:`commit` folds
@@ -465,6 +466,8 @@ class NetCostCache:
                 partner = (row[1] if row[0] == tid else row[0]) if len(row) == 2 else -1
                 links[tid].append((index, partner))
         self._links: list[tuple[tuple[int, int], ...]] = [tuple(each) for each in links]
+        # The same nets as bare indices: a single move's first-touch order.
+        self._nets_of = [tuple(index for index, _ in each) for each in links]
         self.evaluations = 0
         self.bbox_updates = 0
         self.boxes: list[_Box | None] = []
@@ -478,6 +481,9 @@ class NetCostCache:
             self.boxes.append(box)
             self.costs.append(self._price(index, row, box))
         self.total: float = sum(self.costs)
+        # A proposal's box for each net it touched (two-terminal nets keep
+        # None); commit copies them into ``boxes``.
+        self._next_box: list[_Box | None] = [None] * len(self._rows)
         self._pending = _NOTHING
         self._undo: tuple = ()
 
@@ -613,15 +619,66 @@ class NetCostCache:
     # ------------------------------------------------------------------
     def propose_move(self, tid: int, x: float, y: float) -> float:
         """Cost delta of moving terminal *tid* to ``(x, y)``."""
-        old_x = self.x[tid]
-        old_y = self.y[tid]
-        self.x[tid] = x
-        self.y[tid] = y
+        px = self.x
+        py = self.y
+        old_x = px[tid]
+        old_y = py[tid]
+        px[tid] = x
+        py[tid] = y
         self._undo = ((tid, old_x, old_y),)
-        return self._propose(((tid, old_x, old_y, x, y, -1),))
+        boxes = self.boxes
+        next_box = self._next_box
+        blend = self._blend
+        if blend is not None:
+            scale, weights, base, per_hop = blend
+        new_costs: list[float] = []
+        hits = 0
+        evals = 0
+        for index, other in self._links[tid]:
+            if other >= 0:
+                ox = px[other]
+                oy = py[other]
+                if ox is None:
+                    evals += 1
+                    new_costs.append(0.0)
+                    continue
+                # The moved end's box update succeeds when its axis did not
+                # move or the box was degenerate on it.
+                if (x == old_x or old_x == ox) and (y == old_y or old_y == oy):
+                    hits += 1
+                else:
+                    evals += 1
+                span = (x - ox if x > ox else ox - x) + (y - oy if y > oy else oy - y)
+            else:
+                box = boxes[index]
+                if box is not None:
+                    box = _shift_box(box, old_x, old_y, x, y)
+                    if box is not None:
+                        hits += 1
+                if box is None:
+                    box = self._scan_box(index)
+                next_box[index] = box
+                if box is None:
+                    new_costs.append(0.0)
+                    continue
+                span = (box[1] - box[0]) + (box[3] - box[2])
+            if blend is None:
+                new_costs.append(span)
+            else:
+                new_costs.append(scale * span + weights[index] * (base + span * per_hop))
+        self.bbox_updates += hits
+        self.evaluations += evals
+        nets = self._nets_of[tid]
+        self._pending = (nets, new_costs)
+        return sum(new_costs) - sum(map(self.costs.__getitem__, nets))
 
     def propose_swap(self, a: int, b: int) -> float:
-        """Cost delta of exchanging the coordinates of distinct terminals *a* and *b*."""
+        """Cost delta of exchanging the coordinates of distinct terminals *a* and *b*.
+
+        *a*'s nets are priced first, then *b*'s others.  A net on both sees
+        *a*'s box update, then *b*'s, and keeps its box: the swap only
+        permutes its coordinates.
+        """
         px = self.x
         py = self.y
         ax = px[a]
@@ -633,74 +690,61 @@ class NetCostCache:
         px[b] = ax
         py[b] = ay
         self._undo = ((a, ax, ay), (b, bx, by))
-        return self._propose(((a, ax, ay, bx, by, b), (b, bx, by, ax, ay, -2)))
-
-    def _propose(self, moves: tuple) -> float:
-        """The fused loop: re-price every net the *moves* touch.
-
-        Each move is ``(tid, old_x, old_y, new_x, new_y, partner)``, with
-        the coordinates already applied.  A swap's first move names the
-        other terminal as its partner and prices the nets the two share;
-        the second (partner -2) skips them.  The counters follow the
-        per-move box updates a net would see, move by move.
-        """
-        px = self.x
-        py = self.y
         rows = self._rows
         boxes = self.boxes
-        costs = self.costs
-        links = self._links
+        next_box = self._next_box
         blend = self._blend
         if blend is not None:
             scale, weights, base, per_hop = blend
         nets: list[int] = []
         new_costs: list[float] = []
-        new_boxes: list[tuple[int, _Box | None]] = []
         hits = 0
         evals = 0
-        first = moves[0][0]
-        for tid, old_x, old_y, x, y, partner in moves:
-            for index, other in links[tid]:
-                if other >= 0:
+        for second, (tid, partner, old_x, old_y, x, y) in enumerate(
+            ((a, b, ax, ay, bx, by), (b, a, bx, by, ax, ay))
+        ):
+            for index, other in self._links[tid]:
+                if other == partner:
+                    if second:
+                        continue
+                    # Both ends of a two-terminal net: each end's box update
+                    # succeeds only on a degenerate box.
+                    if x == old_x and y == old_y:
+                        hits += 2
+                    else:
+                        evals += 1
+                    span = (x - old_x if x > old_x else old_x - x) + (
+                        y - old_y if y > old_y else old_y - y
+                    )
+                elif other >= 0:
                     ox = px[other]
                     oy = py[other]
-                    if other == partner:
-                        # Both ends swap: the box is unchanged, but each
-                        # end's update succeeds only on a degenerate box.
-                        if x == old_x and y == old_y:
-                            hits += 2
-                        else:
-                            evals += 1
-                    elif partner == -2 and other == first:
-                        continue  # priced with the swap's first move
-                    elif ox is None:
+                    if ox is None:
                         evals += 1
                         nets.append(index)
                         new_costs.append(0.0)
                         continue
-                    # The moved end's box update succeeds when its axis did
-                    # not move or the box was degenerate on it.
-                    elif (x == old_x or old_x == ox) and (y == old_y or old_y == oy):
+                    if (x == old_x or old_x == ox) and (y == old_y or old_y == oy):
                         hits += 1
                     else:
                         evals += 1
                     span = (x - ox if x > ox else ox - x) + (y - oy if y > oy else oy - y)
                 else:
-                    row = rows[index]
-                    if partner == -2 and first in row:
-                        continue  # priced with the swap's first move
+                    shared = partner in rows[index]
+                    if shared and second:
+                        continue
                     box = boxes[index]
                     if box is not None:
                         box = _shift_box(box, old_x, old_y, x, y)
                         if box is not None:
                             hits += 1
-                            if partner >= 0 and partner in row:
+                            if shared:
                                 box = _shift_box(box, x, y, old_x, old_y)
                                 if box is not None:
                                     hits += 1
                     if box is None:
                         box = self._scan_box(index)
-                    new_boxes.append((index, box))
+                    next_box[index] = box
                     if box is None:
                         nets.append(index)
                         new_costs.append(0.0)
@@ -713,21 +757,21 @@ class NetCostCache:
                     new_costs.append(scale * span + weights[index] * (base + span * per_hop))
         self.bbox_updates += hits
         self.evaluations += evals
-        self._pending = (nets, new_costs, new_boxes)
-        return sum(new_costs) - sum(map(costs.__getitem__, nets))
+        self._pending = (nets, new_costs)
+        return sum(new_costs) - sum(map(self.costs.__getitem__, nets))
 
     def commit(self) -> None:
         """Fold the pending per-net costs into the cache and the total."""
-        nets, new_costs, new_boxes = self._pending
+        nets, new_costs = self._pending
         costs = self.costs
+        boxes = self.boxes
+        next_box = self._next_box
         total = self.total
         for index, cost in zip(nets, new_costs):
             total += cost - costs[index]
             costs[index] = cost
+            boxes[index] = next_box[index]
         self.total = total
-        boxes = self.boxes
-        for index, box in new_boxes:
-            boxes[index] = box
         self._pending = _NOTHING
         self._undo = ()
 

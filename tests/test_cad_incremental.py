@@ -216,6 +216,9 @@ def test_bbox_update_avoids_rescan_for_interior_terminal():
     cache.commit()
     assert cache.evaluations == scans_before + 1
     assert cache.total == _hpwl(nets, {"a": (0, 0), "b": (1, 1), "c": (1, 3)}, {})
+    # A net listing a terminal twice has no single box update per move.
+    with pytest.raises(ValueError, match="lists a terminal twice"):
+        NetCostCache({"n0": ["a", "b", "a"]}, plb_sites, {})
 
 
 def test_place_design_audited_anneal_and_final_cost():
