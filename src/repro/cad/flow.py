@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import ClassVar, Mapping, Sequence
+from functools import partial
+from typing import Callable, ClassVar, Mapping, Sequence
 
 from repro.cad.bitgen import ConfiguredPLB, configure_plb, generate_bitstream
 from repro.cad.lemap import MappedDesign
@@ -49,6 +50,12 @@ logger = logging.getLogger(__name__)
 #: ``crit ** CRITICALITY_EXPONENT`` spreads them so only genuinely critical
 #: nets trade congestion for delay.
 CRITICALITY_EXPONENT = 8.0
+
+#: Resumed artifact records by name, as a stage reads them.
+_Stored = Mapping[str, Mapping[str, object]]
+#: The artifact records a stage settled, as lazy payloads: the loop encodes
+#: them only when a store is attached.
+_Records = Mapping[str, Callable[[], Mapping[str, object]]]
 
 
 @dataclass(frozen=True)
@@ -122,6 +129,7 @@ class FlowResult:
     circuit_name: str
     architecture: ArchitectureParams
     mapped: MappedDesign
+    #: The placement the flow routed.
     placement: Placement | None = None
     routing: RoutingResult | None = None
     timing: TimingReport | None = None
@@ -145,6 +153,12 @@ class FlowResult:
     #: Findings of the ``verify_stages`` lint gate (``None`` when the gate
     #: did not run); each is a :class:`repro.verify.Finding`.
     lint_findings: list | None = None
+    #: The wirelength anneal this run computed or was handed: ``placement``
+    #: itself on default flows, the layout the polish started from (and the
+    #: routing ladder falls back to) on timing-driven ones.  ``None`` when
+    #: the placement was resumed or placement did not run.  The sweep's
+    #: placement cache stores it; kept out of :meth:`summary`.
+    baseline_placement: Placement | None = None
     # Always "python" (one implementation); perfbench/workloads.py reads it per flow op.
     kernel: ClassVar[str] = "python"
 
@@ -331,6 +345,8 @@ class _ArtifactSession:
                     f"expected a subset of {schemas.STAGES}"
                 )
             self.stages = set(options.checkpoint_stages)
+        #: The records a resume restored; the loop never rewrites them.
+        self.loaded: dict[str, dict[str, object]] = {}
         self.saved = 0
 
     def load(self, stage: str) -> dict[str, object] | None:
@@ -345,8 +361,8 @@ class _ArtifactSession:
             return None
         return self._schemas.decode_envelope(record, stage)
 
-    def load_resume(self, resume_from: str) -> dict[str, dict[str, object]]:
-        """The stage payloads a resume may consume.
+    def load_resume(self, resume_from: str) -> None:
+        """Load the stage payloads a resume may consume into :attr:`loaded`.
 
         ``"auto"`` loads the longest contiguous prefix of stored stages;
         an explicit stage name loads every stored stage up to and including
@@ -359,41 +375,32 @@ class _ArtifactSession:
 
         stages = self._schemas.STAGES
         if resume_from == "auto":
-            loaded: dict[str, dict[str, object]] = {}
             for stage in stages:
                 payload = self.load(stage)
                 if payload is None:
                     break
-                loaded[stage] = payload
-            return loaded
+                self.loaded[stage] = payload
+            return
         if resume_from not in stages:
             raise ValueError(
                 f"unknown resume stage {resume_from!r}; expected 'auto' or one of {stages}"
             )
-        prefix = stages[: stages.index(resume_from) + 1]
-        loaded = {}
-        for stage in prefix:
+        for stage in stages[: stages.index(resume_from) + 1]:
             payload = self.load(stage)
             if payload is not None:
-                loaded[stage] = payload
-        if resume_from not in loaded:
+                self.loaded[stage] = payload
+        if resume_from not in self.loaded:
             raise ArtifactError(
                 f"cannot resume {self.circuit!r} from {resume_from!r}: no stored artifact "
-                f"under flow key {self.flow_key[:12]}… (stored: {sorted(loaded) or 'none'})"
+                f"under flow key {self.flow_key[:12]}… (stored: {sorted(self.loaded) or 'none'})"
             )
-        return loaded
 
-    def checkpoint(
-        self,
-        stage: str,
-        loaded: Mapping[str, Mapping[str, object]],
-        payload: Mapping[str, object],
-    ) -> None:
-        """Persist *payload* unless the stage was loaded or deselected."""
-        if stage not in self.stages or stage in loaded:
+    def checkpoint(self, stage: str, payload: Callable[[], Mapping[str, object]]) -> None:
+        """Persist ``payload()`` unless the stage was loaded or deselected."""
+        if stage not in self.stages or stage in self.loaded:
             return
         record = self._schemas.encode_envelope(
-            stage, self.flow_key, self.circuit, self.architecture, self.options, payload
+            stage, self.flow_key, self.circuit, self.architecture, self.options, payload()
         )
         self.store.put(self._schemas.stage_key(self.flow_key, stage), record)
         self.saved += 1
@@ -488,6 +495,12 @@ class CadFlow:
     ) -> FlowResult:
         """Execute mapping → packing → placement → routing → analysis.
 
+        The flow is one loop over the stages ``map``, ``pack``, ``place``,
+        ``route``, ``timing`` and ``bitgen``.  Each stage either restores its
+        resumed artifact record or computes its result; an exception a stage
+        raises keeps its class and carries the stage's name as
+        ``exc.flow_stage``.
+
         Besides styled circuits and raw netlists this also accepts an already
         mapped design (``MappedDesign``) or any workload object carrying one
         in a ``mapped`` attribute (e.g. the registry's ``BenchmarkCircuit``
@@ -498,12 +511,14 @@ class CadFlow:
         would report (and cache) numbers for the wrong architecture.
 
         ``placement`` injects an externally computed (typically cached)
-        placement: when it covers exactly the mapped design on this fabric,
-        the annealing step is skipped and routing/bitgen run on the injected
-        placement -- the **incremental re-route** path used by the sweep
-        engine when only routing-side options changed.  An injected placement
-        that does not match the design is discarded (the flow re-places and
-        reports ``placement_cache_hit=False``) rather than routed blindly.
+        wirelength anneal, ``FlowResult.baseline_placement`` of an earlier
+        run: when it covers exactly the mapped design on this fabric, the
+        anneal is skipped and the flow continues from the injected layout --
+        the **incremental re-route** path used by the sweep engine when only
+        routing-side options changed.  A timing-driven flow still polishes
+        it, so the result equals a cold run.  An injected placement that does
+        not match the design is discarded (the flow re-places and reports
+        ``placement_cache_hit=False``) rather than routed blindly.
 
         ``routing_seed`` warm-starts the router with externally cached
         routed trees, given as node *names* per net (typically a
@@ -514,27 +529,26 @@ class CadFlow:
         point unroutable.
 
         With ``options.timing_driven`` the flow runs the criticality loop:
-        place with the blended cost, estimate net delays from the placement
-        geometry, route with ``crit * delay + (1 - crit) * congestion``
-        costs, analyse the routed trees, then re-route critical nets for
-        delay until the refinement pass stops improving.
+        polish the wirelength anneal under the blended cost, estimate net
+        delays from the placement geometry, route with ``crit * delay +
+        (1 - crit) * congestion`` costs, analyse the routed trees, then
+        re-route critical nets for delay until the refinement pass stops
+        improving.
 
-        With ``options.artifact_store`` set, the flow **checkpoints** each
-        stage boundary (``options.checkpoint_stages``, default all of
+        With ``options.artifact_store`` set, the loop **checkpoints** each
+        stage's records (``options.checkpoint_stages``, default all of
         :data:`repro.artifacts.STAGES`) into a content-addressed
-        :class:`~repro.artifacts.ArtifactStore` after computing it, and
-        ``resume_from`` **resumes** from those checkpoints: ``"auto"``
-        consumes the longest stored contiguous stage prefix, an explicit
-        stage name consumes the stored prefix up to that stage (raising a
-        typed :class:`~repro.core.schema.ArtifactError` when it is absent).
-        Artifacts are keyed by circuit, architecture, options and code
-        fingerprint, and every stage is deterministic given its inputs, so a
-        resumed run produces bit-identical results to a straight-through
-        one — including the final bitstream bytes and ``summary()``.  (Sole
-        corner: a timing-driven flow whose *entire* routing fallback ladder
-        failed stores only its final placement, so resuming it explicitly
-        from ``"placement"`` reproduces the final failed routing rather than
-        replaying the ladder's intermediate attempts.)
+        :class:`~repro.artifacts.ArtifactStore`, and ``resume_from``
+        **resumes** from them: ``"auto"`` consumes the longest stored
+        contiguous stage prefix, an explicit stage name consumes the stored
+        prefix up to that stage (raising a typed
+        :class:`~repro.core.schema.ArtifactError` when it is absent).  The
+        ``placement`` record is the placement the flow routed, written once
+        the route stage has settled it.  Artifacts are keyed by circuit,
+        architecture, options and code fingerprint, and every stage is
+        deterministic given its inputs, so a resumed run produces
+        bit-identical results to a straight-through one -- including the
+        final bitstream bytes and ``summary()``.
         """
         # The registry name must resolve *before* mapping: stage artifacts
         # are addressed by (circuit name, architecture, options, code
@@ -549,285 +563,35 @@ class CadFlow:
         session: _ArtifactSession | None = None
         if self.options.artifact_store is not None:
             session = _ArtifactSession(self.architecture, self.options, name)
+            if resume_from is not None:
+                session.load_resume(resume_from)
         elif resume_from is not None:
             raise ValueError("resume_from requires options.artifact_store to be set")
-        loaded: dict[str, dict[str, object]] = {}
-        if session is not None and resume_from is not None:
-            loaded = session.load_resume(resume_from)
+        stored = session.loaded if session is not None else {}
 
-        if "packed" in loaded or "mapped" in loaded:
-            stored_design = loaded.get("packed") or loaded["mapped"]
-            mapped = MappedDesign.from_dict(stored_design)
-        elif isinstance(circuit, MappedDesign):
-            mapped = self._check_premapped(circuit, name)
-        elif not isinstance(circuit, (StyledCircuit, Netlist)) and hasattr(circuit, "mapped"):
-            gate = getattr(circuit, "gate_circuit", None)
-            needs_remap = (
-                circuit.mapped.params != self.architecture.plb
-                or not self.options.use_template_mapping
-            )
-            if needs_remap and isinstance(gate, StyledCircuit):
-                mapped = self.map(gate)
-            else:
-                mapped = self._check_premapped(circuit.mapped, name)
-        else:
-            mapped = self.map(circuit)
-        problems = mapped.validate()
-        if problems:
-            raise RuntimeError(f"mapping of {name!r} is inconsistent: {problems}")
-        if session is not None:
-            # The mapped boundary is the pre-pack design; template-built
-            # circuits arrive with PLBs already assigned from an earlier
-            # pack, so the checkpoint strips them rather than freezing
-            # stale assignments into the artifact.
-            mapped_payload = mapped.to_dict()
-            mapped_payload["plbs"] = []
-            session.checkpoint("mapped", loaded, mapped_payload)
-        if "packed" not in loaded:
-            pack_design(mapped, self.architecture.plb)
-            if session is not None:
-                session.checkpoint("packed", loaded, mapped.to_dict())
-
-        result = FlowResult(circuit_name=name, architecture=self.architecture, mapped=mapped)
-        result.packing = packing_summary(mapped)
-        result.filling = filling_ratio(mapped)
-
-        model = self.options.timing_model
-        engine: TimingEngine | None = None
-        if self.options.timing_driven:
-            # Before placement the engine runs on flat default net delays,
-            # which already yields structural (depth-based) criticalities —
-            # enough signal for the annealer's blended cost.
-            engine = TimingEngine(mapped, model)
-            result.timing_driven = True
-
-        placement_resumed = False
-        baseline_placement: Placement | None = None
-        if self.options.run_placement:
-            if "placement" in loaded:
-                result.placement = Placement.from_dict(loaded["placement"])
-                placement_resumed = True
-            elif placement is not None and placement.matches_design(mapped, self.fabric):
-                result.placement = placement
-                result.placement_cache_hit = True
-            else:
-                # The baseline wirelength anneal — bit-identical to the
-                # non-timing-driven flow for the same seed/effort.
-                result.placement = place_design(
-                    mapped,
-                    self.fabric,
-                    seed=self.options.placement_seed,
-                    effort=self.options.placement_effort,
-                )
-                if placement is not None:
-                    result.placement_cache_hit = False
-                if engine is not None:
-                    # Timing polish: a short low-temperature anneal under the
-                    # blended objective, warm-started from the baseline
-                    # layout.  Criticalities come from the baseline
-                    # placement's geometry (not just structure), and the
-                    # polish cannot tear up the routable layout the way a
-                    # full blended anneal can.
-                    baseline_placement = result.placement
-                    engine.estimate_from_placement(baseline_placement, self.fabric)
-                    objective = TimingObjective(
-                        engine.criticalities(exponent=CRITICALITY_EXPONENT),
-                        tradeoff=self.options.timing_tradeoff,
-                        wire_segment_delay_ps=model.wire_segment_delay_ps,
-                        switch_delay_ps=model.switch_delay_ps,
-                        cbox_delay_ps=model.cbox_delay_ps,
-                    )
-                    result.placement = place_design(
-                        mapped,
-                        self.fabric,
-                        seed=self.options.placement_seed,
-                        effort=self.options.placement_effort * 0.4,
-                        objective=objective,
-                        initial=baseline_placement,
-                        temperature_factor=0.02,
-                    )
-            if session is not None and result.placement is not None:
-                session.checkpoint("placement", loaded, result.placement.to_dict())
-
-        if (
-            self.options.run_routing
-            and result.placement is not None
-            and "routing" in loaded
+        # An empty design until the map stage resolves the real one.
+        result = FlowResult(
+            circuit_name=name,
+            architecture=self.architecture,
+            mapped=MappedDesign(name, self.architecture.plb),
+            timing_driven=self.options.timing_driven,
+        )
+        for stage, run_stage in (
+            ("map", partial(self._map_stage, circuit=circuit)),
+            ("pack", self._pack_stage),
+            ("place", partial(self._place_stage, injected=placement)),
+            ("route", partial(self._route_stage, routing_seed=routing_seed)),
+            ("timing", self._timing_stage),
+            ("bitgen", self._bitgen_stage),
         ):
-            stored_routing = loaded["routing"]
-            result.routing = RoutingResult.from_dict(
-                stored_routing.get("routing"), self.rr_graph
-            )
-            pre_refine = stored_routing.get("cycle_time_pre_refine_ps")
-            result.cycle_time_pre_refine_ps = (
-                int(pre_refine) if pre_refine is not None else None
-            )
-            reroutes = stored_routing.get("critical_nets_rerouted")
-            result.critical_nets_rerouted = int(reroutes) if reroutes is not None else None
-            if engine is not None:
-                # Reproduce the straight-through engine state: bounding-box
-                # estimates for every terminal net (update_from_routing only
-                # *merges* routed-net delays over them), then the routed
-                # trees folded in by analyse_timing below.
-                engine.estimate_from_placement(result.placement, self.fabric)
-        elif self.options.run_routing and result.placement is not None:
-            criticalities = None
-            if engine is not None:
-                # Re-estimate every inter-block net from its placed bounding
-                # box so the router sees geometry-aware criticalities.
-                engine.estimate_from_placement(result.placement, self.fabric)
-                criticalities = engine.criticalities(exponent=CRITICALITY_EXPONENT)
-            warm_start = self._resolve_routing_seed(routing_seed)
-
-            def attempt(
-                target: Placement,
-                crits: Mapping[str, float] | None,
-                seed: Mapping[str, Sequence[int]] | None,
-            ) -> RoutingResult:
-                routing = route_design(
-                    mapped,
-                    target,
-                    self.rr_graph,
-                    max_iterations=self.options.router_max_iterations,
-                    criticalities=crits,
-                    timing_model=model if crits is not None else None,
-                    warm_start=seed,
-                    # Timing-driven rungs are backed by this ladder itself;
-                    # only the final congestion rung keeps the router's
-                    # internal A*→Dijkstra restart (baseline semantics).
-                    restart_on_failure=crits is None,
-                )
-                if not routing.success:
-                    # One record per failed rung of the ladder below, so a
-                    # fallback never fires silently.
-                    rung = "warm-started " if seed else ""
-                    rung += "congestion" if crits is None else "timing-driven"
-                    rung += " routing"
-                    if baseline_placement is not None:
-                        which = "baseline" if target is baseline_placement else "polished"
-                        rung += f" on the {which} placement"
-                    logger.info(
-                        "%s: %s failed after %d iterations with %d overused nodes",
-                        name,
-                        rung,
-                        routing.iterations,
-                        routing.overused_nodes,
-                    )
-                return routing
-
-            routing = attempt(result.placement, criticalities, warm_start)
-            if warm_start and not routing.success:
-                # A stale seed must never cost routability: retry cold.
-                routing = attempt(result.placement, criticalities, None)
-            if (
-                engine is not None
-                and not routing.success
-                and baseline_placement is not None
-                and baseline_placement is not result.placement
-            ):
-                # The polished placement made a borderline fabric
-                # unroutable: fall back to the baseline layout (already in
-                # hand — no re-anneal), still routing timing-driven.
-                engine.estimate_from_placement(baseline_placement, self.fabric)
-                criticalities = engine.criticalities(exponent=CRITICALITY_EXPONENT)
-                retry = attempt(baseline_placement, criticalities, None)
-                if retry.success:
-                    result.placement = baseline_placement
-                    routing = retry
-            if criticalities is not None and not routing.success:
-                # Nor may timing-driven costs ever cost routability: finish
-                # on pure congestion negotiation (bit-identical to the
-                # baseline flow when the baseline placement is in use); the
-                # refinement pass below still recovers the delay
-                # optimisation on the legal result.
-                target = (
-                    baseline_placement
-                    if baseline_placement is not None
-                    else result.placement
-                )
-                retry = attempt(target, None, None)
-                # `placement_resumed`: a resumed final placement IS the
-                # baseline-equivalent target even though no polish object
-                # pair exists to compare identities against.
-                if retry.success or target is not result.placement or placement_resumed:
-                    result.placement = target
-                    routing = retry
-            result.routing = routing
-
-            if engine is not None and routing.success:
-                engine.update_from_routing(routing, self.rr_graph)
-                result.cycle_time_pre_refine_ps = engine.cycle_time_ps
-                # The refinement pass may displace non-critical nets onto
-                # longer paths; cap the growth at the repo-wide 2% quality
-                # budget relative to the negotiated routing.
-                wirelength_budget = int(routing.total_wirelength * 1.02)
-                improved_total = 0
-                best_cycle = engine.cycle_time_ps
-                for _refine_pass in range(3):
-                    # refine_critical_nets only rebinds dict entries to new
-                    # RoutedNet objects, so a shallow copy reverts fully.
-                    snapshot = dict(routing.routed)
-                    improved = refine_critical_nets(
-                        routing,
-                        self.rr_graph,
-                        engine.criticalities(),
-                        model,
-                        max_wirelength=wirelength_budget,
-                    )
-                    if not improved:
-                        break
-                    engine.update_from_routing(routing, self.rr_graph)
-                    if engine.cycle_time_ps > best_cycle:
-                        # A displaced net became the new critical path:
-                        # revert the pass and stop refining.
-                        routing.routed = snapshot
-                        routing.critical_reroutes -= improved
-                        engine.update_from_routing(routing, self.rr_graph)
-                        break
-                    best_cycle = engine.cycle_time_ps
-                    improved_total += improved
-                result.critical_nets_rerouted = improved_total
-
-        if session is not None and result.routing is not None:
-            session.checkpoint(
-                "routing",
-                loaded,
-                {
-                    "routing": result.routing.to_dict(self.rr_graph),
-                    "cycle_time_pre_refine_ps": result.cycle_time_pre_refine_ps,
-                    "critical_nets_rerouted": result.critical_nets_rerouted,
-                },
-            )
-
-        if "timing" in loaded:
-            result.timing = TimingReport.from_dict(loaded["timing"])
-        else:
-            result.timing = analyse_timing(
-                mapped,
-                routing=result.routing,
-                graph=self.rr_graph if result.routing is not None else None,
-                model=model,
-                placement=result.placement if engine is not None else None,
-                fabric=self.fabric if engine is not None else None,
-                engine=engine,
-            )
+            try:
+                records = run_stage(result, stored)
+            except Exception as exc:
+                exc.flow_stage = stage  # type: ignore[attr-defined]
+                raise
             if session is not None:
-                session.checkpoint("timing", loaded, result.timing.to_dict())
-
-        if self.options.generate_bitstream and result.placement is not None:
-            if "bitstream" in loaded:
-                result.bitstream = Bitstream.from_dict(loaded["bitstream"])
-                # configure_plb is pure, so the per-PLB views accompanying a
-                # stored bitstream are recomputed rather than serialized.
-                result.configured_plbs = {
-                    plb.name: configure_plb(plb, self.architecture) for plb in mapped.plbs
-                }
-            else:
-                result.bitstream, result.configured_plbs = generate_bitstream(
-                    mapped, result.placement, self.architecture
-                )
-                if session is not None:
-                    session.checkpoint("bitstream", loaded, result.bitstream.to_dict())
+                for record, payload in records.items():
+                    session.checkpoint(record, payload)
 
         if self.options.verify_stages:
             # Lazy import: repro.verify consumes flow artifacts, so a
@@ -847,6 +611,277 @@ class CadFlow:
         if session is not None:
             session.finish()
         return result
+
+    # ------------------------------------------------------------------
+    # Stages: each restores its stored record or computes its result, and
+    # returns the artifact records it settled as lazy payloads.
+    # ------------------------------------------------------------------
+    def _map_stage(self, result: FlowResult, stored: _Stored, circuit: object) -> _Records:
+        name = result.circuit_name
+        if "packed" in stored or "mapped" in stored:
+            mapped = MappedDesign.from_dict(stored.get("packed") or stored["mapped"])
+        elif isinstance(circuit, MappedDesign):
+            mapped = self._check_premapped(circuit, name)
+        elif not isinstance(circuit, (StyledCircuit, Netlist)) and hasattr(circuit, "mapped"):
+            gate = getattr(circuit, "gate_circuit", None)
+            needs_remap = (
+                circuit.mapped.params != self.architecture.plb
+                or not self.options.use_template_mapping
+            )
+            if needs_remap and isinstance(gate, StyledCircuit):
+                mapped = self.map(gate)
+            else:
+                mapped = self._check_premapped(circuit.mapped, name)
+        else:
+            mapped = self.map(circuit)
+        problems = mapped.validate()
+        if problems:
+            raise RuntimeError(f"mapping of {name!r} is inconsistent: {problems}")
+        result.mapped = mapped
+        # The mapped record is the pre-pack design; template-built circuits
+        # arrive with PLBs already assigned from an earlier pack, so the
+        # record strips them rather than freezing stale assignments.
+        return {"mapped": lambda: {**mapped.to_dict(), "plbs": []}}
+
+    def _pack_stage(self, result: FlowResult, stored: _Stored) -> _Records:
+        if "packed" not in stored:
+            pack_design(result.mapped, self.architecture.plb)
+        result.packing = packing_summary(result.mapped)
+        result.filling = filling_ratio(result.mapped)
+        return {"packed": result.mapped.to_dict}
+
+    def _place_stage(
+        self, result: FlowResult, stored: _Stored, injected: Placement | None
+    ) -> _Records:
+        # The placement record is written by the route stage, which settles
+        # which placement the flow routes.
+        if not self.options.run_placement:
+            return {}
+        if "placement" in stored:
+            result.placement = Placement.from_dict(stored["placement"])
+            return {}
+        mapped = result.mapped
+        if injected is not None and injected.matches_design(mapped, self.fabric):
+            anneal = injected
+            result.placement_cache_hit = True
+        else:
+            anneal = place_design(
+                mapped,
+                self.fabric,
+                seed=self.options.placement_seed,
+                effort=self.options.placement_effort,
+            )
+            if injected is not None:
+                result.placement_cache_hit = False
+        result.baseline_placement = result.placement = anneal
+        if self.options.timing_driven:
+            # Timing polish: a short low-temperature anneal under the
+            # blended objective, warm-started from the wirelength anneal.
+            # Criticalities come from the anneal's geometry (not just
+            # structure), and the polish cannot tear up the routable layout
+            # the way a full blended anneal can.
+            model = self.options.timing_model
+            objective = TimingObjective(
+                self._engine(mapped, anneal).criticalities(exponent=CRITICALITY_EXPONENT),
+                tradeoff=self.options.timing_tradeoff,
+                wire_segment_delay_ps=model.wire_segment_delay_ps,
+                switch_delay_ps=model.switch_delay_ps,
+                cbox_delay_ps=model.cbox_delay_ps,
+            )
+            result.placement = place_design(
+                mapped,
+                self.fabric,
+                seed=self.options.placement_seed,
+                effort=self.options.placement_effort * 0.4,
+                objective=objective,
+                initial=anneal,
+                temperature_factor=0.02,
+            )
+        return {}
+
+    def _route_stage(
+        self,
+        result: FlowResult,
+        stored: _Stored,
+        routing_seed: Mapping[str, Sequence[str]] | None,
+    ) -> _Records:
+        if self.options.run_routing and result.placement is not None:
+            if "routing" in stored:
+                routing = stored["routing"]
+                result.routing = RoutingResult.from_dict(routing.get("routing"), self.rr_graph)
+                pre_refine = routing.get("cycle_time_pre_refine_ps")
+                reroutes = routing.get("critical_nets_rerouted")
+                result.cycle_time_pre_refine_ps = None if pre_refine is None else int(pre_refine)
+                result.critical_nets_rerouted = None if reroutes is None else int(reroutes)
+            else:
+                self._route(result, routing_seed)
+        records: dict[str, Callable[[], Mapping[str, object]]] = {}
+        if result.placement is not None:
+            records["placement"] = result.placement.to_dict
+        if result.routing is not None:
+            records["routing"] = lambda: {
+                "routing": result.routing.to_dict(self.rr_graph),
+                "cycle_time_pre_refine_ps": result.cycle_time_pre_refine_ps,
+                "critical_nets_rerouted": result.critical_nets_rerouted,
+            }
+        return records
+
+    def _route(
+        self, result: FlowResult, routing_seed: Mapping[str, Sequence[str]] | None
+    ) -> None:
+        """Route ``result.placement`` down the fallback ladder, then refine.
+
+        Settles ``result.placement``: a timing-driven flow whose polished
+        placement does not route falls back to the wirelength anneal.
+        """
+        mapped = result.mapped
+        model = self.options.timing_model
+        baseline = result.baseline_placement
+        # Only a flow that placed holds both the polished and the baseline
+        # layout; a restored placement is already the one to route.
+        ladder = self.options.timing_driven and baseline is not None
+
+        def attempt(
+            target: Placement,
+            crits: Mapping[str, float] | None,
+            seed: Mapping[str, Sequence[int]] | None = None,
+        ) -> RoutingResult:
+            routing = route_design(
+                mapped,
+                target,
+                self.rr_graph,
+                max_iterations=self.options.router_max_iterations,
+                criticalities=crits,
+                timing_model=model if crits is not None else None,
+                warm_start=seed,
+                # Timing-driven rungs are backed by this ladder itself;
+                # only the final congestion rung keeps the router's
+                # internal A*→Dijkstra restart (baseline semantics).
+                restart_on_failure=crits is None,
+            )
+            if not routing.success:
+                # One record per failed rung of the ladder below, so a
+                # fallback never fires silently.
+                rung = "warm-started " if seed else ""
+                rung += "congestion" if crits is None else "timing-driven"
+                rung += " routing"
+                if ladder:
+                    which = "baseline" if target is baseline else "polished"
+                    rung += f" on the {which} placement"
+                logger.info(
+                    "%s: %s failed after %d iterations with %d overused nodes",
+                    result.circuit_name,
+                    rung,
+                    routing.iterations,
+                    routing.overused_nodes,
+                )
+            return routing
+
+        engine: TimingEngine | None = None
+        criticalities = None
+        if self.options.timing_driven:
+            # Re-estimate every inter-block net from its placed bounding
+            # box so the router sees geometry-aware criticalities.
+            engine = self._engine(mapped, result.placement)
+            criticalities = engine.criticalities(exponent=CRITICALITY_EXPONENT)
+        warm_start = self._resolve_routing_seed(routing_seed)
+        routing = attempt(result.placement, criticalities, warm_start)
+        if warm_start and not routing.success:
+            # A stale seed must never cost routability: retry cold.
+            routing = attempt(result.placement, criticalities)
+        if ladder and not routing.success:
+            # The polished placement made a borderline fabric unroutable:
+            # fall back to the baseline layout (already in hand -- no
+            # re-anneal), still routing timing-driven.
+            engine = self._engine(mapped, baseline)
+            criticalities = engine.criticalities(exponent=CRITICALITY_EXPONENT)
+            retry = attempt(baseline, criticalities)
+            if retry.success:
+                result.placement = baseline
+                routing = retry
+        if engine is not None and not routing.success:
+            # Nor may timing-driven costs ever cost routability: finish on
+            # pure congestion negotiation (bit-identical to the baseline
+            # flow on the baseline placement); the refinement pass below
+            # still recovers the delay optimisation on the legal result.
+            if baseline is not None:
+                result.placement = baseline
+            routing = attempt(result.placement, None)
+        result.routing = routing
+
+        if engine is not None and routing.success:
+            engine.update_from_routing(routing, self.rr_graph)
+            result.cycle_time_pre_refine_ps = engine.cycle_time_ps
+            # The refinement pass may displace non-critical nets onto
+            # longer paths; cap the growth at the repo-wide 2% quality
+            # budget relative to the negotiated routing.
+            wirelength_budget = int(routing.total_wirelength * 1.02)
+            improved_total = 0
+            best_cycle = engine.cycle_time_ps
+            for _refine_pass in range(3):
+                # refine_critical_nets only rebinds dict entries to new
+                # RoutedNet objects, so a shallow copy reverts fully.
+                snapshot = dict(routing.routed)
+                improved = refine_critical_nets(
+                    routing,
+                    self.rr_graph,
+                    engine.criticalities(),
+                    model,
+                    max_wirelength=wirelength_budget,
+                )
+                if not improved:
+                    break
+                engine.update_from_routing(routing, self.rr_graph)
+                if engine.cycle_time_ps > best_cycle:
+                    # A displaced net became the new critical path:
+                    # revert the pass and stop refining.
+                    routing.routed = snapshot
+                    routing.critical_reroutes -= improved
+                    engine.update_from_routing(routing, self.rr_graph)
+                    break
+                best_cycle = engine.cycle_time_ps
+                improved_total += improved
+            result.critical_nets_rerouted = improved_total
+
+    def _timing_stage(self, result: FlowResult, stored: _Stored) -> _Records:
+        if "timing" in stored:
+            result.timing = TimingReport.from_dict(stored["timing"])
+        else:
+            timed = self.options.timing_driven and result.placement is not None
+            result.timing = analyse_timing(
+                result.mapped,
+                routing=result.routing,
+                graph=self.rr_graph if result.routing is not None else None,
+                model=self.options.timing_model,
+                placement=result.placement if timed else None,
+                fabric=self.fabric if timed else None,
+                # The route stage's delay state: bounding-box estimates for
+                # every net, which the routed trees then overwrite.
+                engine=self._engine(result.mapped, result.placement) if timed else None,
+            )
+        return {"timing": result.timing.to_dict}
+
+    def _bitgen_stage(self, result: FlowResult, stored: _Stored) -> _Records:
+        if not self.options.generate_bitstream or result.placement is None:
+            return {}
+        if "bitstream" in stored:
+            result.bitstream = Bitstream.from_dict(stored["bitstream"])
+            # configure_plb is pure, so the per-PLB views accompanying a
+            # stored bitstream are recomputed rather than serialized.
+            result.configured_plbs = {
+                plb.name: configure_plb(plb, self.architecture) for plb in result.mapped.plbs
+            }
+        else:
+            result.bitstream, result.configured_plbs = generate_bitstream(
+                result.mapped, result.placement, self.architecture
+            )
+        return {"bitstream": result.bitstream.to_dict}
+
+    def _engine(self, mapped: MappedDesign, placement: Placement) -> TimingEngine:
+        """A timing engine with every net estimated from *placement*."""
+        engine = TimingEngine(mapped, self.options.timing_model)
+        engine.estimate_from_placement(placement, self.fabric)
+        return engine
 
     # ------------------------------------------------------------------
     # Convenience entry points

@@ -66,16 +66,18 @@ timeout)`` (and, for crash recovery, ``rebuild()``).
 
 Incremental re-route
 --------------------
-When a store is attached, successful placements are cached under
+When a store is attached, each flow's wirelength anneal
+(``FlowResult.baseline_placement``) is cached under
 :meth:`~repro.sweep.spec.SweepPoint.placement_key`, which hashes only what
-placement depends on (circuit + code fingerprint, fabric geometry, seed,
-effort).  A later point differing only in routing-side options (channel
-width, router iterations, ...) misses the flow-summary cache but *hits* the
-placement cache: the runner injects the stored placement into
-:meth:`CadFlow.run`, which skips annealing and goes straight to routing.
-The summary then carries ``placement_cache_hit`` (``True``/``False``), and —
-because placement is deterministic in its key — the re-routed result is
-bit-identical to a cold run.
+the anneal depends on (circuit + code fingerprint, fabric geometry, seed,
+effort).  A later point differing only in routing-side or timing options
+(channel width, router iterations, ``timing_driven``, ...) misses the
+flow-summary cache but *hits* the placement cache: the runner injects the
+stored anneal into :meth:`CadFlow.run`, which skips annealing (a
+timing-driven flow still polishes it) and goes on to routing.  The summary
+then carries ``placement_cache_hit`` (``True``/``False``), and — because
+the anneal is deterministic in its key — the result is bit-identical to a
+cold run.
 """
 
 from __future__ import annotations
@@ -154,8 +156,8 @@ def execute_point(point_data: Mapping[str, object]) -> dict[str, object]:
     Besides the :meth:`SweepPoint.to_dict` fields the payload may carry a
     ``placement_store`` key (a directory path): the worker then consults the
     placement cache before placing and persists any freshly computed
-    placement after a successful flow.  Store writes are atomic, so parallel
-    workers can share one directory.
+    wirelength anneal after a successful flow.  Store writes are atomic, so
+    parallel workers can share one directory.
 
     A ``routing_store`` key (same directory convention) additionally enables
     the **routing-tree warm-start cache**: under
@@ -284,7 +286,8 @@ def execute_point(point_data: Mapping[str, object]) -> dict[str, object]:
         if placement_store is not None and point.options.run_placement:
             if result.placement_cache_hit is None:
                 result.placement_cache_hit = False  # cache consulted, missed
-            if result.placement is not None and not result.placement_cache_hit:
+            anneal = result.baseline_placement
+            if anneal is not None and not result.placement_cache_hit:
                 placement_store.put(
                     placement_key,  # type: ignore[arg-type]
                     {
@@ -293,7 +296,7 @@ def execute_point(point_data: Mapping[str, object]) -> dict[str, object]:
                         "fingerprint": code_fingerprint(),
                         "circuit": point.circuit,
                         "seed": point.options.placement_seed,
-                        "placement": result.placement.to_dict(),
+                        "placement": anneal.to_dict(),
                     },
                 )
 
@@ -1098,8 +1101,8 @@ class SweepRunner:
         workers-based default.  A full :class:`RunnerConfig` may be passed
         instead of the two scalars via ``config``.
     placement_cache:
-        When a store is attached, also cache placements and re-route
-        incrementally on routing-only option changes (adds the
+        When a store is attached, also cache wirelength anneals and re-route
+        incrementally on routing-side or timing option changes (adds the
         ``placement_cache_hit`` summary key on placement-running sweeps).
         Disable for summaries bit-identical to store-less runs.
     routing_cache:

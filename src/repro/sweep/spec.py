@@ -96,20 +96,17 @@ class SweepPoint:
     def placement_key(self) -> str:
         """The content-address of this point's *placement* in the result store.
 
-        Placement depends on strictly less than the full point: the circuit
-        (and the code that maps it, folded in via the fingerprint), the fabric
-        *geometry* -- grid size, PLB parameters, IO pads per side -- the
-        annealing seed/effort, the mapping mode, and the **timing-driven
-        knobs**: a timing-driven flow polishes the baseline placement under
-        the blended objective, so ``timing_driven`` / ``timing_tradeoff`` /
-        the timing model produce a genuinely different placement and must
-        split the cache slot (a cached timing placement *is* the polished
-        one, which is why the flow's cache-hit path may skip the polish).
-        Routing-side knobs (channel width, connection/switch-box topology,
-        router iterations, bitstream generation) are deliberately
+        The record holds the wirelength anneal, which depends on strictly
+        less than the full point: the circuit (and the code that maps it,
+        folded in via the fingerprint), the fabric *geometry* -- grid size,
+        PLB parameters, IO pads per side -- the annealing seed/effort and the
+        mapping mode.  Routing-side knobs (channel width, connection/switch-box
+        topology, router iterations, bitstream generation) are deliberately
         **excluded**: two points differing only in those share one placement
         record, which is what lets the runner re-route an options-only
-        change without re-placing (incremental re-route).
+        change without re-placing (incremental re-route).  So are the timing
+        knobs: a timing-driven flow polishes the cached anneal itself, so
+        timing-driven and default points with the same seed share a record.
         """
         arch = self.architecture
         payload = {
@@ -125,17 +122,6 @@ class SweepPoint:
             "seed": self.options.placement_seed,
             "effort": self.options.placement_effort,
             "use_template_mapping": self.options.use_template_mapping,
-            "timing_driven": self.options.timing_driven,
-            # The blend weight and delay model only shape the polish pass,
-            # so they are irrelevant (normalised out) on baseline points.
-            "timing_tradeoff": (
-                self.options.timing_tradeoff if self.options.timing_driven else None
-            ),
-            "timing_model": (
-                self.options.timing_model.to_dict()
-                if self.options.timing_driven
-                else None
-            ),
         }
         return stable_digest(payload)
 

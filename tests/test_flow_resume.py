@@ -7,6 +7,7 @@ for the timing-driven and ``verify_stages`` option variants.
 """
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from repro.artifacts import STAGES
 from repro.cad.flow import CadFlow, FlowOptions
 from repro.circuits.generate import recommended_fabric
 from repro.circuits.registry import build_circuit
-from repro.core.params import ArchitectureParams
+from repro.core.params import ArchitectureParams, RoutingParams
 
 #: Two circuits per handshake style, small enough for a bounded runtime.
 PER_STAGE_CIRCUITS = ("qdi_full_adder", "micropipeline_full_adder")
@@ -81,6 +82,37 @@ def test_timing_driven_resume_is_bit_identical(tmp_path):
     mismatches = _checkpoint_then_resume(
         "qdi_full_adder", tmp_path / "arts", points, timing_driven=True
     )
+    assert mismatches == []
+
+
+def test_fallback_ladder_resume_is_bit_identical(tmp_path, caplog):
+    # Seed 5 on 6x6/cw10 fails the timing-driven rung on the polished
+    # placement and routes the baseline one, so the routed placement is not
+    # the one the place stage produced.  Every resume point, from the
+    # placement on, must still reproduce the straight-through run.
+    architecture = ArchitectureParams(
+        width=6, height=6, routing=RoutingParams(channel_width=10)
+    )
+    options = FlowOptions(
+        artifact_store=str(tmp_path / "arts"), timing_driven=True, placement_seed=5
+    )
+    with caplog.at_level(logging.INFO, logger="repro.cad.flow"):
+        straight = CadFlow(architecture, options).run(build_circuit("qdi_multiplier_2x2"))
+    assert any(
+        "timing-driven routing on the polished placement failed" in message
+        for message in caplog.messages
+    )
+    baseline = _fingerprint(straight)
+    mismatches = [
+        resume_from
+        for resume_from in ("placement", "routing", "timing", "bitstream", "auto")
+        if _fingerprint(
+            CadFlow(architecture, options).run(
+                build_circuit("qdi_multiplier_2x2"), resume_from=resume_from
+            )
+        )
+        != baseline
+    ]
     assert mismatches == []
 
 

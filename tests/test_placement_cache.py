@@ -11,6 +11,7 @@ import pytest
 from repro.cad.flow import CadFlow, FlowOptions
 from repro.cad.place import Placement, place_design
 from repro.circuits.fulladder import qdi_full_adder
+from repro.circuits.registry import build_circuit
 from repro.cad.techmap import template_map
 from repro.core.fabric import Fabric
 from repro.core.params import ArchitectureParams, RoutingParams
@@ -99,12 +100,10 @@ def test_placement_key_tracks_placement_inputs():
     assert len(keys) == 5
 
 
-def test_placement_key_tracks_timing_knobs():
-    # A timing-driven flow polishes the baseline placement under the
-    # blended objective, so the timing knobs produce genuinely different
-    # placements and must split the cache slot — otherwise a timing point
-    # would inherit (and route) a baseline placement, silently skipping
-    # the polish.
+def test_placement_key_ignores_timing_knobs():
+    # The cache holds the wirelength anneal, which no timing knob shapes:
+    # a timing-driven point polishes the cached anneal itself, so timing
+    # and default points with the same seed share one placement record.
     base = SweepPoint("qdi_full_adder", ARCH_CW8, FULL)
     timed = SweepPoint("qdi_full_adder", ARCH_CW8, FlowOptions(timing_driven=True))
     other_lambda = SweepPoint(
@@ -112,14 +111,7 @@ def test_placement_key_tracks_timing_knobs():
         ARCH_CW8,
         FlowOptions(timing_driven=True, timing_tradeoff=0.3),
     )
-    assert base.placement_key() != timed.placement_key()
-    assert timed.placement_key() != other_lambda.placement_key()
-    # The blend weight is polish-only: baseline points with different
-    # (unused) tradeoff values still share one placement record.
-    baseline_other_lambda = SweepPoint(
-        "qdi_full_adder", ARCH_CW8, FlowOptions(timing_tradeoff=0.3)
-    )
-    assert base.placement_key() == baseline_other_lambda.placement_key()
+    assert base.placement_key() == timed.placement_key() == other_lambda.placement_key()
 
 
 # ----------------------------------------------------------------------
@@ -134,6 +126,20 @@ def test_flow_uses_injected_placement_and_reports_hit():
     assert warm.placement is cold.placement
     assert warm.summary()["placement_cache_hit"] is True
     assert "placement_cache_hit" not in cold.summary()
+
+
+def test_injected_anneal_is_polished_like_a_cold_timing_run():
+    # A cache hit must equal a cold run: a timing-driven flow handed the
+    # wirelength anneal still runs the polish on it.
+    timed = FlowOptions(timing_driven=True)
+    anneal = CadFlow(ARCH_CW8, FULL).run(qdi_full_adder()).placement
+    cold = CadFlow(ARCH_CW8, timed).run(qdi_full_adder())
+    warm = CadFlow(ARCH_CW8, timed).run(qdi_full_adder(), placement=anneal)
+    assert warm.placement_cache_hit is True
+    warm_summary = warm.summary()
+    warm_summary.pop("placement_cache_hit")
+    assert warm_summary == cold.summary()
+    assert warm.bitstream.to_bytes() == cold.bitstream.to_bytes()
 
 
 def test_flow_discards_mismatched_injected_placement():
@@ -181,6 +187,27 @@ def test_parallel_run_matches_serial_placement_cache_behaviour(tmp_path):
     hits = [outcome.summary["placement_cache_hit"] for outcome in parallel.outcomes]
     assert hits == [False, True, True]  # leader placed, followers reused
     assert parallel.summaries() == serial.summaries()
+
+
+def test_timing_driven_ladder_sweep_matches_cold_flows(tmp_path):
+    # Seed 5 falls back to the baseline placement at width 10; the cached
+    # record must still let width 11 route what a cold run routes.
+    timed = FlowOptions(timing_driven=True, placement_seed=5)
+    points = [
+        SweepPoint(
+            "qdi_multiplier_2x2",
+            ArchitectureParams(width=6, height=6, routing=RoutingParams(channel_width=width)),
+            timed,
+        )
+        for width in (10, 11)
+    ]
+    report = SweepRunner(store=tmp_path).run(points)
+    assert [o.summary["placement_cache_hit"] for o in report.outcomes] == [False, True]
+    for point, outcome in zip(points, report.outcomes):
+        summary = dict(outcome.summary)
+        summary.pop("placement_cache_hit")
+        cold = CadFlow(point.architecture, point.options).run(build_circuit(point.circuit))
+        assert summary == cold.summary(), point.label()
 
 
 def test_router_iteration_change_also_hits_placement_cache(tmp_path):
