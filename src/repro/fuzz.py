@@ -1,23 +1,23 @@
 """Differential fuzzer for the CAD flow (``repro-fuzz``).
 
 The fuzzer generates seeded random gate netlists — bounded-width,
-bounded-depth DAGs over the standard cell library — and pushes each one
-through the whole backend pipeline::
-
-    generic_map -> (decompose) -> pack -> place -> route -> timing -> bitgen
+bounded-depth DAGs over the standard cell library — maps each one with
+``generic_map`` and runs :meth:`repro.cad.flow.CadFlow.run` on the mapped
+design, the flow users run (pack -> place -> route -> timing -> bitgen).
 
 Two kinds of oracle run along the way:
 
 * **Differential simulation equivalence**: the mapped LE network is simulated
   against the pre-map gate netlist (:func:`repro.sim.netsim.evaluate_combinational`
   as the golden model) over a deterministic vector set.  Any disagreement on
-  a primary output is a mapping/decomposition/packing bug.
-* **Stage invariants**: every stage artifact is checked structurally —
-  ``MappedDesign.validate()`` is clean, LEs fit the LE budget, the placement
-  covers exactly the design with no double-booked site or pad, every routed
-  tree is connected and capacity-respecting and every net that leaves a block
-  got routed, the timing DAG builds and yields a positive cycle time, and the
-  bitstream generator accepts the result.
+  a primary output is a mapping/decomposition bug.
+* **Invariants of the finished flow**: ``MappedDesign.validate()`` is clean
+  and LEs fit the LE budget after mapping; once the flow has run, packing
+  covers every LE within PLB capacity, the placement covers exactly the
+  design with no double-booked site or pad, every routed tree is connected
+  and capacity-respecting and every net that leaves a block got routed, and
+  the timing report has a positive cycle time.  An exception is blamed on
+  the flow stage that raised it (``exc.flow_stage``).
 
 Failures **shrink** to a minimal reproducer (greedy cell removal while the
 same stage/check keeps failing) and serialize to a corpus directory; corpus
@@ -38,14 +38,10 @@ from pathlib import Path
 from random import Random
 from typing import Mapping, Sequence
 
+from repro.cad.flow import CadFlow, FlowOptions
 from repro.cad.lemap import MappedDesign
-from repro.cad.pack import pack_design
-from repro.cad.place import Placement, place_design
-from repro.cad.route import RoutingResult, route_design
 from repro.cad.techmap import generic_map
-from repro.cad.timing import analyse_timing
-from repro.core.fabric import Fabric
-from repro.core.rrgraph import RoutingResourceGraph
+from repro.circuits.generate import recommended_fabric
 from repro.netlist.celltypes import STANDARD_LIBRARY
 from repro.netlist.netlist import Netlist, PortDirection
 from repro.sim.lesim import simulate_mapped_design
@@ -265,14 +261,6 @@ def _simulation_vectors(netlist: Netlist, seed: int, config: FuzzConfig) -> list
 # ======================================================================
 # Pipeline with invariant checks
 # ======================================================================
-def _fuzz_fabric(mapped: MappedDesign) -> "Fabric":
-    """A deliberately generous fabric: routing failure then signals a bug."""
-    from repro.circuits.generate import recommended_fabric
-
-    arch = recommended_fabric(mapped, slack=2)
-    return Fabric(arch)
-
-
 def _race_free_outputs(netlist: Netlist) -> list[str]:
     """Primary outputs with no state-holding cell in their transitive fan-in.
 
@@ -320,20 +308,13 @@ def _check_equivalence(
     return None
 
 
-# The per-stage invariant checks live in :mod:`repro.verify.invariants`
-# (shared with ``repro-lint`` and the ``verify_stages`` flow gate); these
-# aliases keep the fuzzer's historical entry points importable.
-_check_placement = placement_problem
-_check_routing = routing_problem
-
-
 def run_pipeline(
     netlist: Netlist,
     seed: int = 0,
     config: FuzzConfig | None = None,
     placement_seed: int = 1,
 ) -> FuzzResult:
-    """Push *netlist* through the full backend, checking every stage."""
+    """Map *netlist*, check equivalence, then run and check the whole flow."""
     config = config if config is not None else FuzzConfig()
     result = FuzzResult()
 
@@ -341,10 +322,7 @@ def run_pipeline(
         result.failure = FuzzFailure(stage=stage, check=check, message=message)
         return result
 
-    def guard(stage: str):
-        result.stages_run.append(stage)
-
-    guard("map")
+    result.stages_run.append("map")
     try:
         mapped = generic_map(netlist)
     except Exception:
@@ -356,7 +334,7 @@ def run_pipeline(
     if budget_problems:
         return fail("map", "le-budget", budget_problems[0])
 
-    guard("equivalence")
+    result.stages_run.append("equivalence")
     try:
         mismatch = _check_equivalence(netlist, mapped, seed, config)
     except Exception:
@@ -369,55 +347,32 @@ def run_pipeline(
         # to pack or place, which the backend rejects by design.
         return result
 
-    guard("pack")
+    result.stages_run.append("flow")
     try:
-        pack_design(mapped)
-    except Exception:
-        return fail("pack", "exception", traceback.format_exc(limit=4))
-    coverage = packing_coverage_problem(mapped)
-    if coverage:
-        return fail("pack", "coverage", coverage)
-    capacity = packing_capacity_problems(mapped)
+        # A deliberately generous fabric: routing failure then signals a
+        # bug.  Sizing it packs the design, so its failures are packing's.
+        flow = CadFlow(
+            recommended_fabric(mapped, slack=2), FlowOptions(placement_seed=placement_seed)
+        )
+        flowed = flow.run(mapped)
+    except Exception as exc:
+        return fail(getattr(exc, "flow_stage", "pack"), "exception", traceback.format_exc(limit=4))
+    design, placement = flowed.mapped, flowed.placement
+    problem = packing_coverage_problem(design)
+    if problem:
+        return fail("pack", "coverage", problem)
+    capacity = packing_capacity_problems(design)
     if capacity:
         return fail("pack", "capacity", capacity[0])
-
-    guard("place")
-    try:
-        fabric = _fuzz_fabric(mapped)
-        placement = place_design(mapped, fabric, seed=placement_seed)
-    except Exception:
-        return fail("place", "exception", traceback.format_exc(limit=4))
-    problem = placement_problem(mapped, placement, fabric)
+    problem = placement_problem(design, placement, flow.fabric)
     if problem:
         return fail("place", "legality", problem)
-
-    guard("route")
-    try:
-        graph = RoutingResourceGraph(fabric)
-        routing = route_design(mapped, placement, graph)
-    except Exception:
-        return fail("route", "exception", traceback.format_exc(limit=4))
-    problem = routing_problem(mapped, placement, graph, routing)
+    problem = routing_problem(design, placement, flow.rr_graph, flowed.routing)
     if problem:
         return fail("route", "invariant", problem)
-
-    guard("timing")
-    try:
-        report = analyse_timing(mapped, routing=routing, graph=graph)
-    except Exception:
-        return fail("timing", "exception", traceback.format_exc(limit=4))
-    problem = timing_problem(mapped, report)
+    problem = timing_problem(design, flowed.timing)
     if problem:
         return fail("timing", "cycle-time", problem)
-
-    guard("bitgen")
-    try:
-        from repro.cad.bitgen import generate_bitstream
-
-        generate_bitstream(mapped, placement, fabric.params)
-    except Exception:
-        return fail("bitgen", "exception", traceback.format_exc(limit=4))
-
     return result
 
 

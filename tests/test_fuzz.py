@@ -3,7 +3,13 @@
 import json
 from pathlib import Path
 
+import pytest
+
+import repro.cad.flow as flow_module
 import repro.fuzz as fuzz
+from repro.cad.flow import CadFlow
+from repro.cad.route import RoutingError
+from repro.circuits.registry import build_circuit
 from repro.fuzz import (
     FuzzConfig,
     FuzzFailure,
@@ -109,6 +115,46 @@ def test_fanout_free_output_cones():
             ],
         }
     )
+
+
+# ----------------------------------------------------------------------
+# Stage attribution: the fuzzer blames the flow stage that failed
+# ----------------------------------------------------------------------
+ONE_GATE = {
+    "name": "one_gate",
+    "inputs": ["a", "b"],
+    "outputs": ["z"],
+    "cells": [{"name": "u0", "type": "AND2", "connections": {"a0": "a", "a1": "b", "z": "z"}}],
+}
+
+
+def test_stage_exception_keeps_its_class_and_names_its_stage(monkeypatch):
+    def broken_route_design(*args, **kwargs):
+        raise RoutingError("injected routing fault")
+
+    monkeypatch.setattr(flow_module, "route_design", broken_route_design)
+    with pytest.raises(RoutingError) as caught:
+        CadFlow().run(build_circuit("qdi_full_adder"))
+    assert type(caught.value) is RoutingError
+    assert caught.value.flow_stage == "route"
+    outcome = run_pipeline(netlist_from_dict(ONE_GATE), seed=0)
+    assert outcome.failure is not None
+    assert outcome.failure.signature == ("route", "exception")
+    assert "injected routing fault" in outcome.failure.message
+
+
+def test_failed_invariant_is_blamed_on_its_stage(monkeypatch):
+    analyse_timing = flow_module.analyse_timing
+
+    def zero_cycle_time(*args, **kwargs):
+        report = analyse_timing(*args, **kwargs)
+        report.cycle_time_ps = 0
+        return report
+
+    monkeypatch.setattr(flow_module, "analyse_timing", zero_cycle_time)
+    outcome = run_pipeline(netlist_from_dict(ONE_GATE), seed=0)
+    assert outcome.failure is not None
+    assert outcome.failure.signature == ("timing", "cycle-time")
 
 
 # ----------------------------------------------------------------------
