@@ -166,34 +166,6 @@ class TimingReport:
             )
 
 
-def _logic_depth(design: MappedDesign) -> int:
-    """Longest acyclic LE-to-LE chain (feedback edges ignored)."""
-    drivers = design.net_driver()
-    le_by_name = {le.name: le for le in design.les}
-
-    depth_cache: dict[str, int] = {}
-    in_progress: set[str] = set()
-
-    def depth_of(le_name: str) -> int:
-        if le_name in depth_cache:
-            return depth_cache[le_name]
-        if le_name in in_progress:
-            return 0  # feedback loop; treat as a cut
-        in_progress.add(le_name)
-        le = le_by_name.get(le_name)
-        best = 0
-        if le is not None:
-            for net in le.external_input_nets:
-                driver = drivers.get(net)
-                if driver is not None and driver in le_by_name:
-                    best = max(best, depth_of(driver))
-        in_progress.discard(le_name)
-        depth_cache[le_name] = best + 1
-        return best + 1
-
-    return max((depth_of(le.name) for le in design.les), default=0)
-
-
 #: Source-side pseudo node of a primary input in the timing DAG.
 _PI = "pi"
 
@@ -214,8 +186,8 @@ class _TimingEdge:
 class TimingEngine:
     """Incremental static timing over the LE-level connection DAG.
 
-    The DAG is built **once** from the mapped design (feedback edges cut the
-    same deterministic way :func:`_logic_depth` cuts them); only per-net
+    The DAG is built **once** from the mapped design (a depth-first walk
+    that cuts each feedback edge where it closes a cycle); only per-net
     delays change afterwards.  Queries (:meth:`criticality`,
     :attr:`critical_path_ps`, :attr:`cycle_time_ps`) lazily re-run the
     arrival/required sweeps when a delay update dirtied the engine.
@@ -253,7 +225,7 @@ class TimingEngine:
                 driver = drivers.get(net)
                 if driver is not None and driver in le_by_name and driver != le_name:
                     if state.get(driver) == 0:
-                        continue  # feedback edge: cut, exactly like _logic_depth
+                        continue  # feedback edge: cut
                     visit(driver)
                     in_edges[le_name].append(_TimingEdge(driver, le_name, net))
                 elif net in primary_inputs:
@@ -276,11 +248,18 @@ class TimingEngine:
             if driver is not None and driver in le_by_name:
                 po_edges[driver].append(_TimingEdge(driver, None, net))
 
+        # LE levels: the longest LE chain, one pass along the topological order.
+        levels: dict[str, int] = {}
+        for name in order:
+            levels[name] = 1 + max(
+                (levels[edge.pred] for edge in in_edges[name] if edge.pred != _PI), default=0
+            )
+
         self._order = order
         self._in_edges = in_edges
         self._out_edges = out_edges
         self._po_edges = po_edges
-        self._le_levels = _logic_depth(design)
+        self._le_levels = max(levels.values(), default=0)
 
     # ------------------------------------------------------------------
     # Delay updates (cheap: mark dirty, recompute lazily)
