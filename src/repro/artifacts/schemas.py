@@ -50,7 +50,8 @@ if TYPE_CHECKING:  # runtime imports stay lazy: cad imports this package
     from repro.core.rrgraph import RoutingResourceGraph
 
 #: The flow's stage boundaries, shallow to deep.  ``CadFlow.run`` checkpoints
-#: after each and a resume consumes a contiguous prefix of them.
+#: each once its stage settles it (``placement`` with ``routing``, after the
+#: route stage) and a resume consumes a contiguous prefix of them.
 STAGES = ("mapped", "packed", "placement", "routing", "timing", "bitstream")
 
 #: Schema version of the artifact *envelope* (each payload carries its own
