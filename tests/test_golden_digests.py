@@ -21,6 +21,10 @@ flow digests reach only eight circuits; this table also covers the ``gen:``
 specs, the wider adders and the 4x4 multiplier, so a mapping or
 decomposition edit that changes any LE function fails here first.
 
+:data:`GOLDEN_COMPOSED` pins compositions the registry misses the same way:
+the single-acknowledge and 1-of-4 QDI ripple adders and two ``gen:`` sizes
+off the default ladders.
+
 :data:`GOLDEN_PLACEMENTS` pins every placement those flows anneal, one
 sha256 over each ``Placement.to_dict()`` JSON: the default anneal of every
 default flow, and both the baseline anneal and the criticality polish of
@@ -37,6 +41,7 @@ import pytest
 
 import repro.cad.flow as flow_module
 from repro.cad.flow import CadFlow, FlowOptions
+from repro.circuits.adders import qdi_ripple_adder
 from repro.circuits.registry import build_circuit, circuit_registry
 from repro.core.params import ArchitectureParams, RoutingParams
 
@@ -143,6 +148,23 @@ GOLDEN_MAPPED = {
     "gen:mac2@micropipeline": "e32599000f5f02311d51edd704bf15b460db075371dd43e3d4d15b54f1a4a1b6",
     "gen:mac4@qdi": "cb07f89dfed667bfa355f0a8c7583f9368f534cb478c09c8c80d1aa7c4901e1a",
     "gen:mac4@micropipeline": "3ed19fd7bc0cadd7ebd288e1042dfb49e8d8cd52e10f889713901d006caa1ddb",
+}
+
+#: Compositions outside the registry, built on ``PLBParams()``.
+COMPOSED = {
+    "qdi_ripple_adder(1)": lambda: qdi_ripple_adder(1),
+    "qdi_ripple_adder(4, 1-of-4)": lambda: qdi_ripple_adder(4, encoding="1-of-4"),
+    "gen:mult3x3@qdi": lambda: build_circuit("gen:mult3x3@qdi"),
+    "gen:mult8x8@micropipeline": lambda: build_circuit("gen:mult8x8@micropipeline"),
+}
+
+#: sha256 of ``json.dumps(circuit.mapped.to_dict(), sort_keys=True)`` per
+#: :data:`COMPOSED` entry.
+GOLDEN_COMPOSED = {
+    "qdi_ripple_adder(1)": "737b3c6aabfef0e07a18c84e9dd884c492e154404b02fab3288a128d11838d3b",
+    "qdi_ripple_adder(4, 1-of-4)": "e2f8ca285e9da0865914a2eddfab1d856f5feb4ff06cabe18ab418afdeab1875",
+    "gen:mult3x3@qdi": "4f19560859bc22a6ffceec1aa423b7256783d0f81d4d44dab18418017e30b45a",
+    "gen:mult8x8@micropipeline": "da1c8a5bd992713b9e8c67ca75dac31d331c0fcdb8373187bdaa1d9146ad12a1",
 }
 
 
@@ -255,6 +277,11 @@ def capture_placements(monkeypatch) -> list:
     return captured
 
 
+def mapped_digest(mapped) -> str:
+    payload = json.dumps(mapped.to_dict(), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 def flow_digest(result) -> str:
     """sha256 over the summary JSON, the bitstream and the routed trees."""
     digest = hashlib.sha256()
@@ -310,5 +337,13 @@ def test_mapped_design_matches_golden_digest(name):
     mapped = getattr(circuit, "mapped", None)
     if mapped is None:
         mapped = CadFlow(ArchitectureParams()).map(circuit)
-    payload = json.dumps(mapped.to_dict(), sort_keys=True)
-    assert hashlib.sha256(payload.encode()).hexdigest() == GOLDEN_MAPPED[name]
+    assert mapped_digest(mapped) == GOLDEN_MAPPED[name]
+
+
+def test_golden_composition_table_covers_its_builders():
+    assert list(GOLDEN_COMPOSED) == list(COMPOSED)
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_COMPOSED))
+def test_composed_design_matches_golden_digest(name):
+    assert mapped_digest(COMPOSED[name]().mapped) == GOLDEN_COMPOSED[name]
