@@ -16,7 +16,10 @@ Two mappers are provided:
     and the matched delay maps onto the PLB's programmable delay element.
 
   This is the mapping the paper's Figure 3 sketches with dashed boxes, and it
-  is what the filling-ratio experiment measures.
+  is what the filling-ratio experiment measures.  The micropipeline stage
+  template (ports, latch controller, PDE) is :func:`_micropipeline_template`;
+  the composed micropipeline builders in :mod:`repro.circuits` frame their
+  LUT networks with it too.
 
 * :func:`generic_map` -- a style-oblivious cone-based mapper for arbitrary
   gate netlists: every sequential cell and every primary output becomes a LUT
@@ -35,7 +38,8 @@ budget below 3) or the circuit carries no mappable description at all.
 from __future__ import annotations
 
 from collections import deque
-from typing import Mapping
+from dataclasses import replace
+from typing import Mapping, Sequence
 
 from repro.asynclogic.channels import Channel
 from repro.cad.decompose import (
@@ -48,6 +52,7 @@ from repro.cad.decompose import (
 )
 from repro.cad.lemap import LEFunction, MappedDesign, MappedLE, MappedPDE
 from repro.core.params import PLBParams
+from repro.logic.functions import c_element_table
 from repro.logic.truthtable import TruthTable
 from repro.netlist.celltypes import STATE_VARIABLE
 from repro.netlist.netlist import Netlist
@@ -220,18 +225,7 @@ def _map_qdi(circuit: StyledCircuit, params: PLBParams) -> MappedDesign:
             validity_assigned.add(digit_key)
 
     # Acknowledge: Muller C-element over the digit validities (looped LUT).
-    ack_inputs = tuple(digit_validity_nets) + (ack_net,)
-
-    def ack_next(*values: int) -> int:
-        data = values[:-1]
-        previous = values[-1]
-        if all(data):
-            return 1
-        if not any(data):
-            return 0
-        return previous
-
-    ack_table = TruthTable.from_function(ack_inputs, ack_next, name="ack")
+    ack_table = replace(c_element_table(digit_validity_nets, state=ack_net), name="ack")
     fitted_ack = _fit_function(
         LEFunction(output_net=ack_net, table=ack_table, role="ack"),
         le_params.lut_inputs,
@@ -249,9 +243,99 @@ def _map_qdi(circuit: StyledCircuit, params: PLBParams) -> MappedDesign:
 # ----------------------------------------------------------------------
 # Template mapping: micropipeline
 # ----------------------------------------------------------------------
+def _pack_functions(
+    prefix: str, functions: Sequence[LEFunction], params: PLBParams
+) -> list[MappedLE]:
+    """Greedily pack LUT functions into LEs in order (first-fit, no reorder)."""
+    les: list[MappedLE] = []
+    current: list[LEFunction] = []
+    for function in functions:
+        trial = MappedLE(name=f"le_{prefix}{len(les)}", functions=current + [function])
+        if not current:
+            if not trial.fits(params):
+                raise ValueError(
+                    f"function {function.output_net!r} ({function.arity} inputs) "
+                    "exceeds the LE budget on its own"
+                )
+            current = trial.functions
+        elif trial.fits(params):
+            current = trial.functions
+        else:
+            les.append(MappedLE(name=f"le_{prefix}{len(les)}", functions=current))
+            current = [function]
+    if current:
+        les.append(MappedLE(name=f"le_{prefix}{len(les)}", functions=current))
+    return les
+
+
+def _micropipeline_template(
+    name: str,
+    input_channel: Channel,
+    output_channel: Channel,
+    les: Sequence[MappedLE],
+    matched_delay: int,
+    params: PLBParams,
+) -> MappedDesign:
+    """The micropipeline stage template around a stage's datapath LEs.
+
+    Every bundled-data stage shares this frame: the two channels' ports, one
+    latch-controller LE and one PDE.  The PDE delays the input request by
+    *matched_delay* onto ``{name}_req_delayed``.  The controller computes
+    ``enable = C(req_delayed, !out_ack)`` (held otherwise) onto the output
+    request, which is the enable the datapath's latches read, and mirrors it
+    onto the input acknowledge as its second LUT output.
+    """
+    design = MappedDesign(name=name, params=params, style=LogicStyle.MICROPIPELINE)
+    design.primary_inputs = [
+        *input_channel.data_wires(),
+        input_channel.req_wire,
+        output_channel.ack_wire,
+    ]
+    design.primary_outputs = [
+        *output_channel.data_wires(),
+        input_channel.ack_wire,
+        output_channel.req_wire,
+    ]
+
+    enable_net = output_channel.req_wire  # enable == out_req == in_ack
+    req_delayed_net = f"{name}_req_delayed"
+
+    def controller_next(req_delayed: int, out_ack: int, enable: int) -> int:
+        not_ack = 1 - out_ack
+        if req_delayed and not_ack:
+            return 1
+        if not req_delayed and not not_ack:
+            return 0
+        return enable
+
+    controller_table = TruthTable.from_function(
+        (req_delayed_net, output_channel.ack_wire, enable_net), controller_next, name="controller"
+    )
+    controller_le = MappedLE(
+        name=f"le_{name}_ctrl",
+        functions=[
+            LEFunction(output_net=enable_net, table=controller_table, role="controller"),
+            LEFunction(
+                output_net=input_channel.ack_wire,
+                table=replace(controller_table, name="in_ack"),
+                role="controller",
+            ),
+        ],
+    )
+    design.les = [*les, controller_le]
+    design.pdes = [
+        MappedPDE(
+            name=f"pde_{name}",
+            input_net=input_channel.req_wire,
+            output_net=req_delayed_net,
+            delay_ps=matched_delay,
+        )
+    ]
+    return design
+
+
 def _map_micropipeline(circuit: StyledCircuit, params: PLBParams) -> MappedDesign:
     """Template mapping of a bundled-data micropipeline stage."""
-    design = MappedDesign(name=circuit.name, params=params, style=circuit.style)
     if len(circuit.input_channels) != 1 or len(circuit.output_channels) != 1:
         raise MappingError("micropipeline template mapping expects one input and one output channel")
     input_channel = circuit.input_channels[0]
@@ -264,19 +348,11 @@ def _map_micropipeline(circuit: StyledCircuit, params: PLBParams) -> MappedDesig
         )
     matched_delay = int(circuit.metadata.get("matched_delay", 0)) or 1
 
-    design.primary_inputs.extend(input_channel.data_wires())
-    design.primary_inputs.append(input_channel.req_wire)
-    design.primary_inputs.append(output_channel.ack_wire)
-    design.primary_outputs.extend(output_channel.data_wires())
-    design.primary_outputs.append(input_channel.ack_wire)
-    design.primary_outputs.append(output_channel.req_wire)
-
     le_params = params.le
-    enable_net = output_channel.req_wire  # enable == out_req == in_ack
-    req_delayed_net = f"{circuit.name}_req_delayed"
-    namer = NetNamer(
-        list(design.primary_inputs) + list(design.primary_outputs) + [req_delayed_net]
-    )
+    enable_net = output_channel.req_wire  # the stage template's latch enable
+    # Decomposition names its fresh nets ``<net>__d<n>``, which only a port
+    # name can clash with.
+    namer = NetNamer(input_channel.all_wires() + output_channel.all_wires())
     stats = DecompositionStats()
 
     # Output latches, each absorbing its datapath function:
@@ -304,57 +380,17 @@ def _map_micropipeline(circuit: StyledCircuit, params: PLBParams) -> MappedDesig
         decomposition_functions.extend(fitted.intermediates)
         latch_functions.append(fitted.final)
 
-    # Pack latch functions into LEs (they share the data inputs and enable).
-    latch_les: list[MappedLE] = []
-    current = MappedLE(name=f"le_{circuit.name}_latch0")
-    for function in latch_functions:
-        candidate = MappedLE(name=current.name, functions=current.functions + [function], validity=current.validity)
-        if candidate.fits(params):
-            current = candidate
-        else:
-            latch_les.append(current)
-            current = MappedLE(name=f"le_{circuit.name}_latch{len(latch_les)}", functions=[function])
-    if current.functions:
-        latch_les.append(current)
-
-    # Latch controller: enable = C(req_delayed, !out_ack), held otherwise.
-    controller_inputs = (req_delayed_net, output_channel.ack_wire, enable_net)
-
-    def controller_next(req_delayed: int, out_ack: int, enable: int) -> int:
-        not_ack = 1 - out_ack
-        if req_delayed and not_ack:
-            return 1
-        if not req_delayed and not not_ack:
-            return 0
-        return enable
-
-    controller_table = TruthTable.from_function(controller_inputs, controller_next, name="latch_controller")
-    controller_le = MappedLE(
-        name=f"le_{circuit.name}_ctrl",
-        functions=[LEFunction(output_net=enable_net, table=controller_table, role="controller")],
+    # The latches share the data inputs and the enable, so pack them together.
+    design = _micropipeline_template(
+        circuit.name,
+        input_channel,
+        output_channel,
+        _pack_functions(f"{circuit.name}_latch", latch_functions, params),
+        matched_delay,
+        params,
     )
-
-    # The producer-side acknowledge mirrors the enable signal.  It is produced
-    # as a second output of the controller LE (same function, second LUT output).
-    in_ack_table = TruthTable.from_function(
-        controller_inputs, controller_next, name="in_ack"
-    ).rename({enable_net: enable_net})
-    controller_le.functions.append(
-        LEFunction(output_net=input_channel.ack_wire, table=in_ack_table, role="controller")
-    )
-
-    design.les = latch_les + [controller_le] + build_mapped_les(
-        decomposition_functions, params
-    )
+    design.les += build_mapped_les(decomposition_functions, params)
     _stamp_decomposition(design, stats)
-    design.pdes = [
-        MappedPDE(
-            name=f"pde_{circuit.name}",
-            input_net=input_channel.req_wire,
-            output_net=req_delayed_net,
-            delay_ps=matched_delay,
-        )
-    ]
     return design
 
 

@@ -1,24 +1,29 @@
-"""N-bit ripple-carry adders in the supported logic styles.
+"""N-bit ripple-carry adders in the supported logic styles, and the QDI
+composition every multi-block QDI circuit shares.
 
 The multi-bit adders are built the way a macro-based asynchronous flow builds
 them: bit slices are instantiated and stitched at the *mapped-LE* level, so
 the resulting :class:`~repro.cad.lemap.MappedDesign` can go straight into the
 packer, placer and router and into the filling-ratio / scaling experiments
-(EXP-EXT1).  The QDI slices reuse the Figure 3b template; the micropipeline
-adder is one bundled-data stage whose ripple-carry datapath is expressed as
-one latch-LUT per output bit plus internal carry LUTs.
+(EXP-EXT1).  The QDI slices reuse the Figure 3b template and compose through
+:func:`_compose_qdi`, as the composed multipliers and every QDI generator
+family do; the micropipeline adder is one bundled-data stage whose
+ripple-carry datapath is expressed as one latch-LUT per output bit plus
+internal carry LUTs, framed by the shared stage template
+(:func:`repro.cad.techmap._micropipeline_template`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass, field, replace
+from typing import Callable, Mapping, Sequence
 
 from repro.asynclogic.channels import Channel
 from repro.asynclogic.encodings import BundledDataEncoding, DualRailEncoding, OneOfNEncoding
-from repro.cad.lemap import LEFunction, MappedDesign, MappedLE, MappedPDE, merge_mapped_designs
-from repro.cad.techmap import template_map
+from repro.cad.lemap import LEFunction, MappedDesign, MappedLE, merge_mapped_designs
+from repro.cad.techmap import _micropipeline_template, template_map
 from repro.core.params import PLBParams
+from repro.logic.functions import c_element_table
 from repro.logic.truthtable import TruthTable
 from repro.styles.base import LogicStyle, StyledCircuit
 from repro.styles.micropipeline import DEFAULT_MATCHED_DELAY
@@ -41,6 +46,9 @@ class BenchmarkCircuit:
         return data
 
 
+# ----------------------------------------------------------------------
+# QDI composition (ripple adders, composed multipliers, generator families)
+# ----------------------------------------------------------------------
 def combine_acknowledges(
     mapped: MappedDesign, ack_nets: list[str], output: str = "ack"
 ) -> list[str]:
@@ -48,37 +56,119 @@ def combine_acknowledges(
 
     Appends one looped-LUT C-element per tree node to ``mapped.les`` (the
     root drives *output*) and returns the remaining net list -- ``[output]``
-    for more than one input, the untouched single net otherwise.  Shared by
-    every mapped-LE-level circuit composition (ripple adders, the composed
-    multipliers).
+    for more than one input, the untouched single net otherwise.
     """
     level = 0
     while len(ack_nets) > 1:
         next_level: list[str] = []
         for index in range(0, len(ack_nets) - 1, 2):
             node = output if len(ack_nets) == 2 else f"{output}_l{level}_{index // 2}"
-            inputs = (ack_nets[index], ack_nets[index + 1], node)
-
-            def c_next(a: int, b: int, y: int) -> int:
-                if a and b:
-                    return 1
-                if not a and not b:
-                    return 0
-                return y
-
-            table = TruthTable.from_function(inputs, c_next, name=f"ack_tree_{node}")
-            mapped.les.append(
-                MappedLE(
-                    name=f"le_{node}",
-                    functions=[LEFunction(output_net=node, table=table, role="ack")],
-                )
+            table = c_element_table(ack_nets[index : index + 2], state=node)
+            function = LEFunction(
+                output_net=node, table=replace(table, name=f"ack_tree_{node}"), role="ack"
             )
+            mapped.les.append(MappedLE(name=f"le_{node}", functions=[function]))
             next_level.append(node)
         if len(ack_nets) % 2:
             next_level.append(ack_nets[-1])
         ack_nets = next_level
         level += 1
     return ack_nets
+
+
+def _qdi_block(
+    name: str,
+    inputs: Sequence[str | Channel],
+    outputs: Mapping[str, Callable[[Mapping[str, int]], int]],
+    ack_net: str,
+) -> StyledCircuit:
+    """A DIMS block over named channels computing one bit per output net.
+
+    *inputs* are 1-bit dual-rail channel names (or explicit :class:`Channel`
+    objects for wider operands such as an opcode); *outputs* maps 1-bit
+    output channel names to functions of the input-value dict.
+    """
+    enc = DualRailEncoding()
+    in_channels = [
+        net if isinstance(net, Channel) else Channel(net, 1, enc) for net in inputs
+    ]
+    out_channels = [Channel(net, 1, enc) for net in outputs]
+
+    def function(values: Mapping[str, int]) -> Mapping[str, int]:
+        return {net: fn(values) & 1 for net, fn in outputs.items()}
+
+    return dims_function_block(
+        name,
+        input_channels=in_channels,
+        output_channels=out_channels,
+        function=function,
+        style=LogicStyle.QDI_DUAL_RAIL,
+        ack_net=ack_net,
+    )
+
+
+def _qdi_adder_block(
+    inputs: tuple[str, ...], sum_net: str, carry_net: str
+) -> StyledCircuit:
+    """A QDI half adder (two inputs) or full adder (three inputs)."""
+
+    def total(values: Mapping[str, int]) -> int:
+        return sum(values[net] for net in inputs)
+
+    kind = "fa" if len(inputs) == 3 else "ha"
+    return _qdi_block(
+        f"qdi_{kind}_{sum_net}",
+        inputs,
+        {
+            sum_net: lambda values: total(values) & 1,
+            carry_net: lambda values: (total(values) >> 1) & 1,
+        },
+        ack_net=f"ack_{sum_net}",
+    )
+
+
+def _compose_qdi(
+    name: str,
+    blocks: Sequence[StyledCircuit],
+    output_channels: Sequence[str],
+    params: PLBParams,
+    metadata: Mapping[str, object],
+) -> BenchmarkCircuit:
+    """Template-map QDI blocks, merge them, combine their acks, fix up the interface.
+
+    This is the mapped-LE-level macro composition of every multi-block QDI
+    circuit: the style and the per-block acknowledges come from the blocks,
+    nets one block produces for another become internal, and the remaining
+    data rails of the 1-bit dual-rail *output_channels* plus the
+    acknowledge-tree root form the primary outputs.  Output channels may name
+    nets the composition passes straight through from the primary inputs
+    (small CRC chains do); those rails stay primary inputs *and* appear among
+    the primary outputs.
+    """
+    mapped_blocks = [template_map(block, params) for block in blocks]
+    # merge_mapped_designs also folds the blocks' decomposition counters
+    # into the merged metadata.
+    mapped = merge_mapped_designs(name, mapped_blocks)
+    mapped.style = blocks[0].style
+    roots = combine_acknowledges(mapped, [str(block.metadata["ack_net"]) for block in blocks])
+
+    driven = mapped.all_output_nets()
+    mapped.primary_inputs = [net for net in mapped.primary_inputs if net not in driven]
+    outputs: list[str] = []
+    for channel_name in output_channels:
+        outputs.extend(Channel(channel_name, 1, DualRailEncoding()).data_wires())
+    outputs.append(roots[0])
+    # An output-channel wire no block drives is an environment-provided
+    # pass-through (small CRC chains shift initial-vector bits straight out):
+    # it must be a primary input even when no block consumes it either.
+    for net in outputs:
+        if net not in driven and net not in mapped.primary_inputs:
+            mapped.primary_inputs.append(net)
+    mapped.primary_outputs = outputs
+
+    data = {"ack_net": roots[0], "output_channels": list(output_channels)}
+    data.update(metadata)
+    return BenchmarkCircuit(name=name, style=mapped.style, mapped=mapped, metadata=data)
 
 
 # ----------------------------------------------------------------------
@@ -138,33 +228,14 @@ def qdi_ripple_adder(
     """
     if bits < 1:
         raise ValueError("the adder needs at least one bit")
-    params = params if params is not None else PLBParams()
-    name = name or f"qdi_ripple_adder{bits}_{encoding}"
-
-    slices = [_qdi_full_adder_slice(bit, encoding) for bit in range(bits)]
-    mapped_slices = [template_map(circuit, params) for circuit in slices]
-    mapped = merge_mapped_designs(name, mapped_slices)
-    mapped.style = slices[0].style
-
-    ack_nets = combine_acknowledges(mapped, [f"ack{bit}" for bit in range(bits)])
-
-    # Interface bookkeeping: carries between slices are internal.
-    driven = mapped.all_output_nets()
-    mapped.primary_inputs = [net for net in mapped.primary_inputs if net not in driven]
-    outputs: list[str] = []
-    for bit in range(bits):
-        sum_channel = Channel(f"s{bit}", 1, DualRailEncoding())
-        outputs.extend(sum_channel.data_wires())
-    outputs.extend(Channel(f"c{bits}", 1, DualRailEncoding()).data_wires())
-    outputs.append(ack_nets[0] if bits > 1 else "ack0")
-    mapped.primary_outputs = outputs
-
-    return BenchmarkCircuit(
-        name=name,
-        style=mapped.style,
-        mapped=mapped,
-        gate_circuit=None,
-        metadata={"bits": bits, "encoding": encoding, "ack_net": outputs[-1]},
+    return _compose_qdi(
+        name or f"qdi_ripple_adder{bits}_{encoding}",
+        [_qdi_full_adder_slice(bit, encoding) for bit in range(bits)],
+        # Carries between slices are internal; the sums and the last carry
+        # leave the adder.
+        [f"s{bit}" for bit in range(bits)] + [f"c{bits}"],
+        params if params is not None else PLBParams(),
+        {"bits": bits, "encoding": encoding},
     )
 
 
@@ -202,12 +273,7 @@ def micropipeline_ripple_adder(
     sum_wires = out_wires[0:bits]
     cout_wire = out_wires[bits]
 
-    design = MappedDesign(name=name, params=params, style=LogicStyle.MICROPIPELINE)
-    design.primary_inputs = list(in_wires) + [input_channel.req_wire, output_channel.ack_wire]
-    design.primary_outputs = list(out_wires) + [input_channel.ack_wire, output_channel.req_wire]
-
-    enable_net = output_channel.req_wire
-    req_delayed = f"{name}_req_delayed"
+    enable_net = output_channel.req_wire  # the stage template's latch enable
     carry_nets = [cin_wire] + [f"{name}_carry{bit}" for bit in range(1, bits)] + [cout_wire]
 
     les: list[MappedLE] = []
@@ -251,44 +317,10 @@ def micropipeline_ripple_adder(
         else:
             les.append(le)
 
-    # Latch controller (same structure as the 1-bit stage).
-    controller_inputs = (req_delayed, output_channel.ack_wire, enable_net)
-
-    def controller_next(req: int, out_ack: int, enable: int) -> int:
-        not_ack = 1 - out_ack
-        if req and not_ack:
-            return 1
-        if not req and not not_ack:
-            return 0
-        return enable
-
-    controller_table = TruthTable.from_function(controller_inputs, controller_next, name="controller")
-    in_ack_table = TruthTable.from_function(controller_inputs, controller_next, name="in_ack")
-    les.append(
-        MappedLE(
-            name=f"le_{name}_ctrl",
-            functions=[
-                LEFunction(output_net=enable_net, table=controller_table, role="controller"),
-                LEFunction(output_net=input_channel.ack_wire, table=in_ack_table, role="controller"),
-            ],
-        )
-    )
-
-    design.les = les
-    design.pdes = [
-        MappedPDE(
-            name=f"pde_{name}",
-            input_net=input_channel.req_wire,
-            output_net=req_delayed,
-            delay_ps=matched,
-        )
-    ]
-
     return BenchmarkCircuit(
         name=name,
         style=LogicStyle.MICROPIPELINE,
-        mapped=design,
-        gate_circuit=None,
+        mapped=_micropipeline_template(name, input_channel, output_channel, les, matched, params),
         metadata={
             "bits": bits,
             "matched_delay": matched,

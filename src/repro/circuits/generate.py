@@ -19,11 +19,13 @@ objects (see :mod:`repro.circuits.specs` for the ``gen:...`` naming scheme):
     Systolic MAC row: N multiply(AND)-accumulate cells summing the popcount
     of ``x & w`` through a growing ripple-increment chain.
 
-The QDI renderings compose DIMS function blocks at the mapped-LE level (the
-macro-style composition the ripple adders and the 4x4 multiplier introduced);
-the micropipeline renderings build one bundled-data stage whose datapath is a
-combinational LUT network behind per-output transparent latches, with the
-request matched-delay scaled to the network depth.
+The QDI renderings compose DIMS function blocks at the mapped-LE level
+through the composition the ripple adders and the 4x4 multiplier share
+(:func:`repro.circuits.adders._compose_qdi`); the micropipeline renderings
+build one bundled-data stage whose datapath is a combinational LUT network
+behind per-output transparent latches, with the request matched-delay scaled
+to the network depth, framed by the stage template every micropipeline stage
+shares (:func:`repro.cad.techmap._micropipeline_template`).
 """
 
 from __future__ import annotations
@@ -32,15 +34,9 @@ from typing import Callable, Mapping, Sequence
 
 from repro.asynclogic.channels import Channel
 from repro.asynclogic.encodings import BundledDataEncoding, DualRailEncoding
-from repro.cad.lemap import (
-    LEFunction,
-    MappedDesign,
-    MappedLE,
-    MappedPDE,
-    merge_mapped_designs,
-)
-from repro.cad.techmap import template_map
-from repro.circuits.adders import BenchmarkCircuit, combine_acknowledges
+from repro.cad.lemap import LEFunction
+from repro.cad.techmap import _micropipeline_template, _pack_functions
+from repro.circuits.adders import BenchmarkCircuit, _compose_qdi, _qdi_adder_block, _qdi_block
 from repro.circuits.specs import CircuitSpec, register_family
 from repro.core.params import PLBParams
 from repro.logic.truthtable import TruthTable
@@ -53,134 +49,8 @@ MATCHED_DELAY_PER_LEVEL = 300
 
 
 # ======================================================================
-# QDI composition helpers
-# ======================================================================
-def _qdi_block(
-    name: str,
-    inputs: Sequence[str | Channel],
-    outputs: Mapping[str, Callable[[Mapping[str, int]], int]],
-    ack_net: str,
-) -> StyledCircuit:
-    """A DIMS block over named channels computing one bit per output net.
-
-    *inputs* are 1-bit dual-rail channel names (or explicit :class:`Channel`
-    objects for wider operands such as an opcode); *outputs* maps 1-bit
-    output channel names to functions of the input-value dict.
-    """
-    enc = DualRailEncoding()
-    in_channels = [
-        net if isinstance(net, Channel) else Channel(net, 1, enc) for net in inputs
-    ]
-    out_channels = [Channel(net, 1, enc) for net in outputs]
-
-    def function(values: Mapping[str, int]) -> Mapping[str, int]:
-        return {net: fn(values) & 1 for net, fn in outputs.items()}
-
-    return dims_function_block(
-        name,
-        input_channels=in_channels,
-        output_channels=out_channels,
-        function=function,
-        style=LogicStyle.QDI_DUAL_RAIL,
-        ack_net=ack_net,
-    )
-
-
-def _qdi_adder_block(
-    inputs: tuple[str, ...], sum_net: str, carry_net: str
-) -> StyledCircuit:
-    """A QDI half adder (two inputs) or full adder (three inputs)."""
-
-    def total(values: Mapping[str, int]) -> int:
-        return sum(values[net] for net in inputs)
-
-    kind = "fa" if len(inputs) == 3 else "ha"
-    return _qdi_block(
-        f"qdi_{kind}_{sum_net}",
-        inputs,
-        {
-            sum_net: lambda values: total(values) & 1,
-            carry_net: lambda values: (total(values) >> 1) & 1,
-        },
-        ack_net=f"ack_{sum_net}",
-    )
-
-
-def _compose_qdi(
-    name: str,
-    blocks: Sequence[StyledCircuit],
-    ack_nets: Sequence[str],
-    output_channels: Sequence[str],
-    params: PLBParams,
-    metadata: Mapping[str, object],
-) -> BenchmarkCircuit:
-    """Template-map the blocks, merge, combine acks, fix up the interface.
-
-    This is the mapped-LE-level macro composition shared by every QDI family:
-    nets one block produces for another become internal, the remaining data
-    rails plus the acknowledge-tree root form the primary outputs.  Output
-    channels may name nets the composition passes straight through from the
-    primary inputs (small CRC chains do); those rails stay primary inputs
-    *and* appear among the primary outputs.
-    """
-    mapped_blocks = [template_map(block, params) for block in blocks]
-    mapped = merge_mapped_designs(name, mapped_blocks)
-    mapped.style = LogicStyle.QDI_DUAL_RAIL
-    roots = combine_acknowledges(mapped, list(ack_nets))
-
-    driven = mapped.all_output_nets()
-    mapped.primary_inputs = [net for net in mapped.primary_inputs if net not in driven]
-    outputs: list[str] = []
-    for channel_name in output_channels:
-        outputs.extend(Channel(channel_name, 1, DualRailEncoding()).data_wires())
-    outputs.append(roots[0])
-    # An output-channel wire no block drives is an environment-provided
-    # pass-through (small CRC chains shift initial-vector bits straight out):
-    # it must be a primary input even when no block consumes it either.
-    for net in outputs:
-        if net not in driven and net not in mapped.primary_inputs:
-            mapped.primary_inputs.append(net)
-    mapped.primary_outputs = outputs
-
-    data = {"ack_net": roots[0], "output_channels": list(output_channels)}
-    data.update(metadata)
-    return BenchmarkCircuit(
-        name=name,
-        style=LogicStyle.QDI_DUAL_RAIL,
-        mapped=mapped,
-        gate_circuit=None,
-        metadata=data,
-    )
-
-
-# ======================================================================
 # Micropipeline composition helper
 # ======================================================================
-def _pack_functions(
-    prefix: str, functions: Sequence[LEFunction], params: PLBParams
-) -> list[MappedLE]:
-    """Greedily pack LUT functions into LEs in order (first-fit, no reorder)."""
-    les: list[MappedLE] = []
-    current: list[LEFunction] = []
-    for function in functions:
-        trial = MappedLE(name=f"le_{prefix}{len(les)}", functions=current + [function])
-        if not current:
-            if not trial.fits(params):
-                raise ValueError(
-                    f"function {function.output_net!r} ({function.arity} inputs) "
-                    "exceeds the LE budget on its own"
-                )
-            current = trial.functions
-        elif trial.fits(params):
-            current = trial.functions
-        else:
-            les.append(MappedLE(name=f"le_{prefix}{len(les)}", functions=current))
-            current = [function]
-    if current:
-        les.append(MappedLE(name=f"le_{prefix}{len(les)}", functions=current))
-    return les
-
-
 def _compose_micropipeline(
     name: str,
     input_channel: Channel,
@@ -188,37 +58,23 @@ def _compose_micropipeline(
     logic: Sequence[tuple[str, tuple[str, ...], Callable[..., int]]],
     output_sources: Sequence[str],
     params: PLBParams,
-    matched_delay: int | None = None,
-    metadata: Mapping[str, object] | None = None,
+    metadata: Mapping[str, object],
 ) -> BenchmarkCircuit:
     """One bundled-data stage: LUT network -> per-output latches -> controller.
 
     *logic* lists combinational LUT functions ``(net, inputs, fn)`` in
     topological order; *output_sources* names the net latched onto each
     output-channel data wire (an input wire is allowed: the latch then
-    implements a registered pass-through).  The matched delay defaults to
+    implements a registered pass-through).  The matched delay is
     :data:`~repro.styles.micropipeline.DEFAULT_MATCHED_DELAY` plus
     :data:`MATCHED_DELAY_PER_LEVEL` per LUT level on the deepest cone.
     """
-    in_wires = input_channel.data_wires()
     out_wires = output_channel.data_wires()
     if len(output_sources) != len(out_wires):
         raise ValueError(
             f"{name}: {len(out_wires)} output wires but {len(output_sources)} sources"
         )
-
-    design = MappedDesign(name=name, params=params, style=LogicStyle.MICROPIPELINE)
-    design.primary_inputs = list(in_wires) + [
-        input_channel.req_wire,
-        output_channel.ack_wire,
-    ]
-    design.primary_outputs = list(out_wires) + [
-        input_channel.ack_wire,
-        output_channel.req_wire,
-    ]
-
-    enable_net = output_channel.req_wire
-    req_delayed = f"{name}_req_delayed"
+    enable_net = output_channel.req_wire  # the stage template's latch enable
 
     level: dict[str, int] = {}
     functions: list[LEFunction] = []
@@ -237,54 +93,10 @@ def _compose_micropipeline(
         table = TruthTable.from_function(latch_inputs, latch_next, name=f"latch_{wire}")
         latch_functions.append(LEFunction(output_net=wire, table=table, role="latch"))
 
+    depth = 1 + max((level.get(source, 0) for source in output_sources), default=0)
+    matched = DEFAULT_MATCHED_DELAY + MATCHED_DELAY_PER_LEVEL * depth
     les = _pack_functions(f"{name}_logic", functions, params)
     les += _pack_functions(f"{name}_latch", latch_functions, params)
-
-    # Latch controller: the same structure every micropipeline stage uses.
-    controller_inputs = (req_delayed, output_channel.ack_wire, enable_net)
-
-    def controller_next(req: int, out_ack: int, enable: int) -> int:
-        not_ack = 1 - out_ack
-        if req and not_ack:
-            return 1
-        if not req and not not_ack:
-            return 0
-        return enable
-
-    controller_table = TruthTable.from_function(
-        controller_inputs, controller_next, name="controller"
-    )
-    in_ack_table = TruthTable.from_function(
-        controller_inputs, controller_next, name="in_ack"
-    )
-    les.append(
-        MappedLE(
-            name=f"le_{name}_ctrl",
-            functions=[
-                LEFunction(output_net=enable_net, table=controller_table, role="controller"),
-                LEFunction(
-                    output_net=input_channel.ack_wire, table=in_ack_table, role="controller"
-                ),
-            ],
-        )
-    )
-
-    depth = 1 + max((level.get(source, 0) for source in output_sources), default=0)
-    matched = (
-        matched_delay
-        if matched_delay is not None
-        else DEFAULT_MATCHED_DELAY + MATCHED_DELAY_PER_LEVEL * depth
-    )
-
-    design.les = les
-    design.pdes = [
-        MappedPDE(
-            name=f"pde_{name}",
-            input_net=input_channel.req_wire,
-            output_net=req_delayed,
-            delay_ps=matched,
-        )
-    ]
 
     data = {
         "matched_delay": matched,
@@ -292,13 +104,11 @@ def _compose_micropipeline(
         "input_channel": input_channel,
         "output_channel": output_channel,
     }
-    if metadata:
-        data.update(metadata)
+    data.update(metadata)
     return BenchmarkCircuit(
         name=name,
         style=LogicStyle.MICROPIPELINE,
-        mapped=design,
-        gate_circuit=None,
+        mapped=_micropipeline_template(name, input_channel, output_channel, les, matched, params),
         metadata=data,
     )
 
@@ -372,7 +182,6 @@ def generate_multiplier(spec: CircuitSpec, params: PLBParams | None = None) -> B
 
     if spec.style == "qdi":
         blocks: list[StyledCircuit] = []
-        acks: list[str] = []
         columns: dict[int, list[str]] = {}
         for i in range(n):
             for j in range(n):
@@ -385,18 +194,15 @@ def generate_multiplier(spec: CircuitSpec, params: PLBParams | None = None) -> B
                         ack_net=f"ack_{net}",
                     )
                 )
-                acks.append(f"ack_{net}")
                 columns.setdefault(i + j, []).append(net)
 
         def emit(inputs: tuple[str, ...], sum_net: str, carry_net: str) -> None:
             blocks.append(_qdi_adder_block(inputs, sum_net, carry_net))
-            acks.append(f"ack_{sum_net}")
 
         product = _reduce_columns(columns, 2 * n, emit)
         return _compose_qdi(
             name,
             blocks,
-            acks,
             product,
             params,
             {
@@ -472,7 +278,6 @@ def generate_alu(spec: CircuitSpec, params: PLBParams | None = None) -> Benchmar
                 ack_net="ack_c0",
             )
         ]
-        acks = ["ack_c0"]
         for i in range(n):
             sum_net, carry_net = f"r{i}", f"c{i + 1}"
 
@@ -501,12 +306,10 @@ def generate_alu(spec: CircuitSpec, params: PLBParams | None = None) -> Benchmar
                     ack_net=f"ack_{sum_net}",
                 )
             )
-            acks.append(f"ack_{sum_net}")
         outputs = [f"r{i}" for i in range(n)] + [f"c{n}"]
         return _compose_qdi(
             name,
             blocks,
-            acks,
             outputs,
             params,
             {
@@ -567,7 +370,6 @@ def generate_crc(spec: CircuitSpec, params: PLBParams | None = None) -> Benchmar
 
     if spec.style == "qdi":
         blocks: list[StyledCircuit] = []
-        acks: list[str] = []
         state = [f"iv{b}" for b in range(4)]
         for t in range(n):
             feedback, folded = f"fb{t}", f"sx{t}"
@@ -583,12 +385,10 @@ def generate_crc(spec: CircuitSpec, params: PLBParams | None = None) -> Benchmar
                         ack_net=f"ack_{net}",
                     )
                 )
-                acks.append(f"ack_{net}")
             state = [feedback, folded, state[1], state[2]]
         return _compose_qdi(
             name,
             blocks,
-            acks,
             state,
             params,
             {
@@ -653,7 +453,6 @@ def generate_mac(spec: CircuitSpec, params: PLBParams | None = None) -> Benchmar
 
     if spec.style == "qdi":
         blocks: list[StyledCircuit] = []
-        acks: list[str] = []
 
         def emit_and(net: str, i: int) -> None:
             blocks.append(
@@ -664,17 +463,14 @@ def generate_mac(spec: CircuitSpec, params: PLBParams | None = None) -> Benchmar
                     ack_net=f"ack_{net}",
                 )
             )
-            acks.append(f"ack_{net}")
 
         def emit_adder(inputs: tuple[str, str], sum_net: str, carry_net: str) -> None:
             blocks.append(_qdi_adder_block(inputs, sum_net, carry_net))
-            acks.append(f"ack_{sum_net}")
 
         sums = build(lambda i: f"pd{i}", emit_and, emit_adder)
         return _compose_qdi(
             name,
             blocks,
-            acks,
             sums,
             params,
             {

@@ -12,8 +12,9 @@ function block (the product function over the operand channels); the direct
 expansion is capped at 3x3 bits because the DIMS code-word product grows
 quadratically.  Wider multipliers are *composed*: :func:`qdi_multiplier_4x4`
 builds a 4x4 multiplier at the mapped-LE level from four 2x2 partial-product
-blocks and a shift-and-add network of QDI half/full-adder blocks, the same
-macro-style composition the ripple adders use.
+blocks and a shift-and-add network of QDI half/full-adder blocks, through the
+QDI composition the ripple adders and the generator families share
+(:func:`repro.circuits.adders._compose_qdi`).
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ from typing import Mapping
 
 from repro.asynclogic.channels import Channel
 from repro.asynclogic.encodings import DualRailEncoding, OneOfNEncoding
-from repro.cad.lemap import merge_mapped_designs
-from repro.cad.techmap import template_map
-from repro.circuits.adders import BenchmarkCircuit, combine_acknowledges
+from repro.circuits.adders import BenchmarkCircuit, _compose_qdi, _qdi_adder_block
 from repro.core.params import PLBParams
 from repro.styles.base import LogicStyle, StyledCircuit
 from repro.styles.qdi import dims_function_block
@@ -99,30 +98,6 @@ def qdi_multiplier(
 # ----------------------------------------------------------------------
 # Composed 4x4 multiplier (shift-and-add over 2x2 partial products)
 # ----------------------------------------------------------------------
-def _adder_block(
-    inputs: tuple[str, ...], sum_net: str, carry_net: str, ack_net: str
-) -> StyledCircuit:
-    """A QDI half adder (two inputs) or full adder (three) over named
-    1-bit dual-rail channels."""
-    enc = DualRailEncoding()
-    in_channels = [Channel(net, 1, enc) for net in inputs]
-    out_channels = [Channel(sum_net, 1, enc), Channel(carry_net, 1, enc)]
-
-    def add(values: Mapping[str, int]) -> Mapping[str, int]:
-        total = sum(values[net] for net in inputs)
-        return {sum_net: total & 1, carry_net: (total >> 1) & 1}
-
-    kind = "fa" if len(inputs) == 3 else "ha"
-    return dims_function_block(
-        f"qdi_{kind}_{sum_net}",
-        input_channels=in_channels,
-        output_channels=out_channels,
-        function=add,
-        style=LogicStyle.QDI_DUAL_RAIL,
-        ack_net=ack_net,
-    )
-
-
 def qdi_multiplier_4x4(
     params: PLBParams | None = None,
     name: str | None = None,
@@ -143,34 +118,25 @@ def qdi_multiplier_4x4(
     ``metadata["product_channels"]``; the low bits pass straight through from
     the partial products, so their nets keep the producing block's names.
     """
-    params = params if params is not None else PLBParams()
     name = name or "qdi_multiplier4x4_dual-rail"
 
-    blocks: list[StyledCircuit] = []
-    ack_nets: list[str] = []
-
-    def add_block(block: StyledCircuit, ack: str) -> None:
-        blocks.append(block)
-        ack_nets.append(ack)
-
     # Partial products: ll = al*bl, lh = al*bh, hl = ah*bl, hh = ah*bh.
-    for prefix, (a_half, b_half) in (
-        ("ll", ("al", "bl")),
-        ("lh", ("al", "bh")),
-        ("hl", ("ah", "bl")),
-        ("hh", ("ah", "bh")),
-    ):
-        add_block(
-            qdi_multiplier(
-                2,
-                name=f"{name}_{prefix}",
-                a_name=a_half,
-                b_name=b_half,
-                product_prefix=prefix,
-                ack_net=f"ack_{prefix}",
-            ),
-            f"ack_{prefix}",
+    blocks = [
+        qdi_multiplier(
+            2,
+            name=f"{name}_{prefix}",
+            a_name=a_half,
+            b_name=b_half,
+            product_prefix=prefix,
+            ack_net=f"ack_{prefix}",
         )
+        for prefix, (a_half, b_half) in (
+            ("ll", ("al", "bl")),
+            ("lh", ("al", "bh")),
+            ("hl", ("ah", "bl")),
+            ("hh", ("ah", "bh")),
+        )
+    ]
 
     # R = LL + (LH << 2): bits 0..1 pass through (ll0, ll1), bits 2..6 added.
     # S = R + (HL << 2):  bits 2..7.       P = S + (HH << 4): bits 4..7.
@@ -191,39 +157,14 @@ def qdi_multiplier_4x4(
         # DIMS block still produces its rails; they stay internal and unused.
         (("s7", "hh3", "n7"), "p7", "n8"),
     )
-    for inputs, sum_net, carry_net in adder_stages:
-        add_block(
-            _adder_block(inputs, sum_net, carry_net, f"ack_{sum_net}"),
-            f"ack_{sum_net}",
-        )
+    blocks += [_qdi_adder_block(*stage) for stage in adder_stages]
 
-    mapped_blocks = [template_map(block, params) for block in blocks]
-    # merge_mapped_designs also folds the blocks' decomposition counters
-    # into the merged metadata.
-    mapped = merge_mapped_designs(name, mapped_blocks)
-    mapped.style = LogicStyle.QDI_DUAL_RAIL
-
-    roots = combine_acknowledges(mapped, ack_nets)
-
-    # Interface bookkeeping: nets produced by one block for another are
-    # internal; the product is read LSB-first off these channels.
+    # The product is read LSB-first off these channels.
     product_channels = ["ll0", "ll1", "s2", "s3", "p4", "p5", "p6", "p7"]
-    driven = mapped.all_output_nets()
-    mapped.primary_inputs = [net for net in mapped.primary_inputs if net not in driven]
-    outputs: list[str] = []
-    for channel_name in product_channels:
-        outputs.extend(Channel(channel_name, 1, DualRailEncoding()).data_wires())
-    outputs.append(roots[0])
-    mapped.primary_outputs = outputs
-
-    return BenchmarkCircuit(
-        name=name,
-        style=LogicStyle.QDI_DUAL_RAIL,
-        mapped=mapped,
-        gate_circuit=None,
-        metadata={
-            "bits": 4,
-            "product_channels": product_channels,
-            "ack_net": roots[0],
-        },
+    return _compose_qdi(
+        name,
+        blocks,
+        product_channels,
+        params if params is not None else PLBParams(),
+        {"bits": 4, "product_channels": product_channels},
     )

@@ -119,7 +119,7 @@ GOLDEN_TIMING = {
 GOLDEN_MAPPED = {
     "qdi_full_adder": "370ffe199a9f7d016fac23cb8ff78e4895354136ce13520b72661e832fca1838",
     "qdi_full_adder_1of4": "b39ebdf0e34705b09fca8c6b7f584eeeeb709674c79e964a5ffbf727c0838763",
-    "micropipeline_full_adder": "3986cb85b98dab160c42e0eca9ba0c1a7775e9fa54eafb98d8f3cb15b19a6b44",
+    "micropipeline_full_adder": "f401e4dce433dd02efe0ec9937036c57c56e319dcfca86dcf350a046d7b72405",
     "qdi_multiplier_2x2": "660428de739c5a7d2ffae900262456a2c0005fe750d8c0f63c45379866958658",
     "qdi_multiplier_4x4": "0139f3a5da3ad938cef40652b4c41934bf9b64404b3e415b9d78ffce51831524",
     "wchb_fifo_4": "6991bbf5677dc72287212e269c561115b2365abed7f63ca56d4ce09898c0a6e5",
