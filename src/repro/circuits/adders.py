@@ -26,7 +26,7 @@ from repro.core.params import PLBParams
 from repro.logic.functions import c_element_table
 from repro.logic.truthtable import TruthTable
 from repro.styles.base import LogicStyle, StyledCircuit
-from repro.styles.micropipeline import DEFAULT_MATCHED_DELAY
+from repro.styles.micropipeline import DEFAULT_MATCHED_DELAY, MATCHED_DELAY_PER_LEVEL
 from repro.styles.qdi import dims_function_block
 
 
@@ -253,13 +253,16 @@ def micropipeline_ripple_adder(
     The datapath is one latch-absorbed LUT per sum bit plus one LUT per
     internal carry; the request path uses one programmable delay element whose
     delay scales with the carry-chain length (the timing assumption the PDE
-    exists to implement).
+    exists to implement): one
+    :data:`~repro.styles.micropipeline.MATCHED_DELAY_PER_LEVEL` per bit, as
+    the generator families charge per LUT level.
     """
     if bits < 1:
         raise ValueError("the adder needs at least one bit")
     params = params if params is not None else PLBParams()
     name = name or f"micropipeline_ripple_adder{bits}"
-    matched = matched_delay if matched_delay is not None else DEFAULT_MATCHED_DELAY + 150 * bits
+    if matched_delay is None:
+        matched_delay = DEFAULT_MATCHED_DELAY + MATCHED_DELAY_PER_LEVEL * bits
 
     encoding = BundledDataEncoding()
     input_channel = Channel("ops", 2 * bits + 1, encoding)   # a bits, b bits, cin
@@ -320,10 +323,12 @@ def micropipeline_ripple_adder(
     return BenchmarkCircuit(
         name=name,
         style=LogicStyle.MICROPIPELINE,
-        mapped=_micropipeline_template(name, input_channel, output_channel, les, matched, params),
+        mapped=_micropipeline_template(
+            name, input_channel, output_channel, les, matched_delay, params
+        ),
         metadata={
             "bits": bits,
-            "matched_delay": matched,
+            "matched_delay": matched_delay,
             "input_channel": input_channel,
             "output_channel": output_channel,
         },

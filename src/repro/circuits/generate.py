@@ -41,11 +41,8 @@ from repro.circuits.specs import CircuitSpec, register_family
 from repro.core.params import PLBParams
 from repro.logic.truthtable import TruthTable
 from repro.styles.base import LogicStyle, StyledCircuit
-from repro.styles.micropipeline import DEFAULT_MATCHED_DELAY
+from repro.styles.micropipeline import DEFAULT_MATCHED_DELAY, MATCHED_DELAY_PER_LEVEL
 from repro.styles.qdi import dims_function_block
-
-#: Extra matched delay per combinational LUT level in the bundled datapath.
-MATCHED_DELAY_PER_LEVEL = 300
 
 
 # ======================================================================
@@ -67,7 +64,8 @@ def _compose_micropipeline(
     output-channel data wire (an input wire is allowed: the latch then
     implements a registered pass-through).  The matched delay is
     :data:`~repro.styles.micropipeline.DEFAULT_MATCHED_DELAY` plus
-    :data:`MATCHED_DELAY_PER_LEVEL` per LUT level on the deepest cone.
+    :data:`~repro.styles.micropipeline.MATCHED_DELAY_PER_LEVEL` per LUT level
+    on the deepest cone.
     """
     out_wires = output_channel.data_wires()
     if len(output_sources) != len(out_wires):

@@ -33,6 +33,10 @@ from repro.styles.base import LogicStyle, StyledCircuit
 #: Default matched delay (ps) used when the caller does not specify one.
 DEFAULT_MATCHED_DELAY = 600
 
+#: Extra matched delay (ps) per combinational LUT level of a mapped bundled
+#: datapath, on top of :data:`DEFAULT_MATCHED_DELAY`.
+MATCHED_DELAY_PER_LEVEL = 300
+
 
 def _emit_datapath(
     builder: NetlistBuilder,

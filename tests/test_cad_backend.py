@@ -12,6 +12,7 @@ from repro.cad.route import RoutingError, route_design
 from repro.cad.techmap import template_map
 from repro.cad.timing import TimingModel, analyse_timing
 from repro.circuits.fulladder import micropipeline_full_adder, qdi_full_adder
+from repro.circuits.registry import build_circuit, circuit_registry
 from repro.core.fabric import Fabric
 from repro.core.params import ArchitectureParams, PLBParams
 from repro.core.plb import PLB
@@ -140,6 +141,23 @@ def test_timing_matched_delay_adequacy():
     bad = analyse_timing(short)
     assert bad.matched_delays["pde"]["adequate"] == 0
     assert bad.notes
+
+
+def test_every_registry_matched_delay_covers_its_datapath():
+    # repro-lint's matched-delay rule reads gate netlists, which composed
+    # designs (the ripple adders, the gen: specs) do not carry; this checks
+    # every PDE the registry maps against the timing estimate instead.
+    short: dict[str, dict[str, int]] = {}
+    checked = 0
+    for name in circuit_registry():
+        circuit = build_circuit(name)
+        mapped = getattr(circuit, "mapped", None) or CadFlow(ArchitectureParams()).map(circuit)
+        for pde, entry in analyse_timing(mapped).matched_delays.items():
+            checked += 1
+            if entry["adequate"] != 1:
+                short[f"{name}/{pde}"] = entry
+    assert checked >= 13  # the full adder, 4 ripple adders, 8 gen: stages
+    assert not short
 
 
 def test_timing_model_routed_net_delay():

@@ -125,13 +125,13 @@ GOLDEN_MAPPED = {
     "wchb_fifo_4": "6991bbf5677dc72287212e269c561115b2365abed7f63ca56d4ce09898c0a6e5",
     "wchb_fifo_8": "1250fe4ea57e4ad591dffe11720876ae98b10665bd73d1ea6ecde3607dc68918",
     "qdi_ripple_adder_2": "19d7578dbe7d3f639b9168d3aee6c63ef28d5aecedb661a5bb89f940571157fc",
-    "micropipeline_ripple_adder_2": "201365b1fa7c5e31151a63e2b866477620c26342569cb4b8be3b62b7ba39b436",
+    "micropipeline_ripple_adder_2": "8909f15c0255ad1298f7bf13dd3c493ab6d6b52cf98fa51d404b7a855bbb8c70",
     "qdi_ripple_adder_4": "4a629cc383538c3ff52d3845a4ee3d1294e508fb6cf177b320af753f843eb15d",
-    "micropipeline_ripple_adder_4": "919b2f8e4a0e34142e745c5859b124425c00111e1c8842aebd8efd6bf82057af",
+    "micropipeline_ripple_adder_4": "2e1906ee2cd7b13950eb6cd44fe8ba528e6818946d007cb9aecf93f9d1755af8",
     "qdi_ripple_adder_8": "f5d396edb53f2ef3afb184d93a0f66f1def17f6303f19d07c932e975eb00b57d",
-    "micropipeline_ripple_adder_8": "7f9f4f97fa2b3df3cb2c8f889da048f1e170bb5c75a9fc6811fdb063fab6dbdd",
+    "micropipeline_ripple_adder_8": "cf5c141bd0d952d9479c00f6717bef6d30944759b56ec42ea2cd1422ba67a08d",
     "qdi_ripple_adder_16": "2955a04f4ec2225d22280a28a523c0d744b420d8865b64c2ca30f688652fabf3",
-    "micropipeline_ripple_adder_16": "d5f031b60706663d9223204e05653af8a5df3daab7cfb80fef024155d6bd7350",
+    "micropipeline_ripple_adder_16": "6710efbe849bc71187a269bcd38592ff17dc451d60840428624429b5506cea7e",
     "gen:mult2x2@qdi": "76a417c9db1765a4ffc0968777a02f5ca9bb9bdeec18418d7f636572c7cef110",
     "gen:mult2x2@micropipeline": "300862ad4444fdb8ef86bf22a16fee1cf44c9613b817b8b7813da8727ffcd51c",
     "gen:mult4x4@qdi": "46c4622c290865f488a8f1d60c44d11f18d4cc2d4fa93141df8db7b3f58faf31",
