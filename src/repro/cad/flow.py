@@ -444,14 +444,13 @@ class CadFlow:
         if mapped.params != self.architecture.plb:
             raise MappingError(
                 f"design {name!r} was mapped for different PLB parameters than this "
-                "flow's architecture; re-map it (attach a gate_circuit) instead of "
+                "flow's architecture; rebuild it for these parameters instead of "
                 "reusing the stale mapping"
             )
         if not self.options.use_template_mapping:
             raise MappingError(
                 f"design {name!r} is pre-mapped (template-built) but the flow requests "
-                "generic mapping; attach a gate_circuit to re-map from, or run with "
-                "use_template_mapping=True"
+                "generic mapping; run it with use_template_mapping=True"
             )
         return mapped
 
@@ -505,10 +504,9 @@ class CadFlow:
         mapped design (``MappedDesign``) or any workload object carrying one
         in a ``mapped`` attribute (e.g. the registry's ``BenchmarkCircuit``
         ripple adders).  A pre-mapped design is only usable when it was mapped
-        for this flow's PLB parameters: if they differ, the design is re-mapped
-        from its gate-level circuit when one is attached, and rejected
-        otherwise -- silently analysing a design mapped for a different LE
-        would report (and cache) numbers for the wrong architecture.
+        for this flow's PLB parameters: if they differ, it is rejected --
+        silently analysing a design mapped for a different LE would report
+        (and cache) numbers for the wrong architecture.
 
         ``placement`` injects an externally computed (typically cached)
         wirelength anneal, ``FlowResult.baseline_placement`` of an earlier
@@ -598,13 +596,7 @@ class CadFlow:
             # module-level import would be circular.
             from repro.verify.lint import lint_flow_artifacts
 
-            styled = None
-            if isinstance(circuit, StyledCircuit):
-                styled = circuit
-            else:
-                gate = getattr(circuit, "gate_circuit", None)
-                if isinstance(gate, StyledCircuit):
-                    styled = gate
+            styled = circuit if isinstance(circuit, StyledCircuit) else None
             report = lint_flow_artifacts(result, self, styled=styled)
             result.lint_findings = list(report.findings)
 
@@ -623,15 +615,7 @@ class CadFlow:
         elif isinstance(circuit, MappedDesign):
             mapped = self._check_premapped(circuit, name)
         elif not isinstance(circuit, (StyledCircuit, Netlist)) and hasattr(circuit, "mapped"):
-            gate = getattr(circuit, "gate_circuit", None)
-            needs_remap = (
-                circuit.mapped.params != self.architecture.plb
-                or not self.options.use_template_mapping
-            )
-            if needs_remap and isinstance(gate, StyledCircuit):
-                mapped = self.map(gate)
-            else:
-                mapped = self._check_premapped(circuit.mapped, name)
+            mapped = self._check_premapped(circuit.mapped, name)
         else:
             mapped = self.map(circuit)
         problems = mapped.validate()
@@ -882,9 +866,3 @@ class CadFlow:
         engine = TimingEngine(mapped, self.options.timing_model)
         engine.estimate_from_placement(placement, self.fabric)
         return engine
-
-    # ------------------------------------------------------------------
-    # Convenience entry points
-    # ------------------------------------------------------------------
-    def run_all(self, circuits: list[StyledCircuit]) -> dict[str, FlowResult]:
-        return {circuit.name: self.run(circuit) for circuit in circuits}

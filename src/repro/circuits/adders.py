@@ -32,12 +32,12 @@ from repro.styles.qdi import dims_function_block
 
 @dataclass
 class BenchmarkCircuit:
-    """A benchmark workload: its mapped design plus optional gate-level view."""
+    """A benchmark workload composed at the mapped-LE level: its mapped design
+    plus the interface metadata its simulation and tests read."""
 
     name: str
     style: LogicStyle
     mapped: MappedDesign
-    gate_circuit: StyledCircuit | None = None
     metadata: dict[str, object] = field(default_factory=dict)
 
     def summary(self) -> dict[str, object]:

@@ -42,8 +42,8 @@ def build_context(circuit, name: str | None = None) -> LintContext:
     """A static (no-flow) :class:`LintContext` for *circuit*.
 
     Styled circuits contribute their gate netlist; benchmark circuits
-    contribute their mapped design plus the gate-level view when one is
-    attached; raw netlists and mapped designs contribute themselves.
+    contribute their mapped design; raw netlists and mapped designs
+    contribute themselves.
     """
     from repro.cad.lemap import MappedDesign
     from repro.netlist.netlist import Netlist
@@ -60,10 +60,6 @@ def build_context(circuit, name: str | None = None) -> LintContext:
         context.mapped = circuit
     elif hasattr(circuit, "mapped"):
         context.mapped = circuit.mapped
-        gate = getattr(circuit, "gate_circuit", None)
-        if isinstance(gate, StyledCircuit):
-            context.styled = gate
-            context.netlist = gate.netlist
     else:
         raise TypeError(f"cannot lint object of type {type(circuit).__name__}")
     if context.mapped is not None and not context.mapped.plbs:

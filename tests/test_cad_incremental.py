@@ -359,12 +359,7 @@ def _place_and_graph(name: str, seed: int):
     circuit = build_circuit(name)
     arch = ArchitectureParams(routing=RoutingParams(channel_width=10))
     flow = CadFlow(arch)
-    if hasattr(circuit, "mapped"):
-        design = circuit.mapped
-        if design.params != arch.plb:
-            design = flow.map(circuit.gate_circuit)
-    else:
-        design = flow.map(circuit)
+    design = circuit.mapped if hasattr(circuit, "mapped") else flow.map(circuit)
     pack_design(design, arch.plb)
     side = max(4, int(len(design.plbs) ** 0.5) + 2)
     params = ArchitectureParams(

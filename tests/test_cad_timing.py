@@ -48,7 +48,7 @@ def _mapped(name):
     if hasattr(circuit, "mapped") and circuit.mapped.params == flow.architecture.plb:
         design = circuit.mapped
     else:
-        design = flow.map(circuit if not hasattr(circuit, "gate_circuit") else circuit.gate_circuit)
+        design = flow.map(circuit)
     pack_design(design, flow.architecture.plb)
     return design, flow
 
