@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from repro.cad.flow import FlowResult
 from repro.cad.timing import TimingModel
+from repro.core.fabric import Fabric
+from repro.core.rrgraph import cached_rr_graph
 from repro.sim.lesim import simulate_mapped_design
 from repro.sim.netsim import GateLevelSimulator
 
@@ -25,16 +27,12 @@ def routed_net_delays(result: FlowResult, model: TimingModel | None = None) -> d
     if result.routing is None:
         return {}
     model = model if model is not None else TimingModel()
-    graph = None
-    delays: dict[str, int] = {}
-    # The flow owns the RR graph; rebuild lazily only if needed.
-    from repro.core.rrgraph import RoutingResourceGraph
-    from repro.core.fabric import Fabric
-
-    graph = RoutingResourceGraph(Fabric(result.architecture))
-    for net, routed in result.routing.routed.items():
-        delays[net] = model.routed_net_delay(graph, routed.nodes)
-    return delays
+    # The flow routed on the shared graph of this geometry; reuse it.
+    graph = cached_rr_graph(Fabric(result.architecture))
+    return {
+        net: model.routed_net_delay(graph, routed.nodes)
+        for net, routed in result.routing.routed.items()
+    }
 
 
 def simulate_on_fabric(
