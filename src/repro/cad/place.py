@@ -129,9 +129,7 @@ class Placement:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "Placement":
-        # legacy=True: PR-3 placement-cache records predate schema stamping
-        # and are still readable (version 0 and 1 share the payload layout).
-        require_version(data, "placement", PLACEMENT_SCHEMA, legacy=True)
+        require_version(data, "placement", PLACEMENT_SCHEMA)
         with decoding("placement"):
             return cls._from_payload(data)
 

@@ -21,10 +21,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Mapping
 
-#: Version reported for payloads that predate schema stamping (the PR-3
-#: placement-cache records); readers that accept them opt in via ``legacy``.
-LEGACY_VERSION = 0
-
 
 class ArtifactError(ValueError):
     """Base class for every stage-artifact (de)serialization failure."""
@@ -38,26 +34,17 @@ class CorruptArtifactError(ArtifactError):
     """The payload is structurally broken (keys, types, or references)."""
 
 
-def require_version(
-    data: object,
-    kind: str,
-    supported: int,
-    *,
-    legacy: bool = False,
-) -> int:
+def require_version(data: object, kind: str, supported: int) -> int:
     """Validate ``data["schema"]`` against the *supported* version.
 
-    Returns the version found (``LEGACY_VERSION`` when the key is absent and
-    *legacy* payloads are accepted).  Raises :class:`UnknownSchemaError` for
+    Returns the version found.  Raises :class:`UnknownSchemaError` for
     versions this build cannot read and :class:`CorruptArtifactError` for
-    payloads that are not even a mapping.
+    payloads that are not even a mapping or carry no version.
     """
     if not isinstance(data, Mapping):
         raise CorruptArtifactError(f"{kind}: payload is {type(data).__name__}, not a mapping")
     version = data.get("schema")
     if version is None:
-        if legacy:
-            return LEGACY_VERSION
         raise CorruptArtifactError(f"{kind}: payload has no schema version")
     if isinstance(version, bool) or not isinstance(version, int):
         raise CorruptArtifactError(f"{kind}: schema version {version!r} is not an integer")

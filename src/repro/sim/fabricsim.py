@@ -6,10 +6,13 @@ timing model derives from its routed tree, so the simulated behaviour reflects
 the implementation on the fabric (LE delays + interconnection-matrix delay +
 routed wire delays + programmed PDE delays).
 
-Because asynchronous circuits are delay-insensitive (QDI) or protected by
-matched delays (micropipeline), the functional results must not change with
-routing -- a property the integration tests verify by running the same token
-sequences at both levels.
+QDI circuits are delay-insensitive, and a micropipeline is meant to be
+protected by its matched delays, so routing should not change functional
+results.  Nothing checks that in general.  The only fabric-simulation tests
+(``tests/test_integration_paper.py``) run the two full adders.  No flow
+stage re-checks a PDE against its routed datapath, and with routed wire
+delays 4 of the 13 registry micropipeline circuits latch wrong tokens on at
+least one of placement seeds 1-3 (ROADMAP item 7).
 """
 
 from __future__ import annotations

@@ -70,14 +70,18 @@ When a store is attached, each flow's wirelength anneal
 (``FlowResult.baseline_placement``) is cached under
 :meth:`~repro.sweep.spec.SweepPoint.placement_key`, which hashes only what
 the anneal depends on (circuit + code fingerprint, fabric geometry, seed,
-effort).  A later point differing only in routing-side or timing options
-(channel width, router iterations, ``timing_driven``, ...) misses the
-flow-summary cache but *hits* the placement cache: the runner injects the
-stored anneal into :meth:`CadFlow.run`, which skips annealing (a
-timing-driven flow still polishes it) and goes on to routing.  The summary
-then carries ``placement_cache_hit`` (``True``/``False``), and — because
-the anneal is deterministic in its key — the result is bit-identical to a
-cold run.
+effort, mapping mode), together with the packed design it placed.  A later
+point differing only in routing-side or timing options (channel width,
+router iterations, ``timing_driven``, ...) misses the flow-summary cache
+but *hits* the placement cache: the runner hands the stored design and
+anneal to :meth:`CadFlow.run`, which neither builds nor maps the circuit
+(it still re-packs the design), skips annealing (a timing-driven flow still
+polishes it) and goes on to routing.  Points with ``verify_stages`` (the
+lint reads the styled circuit) or generic mapping (the flow rejects a
+pre-mapped design there) build and map as on a miss.  The summary then
+carries ``placement_cache_hit`` (``True``/``False``), and — because the
+design and the anneal are deterministic in their key — the result is
+bit-identical to a cold run.
 """
 
 from __future__ import annotations
@@ -120,31 +124,21 @@ TRANSIENT_EXCEPTIONS = (OSError, MemoryError)
 def _seed_trees_from_record(record: Mapping[str, object]) -> dict[str, list[str]] | None:
     """Warm-start trees (node names per net) from a routing-cache record.
 
-    Current records embed the schema-versioned
+    Records embed the schema-versioned
     :meth:`~repro.cad.route.RoutingResult.to_dict` payload under
-    ``"routing"``; records written before the artifact schema stored a bare
-    ``"trees"`` mapping, which is still honoured so a pre-upgrade store keeps
-    seeding.  Returns ``None`` when neither layout yields trees.
+    ``"routing"``.  Returns ``None`` when it yields no trees.
     """
     routing = record.get("routing")
-    if isinstance(routing, Mapping):
-        routed = routing.get("routed")
-        if isinstance(routed, Mapping):
-            trees = {
-                str(net): [str(name) for name in entry.get("nodes", [])]
-                for net, entry in routed.items()
-                if isinstance(entry, Mapping)
-            }
-            if trees:
-                return trees
-    legacy = record.get("trees")
-    if isinstance(legacy, Mapping):
-        return {
-            str(net): [str(name) for name in names]
-            for net, names in legacy.items()
-            if isinstance(names, (list, tuple))
-        } or None
-    return None
+    if not isinstance(routing, Mapping):
+        return None
+    routed = routing.get("routed")
+    if not isinstance(routed, Mapping):
+        return None
+    return {
+        str(net): [str(name) for name in entry.get("nodes", [])]
+        for net, entry in routed.items()
+        if isinstance(entry, Mapping)
+    } or None
 
 
 def execute_point(point_data: Mapping[str, object]) -> dict[str, object]:
@@ -155,9 +149,14 @@ def execute_point(point_data: Mapping[str, object]) -> dict[str, object]:
 
     Besides the :meth:`SweepPoint.to_dict` fields the payload may carry a
     ``placement_store`` key (a directory path): the worker then consults the
-    placement cache before placing and persists any freshly computed
-    wirelength anneal after a successful flow.  Store writes are atomic, so
-    parallel workers can share one directory.
+    placement cache first and persists any freshly computed wirelength
+    anneal, with the packed design it placed, after a successful flow.  A
+    hit runs the flow from the stored design, so it calls neither
+    ``build_circuit`` nor the mapper, unless the point sets
+    ``verify_stages`` or generic mapping.  A record whose placement or
+    design does not decode is flagged ``placement_cache_corrupt`` and the
+    point runs as a miss.  Store writes are atomic, so parallel workers can
+    share one directory.
 
     A ``routing_store`` key (same directory convention) additionally enables
     the **routing-tree warm-start cache**: under
@@ -178,6 +177,7 @@ def execute_point(point_data: Mapping[str, object]) -> dict[str, object]:
     # Imports stay inside the function so worker processes pay them lazily
     # and a broken optional subsystem cannot poison runner import time.
     from repro.cad.flow import CadFlow
+    from repro.cad.lemap import MappedDesign
     from repro.cad.place import Placement
     from repro.cad.techmap import MappingError
     from repro.circuits.registry import build_circuit
@@ -201,15 +201,8 @@ def execute_point(point_data: Mapping[str, object]) -> dict[str, object]:
     routing_store = SweepResultStore(routing_store_root) if routing_store_root else None
     started = time.perf_counter()
     try:
-        circuit = build_circuit(point.circuit)
-        flow_options = point.options
-        if artifact_store_root:
-            flow_options = dataclasses.replace(
-                flow_options, artifact_store=str(artifact_store_root)
-            )
-        flow = CadFlow(point.architecture, flow_options)
-
         injected: Placement | None = None
+        design: MappedDesign | None = None
         placement_key: str | None = None
         if placement_store is not None and point.options.run_placement:
             placement_key = point.placement_key()
@@ -217,11 +210,12 @@ def execute_point(point_data: Mapping[str, object]) -> dict[str, object]:
             if cached is not None and cached.get("kind") == "placement":
                 try:
                     injected = Placement.from_dict(cached["placement"])  # type: ignore[arg-type]
+                    design = MappedDesign.from_dict(cached["design"])  # type: ignore[arg-type]
                 except (KeyError, TypeError, ValueError) as exc:
-                    # Corrupt cached placement: fall back to placing, but
-                    # observably -- the silent swallow used to hide cache
-                    # corruption entirely.
-                    injected = None
+                    # Corrupt cached record: fall back to building, mapping
+                    # and placing, but observably -- the silent swallow used
+                    # to hide cache corruption entirely.
+                    injected = design = None
                     record["placement_cache_corrupt"] = True
                     logger.warning(
                         "corrupt placement-cache record %s for %s (%s: %s); "
@@ -231,6 +225,26 @@ def execute_point(point_data: Mapping[str, object]) -> dict[str, object]:
                         type(exc).__name__,
                         exc,
                     )
+
+        # A hit runs from the packed design its anneal placed: the placement
+        # key hashes every input of that design, so re-building and
+        # re-mapping the circuit would reproduce it exactly.  The lint's
+        # netlist tier reads the styled circuit, and generic mapping rejects
+        # a pre-mapped design, so those points still build.
+        if (
+            design is not None
+            and point.options.use_template_mapping
+            and not point.options.verify_stages
+        ):
+            circuit: object = design
+        else:
+            circuit = build_circuit(point.circuit)
+        flow_options = point.options
+        if artifact_store_root:
+            flow_options = dataclasses.replace(
+                flow_options, artifact_store=str(artifact_store_root)
+            )
+        flow = CadFlow(point.architecture, flow_options)
 
         routing_seed = None
         routing_key: str | None = None
@@ -245,7 +259,6 @@ def execute_point(point_data: Mapping[str, object]) -> dict[str, object]:
                 # Seed only across a genuine geometry step (channel width or
                 # grid size); a record from the identical fabric means the
                 # point would have hit the flow-summary cache anyway.
-                # Legacy records predate the width/height keys, hence .get.
                 same_geometry = (
                     cached_trees.get("channel_width")
                     == point.architecture.routing.channel_width
@@ -277,8 +290,7 @@ def execute_point(point_data: Mapping[str, object]) -> dict[str, object]:
                     "width": point.architecture.width,
                     "height": point.architecture.height,
                     # The full schema-versioned routing artifact; seed trees
-                    # are extracted from it on read (the pre-artifact
-                    # "trees" layout is still honoured there).
+                    # are extracted from it on read.
                     "routing": result.routing.to_dict(flow.rr_graph),
                 },
             )
@@ -297,6 +309,9 @@ def execute_point(point_data: Mapping[str, object]) -> dict[str, object]:
                         "circuit": point.circuit,
                         "seed": point.options.placement_seed,
                         "placement": anneal.to_dict(),
+                        # The design as it left the pack stage (no later
+                        # stage changes it): hits run from it.
+                        "design": result.mapped.to_dict(),
                     },
                 )
 

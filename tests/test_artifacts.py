@@ -33,7 +33,7 @@ from repro.cad.timing import TimingReport
 from repro.circuits.registry import build_circuit
 from repro.core.bitstream import Bitstream, BitstreamBudget
 from repro.core.params import ArchitectureParams
-from repro.core.schema import LEGACY_VERSION, decoding, require_version
+from repro.core.schema import decoding, require_version
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.netlist import Netlist
 
@@ -211,11 +211,15 @@ def test_corrupt_payload_raises_typed_error(stage, flow_and_result):
         decoder(gutted)
 
 
-def test_placement_accepts_legacy_unversioned_payload(flow_and_result):
+def test_placement_rejects_unversioned_payload(flow_and_result):
+    # Every key that can reach a placement embeds the code fingerprint, so
+    # no record written before schema stamping is readable: an unversioned
+    # payload is corrupt like any other stage's.
     _, result = flow_and_result
-    legacy = dict(result.placement.to_dict())
-    del legacy["schema"]  # pre-artifact records carried no version stamp
-    assert Placement.from_dict(legacy).to_dict() == result.placement.to_dict()
+    unversioned = dict(result.placement.to_dict())
+    del unversioned["schema"]
+    with pytest.raises(CorruptArtifactError):
+        Placement.from_dict(unversioned)
 
 
 def test_routing_rejects_foreign_fabric_nodes(flow_and_result):
@@ -229,7 +233,6 @@ def test_routing_rejects_foreign_fabric_nodes(flow_and_result):
 
 def test_require_version_and_decoding_primitives():
     assert require_version({"schema": 3}, "probe", 3) == 3
-    assert require_version({}, "probe", 1, legacy=True) == LEGACY_VERSION
     with pytest.raises(CorruptArtifactError):
         require_version({}, "probe", 1)
     with pytest.raises(UnknownSchemaError):

@@ -8,6 +8,8 @@ bit-for-bit identical to a cold run of the same point.
 
 import pytest
 
+import repro.circuits.registry as registry
+from repro.artifacts import STAGES, ArtifactStore, load_flow_artifacts
 from repro.cad.flow import CadFlow, FlowOptions
 from repro.cad.place import Placement, place_design
 from repro.circuits.fulladder import qdi_full_adder
@@ -16,6 +18,7 @@ from repro.cad.techmap import template_map
 from repro.core.fabric import Fabric
 from repro.core.params import ArchitectureParams, RoutingParams
 from repro.cad.pack import pack_design
+from repro.styles.base import StyledCircuit
 from repro.sweep import SweepPoint, SweepResultStore, SweepRunner, SweepSpec
 
 ARCH_CW8 = ArchitectureParams()
@@ -189,25 +192,114 @@ def test_parallel_run_matches_serial_placement_cache_behaviour(tmp_path):
     assert parallel.summaries() == serial.summaries()
 
 
-def test_timing_driven_ladder_sweep_matches_cold_flows(tmp_path):
-    # Seed 5 falls back to the baseline placement at width 10; the cached
-    # record must still let width 11 route what a cold run routes.
-    timed = FlowOptions(timing_driven=True, placement_seed=5)
-    points = [
+def _count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so each call appends its arguments to the list returned."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _ladder(circuit, options, widths=(10, 11)):
+    return [
         SweepPoint(
-            "qdi_multiplier_2x2",
+            circuit,
             ArchitectureParams(width=6, height=6, routing=RoutingParams(channel_width=width)),
-            timed,
+            options,
         )
-        for width in (10, 11)
+        for width in widths
     ]
-    report = SweepRunner(store=tmp_path).run(points)
-    assert [o.summary["placement_cache_hit"] for o in report.outcomes] == [False, True]
+
+
+def _assert_matches_cold_flows(points, report):
     for point, outcome in zip(points, report.outcomes):
         summary = dict(outcome.summary)
         summary.pop("placement_cache_hit")
         cold = CadFlow(point.architecture, point.options).run(build_circuit(point.circuit))
         assert summary == cold.summary(), point.label()
+
+
+#: One circuit per construction path: styled QDI, styled micropipeline,
+#: wide-function decomposition, a composed ripple adder and a generator spec.
+LADDER_CIRCUITS = (
+    "qdi_full_adder",
+    "micropipeline_full_adder",
+    "qdi_multiplier_2x2",
+    "qdi_ripple_adder_2",
+    "gen:mult2x2@qdi",
+)
+
+
+def test_timing_driven_ladder_sweep_matches_cold_flows(tmp_path, monkeypatch):
+    # Every hit equals its cold flow, in default and timing-driven mode, and
+    # runs from the cached packed design: only the ladder's first width
+    # builds (and, for a styled circuit, maps) the circuit.  On the
+    # timing-driven multiplier, seed 5 falls back to the baseline placement
+    # at width 10; the cached record must still let width 11 route what a
+    # cold run routes.
+    builds = _count_calls(monkeypatch, registry, "build_circuit")
+    maps = _count_calls(monkeypatch, CadFlow, "map")
+    for circuit in LADDER_CIRCUITS:
+        styled = isinstance(build_circuit(circuit), StyledCircuit)
+        for timing_driven in (False, True):
+            case = f"{circuit}/{'timing' if timing_driven else 'default'}"
+            points = _ladder(circuit, FlowOptions(timing_driven=timing_driven, placement_seed=5))
+            builds.clear()
+            maps.clear()
+            report = SweepRunner(store=tmp_path / case.replace(":", "_")).run(points)
+            assert [o.summary["placement_cache_hit"] for o in report.outcomes] == [
+                False,
+                True,
+            ], case
+            assert builds == [(circuit,)], case
+            assert len(maps) == (1 if styled else 0), case
+            _assert_matches_cold_flows(points, report)
+
+
+@pytest.mark.parametrize(
+    "options",
+    [FlowOptions(verify_stages=True), FlowOptions(use_template_mapping=False)],
+    ids=["verify_stages", "generic_mapping"],
+)
+def test_lint_and_generic_mapping_hits_build_their_circuit(tmp_path, monkeypatch, options):
+    # The lint's netlist tier reads the styled circuit, and generic mapping
+    # rejects a pre-mapped design, so these hits build and map like a miss.
+    builds = _count_calls(monkeypatch, registry, "build_circuit")
+    points = _ladder("qdi_full_adder", options)
+    report = SweepRunner(store=tmp_path).run(points)
+    assert [o.summary["placement_cache_hit"] for o in report.outcomes] == [False, True]
+    assert builds == [("qdi_full_adder",)] * 2
+    _assert_matches_cold_flows(points, report)
+
+
+def test_stored_design_is_the_packed_artifact(tmp_path):
+    # The record's design is the one the pack stage wrote: no later stage
+    # (polish, routing ladder, refinement, timing, bitgen) may change it, or
+    # one width's hit would carry what another width's flow did to it.
+    point = _ladder("qdi_multiplier_2x2", FlowOptions(timing_driven=True, placement_seed=5))[0]
+    SweepRunner(store=tmp_path / "store", artifacts=str(tmp_path / "artifacts")).run([point])
+    (view,) = load_flow_artifacts(ArtifactStore(tmp_path / "artifacts"))
+    record = SweepResultStore(tmp_path / "store").get(point.placement_key())
+    assert record["design"] == view.payloads["packed"]
+
+
+def test_hit_writes_the_stage_artifacts_of_a_cold_run(tmp_path):
+    points = _ladder("qdi_multiplier_2x2", FULL)
+    SweepRunner(store=tmp_path / "hit", artifacts=str(tmp_path / "hit-artifacts")).run(points)
+    SweepRunner(
+        store=tmp_path / "cold",
+        artifacts=str(tmp_path / "cold-artifacts"),
+        placement_cache=False,
+    ).run(points)
+    hit = dict(ArtifactStore(tmp_path / "hit-artifacts").records())
+    cold = dict(ArtifactStore(tmp_path / "cold-artifacts").records())
+    assert len(hit) == 2 * len(STAGES)
+    assert hit == cold
 
 
 def test_router_iteration_change_also_hits_placement_cache(tmp_path):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.circuits.registry as registry
 import repro.fingerprint as fingerprint_module
 from repro.artifacts import ArtifactStore
 from repro.cad.flow import FlowOptions
@@ -289,25 +290,39 @@ def test_real_process_pool_crash_recovery(tmp_path, monkeypatch):
 # ----------------------------------------------------------------------
 # Corrupt-placement-cache observability (the once-silent fallback)
 # ----------------------------------------------------------------------
-def test_corrupt_placement_cache_is_observable(tmp_path, caplog):
+def test_corrupt_placement_cache_is_observable(tmp_path, caplog, monkeypatch):
     spec = SweepSpec.build(["qdi_full_adder"], ArchitectureParams(), FlowOptions())
     point = spec.points()[0]
     store = SweepResultStore(tmp_path)
-    SweepRunner(store=store).run(spec)
-    # Corrupt the cached placement (valid JSON, bogus payload) and retire
-    # the flow record so the point re-executes against the bad cache.
-    store.put(
-        point.placement_key(),
-        {"kind": "placement", "placement": {"not": "a placement"}},
+    cold = SweepRunner(store=store).run(spec).outcomes[0].summary
+    good = store.get(point.placement_key())
+    corruptions = {
+        "bogus placement": {"kind": "placement", "placement": {"not": "a placement"}},
+        "bogus design": {**good, "design": "garbage"},
+        "no design": {key: value for key, value in good.items() if key != "design"},
+    }
+    builds = []
+    build_circuit = registry.build_circuit
+    monkeypatch.setattr(
+        registry, "build_circuit", lambda name: builds.append(name) or build_circuit(name)
     )
-    store.path_for(point.key()).unlink()
-    with caplog.at_level("WARNING", logger="repro.sweep.runner"):
-        report = SweepRunner(store=store).run(spec)
-    outcome = report.outcomes[0]
-    assert outcome.status == STATUS_OK  # fell back to a fresh placement
-    record = store.get(point.key())
-    assert record["placement_cache_corrupt"] is True
-    assert any("corrupt placement-cache record" in m for m in caplog.messages)
+    for case, corrupt in corruptions.items():
+        # Corrupt the cached record (valid JSON, bogus payload) and retire
+        # the flow record so the point re-executes against the bad cache.
+        store.put(point.placement_key(), corrupt)
+        store.path_for(point.key()).unlink()
+        builds.clear()
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="repro.sweep.runner"):
+            report = SweepRunner(store=store).run(spec)
+        outcome = report.outcomes[0]
+        # Fell back to a fresh build, map and anneal: the cold run again.
+        assert outcome.status == STATUS_OK, case
+        assert outcome.summary == cold, case
+        assert builds == ["qdi_full_adder"], case
+        record = store.get(point.key())
+        assert record["placement_cache_corrupt"] is True, case
+        assert any("corrupt placement-cache record" in m for m in caplog.messages), case
 
 
 # ----------------------------------------------------------------------
