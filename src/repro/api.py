@@ -105,8 +105,9 @@ def run_sweep(
     cache_dir:
         Directory of the content-addressed result store.  Repeated sweeps are
         served from it, and successful placements are cached alongside the
-        summaries so a routing-only option change re-routes without
-        re-placing (the summary then carries ``placement_cache_hit``).
+        summaries, with the packed designs they placed, so a routing-only
+        option change re-routes without re-mapping or re-placing (the
+        summary then carries ``placement_cache_hit``).
     executor:
         Backend name -- ``"serial"``, ``"thread"``, ``"process"`` or anything
         registered via :func:`repro.sweep.register_executor`.

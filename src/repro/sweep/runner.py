@@ -1116,8 +1116,9 @@ class SweepRunner:
         workers-based default.  A full :class:`RunnerConfig` may be passed
         instead of the two scalars via ``config``.
     placement_cache:
-        When a store is attached, also cache wirelength anneals and re-route
-        incrementally on routing-side or timing option changes (adds the
+        When a store is attached, also cache wirelength anneals with the
+        packed designs they placed, and re-route incrementally on
+        routing-side or timing option changes (adds the
         ``placement_cache_hit`` summary key on placement-running sweeps).
         Disable for summaries bit-identical to store-less runs.
     routing_cache:

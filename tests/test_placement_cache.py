@@ -1,9 +1,10 @@
 """Tests of the incremental re-route path: the placement cache.
 
 Acceptance criterion of the sweep subsystem: an options-only change (e.g.
-routing channel width) re-runs a sweep point **without re-placing** — the
-summary reports ``placement_cache_hit=True`` and the routed result is
-bit-for-bit identical to a cold run of the same point.
+routing channel width) re-runs a sweep point **without re-building,
+re-mapping or re-placing** its circuit — the summary reports
+``placement_cache_hit=True`` and the routed result is bit-for-bit identical
+to a cold run of the same point.
 """
 
 import pytest
