@@ -333,7 +333,7 @@ def check_floor(document: dict[str, object], floor: dict[str, object]) -> list[s
     return problems
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--json", type=Path, default=Path("BENCH_cad.json"),
@@ -355,7 +355,11 @@ def main(argv: list[str] | None = None) -> int:
         metavar="FLOOR.json",
         help="fail (exit 1) when throughput regresses below the checked-in floor",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
 
     document = run_harness(widths=args.widths, seed=args.seed, rounds=args.rounds)
     args.json.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -81,7 +81,6 @@ def run_sweep(
     cache_dir: str | os.PathLike[str] | None = None,
     executor: str | None = None,
     placement_cache: bool = True,
-    routing_cache: bool = False,
     artifact_dir: str | os.PathLike[str] | None = None,
     timeout: float | None = None,
     retries: int = 1,
@@ -114,10 +113,6 @@ def run_sweep(
     placement_cache:
         Set ``False`` to disable placement caching / incremental re-route
         while keeping the summary cache.
-    routing_cache:
-        Set ``True`` to additionally cache legal routed trees and warm-start
-        PathFinder across channel-width and grid-size ladders (quality-gated
-        but not bit-identical to cold routing; see ``docs/sweep.md``).
     artifact_dir:
         Directory of a stage-artifact store: each executed flow then
         checkpoints its stage boundaries there for bitstream re-rendering,
@@ -167,7 +162,6 @@ def run_sweep(
         store=cache_dir,
         config=config,
         placement_cache=placement_cache,
-        routing_cache=routing_cache,
         artifacts=str(artifact_dir) if artifact_dir is not None else None,
     )
     return runner.run(spec)

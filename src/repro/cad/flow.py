@@ -26,7 +26,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, ClassVar, Mapping, Sequence
+from typing import Callable, ClassVar, Mapping
 
 from repro.cad.bitgen import ConfiguredPLB, configure_plb, generate_bitstream
 from repro.cad.lemap import MappedDesign
@@ -208,10 +208,6 @@ class FlowResult:
         ``router_node_pops``
             Dijkstra/A* heap pops over the whole routing run — the counter
             the A* geometric lower bound reduces versus plain Dijkstra.
-        ``routing_warm_started``
-            Only when a routing-tree warm start seeded this run (the sweep
-            engine's channel-width ladders): how many nets inherited a
-            validated seed tree instead of routing from scratch.
         ``timing_driven``, ``critical_nets_rerouted``,
         ``cycle_time_improvement_ps``
             Only on timing-driven flows: the mode marker, how many critical
@@ -260,10 +256,6 @@ class FlowResult:
             data["router_iterations"] = self.routing.iterations
             data["router_nets_rerouted"] = self.routing.total_reroutes
             data["router_node_pops"] = self.routing.node_pops
-            if self.routing.warm_started_nets:
-                # Only present when a warm-start seed actually fired, so
-                # plain flows keep their historical key set.
-                data["routing_warm_started"] = self.routing.warm_started_nets
         if self.timing is not None:
             data.update(self.timing.as_row())
         if self.timing_driven:
@@ -454,30 +446,6 @@ class CadFlow:
             )
         return mapped
 
-    def _resolve_routing_seed(
-        self, routing_seed: Mapping[str, Sequence[str]] | None
-    ) -> dict[str, list[int]] | None:
-        """Map warm-start trees from node names to this graph's node ids.
-
-        Names that do not exist on this fabric (e.g. tracks beyond a
-        narrower channel width) are dropped; the router then validates what
-        remains per net and falls back to routing nets whose trees broke.
-        """
-        if not routing_seed:
-            return None
-        graph = self.rr_graph
-        resolved: dict[str, list[int]] = {}
-        for net, names in routing_seed.items():
-            ids: list[int] = []
-            for name in names:
-                try:
-                    ids.append(graph.node_by_name(str(name)).node_id)
-                except KeyError:
-                    continue
-            if ids:
-                resolved[net] = ids
-        return resolved or None
-
     def map(self, circuit: StyledCircuit | Netlist) -> MappedDesign:
         if isinstance(circuit, StyledCircuit):
             if self.options.use_template_mapping:
@@ -489,7 +457,6 @@ class CadFlow:
         self,
         circuit: StyledCircuit | Netlist | MappedDesign | object,
         placement: Placement | None = None,
-        routing_seed: Mapping[str, Sequence[str]] | None = None,
         resume_from: str | None = None,
     ) -> FlowResult:
         """Execute mapping → packing → placement → routing → analysis.
@@ -517,14 +484,6 @@ class CadFlow:
         it, so the result equals a cold run.  An injected placement that does
         not match the design is discarded (the flow re-places and reports
         ``placement_cache_hit=False``) rather than routed blindly.
-
-        ``routing_seed`` warm-starts the router with externally cached
-        routed trees, given as node *names* per net (typically a
-        neighbouring channel width's legal routing from the sweep engine's
-        routing-tree cache).  Seed trees that do not validate on this
-        fabric's RR graph are ignored, and a seeded routing that fails to
-        converge is retried cold, so a stale seed can never make a routable
-        point unroutable.
 
         With ``options.timing_driven`` the flow runs the criticality loop:
         polish the wirelength anneal under the blended cost, estimate net
@@ -578,7 +537,7 @@ class CadFlow:
             ("map", partial(self._map_stage, circuit=circuit)),
             ("pack", self._pack_stage),
             ("place", partial(self._place_stage, injected=placement)),
-            ("route", partial(self._route_stage, routing_seed=routing_seed)),
+            ("route", self._route_stage),
             ("timing", self._timing_stage),
             ("bitgen", self._bitgen_stage),
         ):
@@ -683,12 +642,7 @@ class CadFlow:
             )
         return {}
 
-    def _route_stage(
-        self,
-        result: FlowResult,
-        stored: _Stored,
-        routing_seed: Mapping[str, Sequence[str]] | None,
-    ) -> _Records:
+    def _route_stage(self, result: FlowResult, stored: _Stored) -> _Records:
         if self.options.run_routing and result.placement is not None:
             if "routing" in stored:
                 routing = stored["routing"]
@@ -698,7 +652,7 @@ class CadFlow:
                 result.cycle_time_pre_refine_ps = None if pre_refine is None else int(pre_refine)
                 result.critical_nets_rerouted = None if reroutes is None else int(reroutes)
             else:
-                self._route(result, routing_seed)
+                self._route(result)
         records: dict[str, Callable[[], Mapping[str, object]]] = {}
         if result.placement is not None:
             records["placement"] = result.placement.to_dict
@@ -710,9 +664,7 @@ class CadFlow:
             }
         return records
 
-    def _route(
-        self, result: FlowResult, routing_seed: Mapping[str, Sequence[str]] | None
-    ) -> None:
+    def _route(self, result: FlowResult) -> None:
         """Route ``result.placement`` down the fallback ladder, then refine.
 
         Settles ``result.placement``: a timing-driven flow whose polished
@@ -725,11 +677,7 @@ class CadFlow:
         # layout; a restored placement is already the one to route.
         ladder = self.options.timing_driven and baseline is not None
 
-        def attempt(
-            target: Placement,
-            crits: Mapping[str, float] | None,
-            seed: Mapping[str, Sequence[int]] | None = None,
-        ) -> RoutingResult:
+        def attempt(target: Placement, crits: Mapping[str, float] | None) -> RoutingResult:
             routing = route_design(
                 mapped,
                 target,
@@ -737,7 +685,6 @@ class CadFlow:
                 max_iterations=self.options.router_max_iterations,
                 criticalities=crits,
                 timing_model=model if crits is not None else None,
-                warm_start=seed,
                 # Timing-driven rungs are backed by this ladder itself;
                 # only the final congestion rung keeps the router's
                 # internal A*→Dijkstra restart (baseline semantics).
@@ -746,9 +693,7 @@ class CadFlow:
             if not routing.success:
                 # One record per failed rung of the ladder below, so a
                 # fallback never fires silently.
-                rung = "warm-started " if seed else ""
-                rung += "congestion" if crits is None else "timing-driven"
-                rung += " routing"
+                rung = "congestion routing" if crits is None else "timing-driven routing"
                 if ladder:
                     which = "baseline" if target is baseline else "polished"
                     rung += f" on the {which} placement"
@@ -768,11 +713,7 @@ class CadFlow:
             # box so the router sees geometry-aware criticalities.
             engine = self._engine(mapped, result.placement)
             criticalities = engine.criticalities(exponent=CRITICALITY_EXPONENT)
-        warm_start = self._resolve_routing_seed(routing_seed)
-        routing = attempt(result.placement, criticalities, warm_start)
-        if warm_start and not routing.success:
-            # A stale seed must never cost routability: retry cold.
-            routing = attempt(result.placement, criticalities)
+        routing = attempt(result.placement, criticalities)
         if ladder and not routing.success:
             # The polished placement made a borderline fabric unroutable:
             # fall back to the baseline layout (already in hand -- no

@@ -30,10 +30,7 @@ Three cost layers compose in the hot loop:
 The router is **incremental**: the first iteration routes every net, but
 later iterations rip up and re-route only *dirty* nets — nets whose routed
 trees touch an overused node — escalating to full-recovery sweeps when the
-negotiation stalls (see ``route_design``).  ``route_design(..., warm_start=
-...)`` additionally seeds iteration 1 with externally provided legal trees
-(the sweep engine's channel-width-ladder cache), routing only the nets whose
-seed trees do not validate on this graph.
+negotiation stalls (see ``route_design``).
 
 ``route_design(..., incremental=False)`` restores the classic
 re-route-everything schedule; ``astar=False`` restores plain Dijkstra (the
@@ -134,8 +131,7 @@ class RoutingResult:
     typically a small fraction of the net count (only nets touching overused
     nodes), which is the router's headline perf counter.  ``node_pops``
     counts Dijkstra/A* heap pops over the whole run -- the counter the A*
-    lower bound reduces; ``warm_started_nets`` how many nets iteration 1
-    inherited from a warm-start seed instead of routing.
+    lower bound reduces.
     """
 
     routed: dict[str, RoutedNet] = field(default_factory=dict)
@@ -145,7 +141,6 @@ class RoutingResult:
     overused_nodes: int = 0
     reroutes_per_iteration: list[int] = field(default_factory=list)
     node_pops: int = 0
-    warm_started_nets: int = 0
     bbox_fallbacks: int = 0
     critical_reroutes: int = 0
     # Always 0 (routing is serial); perfbench/spans.py reads both per traced route.
@@ -196,7 +191,6 @@ class RoutingResult:
             "overused_nodes": self.overused_nodes,
             "reroutes_per_iteration": list(self.reroutes_per_iteration),
             "node_pops": self.node_pops,
-            "warm_started_nets": self.warm_started_nets,
             "bbox_fallbacks": self.bbox_fallbacks,
             "critical_reroutes": self.critical_reroutes,
         }
@@ -243,7 +237,6 @@ class RoutingResult:
                 overused_nodes=int(data["overused_nodes"]),
                 reroutes_per_iteration=[int(n) for n in data["reroutes_per_iteration"]],
                 node_pops=int(data["node_pops"]),
-                warm_started_nets=int(data["warm_started_nets"]),
                 bbox_fallbacks=int(data["bbox_fallbacks"]),
                 critical_reroutes=int(data["critical_reroutes"]),
             )
@@ -374,37 +367,6 @@ def _delay_costs(graph: RoutingResourceGraph, model: TimingModel) -> list[float]
     wire_cost = (model.wire_segment_delay_ps + model.switch_delay_ps) / wire
     pin_cost = model.cbox_delay_ps / wire
     return [wire_cost if is_wire else pin_cost for is_wire in graph.is_wire]
-
-
-def _validate_warm_tree(
-    graph: RoutingResourceGraph,
-    nodes: Sequence[int],
-    source: int,
-    targets: set[int],
-) -> list[int] | None:
-    """The connected, orphan-free subtree of *nodes*, or ``None`` if unusable.
-
-    A warm-start tree (possibly mapped over from a different channel width)
-    is usable when every node id exists on this graph and the source still
-    reaches every sink through the tree's own nodes; nodes the source cannot
-    reach are dropped rather than occupied for nothing.
-    """
-    node_count = len(graph)
-    tree = {node_id for node_id in nodes if 0 <= node_id < node_count}
-    if source not in tree or not targets.issubset(tree):
-        return None
-    nodes_by_id = graph.nodes
-    reachable = {source}
-    frontier = [source]
-    while frontier:
-        node_id = frontier.pop()
-        for neighbour in nodes_by_id[node_id].edges:
-            if neighbour in tree and neighbour not in reachable:
-                reachable.add(neighbour)
-                frontier.append(neighbour)
-    if not targets.issubset(reachable):
-        return None
-    return sorted(reachable)
 
 
 class _TreeSearch:
@@ -575,7 +537,6 @@ def route_design(
     criticalities: Mapping[str, float] | None = None,
     timing_model: TimingModel | None = None,
     astar: bool = True,
-    warm_start: Mapping[str, Sequence[int]] | None = None,
     restart_on_failure: bool = True,
 ) -> RoutingResult:
     """PathFinder routing of all inter-block nets of a placed design.
@@ -594,10 +555,6 @@ def route_design(
     costs, fewer heap pops — see ``RoutingResult.node_pops``).  Every search
     is pruned to the net's terminal bounding box plus :data:`BBOX_MARGIN`,
     falling back to an unpruned search when the box turns out too tight.
-
-    ``warm_start`` maps net names to node-id trees (typically a neighbouring
-    channel width's legal routing): validating trees seed iteration 1, the
-    rest route normally.
 
     ``restart_on_failure`` controls the built-in escalation: a failed A*
     negotiation restarts once with plain Dijkstra ordering so enabling A*
@@ -712,30 +669,12 @@ def route_design(
 
     net_order = sorted(sources)
 
-    warm_started: set[str] = set()
-    if warm_start:
-        for net in net_order:
-            seed = warm_start.get(net)
-            if not seed:
-                continue
-            tree = _validate_warm_tree(graph, seed, sources[net], set(sinks[net]))
-            if tree is None:
-                continue
-            routes[net] = RoutedNet(
-                net=net, source_node=sources[net], sink_nodes=list(sinks[net]), nodes=tree
-            )
-            occupy(tree)
-            warm_started.add(net)
-    result.warm_started_nets = len(warm_started)
-
     iteration = 0
     best_overuse: int | None = None
     stalled = 0
     full_recovery = False
     for iteration in range(1, max_iterations + 1):
-        if iteration == 1:
-            dirty = [net for net in net_order if net not in warm_started]
-        elif not incremental or full_recovery:
+        if iteration == 1 or not incremental or full_recovery:
             dirty = net_order
         else:
             # Only nets whose trees touch an overused node must move; the
@@ -834,7 +773,6 @@ def route_design(
             criticalities=criticalities,
             timing_model=timing_model,
             astar=False,
-            warm_start=warm_start,
         )
         retry.node_pops += result.node_pops
         retry.bbox_fallbacks += result.bbox_fallbacks

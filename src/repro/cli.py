@@ -161,7 +161,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cache_dir=args.store,
         executor=args.executor,
         placement_cache=not args.no_placement_cache,
-        routing_cache=args.routing_cache,
         artifact_dir=args.artifacts,
         timeout=args.timeout,
         retries=args.retries,
@@ -459,12 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="L",
         help="placement blend weight lambda in [0,1]; repeatable axis "
         "(implies --timing-driven; default: 0.5)",
-    )
-    run.add_argument(
-        "--routing-cache",
-        action="store_true",
-        help="warm-start PathFinder across channel-width ladders from cached "
-        "routing trees (requires --store; quality-gated, not bit-identical)",
     )
     run.add_argument("--workers", type=int, default=1, help="pool size (default: 1)")
     run.add_argument(

@@ -190,7 +190,7 @@ def _label_of(payload: Mapping[str, object]) -> str:
     data = {
         key: value
         for key, value in payload.items()
-        if key not in ("placement_store", "routing_store", "artifact_store")
+        if key not in ("placement_store", "artifact_store")
     }
     try:
         return SweepPoint.from_dict(data).label()
@@ -250,16 +250,11 @@ class ChaosExecutor:
                 f"chaos: transient I/O fault on {token.label} "
                 f"(attempt {token.attempt})"
             )
-        return self.inner.result(token, timeout)  # type: ignore[attr-defined]
-
-    def gather(self, tokens):
-        return [self.result(token) for token in tokens]
+        return self.inner.result(token, timeout)
 
     def rebuild(self) -> None:
         self.rebuilds += 1
-        rebuild = getattr(self.inner, "rebuild", None)
-        if rebuild is not None:
-            rebuild()
+        self.inner.rebuild()
 
     def shutdown(self) -> None:
         self.inner.shutdown()

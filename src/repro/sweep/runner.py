@@ -8,8 +8,9 @@ misses on a named :class:`Executor` backend and returns a
 
 Executor backends
 -----------------
-Execution is behind the :class:`Executor` protocol (``submit`` / ``gather`` /
-``shutdown``) so the fan-out strategy is orthogonal to the flow itself.
+Execution is behind the :class:`Executor` protocol (``submit`` / ``result`` /
+``rebuild`` / ``shutdown``) so the fan-out strategy is orthogonal to the flow
+itself.
 Three backends ship in-tree, selected by name through :class:`RunnerConfig`
 (which is deliberately independent of :class:`~repro.cad.flow.FlowOptions`:
 *how* points run never changes *what* they compute):
@@ -59,10 +60,10 @@ Cache misses run under a supervision loop (see ``docs/robustness.md``):
 * ``fail_fast`` stops submitting after the first non-ok point and marks the
   rest ``status="skipped"``.
 
-Third-party backends that only implement the minimal submit/gather protocol
-keep the historical semantics (no timeout, no retry, no crash recovery);
-supervision engages for any backend that also offers ``result(token,
-timeout)`` (and, for crash recovery, ``rebuild()``).
+Every backend runs under this loop: ``result(token, timeout)`` is how it
+waits for a point and ``rebuild()`` how it recovers a broken pool, so a
+registered backend that lacks either is rejected with ``TypeError`` when the
+sweep creates it.
 
 Incremental re-route
 --------------------
@@ -121,26 +122,6 @@ logger = logging.getLogger(__name__)
 TRANSIENT_EXCEPTIONS = (OSError, MemoryError)
 
 
-def _seed_trees_from_record(record: Mapping[str, object]) -> dict[str, list[str]] | None:
-    """Warm-start trees (node names per net) from a routing-cache record.
-
-    Records embed the schema-versioned
-    :meth:`~repro.cad.route.RoutingResult.to_dict` payload under
-    ``"routing"``.  Returns ``None`` when it yields no trees.
-    """
-    routing = record.get("routing")
-    if not isinstance(routing, Mapping):
-        return None
-    routed = routing.get("routed")
-    if not isinstance(routed, Mapping):
-        return None
-    return {
-        str(net): [str(name) for name in entry.get("nodes", [])]
-        for net, entry in routed.items()
-        if isinstance(entry, Mapping)
-    } or None
-
-
 def execute_point(point_data: Mapping[str, object]) -> dict[str, object]:
     """Run one sweep point (given as a plain dict) and return its record.
 
@@ -157,15 +138,6 @@ def execute_point(point_data: Mapping[str, object]) -> dict[str, object]:
     design does not decode is flagged ``placement_cache_corrupt`` and the
     point runs as a miss.  Store writes are atomic, so parallel workers can
     share one directory.
-
-    A ``routing_store`` key (same directory convention) additionally enables
-    the **routing-tree warm-start cache**: under
-    :meth:`SweepPoint.routing_base_key` — the point minus its swept fabric
-    geometry (channel width and grid size) — the worker looks for a
-    neighbouring fabric's legal routed trees (stored as node *names*) and
-    seeds PathFinder with them, then persists its own trees after a
-    successful route for the next rung of the ladder.  The summary carries
-    ``routing_warm_started`` whenever a seed actually fired.
 
     An ``artifact_store`` key (a directory path) makes the worker checkpoint
     every stage boundary of each executed flow into a
@@ -185,7 +157,6 @@ def execute_point(point_data: Mapping[str, object]) -> dict[str, object]:
 
     data = dict(point_data)
     placement_store_root = data.pop("placement_store", None)
-    routing_store_root = data.pop("routing_store", None)
     artifact_store_root = data.pop("artifact_store", None)
     point = SweepPoint.from_dict(data)
     record: dict[str, object] = {
@@ -198,7 +169,6 @@ def execute_point(point_data: Mapping[str, object]) -> dict[str, object]:
     placement_store = (
         SweepResultStore(placement_store_root) if placement_store_root else None
     )
-    routing_store = SweepResultStore(routing_store_root) if routing_store_root else None
     started = time.perf_counter()
     try:
         injected: Placement | None = None
@@ -244,56 +214,7 @@ def execute_point(point_data: Mapping[str, object]) -> dict[str, object]:
             flow_options = dataclasses.replace(
                 flow_options, artifact_store=str(artifact_store_root)
             )
-        flow = CadFlow(point.architecture, flow_options)
-
-        routing_seed = None
-        routing_key: str | None = None
-        if (
-            routing_store is not None
-            and point.options.run_placement
-            and point.options.run_routing
-        ):
-            routing_key = point.routing_base_key()
-            cached_trees = routing_store.get(routing_key)
-            if cached_trees is not None and cached_trees.get("kind") == "routing_trees":
-                # Seed only across a genuine geometry step (channel width or
-                # grid size); a record from the identical fabric means the
-                # point would have hit the flow-summary cache anyway.
-                same_geometry = (
-                    cached_trees.get("channel_width")
-                    == point.architecture.routing.channel_width
-                    and cached_trees.get("width") == point.architecture.width
-                    and cached_trees.get("height") == point.architecture.height
-                )
-                trees = _seed_trees_from_record(cached_trees)
-                if not same_geometry and trees:
-                    # Trees are stored as node names; the flow remaps them
-                    # onto this fabric's RR graph and validates per net.
-                    routing_seed = trees
-
-        result = flow.run(circuit, placement=injected, routing_seed=routing_seed)
-
-        if (
-            routing_store is not None
-            and routing_key is not None
-            and result.routing is not None
-            and result.routing.success
-        ):
-            routing_store.put(
-                routing_key,
-                {
-                    "version": SWEEP_SCHEMA_VERSION,
-                    "kind": "routing_trees",
-                    "fingerprint": code_fingerprint(),
-                    "circuit": point.circuit,
-                    "channel_width": point.architecture.routing.channel_width,
-                    "width": point.architecture.width,
-                    "height": point.architecture.height,
-                    # The full schema-versioned routing artifact; seed trees
-                    # are extracted from it on read.
-                    "routing": result.routing.to_dict(flow.rr_graph),
-                },
-            )
+        result = CadFlow(point.architecture, flow_options).run(circuit, placement=injected)
 
         if placement_store is not None and point.options.run_placement:
             if result.placement_cache_hit is None:
@@ -355,13 +276,15 @@ def execute_point(point_data: Mapping[str, object]) -> dict[str, object]:
 # ----------------------------------------------------------------------
 @runtime_checkable
 class Executor(Protocol):
-    """How sweep-point payloads get executed (submit / gather / shutdown).
+    """How sweep-point payloads get executed (submit / result / rebuild / shutdown).
 
     Implementations receive a picklable function plus one picklable payload
-    per :meth:`submit` call and return an opaque token; :meth:`gather` turns
-    a sequence of tokens back into results **in submission order**;
-    :meth:`shutdown` releases any pool resources (always called, even when a
-    point raised).  Register new backends with :func:`register_executor`.
+    per :meth:`submit` call and return an opaque token; :meth:`result` waits
+    for one token's record, raising ``TimeoutError`` once *timeout* seconds
+    pass and ``BrokenExecutor`` when the pool died under it; :meth:`rebuild`
+    replaces a broken pool; :meth:`shutdown` releases any pool resources
+    (always called, even when a point raised).  Register new backends with
+    :func:`register_executor`.
     """
 
     def submit(
@@ -369,7 +292,9 @@ class Executor(Protocol):
         payload: Mapping[str, object],
     ) -> object: ...
 
-    def gather(self, tokens: Sequence[object]) -> list[dict[str, object]]: ...
+    def result(self, token: object, timeout: float | None = None) -> dict[str, object]: ...
+
+    def rebuild(self) -> None: ...
 
     def shutdown(self) -> None: ...
 
@@ -379,17 +304,14 @@ class SerialExecutor:
 
     The reference backend: bit-identical to calling the flow by hand, no
     pickling, exceptions propagate with their original tracebacks.  Work is
-    deferred to :meth:`result` / :meth:`gather`, so the supervision loop's
-    per-point timing measures the point itself, not queue wait.  Timeouts
-    are **cooperative** here -- an in-process flow cannot be preempted, so
-    an overrun is detected (and the result discarded) after the fact.
+    deferred to :meth:`result`, so the supervision loop's per-point timing
+    measures the point itself, not queue wait.  Timeouts are
+    **cooperative** here -- an in-process flow cannot be preempted, so an
+    overrun is detected (and the result discarded) after the fact.
     """
 
     def submit(self, fn, payload):
         return (fn, payload)
-
-    def gather(self, tokens):
-        return [fn(payload) for fn, payload in tokens]
 
     def result(self, token, timeout: float | None = None):
         fn, payload = token
@@ -403,7 +325,7 @@ class SerialExecutor:
 
 
 class _PoolExecutor:
-    """Shared submit/gather/result/rebuild over a ``concurrent.futures`` pool.
+    """Shared submit/result/rebuild/shutdown over a ``concurrent.futures`` pool.
 
     Holding the pool *factory* rather than the pool itself is what makes
     :meth:`rebuild` possible: when a worker dies and the pool reports
@@ -418,9 +340,6 @@ class _PoolExecutor:
 
     def submit(self, fn, payload) -> Future:
         return self._pool.submit(fn, payload)
-
-    def gather(self, tokens):
-        return [token.result() for token in tokens]
 
     def result(self, token, timeout: float | None = None):
         return token.result(timeout)
@@ -616,9 +535,8 @@ class _Supervisor:
 
     One supervisor lives for the whole :meth:`SweepRunner.run` call (both
     placement-dedup waves share its backend, crash counters and fail-fast
-    trip wire).  Backends without a ``result(token, timeout)`` method --
-    minimal third-party registrations -- run on the historical
-    submit/gather path with none of the supervision semantics.
+    trip wire).  Every backend it creates must implement the whole
+    :class:`Executor` protocol.
     """
 
     def __init__(self, config: RunnerConfig) -> None:
@@ -638,13 +556,14 @@ class _Supervisor:
 
     # -- backend lifecycle --------------------------------------------
     def _create(self, name: str) -> Executor:
-        return _EXECUTOR_FACTORIES[name](
+        backend = _EXECUTOR_FACTORIES[name](
             dataclasses.replace(self.config, executor=name)
         )
-
-    @property
-    def supervised(self) -> bool:
-        return hasattr(self.backend, "result")
+        if not isinstance(backend, Executor):
+            raise TypeError(
+                f"executor {name!r} must implement submit, result, rebuild and shutdown"
+            )
+        return backend
 
     def shutdown(self) -> None:
         self.backend.shutdown()
@@ -673,15 +592,7 @@ class _Supervisor:
                 name,
             )
             return
-        rebuild = getattr(self.backend, "rebuild", None)
-        if rebuild is not None:
-            rebuild()
-        else:  # no rebuild hook: recreate from the factory
-            try:
-                self.backend.shutdown()
-            except Exception:
-                pass
-            self.backend = self._create(self._ladder[self._rung])
+        self.backend.rebuild()
 
     def _note_submit_failure(self) -> None:
         """A pool that breaks before accepting work attaches no blame --
@@ -759,12 +670,6 @@ class _Supervisor:
     ) -> list[dict[str, object]]:
         """Execute one wave of payloads; returns records in entry order."""
         runs = [_PointRun(payload, point) for payload, point in entries]
-        if not self.supervised:
-            # Historical minimal-protocol path: no timeout, no retry, no
-            # crash recovery.  Records come back exactly as executed.
-            tokens = [self.backend.submit(execute_point, run.payload) for run in runs]
-            return list(self.backend.gather(tokens))
-
         pending = list(runs)
         while pending:
             if self._tripped:
@@ -802,7 +707,7 @@ class _Supervisor:
                     continue
                 waited = time.perf_counter()
                 try:
-                    record = self.backend.result(tokens[index], self.config.timeout_s)  # type: ignore[attr-defined]
+                    record = self.backend.result(tokens[index], self.config.timeout_s)
                 except TimeoutError:
                     self._on_timeout(run, time.perf_counter() - waited, pending)
                 except BrokenExecutor as exc:
@@ -1121,15 +1026,6 @@ class SweepRunner:
         routing-side or timing option changes (adds the
         ``placement_cache_hit`` summary key on placement-running sweeps).
         Disable for summaries bit-identical to store-less runs.
-    routing_cache:
-        When a store is attached, additionally cache each point's legal
-        routed trees under :meth:`SweepPoint.routing_base_key` and seed
-        PathFinder with a neighbouring channel width's trees (the
-        **warm-start cache** for channel-width ladders).  Off by default:
-        warm-started routings are legal and quality-gated but not
-        bit-identical to cold ones, so enabling it trades strict summary
-        determinism for ladder throughput (the summary records the trade via
-        ``routing_warm_started``).
     artifacts:
         Directory of an :class:`~repro.artifacts.ArtifactStore`; each
         executed flow then checkpoints its stage boundaries there (mapped /
@@ -1146,7 +1042,6 @@ class SweepRunner:
         executor: str | None = None,
         config: RunnerConfig | None = None,
         placement_cache: bool = True,
-        routing_cache: bool = False,
         artifacts: str | None = None,
     ) -> None:
         if isinstance(store, (str,)) or hasattr(store, "__fspath__"):
@@ -1160,7 +1055,6 @@ class SweepRunner:
             )
         self.config = config
         self.placement_cache = placement_cache
-        self.routing_cache = routing_cache
         self.artifacts = str(artifacts) if artifacts is not None else None
 
     @property
@@ -1217,18 +1111,11 @@ class SweepRunner:
                 if self.store is not None and self.placement_cache
                 else None
             )
-            routing_store = (
-                str(self.store.root)
-                if self.store is not None and self.routing_cache
-                else None
-            )
             miss_payloads: list[dict[str, object]] = []
             for index in miss_indices:
                 payload = points[index].to_dict()
                 if placement_store is not None:
                     payload["placement_store"] = placement_store
-                if routing_store is not None:
-                    payload["routing_store"] = routing_store
                 if self.artifacts is not None:
                     payload["artifact_store"] = self.artifacts
                 miss_payloads.append(payload)

@@ -125,37 +125,6 @@ class SweepPoint:
         }
         return stable_digest(payload)
 
-    def routing_base_key(self) -> str:
-        """The content-address of this point's *routing-tree* cache slot.
-
-        The key hashes the full point **except the fabric geometry being
-        swept**: channel width and grid size (width/height).  Every step of
-        a channel-width *or* grid-size ladder (same circuit, same placement
-        inputs, same routing topology otherwise) then shares one slot, which
-        is what lets the runner seed PathFinder with a neighbouring
-        fabric's legal trees (the warm-start cache).  Trees are stored as
-        node *names*, and a smaller grid's wire/pin names all exist on a
-        larger grid, so cross-grid seeds resolve meaningfully; names that do
-        not exist are dropped during seed resolution.  The stored record
-        carries the exact geometry it was routed at; a point whose own
-        geometry matches would have hit the flow-summary cache instead.
-        """
-        payload = self.to_dict()
-        architecture = dict(payload["architecture"])
-        architecture.pop("width", None)
-        architecture.pop("height", None)
-        routing = dict(architecture["routing"])
-        routing.pop("channel_width", None)
-        architecture["routing"] = routing
-        payload["architecture"] = architecture
-        return stable_digest(
-            {
-                "kind": "routing_trees",
-                "point": payload,
-                "code_fingerprint": code_fingerprint(),
-            }
-        )
-
     def label(self) -> str:
         """A short human-readable identifier for tables and logs."""
         arch = self.architecture

@@ -165,7 +165,12 @@ class SweepResultStore:
             return False
 
     def put(self, key: str, record: dict[str, object]) -> Path:
-        """Atomically persist *record* under *key*, stamped with its checksum."""
+        """Atomically persist *record* under *key*, stamped with its checksum.
+
+        The file holds the stamped record as compact canonical JSON (sorted
+        keys, no whitespace), encoded by one ``json.dumps`` call, which runs
+        the C encoder where streaming or indented output would not.
+        """
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         stamped = dict(record)
@@ -173,7 +178,9 @@ class SweepResultStore:
         fd, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(stamped, handle, sort_keys=True, indent=1, default=str)
+                handle.write(
+                    json.dumps(stamped, sort_keys=True, separators=(",", ":"), default=str)
+                )
             os.replace(temp_name, path)
         except BaseException:
             try:

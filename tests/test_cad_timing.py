@@ -14,8 +14,7 @@ Four families of guarantees introduced by the criticality-fed CAD refactor:
   (including the decomposed 2×2 multiplier) with routed legality and at
   most 2% total-wirelength regression;
 * **A\\* router** — routed parity with plain Dijkstra while popping fewer
-  heap nodes on the largest benchmarked fabric, and the warm-start seed
-  path reaches parity-quality routings while inheriting most trees.
+  heap nodes on the largest benchmarked fabric.
 
 The routing fallbacks are pinned too: the flow's ladder logs one INFO record
 per failed rung, the A*→Dijkstra restart one INFO record, and PathFinder one
@@ -373,134 +372,26 @@ def test_astar_failure_restarts_with_dijkstra_parity(caplog):
 
 
 # ----------------------------------------------------------------------
-# Warm start (the sweep engine's channel-width ladder cache)
+# Placement injection across grid sizes
 # ----------------------------------------------------------------------
-def test_warm_start_inherits_trees_with_quality_parity(tmp_path):
-    from repro import api
-
-    architectures = [
-        ArchitectureParams(routing=RoutingParams(channel_width=width))
-        for width in (10, 9, 8)
-    ]
-    warm = api.run_sweep(
-        circuits=["qdi_ripple_adder_2"],
-        architectures=architectures,
-        cache_dir=str(tmp_path / "store"),
-        routing_cache=True,
-    )
-    cold = api.run_sweep(
-        circuits=["qdi_ripple_adder_2"], architectures=architectures
-    )
-    warm_by_label = {o.point.label(): o.summary for o in warm.outcomes}
-    cold_by_label = {o.point.label(): o.summary for o in cold.outcomes}
-    seeded = 0
-    for label, summary in warm_by_label.items():
-        assert summary["routing_success"] is True
-        reference = cold_by_label[label]
-        # Parity gate: warm-started quality within 2% of a cold route.
-        assert summary["total_wirelength"] <= reference["total_wirelength"] * 1.02
-        if summary.get("routing_warm_started"):
-            seeded += 1
-            assert summary["routing_warm_started"] > 0
-    # The second and third rung of the ladder must actually inherit trees.
-    assert seeded >= 2
-    # Cold runs never carry the marker.
-    assert all("routing_warm_started" not in s for s in cold_by_label.values())
-
-
-def test_warm_start_rejects_broken_seed_trees():
-    design, flow = _mapped("qdi_full_adder")
-    placement = place_design(design, flow.fabric, seed=1)
-    reference = route_design(design, placement, flow.rr_graph)
-    bogus = {net: [0, 1, 2] for net in reference.routed}
-    seeded = route_design(design, placement, flow.rr_graph, warm_start=bogus)
-    assert seeded.success
-    assert seeded.warm_started_nets == 0  # nothing validated, all routed fresh
-    assert seeded.total_wirelength == reference.total_wirelength
-
-
-def test_flow_routing_seed_roundtrip():
-    # Trees routed at channel width 10, re-injected (as node names) into a
-    # width-8 flow: the flow maps what exists, validates per net, and the
-    # result stays legal and successful.
-    wide = CadFlow(
-        ArchitectureParams(routing=RoutingParams(channel_width=10)),
-        FlowOptions(generate_bitstream=False),
-    )
-    wide_result = wide.run(build_circuit("qdi_ripple_adder_2"))
-    assert wide_result.routing is not None and wide_result.routing.success
-    trees = {
-        net: [wide.rr_graph.nodes[node_id].name for node_id in routed.nodes]
-        for net, routed in wide_result.routing.routed.items()
-    }
-    narrow = CadFlow(PAPER_ARCH(), FlowOptions(generate_bitstream=False))
-    seeded = narrow.run(build_circuit("qdi_ripple_adder_2"), routing_seed=trees)
-    assert seeded.routing is not None and seeded.routing.success
-    _assert_legal(seeded.routing, narrow.rr_graph)
-    assert seeded.routing.warm_started_nets > 0
-    assert seeded.summary()["routing_warm_started"] > 0
-
-
-def test_cross_grid_seed_warm_starts_routing():
-    # Grid-size ladder rung: trees and placement from a 6x6 fabric carry to
-    # an 8x8 one.  A smaller grid's PLB sites, pad names and wire names all
-    # exist on the larger grid, so with the placement transferred the seed
-    # trees validate and PathFinder warm-starts (ROADMAP carry-over: the
-    # warm-start cache used to be keyed on exact geometry minus channel
-    # width only, which made cross-grid rungs miss).
+def test_smaller_grid_placement_injects_into_larger_fabric():
+    # A smaller grid's PLB sites and pad names all exist on a larger grid,
+    # so a 6x6 anneal injected into an 8x8 flow is reused as-is and routes
+    # legally there.
     small = CadFlow(
         ArchitectureParams(width=6, height=6, routing=RoutingParams(channel_width=8)),
         FlowOptions(generate_bitstream=False),
     )
     small_result = small.run(build_circuit("qdi_full_adder"))
     assert small_result.routing is not None and small_result.routing.success
-    trees = {
-        net: [small.rr_graph.nodes[node_id].name for node_id in routed.nodes]
-        for net, routed in small_result.routing.routed.items()
-    }
     large = CadFlow(
         ArchitectureParams(width=8, height=8, routing=RoutingParams(channel_width=8)),
         FlowOptions(generate_bitstream=False),
     )
-    seeded = large.run(
-        build_circuit("qdi_full_adder"),
-        placement=small_result.placement,
-        routing_seed=trees,
-    )
-    assert seeded.routing is not None and seeded.routing.success
-    _assert_legal(seeded.routing, large.rr_graph)
-    assert seeded.routing.warm_started_nets > 0
-    assert seeded.summary()["placement_cache_hit"] is True
-
-
-def test_routing_cache_key_shared_across_grid_sizes():
-    # The routing-tree cache slot must hash out grid size as well as channel
-    # width, so grid-size ladders share trees the way channel-width ladders do.
-    from repro.sweep.spec import SweepPoint
-
-    def point(width, height, channel_width):
-        return SweepPoint(
-            circuit="qdi_full_adder",
-            architecture=ArchitectureParams(
-                width=width,
-                height=height,
-                routing=RoutingParams(channel_width=channel_width),
-            ),
-            options=FlowOptions(),
-        )
-
-    base = point(6, 6, 8)
-    assert base.routing_base_key() == point(8, 8, 8).routing_base_key()
-    assert base.routing_base_key() == point(6, 6, 10).routing_base_key()
-    # Everything else still differentiates the slot.
-    other_circuit = SweepPoint(
-        circuit="qdi_ripple_adder_2",
-        architecture=ArchitectureParams(width=6, height=6),
-        options=FlowOptions(),
-    )
-    assert base.routing_base_key() != other_circuit.routing_base_key()
-    # And the flow-summary key keeps geometry, so the slots stay distinct.
-    assert base.key() != point(8, 8, 8).key()
+    injected = large.run(build_circuit("qdi_full_adder"), placement=small_result.placement)
+    assert injected.routing is not None and injected.routing.success
+    _assert_legal(injected.routing, large.rr_graph)
+    assert injected.summary()["placement_cache_hit"] is True
 
 
 # ----------------------------------------------------------------------

@@ -164,26 +164,6 @@ def test_timing_and_effort_axes(tmp_path, capsys):
         assert row["cycle_time_improvement_ps"] != ""
 
 
-def test_routing_cache_warm_starts_ladder(tmp_path, capsys):
-    store = str(tmp_path / "store")
-    args = RUN_ARGS[:3] + [
-        "--channel-width", "10",
-        "--channel-width", "8",
-        "--store", store,
-        "--routing-cache",
-        "--quiet",
-    ]
-    assert main(args) == 0
-    capsys.readouterr()
-    report_csv = tmp_path / "ladder.csv"
-    assert main(["export", "--store", store, "--csv", str(report_csv)]) == 0
-    capsys.readouterr()
-    with report_csv.open(encoding="utf-8", newline="") as handle:
-        rows = {row["label"]: row for row in csv.DictReader(handle)}
-    assert rows["qdi_full_adder@6x6/cw8"]["routing_warm_started"] not in ("", "0")
-    assert rows["qdi_full_adder@6x6/cw8"]["routing_success"] == "True"
-
-
 def test_run_rejects_unknown_executor():
     with pytest.raises(SystemExit):
         main(["run", "--circuit", "qdi_full_adder", "--executor", "slurm"])

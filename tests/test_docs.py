@@ -3,14 +3,17 @@
 The CI docs gate: every import statement inside a ```python fence of
 README.md / docs/*.md must execute, every dotted ``repro.*`` name anywhere
 in those files must resolve to a real module/attribute, every ``api.<name>``
-reference must exist on :mod:`repro.api`, and every ``repro-sweep``
-subcommand the docs mention must exist in the CLI parser.  Renaming a public
-symbol without updating the docs fails this file.
+reference must exist on :mod:`repro.api`, every ``repro-sweep``
+subcommand the docs mention must exist in the CLI parser, and every long
+``--flag`` must be an option of ``repro-sweep``, ``repro-lint``,
+``repro-fuzz`` or ``benchmarks/bench_cad_flow.py``.  Renaming a public
+symbol or deleting a flag without updating the docs fails this file.
 """
 
 import argparse
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,10 @@ import pytest
 import repro.api
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks"))
+
+import bench_cad_flow  # noqa: E402  (path shim above)
+
 DOC_FILES = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
 
 FENCE_RE = re.compile(r"```(\w*)\n(.*?)```", re.DOTALL)
@@ -25,6 +32,7 @@ IMPORT_RE = re.compile(r"^(?:import|from)\s+\S.*$", re.MULTILINE)
 DOTTED_RE = re.compile(r"\brepro(?:\.\w+)+")
 API_RE = re.compile(r"\bapi\.(\w+)")
 CLI_RE = re.compile(r"repro-sweep\s+([a-z][\w-]*)")
+FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 
 def _doc_texts() -> list[tuple[str, str]]:
@@ -106,3 +114,30 @@ def test_cli_subcommand_references_exist():
             assert command in valid, f"{name}: unknown subcommand {command!r}"
     # The docs should cover the full surface.
     assert valid <= mentioned, f"undocumented subcommands: {valid - mentioned}"
+
+
+def _long_options(parser: argparse.ArgumentParser) -> set[str]:
+    """Every ``--flag`` of *parser* and of its subcommands."""
+    options: set[str] = set()
+    for action in parser._actions:
+        options.update(flag for flag in action.option_strings if flag.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for subparser in action.choices.values():
+                options |= _long_options(subparser)
+    return options
+
+
+def test_documented_flags_exist():
+    from repro.cli import build_parser as sweep_parser
+    from repro.fuzz import build_parser as fuzz_parser
+    from repro.verify.cli import build_parser as lint_parser
+
+    valid: set[str] = set()
+    for parser in (sweep_parser(), lint_parser(), fuzz_parser(), bench_cad_flow.build_parser()):
+        valid |= _long_options(parser)
+    mentioned = 0
+    for name, text in _doc_texts():
+        for flag in FLAG_RE.findall(text):
+            mentioned += 1
+            assert flag in valid, f"{name}: unknown flag {flag!r}"
+    assert mentioned, "docs should name command-line flags"

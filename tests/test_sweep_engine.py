@@ -88,6 +88,25 @@ def test_store_put_get_roundtrip(tmp_path):
     assert store.get(key) is None
 
 
+def test_store_writes_compact_canonical_json(tmp_path):
+    from repro.sweep.store import CHECKSUM_KEY, record_checksum
+
+    store = SweepResultStore(tmp_path)
+    key = "ef" + "2" * 62
+    record = {"status": "ok", "summary": {"les": 5, "routed": ["a", "b"]}, "error": None}
+    path = store.put(key, record)
+    stamped = dict(record)
+    stamped[CHECKSUM_KEY] = record_checksum(record)
+    compact = json.dumps(stamped, sort_keys=True, separators=(",", ":"), default=str)
+    assert path.read_bytes() == compact.encode("utf-8")
+    # A record written indented, as stores used to hold them, still reads back.
+    indented_key = "ef" + "3" * 62
+    store.path_for(indented_key).write_text(
+        json.dumps(stamped, sort_keys=True, indent=1), encoding="utf-8"
+    )
+    assert store.get(indented_key) == record
+
+
 def test_store_tolerates_corrupt_records(tmp_path):
     store = SweepResultStore(tmp_path)
     key = "cd" + "1" * 62
@@ -361,7 +380,7 @@ def test_unknown_executor_raises_with_known_names(tmp_path):
 
 
 def test_third_party_executor_registration():
-    # The cluster-backend hook: anything honouring submit/gather/shutdown and
+    # The cluster-backend hook: anything honouring the Executor protocol and
     # calling execute_point produces records identical to the serial backend.
     calls = {"submitted": 0, "shutdown": False}
 
@@ -370,8 +389,11 @@ def test_third_party_executor_registration():
             calls["submitted"] += 1
             return fn(payload)
 
-        def gather(self, tokens):
-            return list(tokens)
+        def result(self, token, timeout=None):
+            return token
+
+        def rebuild(self):
+            pass
 
         def shutdown(self):
             calls["shutdown"] = True
@@ -387,6 +409,30 @@ def test_third_party_executor_registration():
         import repro.sweep.runner as runner_module
 
         runner_module._EXECUTOR_FACTORIES.pop("recording", None)
+
+
+def test_incomplete_executor_is_rejected():
+    # A backend without result/rebuild cannot be supervised; the sweep must
+    # refuse it instead of recording every point as an infrastructure error.
+    class GatherOnlyExecutor:
+        def submit(self, fn, payload):
+            return fn(payload)
+
+        def gather(self, tokens):
+            return list(tokens)
+
+        def shutdown(self):
+            pass
+
+    register_executor("gather-only", lambda config: GatherOnlyExecutor())
+    try:
+        spec = SweepSpec.build(["qdi_full_adder"], ArchitectureParams(), ANALYSIS_ONLY)
+        with pytest.raises(TypeError, match="submit, result, rebuild and shutdown"):
+            SweepRunner(executor="gather-only").run(spec)
+    finally:
+        import repro.sweep.runner as runner_module
+
+        runner_module._EXECUTOR_FACTORIES.pop("gather-only", None)
 
 
 def test_execute_point_is_self_contained():
