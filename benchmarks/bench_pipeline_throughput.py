@@ -10,12 +10,7 @@ one token per two stages).
 from repro.analysis.tables import format_table
 from repro.asynclogic.tokens import throughput
 from repro.circuits.fifo import wchb_fifo
-from repro.sim import (
-    FourPhaseDualRailConsumer,
-    FourPhaseDualRailProducer,
-    GateLevelSimulator,
-    HandshakeHarness,
-)
+from repro.sim import GateLevelSimulator, drive
 
 DEPTHS = (2, 4, 8)
 TOKENS = [1, 0, 1, 1, 0, 1, 0, 0, 1, 1]
@@ -23,18 +18,15 @@ TOKENS = [1, 0, 1, 1, 0, 1, 0, 0, 1, 1]
 
 def _measure(depth: int) -> dict[str, object]:
     fifo = wchb_fifo(depth)
-    simulator = GateLevelSimulator(fifo.netlist)
-    producer = FourPhaseDualRailProducer(fifo.channel("in"), TOKENS, "in_ack")
-    consumer = FourPhaseDualRailConsumer(fifo.channel("out"), "out_ack")
-    end_time = HandshakeHarness(simulator, [producer, consumer]).run()
-    tokens = producer.tokens
+    run = drive(fifo, GateLevelSimulator(fifo.netlist), [{"in": value} for value in TOKENS])
+    received = [out["out"] for out in run.outputs]
     return {
         "depth": depth,
-        "tokens": len(consumer.received),
-        "correct": consumer.received == TOKENS,
-        "sim_time_ps": end_time,
-        "throughput_tokens_per_ns": round((throughput(tokens) or 0.0) * 1000, 4),
-        "avg_cycle_ps": round(end_time / len(TOKENS), 1),
+        "tokens": len(received),
+        "correct": received == TOKENS,
+        "sim_time_ps": run.end_time_ps,
+        "throughput_tokens_per_ns": round((throughput(run.issued["in"]) or 0.0) * 1000, 4),
+        "avg_cycle_ps": round(run.end_time_ps / len(TOKENS), 1),
     }
 
 

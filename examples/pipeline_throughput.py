@@ -13,29 +13,23 @@ Run with::
 from repro.analysis.tables import format_table
 from repro.asynclogic.tokens import average_latency, throughput
 from repro.circuits.fifo import wchb_fifo
-from repro.sim import (
-    FourPhaseDualRailConsumer,
-    FourPhaseDualRailProducer,
-    GateLevelSimulator,
-    HandshakeHarness,
-)
+from repro.sim import GateLevelSimulator, drive
 
 TOKENS = [1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0]
 
 
 def measure(depth: int) -> dict:
     fifo = wchb_fifo(depth)
-    simulator = GateLevelSimulator(fifo.netlist)
-    producer = FourPhaseDualRailProducer(fifo.channel("in"), TOKENS, "in_ack")
-    consumer = FourPhaseDualRailConsumer(fifo.channel("out"), "out_ack")
-    end_time = HandshakeHarness(simulator, [producer, consumer]).run()
-    assert consumer.received == TOKENS, "FIFO must deliver tokens in order"
+    run = drive(fifo, GateLevelSimulator(fifo.netlist), [{"in": value} for value in TOKENS])
+    received = [out["out"] for out in run.outputs]
+    assert received == TOKENS, "FIFO must deliver tokens in order"
+    issued = run.issued["in"]
     return {
         "depth": depth,
-        "tokens": len(consumer.received),
-        "sim_time_ps": end_time,
-        "avg_token_latency_ps": round(average_latency(producer.tokens) or 0, 1),
-        "throughput_tokens_per_ns": round((throughput(producer.tokens) or 0) * 1000, 3),
+        "tokens": len(received),
+        "sim_time_ps": run.end_time_ps,
+        "avg_token_latency_ps": round(average_latency(issued) or 0, 1),
+        "throughput_tokens_per_ns": round((throughput(issued) or 0) * 1000, 3),
     }
 
 

@@ -10,8 +10,9 @@ each, so the examples and quick interactive experiments stay short:
 * :func:`run_sweep` -- run a (circuit × architecture × options) grid through
   the batch sweep engine: pluggable executor backends, content-addressed
   result caching, and incremental re-route from cached placements.
-* :func:`simulate_circuit` -- push a token sequence through a QDI or
-  micropipeline full adder (gate level or mapped) and return the results.
+* :func:`simulate_circuit` -- push a token sequence through a QDI (dual-rail
+  or 1-of-4) or micropipeline full adder (gate level or mapped) and return
+  the results.
 
 The same sweeps are available from the shell as ``repro-sweep``
 (:mod:`repro.cli`); ``docs/sweep.md`` and ``docs/flow.md`` are the longer
@@ -22,20 +23,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.cad.flow import CadFlow, FlowOptions, FlowResult
 from repro.circuits.fulladder import micropipeline_full_adder, qdi_full_adder, reference_sum_carry
 from repro.core.params import ArchitectureParams
 from repro.sweep.runner import RetryPolicy, RunnerConfig, SweepReport, SweepRunner
 from repro.sweep.spec import SweepSpec
-from repro.sim.handshake import (
-    FourPhaseBundledConsumer,
-    FourPhaseBundledProducer,
-    FourPhaseDualRailProducer,
-    HandshakeHarness,
-    PassiveDualRailConsumer,
-)
+from repro.sim.handshake import drive
 from repro.sim.lesim import simulate_mapped_design
 from repro.sim.netsim import GateLevelSimulator
 from repro.styles.base import LogicStyle, StyledCircuit
@@ -58,19 +53,35 @@ def map_full_adder(
 ) -> FlowResult:
     """Reproduce the paper's full-adder mapping for one style.
 
-    ``style`` accepts ``"qdi"`` / ``"dual-rail"`` / ``"1-of-4"`` /
-    ``"micropipeline"`` / ``"bundled-data"``.
+    ``style`` is any :meth:`~repro.styles.base.LogicStyle.from_name` name of
+    the dual-rail QDI (``"qdi"``), 1-of-4 QDI (``"1-of-4"``) or
+    micropipeline (``"micropipeline"``, ``"bundled-data"``) style.
     """
-    normalised = style.lower()
-    if normalised in ("qdi", "dual-rail", "qdi-dual-rail"):
-        circuit = qdi_full_adder()
-    elif normalised in ("1-of-4", "qdi-1-of-4"):
-        circuit = qdi_full_adder(encoding="1-of-4")
-    elif normalised in ("micropipeline", "bundled-data", "bundled"):
-        circuit = micropipeline_full_adder()
-    else:
-        raise ValueError(f"unknown style {style!r}")
-    return run_flow(circuit, architecture, options)
+    factory, _ = _full_adder(style)
+    return run_flow(factory(), architecture, options)
+
+
+#: Per style: the paper's full adder, and the token an ``(a, b, cin)`` triple
+#: becomes on its input channels.
+_FULL_ADDERS = {
+    LogicStyle.QDI_DUAL_RAIL: (qdi_full_adder, lambda a, b, c: {"a": a, "b": b, "cin": c}),
+    LogicStyle.QDI_ONE_OF_FOUR: (
+        lambda: qdi_full_adder(encoding="1-of-4"),
+        lambda a, b, c: {"ab": a | b << 1, "cin": c},
+    ),
+    LogicStyle.MICROPIPELINE: (
+        micropipeline_full_adder,
+        lambda a, b, c: {"abc": a | b << 1 | c << 2},
+    ),
+}
+
+
+def _full_adder(style: str) -> tuple[Callable[[], StyledCircuit], Callable[..., dict[str, int]]]:
+    """The :data:`_FULL_ADDERS` entry of the style *style* names."""
+    try:
+        return _FULL_ADDERS[LogicStyle.from_name(style)]
+    except KeyError:
+        raise ValueError(f"unknown style {style!r}") from None
 
 
 def run_sweep(
@@ -231,51 +242,26 @@ def simulate_circuit(
 ) -> SimulationOutcome:
     """Push full-adder operand triples through a simulated implementation.
 
+    ``style`` names the adder as :func:`map_full_adder` does.
     ``use_mapped=True`` simulates the LE-level mapped design (i.e. the circuit
     as configured on the fabric) instead of the gate-level netlist.
     """
     vectors = vectors or [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-    normalised = style.lower()
+    factory, token = _full_adder(style)
+    circuit = factory()
+    if use_mapped:
+        from repro.cad.techmap import template_map
 
-    if normalised.startswith("qdi") or normalised == "dual-rail":
-        circuit = qdi_full_adder()
-        if use_mapped:
-            from repro.cad.techmap import template_map
-
-            simulator = simulate_mapped_design(template_map(circuit))
-        else:
-            simulator = GateLevelSimulator(circuit.netlist)
-        producers = [
-            FourPhaseDualRailProducer(circuit.channel("a"), [v[0] for v in vectors], "ack"),
-            FourPhaseDualRailProducer(circuit.channel("b"), [v[1] for v in vectors], "ack"),
-            FourPhaseDualRailProducer(circuit.channel("cin"), [v[2] for v in vectors], "ack"),
-        ]
-        sum_consumer = PassiveDualRailConsumer(circuit.channel("sum"), "ack")
-        carry_consumer = PassiveDualRailConsumer(circuit.channel("cout"), "ack")
-        harness = HandshakeHarness(simulator, producers + [sum_consumer, carry_consumer])
-        end_time = harness.run()
-        sums, carries = sum_consumer.received, carry_consumer.received
-    elif normalised in ("micropipeline", "bundled-data", "bundled"):
-        circuit = micropipeline_full_adder()
-        if use_mapped:
-            from repro.cad.techmap import template_map
-
-            simulator = simulate_mapped_design(template_map(circuit))
-        else:
-            simulator = GateLevelSimulator(circuit.netlist)
-        input_channel = circuit.input_channels[0]
-        output_channel = circuit.output_channels[0]
-        encoded = [a | (b << 1) | (c << 2) for a, b, c in vectors]
-        producer = FourPhaseBundledProducer(input_channel, encoded, input_channel.ack_wire)
-        consumer = FourPhaseBundledConsumer(
-            output_channel, output_channel.req_wire, output_channel.ack_wire
-        )
-        harness = HandshakeHarness(simulator, [producer, consumer])
-        end_time = harness.run()
-        sums = [value & 1 for value in consumer.received]
-        carries = [(value >> 1) & 1 for value in consumer.received]
+        simulator = simulate_mapped_design(template_map(circuit))
     else:
-        raise ValueError(f"unknown style {style!r}")
+        simulator = GateLevelSimulator(circuit.netlist)
+    run = drive(circuit, simulator, [token(*vector) for vector in vectors])
+    if circuit.style is LogicStyle.MICROPIPELINE:
+        results = [(out["sc"] & 1, out["sc"] >> 1) for out in run.outputs]
+    else:
+        results = [(out["sum"], out["cout"]) for out in run.outputs]
+    sums = [total for total, _ in results]
+    carries = [carry for _, carry in results]
 
     expected = [reference_sum_carry(*vector) for vector in vectors]
     correct = sums == [s for s, _ in expected] and carries == [c for _, c in expected]
@@ -286,5 +272,5 @@ def simulate_circuit(
         sums=sums,
         carries=carries,
         correct=correct,
-        simulated_time_ps=end_time,
+        simulated_time_ps=run.end_time_ps,
     )

@@ -143,7 +143,8 @@ def _map_qdi(circuit: StyledCircuit, params: PLBParams) -> MappedDesign:
     for channel in output_channels:
         design.primary_outputs.extend(channel.data_wires())
 
-    ack_net = str(circuit.metadata.get("ack_net", "ack"))
+    # A DIMS block acknowledges every input channel on one net.
+    ack_net = circuit.ack_nets[input_channels[0].name]
     design.primary_outputs.append(ack_net)
 
     le_params = params.le

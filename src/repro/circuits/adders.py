@@ -33,11 +33,20 @@ from repro.styles.qdi import dims_function_block
 @dataclass
 class BenchmarkCircuit:
     """A benchmark workload composed at the mapped-LE level: its mapped design
-    plus the interface metadata its simulation and tests read."""
+    plus its channel interface.
+
+    ``input_channels``, ``output_channels``, ``ack_nets`` and ``req_nets``
+    mean what they mean on :class:`~repro.styles.base.StyledCircuit`, so
+    :func:`repro.sim.handshake.drive` runs both kinds of circuit.
+    """
 
     name: str
     style: LogicStyle
     mapped: MappedDesign
+    input_channels: list[Channel] = field(default_factory=list)
+    output_channels: list[Channel] = field(default_factory=list)
+    ack_nets: dict[str, str] = field(default_factory=dict)
+    req_nets: dict[str, str] = field(default_factory=dict)
     metadata: dict[str, object] = field(default_factory=dict)
 
     def summary(self) -> dict[str, object]:
@@ -144,19 +153,25 @@ def _compose_qdi(
     nets the composition passes straight through from the primary inputs
     (small CRC chains do); those rails stay primary inputs *and* appear among
     the primary outputs.
+
+    The input channels are the block input channels no block drives, in
+    first-use order, then the pass-through output channels; the tree root
+    acknowledges all of them.
     """
     mapped_blocks = [template_map(block, params) for block in blocks]
     # merge_mapped_designs also folds the blocks' decomposition counters
     # into the merged metadata.
     mapped = merge_mapped_designs(name, mapped_blocks)
     mapped.style = blocks[0].style
-    roots = combine_acknowledges(mapped, [str(block.metadata["ack_net"]) for block in blocks])
+    # A DIMS block acknowledges every input channel on one net.
+    roots = combine_acknowledges(
+        mapped, [block.ack_nets[block.input_channels[0].name] for block in blocks]
+    )
 
     driven = mapped.all_output_nets()
     mapped.primary_inputs = [net for net in mapped.primary_inputs if net not in driven]
-    outputs: list[str] = []
-    for channel_name in output_channels:
-        outputs.extend(Channel(channel_name, 1, DualRailEncoding()).data_wires())
+    out_channels = [Channel(net, 1, DualRailEncoding()) for net in output_channels]
+    outputs = [wire for channel in out_channels for wire in channel.data_wires()]
     outputs.append(roots[0])
     # An output-channel wire no block drives is an environment-provided
     # pass-through (small CRC chains shift initial-vector bits straight out):
@@ -166,9 +181,46 @@ def _compose_qdi(
             mapped.primary_inputs.append(net)
     mapped.primary_outputs = outputs
 
-    data = {"ack_net": roots[0], "output_channels": list(output_channels)}
-    data.update(metadata)
-    return BenchmarkCircuit(name=name, style=mapped.style, mapped=mapped, metadata=data)
+    block_inputs = [channel for block in blocks for channel in block.input_channels]
+    in_channels: dict[str, Channel] = {}
+    for channel in block_inputs + out_channels:
+        if channel.name not in in_channels and driven.isdisjoint(channel.data_wires()):
+            in_channels[channel.name] = channel
+    return BenchmarkCircuit(
+        name=name,
+        style=mapped.style,
+        mapped=mapped,
+        input_channels=list(in_channels.values()),
+        output_channels=out_channels,
+        ack_nets={channel_name: roots[0] for channel_name in in_channels},
+        metadata=dict(metadata),
+    )
+
+
+def _micropipeline_circuit(
+    name: str,
+    input_channel: Channel,
+    output_channel: Channel,
+    les: Sequence[MappedLE],
+    matched_delay: int,
+    params: PLBParams,
+    metadata: Mapping[str, object],
+) -> BenchmarkCircuit:
+    """One bundled-data stage around *les*, with the two channels the stage
+    template gives it ports for."""
+    channels = (input_channel, output_channel)
+    return BenchmarkCircuit(
+        name=name,
+        style=LogicStyle.MICROPIPELINE,
+        mapped=_micropipeline_template(
+            name, input_channel, output_channel, les, matched_delay, params
+        ),
+        input_channels=[input_channel],
+        output_channels=[output_channel],
+        ack_nets={channel.name: channel.ack_wire for channel in channels},
+        req_nets={channel.name: channel.req_wire for channel in channels},
+        metadata=dict(metadata),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -320,16 +372,12 @@ def micropipeline_ripple_adder(
         else:
             les.append(le)
 
-    return BenchmarkCircuit(
-        name=name,
-        style=LogicStyle.MICROPIPELINE,
-        mapped=_micropipeline_template(
-            name, input_channel, output_channel, les, matched_delay, params
-        ),
-        metadata={
-            "bits": bits,
-            "matched_delay": matched_delay,
-            "input_channel": input_channel,
-            "output_channel": output_channel,
-        },
+    return _micropipeline_circuit(
+        name,
+        input_channel,
+        output_channel,
+        les,
+        matched_delay,
+        params,
+        {"bits": bits, "matched_delay": matched_delay},
     )

@@ -56,7 +56,7 @@ def wchb_ring(stages: int, width_bits: int = 1, name: str | None = None) -> Styl
             }
             merged.add_cell(f"st{index}.{cell.name}", cell.cell_type, connections, **dict(cell.attributes))
 
-    circuit = StyledCircuit(
+    return StyledCircuit(
         name=name,
         style=LogicStyle.WCHB,
         netlist=merged,
@@ -64,6 +64,5 @@ def wchb_ring(stages: int, width_bits: int = 1, name: str | None = None) -> Styl
         output_channels=[channels[0]],
         ack_nets={channels[0].name: channels[0].ack_wire},
         uses_delay_element=False,
-        metadata={"stages": stages, "ring": True, "observation_channel": channels[0]},
+        metadata={"stages": stages, "ring": True},
     )
-    return circuit

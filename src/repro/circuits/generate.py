@@ -35,8 +35,14 @@ from typing import Callable, Mapping, Sequence
 from repro.asynclogic.channels import Channel
 from repro.asynclogic.encodings import BundledDataEncoding, DualRailEncoding
 from repro.cad.lemap import LEFunction
-from repro.cad.techmap import _micropipeline_template, _pack_functions
-from repro.circuits.adders import BenchmarkCircuit, _compose_qdi, _qdi_adder_block, _qdi_block
+from repro.cad.techmap import _pack_functions
+from repro.circuits.adders import (
+    BenchmarkCircuit,
+    _compose_qdi,
+    _micropipeline_circuit,
+    _qdi_adder_block,
+    _qdi_block,
+)
 from repro.circuits.specs import CircuitSpec, register_family
 from repro.core.params import PLBParams
 from repro.logic.truthtable import TruthTable
@@ -96,19 +102,9 @@ def _compose_micropipeline(
     les = _pack_functions(f"{name}_logic", functions, params)
     les += _pack_functions(f"{name}_latch", latch_functions, params)
 
-    data = {
-        "matched_delay": matched,
-        "datapath_depth": depth,
-        "input_channel": input_channel,
-        "output_channel": output_channel,
-    }
+    data = {"matched_delay": matched, "datapath_depth": depth}
     data.update(metadata)
-    return BenchmarkCircuit(
-        name=name,
-        style=LogicStyle.MICROPIPELINE,
-        mapped=_micropipeline_template(name, input_channel, output_channel, les, matched, params),
-        metadata=data,
-    )
+    return _micropipeline_circuit(name, input_channel, output_channel, les, matched, params, data)
 
 
 # ======================================================================
@@ -203,12 +199,7 @@ def generate_multiplier(spec: CircuitSpec, params: PLBParams | None = None) -> B
             blocks,
             product,
             params,
-            {
-                "bits": n,
-                "product_channels": product,
-                "a_channels": [f"a{i}" for i in range(n)],
-                "b_channels": [f"b{j}" for j in range(n)],
-            },
+            {"bits": n},
         )
 
     # Micropipeline: one bundled stage, AND plane + carry-save LUT network.
@@ -310,12 +301,7 @@ def generate_alu(spec: CircuitSpec, params: PLBParams | None = None) -> Benchmar
             blocks,
             outputs,
             params,
-            {
-                "bits": n,
-                "result_channels": outputs[:-1],
-                "carry_channel": f"c{n}",
-                "ops": dict(ALU_OPS),
-            },
+            {"bits": n, "ops": dict(ALU_OPS)},
         )
 
     encoding = BundledDataEncoding()
@@ -389,12 +375,7 @@ def generate_crc(spec: CircuitSpec, params: PLBParams | None = None) -> Benchmar
             blocks,
             state,
             params,
-            {
-                "bits": n,
-                "state_channels": state,
-                "iv_channels": [f"iv{b}" for b in range(4)],
-                "message_channels": [f"m{t}" for t in range(n)],
-            },
+            {"bits": n},
         )
 
     encoding = BundledDataEncoding()
@@ -471,12 +452,7 @@ def generate_mac(spec: CircuitSpec, params: PLBParams | None = None) -> Benchmar
             blocks,
             sums,
             params,
-            {
-                "bits": n,
-                "sum_channels": sums,
-                "x_channels": [f"x{i}" for i in range(n)],
-                "w_channels": [f"w{i}" for i in range(n)],
-            },
+            {"bits": n},
         )
 
     encoding = BundledDataEncoding()

@@ -114,9 +114,9 @@ def qdi_multiplier_4x4(
         R = LL + (LH << 2)        S = R + (HL << 2)        P = S + (HH << 4)
 
     Per-block acknowledges are combined into one ``ack`` by a Muller C-element
-    tree.  The product rails (LSB first) are listed in
-    ``metadata["product_channels"]``; the low bits pass straight through from
-    the partial products, so their nets keep the producing block's names.
+    tree.  The product bits are the output channels, LSB first; the low bits
+    pass straight through from the partial products, so their channels keep
+    the producing block's names.
     """
     name = name or "qdi_multiplier4x4_dual-rail"
 
@@ -160,11 +160,11 @@ def qdi_multiplier_4x4(
     blocks += [_qdi_adder_block(*stage) for stage in adder_stages]
 
     # The product is read LSB-first off these channels.
-    product_channels = ["ll0", "ll1", "s2", "s3", "p4", "p5", "p6", "p7"]
+    product = ["ll0", "ll1", "s2", "s3", "p4", "p5", "p6", "p7"]
     return _compose_qdi(
         name,
         blocks,
-        product_channels,
+        product,
         params if params is not None else PLBParams(),
-        {"bits": 4, "product_channels": product_channels},
+        {"bits": 4},
     )

@@ -14,9 +14,11 @@ The simulators here validate designs at three levels of abstraction:
 Support modules:
 
 * :mod:`~repro.sim.scheduler` -- the shared event-queue kernel.
-* :mod:`~repro.sim.handshake` -- 4-phase / 2-phase producers and consumers
-  that push tokens through simulated circuits over
-  :class:`~repro.asynclogic.channels.Channel` specifications.
+* :mod:`~repro.sim.handshake` -- the 4-phase producers and consumers of a
+  circuit's environment, and :func:`~repro.sim.handshake.drive`, the one
+  testbench: it picks an agent per channel from the circuit's channel
+  interface, pushes tokens through any of the three simulators and returns
+  what came out.
 * :mod:`~repro.sim.hazards` -- glitch/monotonicity analysis of signal traces.
 * :mod:`~repro.sim.checkers` -- protocol checkers (dual-rail legality,
   4-phase alternation).
@@ -31,7 +33,9 @@ from repro.sim.handshake import (
     FourPhaseDualRailConsumer,
     FourPhaseDualRailProducer,
     HandshakeHarness,
+    HandshakeRun,
     PassiveDualRailConsumer,
+    drive,
 )
 from repro.sim.hazards import TransitionTrace, count_glitches, is_monotonic_transition
 from repro.sim.checkers import DualRailChecker, FourPhaseChecker
@@ -42,6 +46,8 @@ __all__ = [
     "EventScheduler",
     "GateLevelSimulator",
     "HandshakeHarness",
+    "HandshakeRun",
+    "drive",
     "FourPhaseDualRailProducer",
     "FourPhaseDualRailConsumer",
     "FourPhaseBundledProducer",

@@ -4,7 +4,9 @@ The fabric simulator reuses the LE-level lowering of
 :mod:`repro.sim.lesim` and annotates every routed net with the delay the
 timing model derives from its routed tree, so the simulated behaviour reflects
 the implementation on the fabric (LE delays + interconnection-matrix delay +
-routed wire delays + programmed PDE delays).
+routed wire delays + programmed PDE delays).  Tokens go through it like
+through any other simulator: ``drive(circuit, simulate_on_fabric(result),
+tokens)`` (:func:`repro.sim.handshake.drive`).
 
 QDI circuits are delay-insensitive, and a micropipeline is meant to be
 protected by its matched delays, so routing should not change functional

@@ -10,24 +10,45 @@ simulator each agent looks at the circuit's handshake outputs and decides
 whether to change the inputs it drives.  This mirrors how a speed-independent
 environment behaves and avoids any timing assumption on the environment side.
 
-Port-name conventions (matching :mod:`repro.styles`):
+:func:`drive` builds the environment from a circuit's channel interface alone
+(``input_channels``, ``output_channels``, ``ack_nets`` and ``req_nets``, as
+:class:`~repro.styles.base.StyledCircuit` and
+:class:`~repro.circuits.adders.BenchmarkCircuit` carry them), one agent per
+channel:
 
-* QDI function blocks expose their input-completion / acknowledge output as a
-  single net (conventionally ``ack`` or ``<channel>_ack``); data inputs are
-  the channel's rail wires.
-* Micropipeline stages expose ``<in>_req`` / ``<in>_ack`` for the input side
-  and ``<out>_req`` / ``<out>_ack`` for the output side, with single-rail data
-  wires.
+* an input channel with a request wire (bundled data) gets a
+  :class:`FourPhaseBundledProducer`, any other input channel a
+  :class:`FourPhaseDualRailProducer`; both wait on the channel's
+  ``ack_nets`` entry;
+* an output channel with a request wire gets a
+  :class:`FourPhaseBundledConsumer` on its ``req_nets`` and ``ack_nets``
+  entries;
+* a delay-insensitive output channel whose ``ack_nets`` entry differs from
+  the inputs' acknowledge (the first input channel's entry) gets a
+  :class:`FourPhaseDualRailConsumer` driving that entry: a WCHB pipeline's
+  output;
+* any other output channel gets a :class:`PassiveDualRailConsumer` sampling
+  it when the inputs' acknowledge rises: a function block's outputs, and
+  inputs a composition passes straight through to an output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.asynclogic.channels import Channel
 from repro.asynclogic.tokens import Token
 from repro.sim.netsim import GateLevelSimulator
+
+if TYPE_CHECKING:
+    from repro.circuits.adders import BenchmarkCircuit
+    from repro.styles.base import StyledCircuit
+
+#: Agent rounds :meth:`HandshakeHarness.run` allows before giving up.
+MAX_ITERATIONS = 10_000
+#: Events one settling run of the simulator may process.
+MAX_EVENTS_PER_STEP = 200_000
 
 
 class HandshakeDeadlock(RuntimeError):
@@ -105,7 +126,6 @@ class FourPhaseBundledProducer(EnvironmentAgent):
     channel: Channel
     values: Sequence[int]
     ack_net: str
-    reset_data_on_rtz: bool = False
     tokens: list[Token] = field(default_factory=list)
     _index: int = 0
     _state: str = "idle"
@@ -127,8 +147,6 @@ class FourPhaseBundledProducer(EnvironmentAgent):
                 return False
             self.tokens[-1].accepted_at = simulator.now
             simulator.set_input(self.channel.req_wire, 0)
-            if self.reset_data_on_rtz:
-                simulator.set_inputs(self.channel.neutral())
             self._state = "rtz"
             return True
         if self._state == "rtz":
@@ -248,20 +266,20 @@ class HandshakeHarness:
         self.simulator = simulator
         self.agents = list(agents)
 
-    def run(self, max_iterations: int = 10_000, max_events_per_step: int = 200_000) -> int:
+    def run(self) -> int:
         """Run until every agent is finished; returns the final simulation time.
 
         Raises :class:`HandshakeDeadlock` when the circuit is stable, no agent
         can act, and at least one agent still has work to do.
         """
         self.simulator.initialise()
-        self.simulator.run(max_events=max_events_per_step)
-        for _ in range(max_iterations):
+        self.simulator.run(max_events=MAX_EVENTS_PER_STEP)
+        for _ in range(MAX_ITERATIONS):
             progress = False
             for agent in self.agents:
                 if agent.act(self.simulator):
                     progress = True
-            result = self.simulator.run(max_events=max_events_per_step)
+            result = self.simulator.run(max_events=MAX_EVENTS_PER_STEP)
             if all(agent.finished for agent in self.agents):
                 return self.simulator.now
             if not progress and result.events == 0:
@@ -270,4 +288,64 @@ class HandshakeHarness:
                     f"deadlock at t={self.simulator.now}: {len(pending)} agent(s) stuck "
                     f"({[type(agent).__name__ for agent in pending]})"
                 )
-        raise RuntimeError(f"handshake harness did not converge in {max_iterations} iterations")
+        raise RuntimeError(f"handshake harness did not converge in {MAX_ITERATIONS} iterations")
+
+
+@dataclass
+class HandshakeRun:
+    """What :func:`drive` pushed into a circuit and what came out."""
+
+    #: One dict per received token, output-channel name -> value; a channel
+    #: that received fewer tokens than another is missing from the last dicts.
+    outputs: list[dict[str, int]]
+    #: Simulated time (ps) once every agent had finished.
+    end_time_ps: int
+    #: Each input channel's tokens, with their handshake timestamps.
+    issued: dict[str, list[Token]]
+
+
+def drive(
+    circuit: "StyledCircuit | BenchmarkCircuit",
+    simulator: GateLevelSimulator,
+    tokens: Sequence[Mapping[str, int]],
+) -> HandshakeRun:
+    """Push *tokens* through the circuit *simulator* simulates.
+
+    Each token maps every input-channel name to its value.  The agents are
+    chosen from the circuit's channel interface by the rules of the module
+    docstring.  Raises :class:`HandshakeDeadlock` when the circuit stops
+    acknowledging.
+    """
+    inputs = circuit.input_channels
+    input_ack = circuit.ack_nets[inputs[0].name] if inputs else None
+    producers: dict[str, FourPhaseDualRailProducer | FourPhaseBundledProducer] = {}
+    for channel in inputs:
+        values = [token[channel.name] for token in tokens]
+        ack = circuit.ack_nets[channel.name]
+        if channel.has_request_wire:
+            producers[channel.name] = FourPhaseBundledProducer(channel, values, ack)
+        else:
+            producers[channel.name] = FourPhaseDualRailProducer(channel, values, ack)
+    consumers: dict[
+        str, FourPhaseBundledConsumer | FourPhaseDualRailConsumer | PassiveDualRailConsumer
+    ] = {}
+    for channel in circuit.output_channels:
+        ack = circuit.ack_nets.get(channel.name)
+        if channel.has_request_wire:
+            consumers[channel.name] = FourPhaseBundledConsumer(
+                channel, circuit.req_nets[channel.name], circuit.ack_nets[channel.name]
+            )
+        elif ack not in (None, input_ack):
+            consumers[channel.name] = FourPhaseDualRailConsumer(channel, ack)
+        else:
+            consumers[channel.name] = PassiveDualRailConsumer(channel, input_ack)
+    end_time = HandshakeHarness(simulator, [*producers.values(), *consumers.values()]).run()
+
+    received = {name: consumer.received for name, consumer in consumers.items()}
+    count = max((len(values) for values in received.values()), default=0)
+    outputs = [
+        {name: values[index] for name, values in received.items() if index < len(values)}
+        for index in range(count)
+    ]
+    issued = {name: producer.tokens for name, producer in producers.items()}
+    return HandshakeRun(outputs=outputs, end_time_ps=end_time, issued=issued)

@@ -185,18 +185,10 @@ def micropipeline_full_adder_stage(
     sum_table = xor_table(inputs=in_wires)
     carry_table = majority_table(inputs=in_wires)
 
-    circuit = micropipeline_stage(
+    return micropipeline_stage(
         name,
         input_channel=input_channel,
         output_channel=output_channel,
         outputs={out_wires[0]: sum_table, out_wires[1]: carry_table},
         matched_delay=matched_delay,
     )
-    circuit.metadata["port_roles"] = {
-        "a": in_wires[0],
-        "b": in_wires[1],
-        "cin": in_wires[2],
-        "sum": out_wires[0],
-        "cout": out_wires[1],
-    }
-    return circuit

@@ -149,7 +149,7 @@ def dims_function_block(
         output_channels=list(output_channels),
         ack_nets={channel.name: ack_net for channel in input_channels},
         uses_delay_element=False,
-        metadata={"synthesis": "DIMS", "ack_net": ack_net, "reference_function": function},
+        metadata={"synthesis": "DIMS", "reference_function": function},
     )
     return circuit
 

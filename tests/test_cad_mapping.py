@@ -12,13 +12,7 @@ from repro.core.params import LEParams, PLBParams
 from repro.logic.functions import and_table, c_element_table, or_table, xor_table
 from repro.logic.truthtable import TruthTable
 from repro.netlist.builder import NetlistBuilder
-from repro.sim import (
-    FourPhaseBundledConsumer,
-    FourPhaseBundledProducer,
-    FourPhaseDualRailProducer,
-    HandshakeHarness,
-    PassiveDualRailConsumer,
-)
+from repro.sim import drive
 from repro.sim.lesim import simulate_mapped_design
 from repro.styles.base import LogicStyle
 
@@ -121,19 +115,14 @@ def test_template_map_qdi_structure():
 def test_template_map_qdi_preserves_behaviour():
     circuit = qdi_full_adder()
     design = template_map(circuit)
-    simulator = simulate_mapped_design(design)
     vectors = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-    producers = [
-        FourPhaseDualRailProducer(circuit.channel("a"), [v[0] for v in vectors], "ack"),
-        FourPhaseDualRailProducer(circuit.channel("b"), [v[1] for v in vectors], "ack"),
-        FourPhaseDualRailProducer(circuit.channel("cin"), [v[2] for v in vectors], "ack"),
-    ]
-    sums = PassiveDualRailConsumer(circuit.channel("sum"), "ack")
-    carries = PassiveDualRailConsumer(circuit.channel("cout"), "ack")
-    HandshakeHarness(simulator, producers + [sums, carries]).run()
+    run = drive(
+        circuit,
+        simulate_mapped_design(design),
+        [{"a": a, "b": b, "cin": c} for a, b, c in vectors],
+    )
     expected = [reference_sum_carry(*v) for v in vectors]
-    assert sums.received == [s for s, _ in expected]
-    assert carries.received == [c for _, c in expected]
+    assert [(out["sum"], out["cout"]) for out in run.outputs] == expected
 
 
 def _per_row_rail_table(circuit, output_channel, rail_wire):
@@ -205,16 +194,14 @@ def test_template_map_micropipeline_structure():
 def test_template_map_micropipeline_preserves_behaviour():
     circuit = micropipeline_full_adder()
     design = template_map(circuit)
-    simulator = simulate_mapped_design(design)
-    input_channel = circuit.input_channels[0]
-    output_channel = circuit.output_channels[0]
     vectors = [(1, 1, 0), (0, 1, 1), (1, 1, 1), (0, 0, 0), (1, 0, 0)]
-    encoded = [a | (b << 1) | (c << 2) for a, b, c in vectors]
-    producer = FourPhaseBundledProducer(input_channel, encoded, input_channel.ack_wire)
-    consumer = FourPhaseBundledConsumer(output_channel, output_channel.req_wire, output_channel.ack_wire)
-    HandshakeHarness(simulator, [producer, consumer]).run()
+    run = drive(
+        circuit,
+        simulate_mapped_design(design),
+        [{"abc": a | (b << 1) | (c << 2)} for a, b, c in vectors],
+    )
     expected = [s | (c << 1) for s, c in (reference_sum_carry(*v) for v in vectors)]
-    assert consumer.received == expected
+    assert [out["sc"] for out in run.outputs] == expected
 
 
 def test_template_map_requires_metadata():
@@ -239,19 +226,14 @@ def test_template_map_decomposes_too_wide_rail_functions():
     assert design.metadata["decomposition"]["intermediate_functions"] > 0
     assert all(len(le.lut_input_nets) <= 4 for le in design.les)
 
-    simulator = simulate_mapped_design(design)
     vectors = [(1, 1, 1), (0, 1, 0), (1, 0, 1), (0, 0, 0)]
-    producers = [
-        FourPhaseDualRailProducer(circuit.channel("a"), [v[0] for v in vectors], "ack"),
-        FourPhaseDualRailProducer(circuit.channel("b"), [v[1] for v in vectors], "ack"),
-        FourPhaseDualRailProducer(circuit.channel("cin"), [v[2] for v in vectors], "ack"),
-    ]
-    sums = PassiveDualRailConsumer(circuit.channel("sum"), "ack")
-    carries = PassiveDualRailConsumer(circuit.channel("cout"), "ack")
-    HandshakeHarness(simulator, producers + [sums, carries]).run()
+    run = drive(
+        circuit,
+        simulate_mapped_design(design),
+        [{"a": a, "b": b, "cin": c} for a, b, c in vectors],
+    )
     expected = [reference_sum_carry(*v) for v in vectors]
-    assert sums.received == [s for s, _ in expected]
-    assert carries.received == [c for _, c in expected]
+    assert [(out["sum"], out["cout"]) for out in run.outputs] == expected
 
 
 def test_template_map_rejects_degenerate_lut_budget():

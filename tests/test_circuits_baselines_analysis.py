@@ -1,5 +1,7 @@
 """Tests for benchmark circuits, baselines, analysis helpers and the API."""
 
+import random
+
 import pytest
 
 from repro import api
@@ -8,11 +10,11 @@ from repro.analysis.figures import render_fabric_floorplan, render_figure1_plb, 
 from repro.analysis.tables import format_table
 from repro.baselines.compare import compare_with_sync_baseline, prior_art_table
 from repro.baselines.priorart import prior_art_fpgas, style_support_matrix, styles_supported_count
-from repro.asynclogic.channels import Channel
 from repro.baselines.sync_fpga import SyncFPGAParams, map_to_sync_fpga
 from repro.cad.flow import CadFlow, FlowOptions
 from repro.cad.metrics import filling_ratio
 from repro.cad.pack import pack_design
+from repro.cad.techmap import template_map
 from repro.circuits.adders import micropipeline_ripple_adder, qdi_ripple_adder
 from repro.circuits.fifo import wchb_fifo, wchb_ring
 from repro.circuits.fulladder import micropipeline_full_adder, qdi_full_adder
@@ -20,8 +22,10 @@ from repro.circuits.multiplier import qdi_multiplier
 from repro.circuits.registry import build_circuit, circuit_registry
 from repro.core.fabric import Fabric
 from repro.core.params import ArchitectureParams
-from repro.sim import FourPhaseDualRailProducer, FourPhaseDualRailConsumer, GateLevelSimulator, HandshakeHarness
-from repro.styles.base import LogicStyle
+from repro.sim import GateLevelSimulator, drive
+from repro.sim.lesim import simulate_mapped_design
+from repro.styles.base import LogicStyle, StyledCircuit
+from test_golden_digests import COMPOSED
 
 
 # ----------------------------------------------------------------------
@@ -40,34 +44,23 @@ def test_qdi_ripple_adder_structure(bits):
 
 
 def test_qdi_ripple_adder_functional_via_lesim():
-    from repro.asynclogic.channels import Channel
-    from repro.asynclogic.encodings import DualRailEncoding
-    from repro.sim.lesim import simulate_mapped_design
-    from repro.sim.handshake import PassiveDualRailConsumer
-
     bits = 2
     adder = qdi_ripple_adder(bits)
-    ack_net = adder.metadata["ack_net"]
-    simulator = simulate_mapped_design(adder.mapped)
     vectors = [(1, 2, 0), (3, 3, 1), (0, 0, 0), (2, 1, 1)]
-    producers = []
-    for index, channel_prefix in enumerate(("a", "b")):
+    tokens = []
+    for a, b, c in vectors:
+        token = {"c0": c}
         for bit in range(bits):
-            channel = Channel(f"{channel_prefix}{bit}", 1, DualRailEncoding())
-            values = [(vector[index] >> bit) & 1 for vector in vectors]
-            producers.append(FourPhaseDualRailProducer(channel, values, ack_net))
-    cin = Channel("c0", 1, DualRailEncoding())
-    producers.append(FourPhaseDualRailProducer(cin, [v[2] for v in vectors], ack_net))
-    sum_consumers = [
-        PassiveDualRailConsumer(Channel(f"s{bit}", 1, DualRailEncoding()), ack_net) for bit in range(bits)
-    ]
-    cout_consumer = PassiveDualRailConsumer(Channel(f"c{bits}", 1, DualRailEncoding()), ack_net)
-    HandshakeHarness(simulator, producers + sum_consumers + [cout_consumer]).run()
-    for vector_index, (a, b, c) in enumerate(vectors):
+            token[f"a{bit}"] = (a >> bit) & 1
+            token[f"b{bit}"] = (b >> bit) & 1
+        tokens.append(token)
+    run = drive(adder, simulate_mapped_design(adder.mapped), tokens)
+    assert len(run.outputs) == len(vectors)
+    for out, (a, b, c) in zip(run.outputs, vectors):
         total = a + b + c
         for bit in range(bits):
-            assert sum_consumers[bit].received[vector_index] == (total >> bit) & 1
-        assert cout_consumer.received[vector_index] == (total >> bits) & 1
+            assert out[f"s{bit}"] == (total >> bit) & 1
+        assert out[f"c{bits}"] == (total >> bits) & 1
 
 
 @pytest.mark.parametrize("bits", [1, 2, 4, 8])
@@ -82,20 +75,15 @@ def test_micropipeline_ripple_adder_structure(bits):
 
 
 def test_micropipeline_ripple_adder_functional():
-    from repro.sim.lesim import simulate_mapped_design
-    from repro.sim import FourPhaseBundledProducer, FourPhaseBundledConsumer
-
     bits = 3
     adder = micropipeline_ripple_adder(bits)
-    input_channel = adder.metadata["input_channel"]
-    output_channel = adder.metadata["output_channel"]
-    simulator = simulate_mapped_design(adder.mapped)
     vectors = [(5, 2, 1), (7, 7, 1), (0, 0, 0), (3, 4, 0)]
-    encoded = [a | (b << bits) | (c << (2 * bits)) for a, b, c in vectors]
-    producer = FourPhaseBundledProducer(input_channel, encoded, input_channel.ack_wire)
-    consumer = FourPhaseBundledConsumer(output_channel, output_channel.req_wire, output_channel.ack_wire)
-    HandshakeHarness(simulator, [producer, consumer]).run()
-    assert consumer.received == [a + b + c for a, b, c in vectors]
+    run = drive(
+        adder,
+        simulate_mapped_design(adder.mapped),
+        [{"ops": a | (b << bits) | (c << (2 * bits))} for a, b, c in vectors],
+    )
+    assert [out["res"] for out in run.outputs] == [a + b + c for a, b, c in vectors]
 
 
 def test_adder_argument_validation():
@@ -112,47 +100,33 @@ def test_adder_argument_validation():
 # ----------------------------------------------------------------------
 def test_qdi_multiplier_functional():
     circuit = qdi_multiplier(2)
-    from repro.sim.handshake import PassiveDualRailConsumer
-
-    simulator = GateLevelSimulator(circuit.netlist)
     vectors = [(3, 2), (1, 3), (0, 2), (3, 3)]
-    producers = [
-        FourPhaseDualRailProducer(circuit.channel("a"), [a for a, _ in vectors], "ack"),
-        FourPhaseDualRailProducer(circuit.channel("b"), [b for _, b in vectors], "ack"),
-    ]
-    bit_consumers = [PassiveDualRailConsumer(circuit.channel(f"p{i}"), "ack") for i in range(4)]
-    HandshakeHarness(simulator, producers + bit_consumers).run()
-    for index, (a, b) in enumerate(vectors):
+    run = drive(
+        circuit, GateLevelSimulator(circuit.netlist), [{"a": a, "b": b} for a, b in vectors]
+    )
+    assert len(run.outputs) == len(vectors)
+    for out, (a, b) in zip(run.outputs, vectors):
         product = a * b
-        value = sum(bit_consumers[i].received[index] << i for i in range(4))
+        value = sum(out[f"p{i}"] << i for i in range(4))
         assert value == product
 
 
 def test_qdi_multiplier_4x4_composed_functional():
-    from repro.asynclogic.encodings import DualRailEncoding
     from repro.circuits.multiplier import qdi_multiplier_4x4
-    from repro.sim.handshake import PassiveDualRailConsumer
-    from repro.sim.lesim import simulate_mapped_design
 
     bench = qdi_multiplier_4x4()
     assert bench.mapped.validate() == []
-    simulator = simulate_mapped_design(bench.mapped)
     vectors = [(15, 15), (9, 13), (0, 7), (5, 11)]
-    ack = bench.metadata["ack_net"]
-    enc = DualRailEncoding()
-    producers = [
-        FourPhaseDualRailProducer(Channel("al", 2, enc), [a & 3 for a, _ in vectors], ack),
-        FourPhaseDualRailProducer(Channel("ah", 2, enc), [a >> 2 for a, _ in vectors], ack),
-        FourPhaseDualRailProducer(Channel("bl", 2, enc), [b & 3 for _, b in vectors], ack),
-        FourPhaseDualRailProducer(Channel("bh", 2, enc), [b >> 2 for _, b in vectors], ack),
-    ]
-    consumers = [
-        PassiveDualRailConsumer(Channel(name, 1, enc), ack)
-        for name in bench.metadata["product_channels"]
-    ]
-    HandshakeHarness(simulator, producers + consumers).run()
-    for index, (a, b) in enumerate(vectors):
-        product = sum(consumers[bit].received[index] << bit for bit in range(8))
+    run = drive(
+        bench,
+        simulate_mapped_design(bench.mapped),
+        [{"al": a & 3, "ah": a >> 2, "bl": b & 3, "bh": b >> 2} for a, b in vectors],
+    )
+    assert len(run.outputs) == len(vectors)
+    for out, (a, b) in zip(run.outputs, vectors):
+        product = sum(
+            out[channel.name] << bit for bit, channel in enumerate(bench.output_channels)
+        )
         assert product == a * b
 
 
@@ -187,6 +161,32 @@ def test_circuit_registry():
     assert circuit.style is LogicStyle.MICROPIPELINE
     with pytest.raises(KeyError):
         build_circuit("does_not_exist")
+
+
+#: Every registry circuit, and the compositions only the golden digests build.
+INTERFACE_CASES = {**circuit_registry(), **COMPOSED}
+
+
+@pytest.mark.parametrize("name", sorted(INTERFACE_CASES))
+def test_every_circuit_handshakes_through_its_interface(name):
+    circuit = INTERFACE_CASES[name]()
+    rng = random.Random(name)
+    tokens = [
+        {channel.name: rng.randrange(1 << channel.width_bits) for channel in circuit.input_channels}
+        for _ in range(8)
+    ]
+    if isinstance(circuit, StyledCircuit):
+        simulators = [
+            simulate_mapped_design(template_map(circuit)),
+            GateLevelSimulator(circuit.netlist),
+        ]
+    else:
+        simulators = [simulate_mapped_design(circuit.mapped)]
+    names = {channel.name for channel in circuit.output_channels}
+    for simulator in simulators:
+        outputs = drive(circuit, simulator, tokens).outputs
+        assert len(outputs) == len(tokens)
+        assert all(set(out) == names for out in outputs)
 
 
 # ----------------------------------------------------------------------
@@ -297,3 +297,13 @@ def test_api_simulate_circuit():
     assert outcome.sums == [1] and outcome.carries == [1]
     with pytest.raises(ValueError):
         api.simulate_circuit("rtl")
+
+
+def test_api_simulate_circuit_names_the_one_of_four_adder():
+    # Both names of the 1-of-4 style simulate the 1-of-4 adder, at either level.
+    for outcome in (
+        api.simulate_circuit("1-of-4"),
+        api.simulate_circuit("qdi-1-of-4", use_mapped=True),
+    ):
+        assert outcome.style == "qdi-1-of-4"
+        assert outcome.correct

@@ -7,13 +7,11 @@ Three layers per family:
 * structural goldens at N=2 (LE and PLB counts, plus full place & route on
   :func:`recommended_fabric` with a routed-channel-width golden);
 * simulation equivalence at N=2 in both styles, against the pure-Python
-  reference functions, through the four-phase handshake harnesses.
+  reference functions, through the handshake driver.
 """
 
 import pytest
 
-from repro.asynclogic.channels import Channel
-from repro.asynclogic.encodings import DualRailEncoding
 from repro.cad.flow import CadFlow, FlowOptions
 from repro.cad.pack import pack_design
 from repro.circuits.generate import alu_reference, crc4_reference, recommended_fabric
@@ -26,16 +24,8 @@ from repro.circuits.specs import (
     generator_families,
     parse_spec,
 )
-from repro.sim import (
-    FourPhaseBundledConsumer,
-    FourPhaseBundledProducer,
-    FourPhaseDualRailProducer,
-    HandshakeHarness,
-)
-from repro.sim.handshake import PassiveDualRailConsumer
+from repro.sim import drive
 from repro.sim.lesim import simulate_mapped_design
-
-ENC = DualRailEncoding()
 
 FAMILIES = ("mult", "alu", "crc", "mac")
 
@@ -160,7 +150,7 @@ def test_crc_qdi_routes_passthrough_iv_rails():
     # Regression: at n=2 the iv1 initial-vector rails flow PI -> PO without
     # touching a LE; the router used to drop such pad-to-pad nets silently.
     bench = build_from_spec("gen:crc2@qdi")
-    assert "iv1" in bench.metadata["state_channels"]
+    assert "iv1" in [channel.name for channel in bench.output_channels]
     flow = CadFlow(recommended_fabric(bench), FlowOptions(placement_seed=1))
     result = flow.run(bench)
     assert result.routing.success
@@ -171,136 +161,95 @@ def test_crc_qdi_routes_passthrough_iv_rails():
 # ----------------------------------------------------------------------
 # Simulation equivalence at N=2, QDI style
 # ----------------------------------------------------------------------
-def _run_qdi(bench, producers, output_names):
-    simulator = simulate_mapped_design(bench.mapped)
-    ack = bench.metadata["ack_net"]
-    consumers = [
-        PassiveDualRailConsumer(Channel(name, 1, ENC), ack) for name in output_names
-    ]
-    HandshakeHarness(simulator, producers + consumers).run()
-    return consumers
+def _run(spec, tokens):
+    """Push *tokens* through *spec*'s mapped design; one output per token."""
+    bench = build_from_spec(spec)
+    outputs = drive(bench, simulate_mapped_design(bench.mapped), tokens).outputs
+    assert len(outputs) == len(tokens)
+    return bench, outputs
 
 
-def _bit_producers(names, values, ack):
-    return [
-        FourPhaseDualRailProducer(
-            Channel(name, 1, ENC), [(value >> bit) & 1 for value in values], ack
-        )
-        for bit, name in enumerate(names)
-    ]
+def _bits(prefix, value, width):
+    """*value* spread over the 1-bit channels ``prefix0``, ``prefix1``, ..."""
+    return {f"{prefix}{bit}": (value >> bit) & 1 for bit in range(width)}
+
+
+def _word(bench, out):
+    """The word read LSB-first off *bench*'s 1-bit output channels."""
+    return sum(out[channel.name] << bit for bit, channel in enumerate(bench.output_channels))
 
 
 def test_qdi_mult_equivalence():
-    bench = build_from_spec("gen:mult2x2@qdi")
     vectors = [(0, 0), (1, 2), (3, 3), (2, 1), (3, 1)]
-    ack = bench.metadata["ack_net"]
-    producers = _bit_producers(
-        bench.metadata["a_channels"], [a for a, _ in vectors], ack
-    ) + _bit_producers(bench.metadata["b_channels"], [b for _, b in vectors], ack)
-    consumers = _run_qdi(bench, producers, bench.metadata["product_channels"])
-    for index, (a, b) in enumerate(vectors):
-        product = sum(consumers[bit].received[index] << bit for bit in range(4))
-        assert product == a * b
+    bench, outputs = _run(
+        "gen:mult2x2@qdi", [{**_bits("a", a, 2), **_bits("b", b, 2)} for a, b in vectors]
+    )
+    assert [_word(bench, out) for out in outputs] == [a * b for a, b in vectors]
 
 
 def test_qdi_alu_equivalence():
-    bench = build_from_spec("gen:alu2@qdi")
     vectors = [(0, 3, 2), (1, 1, 3), (2, 3, 1), (3, 2, 1), (0, 3, 3), (1, 0, 1)]
-    ack = bench.metadata["ack_net"]
-    producers = [
-        FourPhaseDualRailProducer(Channel("op", 2, ENC), [op for op, _, _ in vectors], ack)
+    _, outputs = _run(
+        "gen:alu2@qdi",
+        [{"op": op, **_bits("a", a, 2), **_bits("b", b, 2)} for op, a, b in vectors],
+    )
+    assert [(out["r0"] | (out["r1"] << 1), out["c2"]) for out in outputs] == [
+        alu_reference(op, a, b, 2) for op, a, b in vectors
     ]
-    producers += _bit_producers(["a0", "a1"], [a for _, a, _ in vectors], ack)
-    producers += _bit_producers(["b0", "b1"], [b for _, _, b in vectors], ack)
-    outputs = bench.metadata["result_channels"] + [bench.metadata["carry_channel"]]
-    consumers = _run_qdi(bench, producers, outputs)
-    for index, (op, a, b) in enumerate(vectors):
-        result = sum(consumers[bit].received[index] << bit for bit in range(2))
-        carry = consumers[2].received[index]
-        assert (result, carry) == alu_reference(op, a, b, 2)
 
 
 def test_qdi_crc_equivalence():
-    bench = build_from_spec("gen:crc2@qdi")
     vectors = [(0b0000, (0, 0)), (0b1010, (1, 0)), (0b1111, (1, 1)), (0b0110, (0, 1))]
-    ack = bench.metadata["ack_net"]
-    producers = _bit_producers(
-        bench.metadata["iv_channels"], [iv for iv, _ in vectors], ack
-    ) + [
-        FourPhaseDualRailProducer(
-            Channel(name, 1, ENC), [message[step] for _, message in vectors], ack
-        )
-        for step, name in enumerate(bench.metadata["message_channels"])
+    bench, outputs = _run(
+        "gen:crc2@qdi",
+        [{**_bits("iv", iv, 4), "m0": message[0], "m1": message[1]} for iv, message in vectors],
+    )
+    assert [_word(bench, out) for out in outputs] == [
+        crc4_reference(iv, message) for iv, message in vectors
     ]
-    consumers = _run_qdi(bench, producers, bench.metadata["state_channels"])
-    for index, (iv, message) in enumerate(vectors):
-        state = sum(consumers[bit].received[index] << bit for bit in range(4))
-        assert state == crc4_reference(iv, message)
 
 
 def test_qdi_mac_equivalence():
-    bench = build_from_spec("gen:mac2@qdi")
     vectors = [(0, 0), (3, 3), (1, 3), (2, 2), (3, 1)]
-    ack = bench.metadata["ack_net"]
-    producers = _bit_producers(
-        bench.metadata["x_channels"], [x for x, _ in vectors], ack
-    ) + _bit_producers(bench.metadata["w_channels"], [w for _, w in vectors], ack)
-    consumers = _run_qdi(bench, producers, bench.metadata["sum_channels"])
-    for index, (x, w) in enumerate(vectors):
-        total = sum(
-            consumers[bit].received[index] << bit for bit in range(len(consumers))
-        )
-        assert total == bin(x & w).count("1")
+    bench, outputs = _run(
+        "gen:mac2@qdi", [{**_bits("x", x, 2), **_bits("w", w, 2)} for x, w in vectors]
+    )
+    assert [_word(bench, out) for out in outputs] == [bin(x & w).count("1") for x, w in vectors]
 
 
 # ----------------------------------------------------------------------
 # Simulation equivalence at N=2, micropipeline style
 # ----------------------------------------------------------------------
-def _run_micropipeline(bench, encoded_inputs):
-    simulator = simulate_mapped_design(bench.mapped)
-    input_channel = bench.metadata["input_channel"]
-    output_channel = bench.metadata["output_channel"]
-    producer = FourPhaseBundledProducer(
-        input_channel, encoded_inputs, input_channel.ack_wire
-    )
-    consumer = FourPhaseBundledConsumer(
-        output_channel, output_channel.req_wire, output_channel.ack_wire
-    )
-    HandshakeHarness(simulator, [producer, consumer]).run()
-    return consumer.received
-
-
 def test_micropipeline_mult_equivalence():
-    bench = build_from_spec("gen:mult2x2@micropipeline")
     vectors = [(0, 0), (1, 2), (3, 3), (2, 3)]
-    received = _run_micropipeline(bench, [a | (b << 2) for a, b in vectors])
-    assert received == [a * b for a, b in vectors]
+    _, outputs = _run("gen:mult2x2@micropipeline", [{"ops": a | (b << 2)} for a, b in vectors])
+    assert [out["res"] for out in outputs] == [a * b for a, b in vectors]
 
 
 def test_micropipeline_alu_equivalence():
-    bench = build_from_spec("gen:alu2@micropipeline")
     vectors = [(0, 3, 2), (1, 1, 3), (2, 3, 1), (3, 2, 1)]
-    received = _run_micropipeline(
-        bench, [a | (b << 2) | (op << 4) for op, a, b in vectors]
+    _, outputs = _run(
+        "gen:alu2@micropipeline", [{"ops": a | (b << 2) | (op << 4)} for op, a, b in vectors]
     )
     expected = []
     for op, a, b in vectors:
         result, carry = alu_reference(op, a, b, 2)
         expected.append(result | (carry << 2))
-    assert received == expected
+    assert [out["res"] for out in outputs] == expected
 
 
 def test_micropipeline_crc_equivalence():
-    bench = build_from_spec("gen:crc2@micropipeline")
     vectors = [(0b0000, (0, 0)), (0b1010, (1, 0)), (0b1111, (1, 1))]
-    received = _run_micropipeline(
-        bench, [iv | (message[0] << 4) | (message[1] << 5) for iv, message in vectors]
+    _, outputs = _run(
+        "gen:crc2@micropipeline",
+        [{"msg": iv | (message[0] << 4) | (message[1] << 5)} for iv, message in vectors],
     )
-    assert received == [crc4_reference(iv, message) for iv, message in vectors]
+    assert [out["crc"] for out in outputs] == [
+        crc4_reference(iv, message) for iv, message in vectors
+    ]
 
 
 def test_micropipeline_mac_equivalence():
-    bench = build_from_spec("gen:mac2@micropipeline")
     vectors = [(0, 0), (3, 3), (1, 3), (2, 2)]
-    received = _run_micropipeline(bench, [x | (w << 2) for x, w in vectors])
-    assert received == [bin(x & w).count("1") for x, w in vectors]
+    _, outputs = _run("gen:mac2@micropipeline", [{"xw": x | (w << 2)} for x, w in vectors])
+    assert [out["acc"] for out in outputs] == [bin(x & w).count("1") for x, w in vectors]

@@ -15,15 +15,8 @@ from repro.cad.techmap import generic_map, template_map
 from repro.circuits.adders import micropipeline_ripple_adder, qdi_ripple_adder
 from repro.circuits.fulladder import micropipeline_full_adder, qdi_full_adder, reference_sum_carry
 from repro.core.params import ArchitectureParams
-from repro.sim import (
-    FourPhaseBundledConsumer,
-    FourPhaseBundledProducer,
-    FourPhaseDualRailProducer,
-    GateLevelSimulator,
-    HandshakeHarness,
-)
+from repro.sim import drive
 from repro.sim.fabricsim import simulate_on_fabric
-from repro.sim.handshake import PassiveDualRailConsumer
 from repro.sim.hazards import count_glitches
 from repro.styles.base import LogicStyle
 
@@ -66,19 +59,14 @@ def test_exp_f3_qdi_full_adder_on_routed_fabric():
     circuit = qdi_full_adder()
     result = flow.run(circuit)
     assert result.routing is not None and result.routing.success
-    simulator = simulate_on_fabric(result)
     vectors = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-    producers = [
-        FourPhaseDualRailProducer(circuit.channel("a"), [v[0] for v in vectors], "ack"),
-        FourPhaseDualRailProducer(circuit.channel("b"), [v[1] for v in vectors], "ack"),
-        FourPhaseDualRailProducer(circuit.channel("cin"), [v[2] for v in vectors], "ack"),
-    ]
-    sums = PassiveDualRailConsumer(circuit.channel("sum"), "ack")
-    carries = PassiveDualRailConsumer(circuit.channel("cout"), "ack")
-    HandshakeHarness(simulator, producers + [sums, carries]).run()
+    run = drive(
+        circuit,
+        simulate_on_fabric(result),
+        [{"a": a, "b": b, "cin": c} for a, b, c in vectors],
+    )
     expected = [reference_sum_carry(*v) for v in vectors]
-    assert sums.received == [s for s, _ in expected]
-    assert carries.received == [c for _, c in expected]
+    assert [(out["sum"], out["cout"]) for out in run.outputs] == expected
 
 
 def test_exp_f3_micropipeline_full_adder_on_routed_fabric():
@@ -86,16 +74,14 @@ def test_exp_f3_micropipeline_full_adder_on_routed_fabric():
     circuit = micropipeline_full_adder()
     result = flow.run(circuit)
     assert result.routing is not None and result.routing.success
-    simulator = simulate_on_fabric(result)
-    input_channel = circuit.input_channels[0]
-    output_channel = circuit.output_channels[0]
     vectors = [(1, 0, 1), (1, 1, 1), (0, 0, 0), (0, 1, 0)]
-    encoded = [a | (b << 1) | (c << 2) for a, b, c in vectors]
-    producer = FourPhaseBundledProducer(input_channel, encoded, input_channel.ack_wire)
-    consumer = FourPhaseBundledConsumer(output_channel, output_channel.req_wire, output_channel.ack_wire)
-    HandshakeHarness(simulator, [producer, consumer]).run()
+    run = drive(
+        circuit,
+        simulate_on_fabric(result),
+        [{"abc": a | (b << 1) | (c << 2)} for a, b, c in vectors],
+    )
     expected = [s | (c << 1) for s, c in (reference_sum_carry(*v) for v in vectors)]
-    assert consumer.received == expected
+    assert [out["sc"] for out in run.outputs] == expected
 
 
 # ----------------------------------------------------------------------
@@ -109,14 +95,7 @@ def test_qdi_outputs_are_hazard_free_during_handshakes():
     design = template_map(circuit)
     simulator = simulate_mapped_design(design, trace_all=True)
     vectors = [(1, 1, 0), (0, 1, 1), (1, 0, 1)]
-    producers = [
-        FourPhaseDualRailProducer(circuit.channel("a"), [v[0] for v in vectors], "ack"),
-        FourPhaseDualRailProducer(circuit.channel("b"), [v[1] for v in vectors], "ack"),
-        FourPhaseDualRailProducer(circuit.channel("cin"), [v[2] for v in vectors], "ack"),
-    ]
-    sums = PassiveDualRailConsumer(circuit.channel("sum"), "ack")
-    carries = PassiveDualRailConsumer(circuit.channel("cout"), "ack")
-    end_time = HandshakeHarness(simulator, producers + [sums, carries]).run()
+    run = drive(circuit, simulator, [{"a": a, "b": b, "cin": c} for a, b, c in vectors])
     # Every output rail transitions monotonically: the number of changes over
     # the whole run is exactly 2 per token that asserted the rail (set + reset).
     for wire in ("sum_f", "sum_t", "cout_f", "cout_t"):
@@ -124,15 +103,10 @@ def test_qdi_outputs_are_hazard_free_during_handshakes():
         changes = [change for change in trace if change[0] > 0]
         assert len(changes) % 2 == 0
         rises = sum(1 for _, value in changes if value == 1)
-        expected_rises = sum(
-            1
-            for v in vectors
-            if {"sum_f": 0, "sum_t": 1}.get(wire.replace("cout", "sum"), None) is not None
-        )
-        # simpler invariant: rises equal falls (every set returns to zero)
+        # rises equal falls (every set returns to zero)
         falls = sum(1 for _, value in changes if value == 0)
         assert rises == falls
-    assert end_time > 0
+    assert run.end_time_ps > 0
 
 
 # ----------------------------------------------------------------------

@@ -7,15 +7,8 @@ from repro.asynclogic.encodings import BundledDataEncoding, DualRailEncoding
 from repro.circuits.fulladder import reference_sum_carry
 from repro.logic.functions import xor_table
 from repro.netlist.validate import has_errors, validate_netlist
-from repro.sim import (
-    FourPhaseBundledConsumer,
-    FourPhaseBundledProducer,
-    FourPhaseDualRailConsumer,
-    FourPhaseDualRailProducer,
-    GateLevelSimulator,
-    HandshakeHarness,
-    PassiveDualRailConsumer,
-)
+from repro.sim import GateLevelSimulator, drive
+from repro.sim.handshake import HandshakeDeadlock
 from repro.styles import (
     LogicStyle,
     available_styles,
@@ -71,21 +64,28 @@ def test_qdi_full_adder_structure():
 def test_qdi_full_adder_exhaustive_handshake():
     circuit = qdi_full_adder_block()
     vectors = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-    simulator = GateLevelSimulator(circuit.netlist)
-    producers = [
-        FourPhaseDualRailProducer(circuit.channel("a"), [v[0] for v in vectors], "ack"),
-        FourPhaseDualRailProducer(circuit.channel("b"), [v[1] for v in vectors], "ack"),
-        FourPhaseDualRailProducer(circuit.channel("cin"), [v[2] for v in vectors], "ack"),
-    ]
-    sums = PassiveDualRailConsumer(circuit.channel("sum"), "ack")
-    carries = PassiveDualRailConsumer(circuit.channel("cout"), "ack")
-    HandshakeHarness(simulator, producers + [sums, carries]).run()
+    run = drive(
+        circuit,
+        GateLevelSimulator(circuit.netlist),
+        [{"a": a, "b": b, "cin": c} for a, b, c in vectors],
+    )
     expected = [reference_sum_carry(*v) for v in vectors]
-    assert sums.received == [s for s, _ in expected]
-    assert carries.received == [c for _, c in expected]
+    assert [(out["sum"], out["cout"]) for out in run.outputs] == expected
     # every producer completed all its tokens
-    assert all(producer.finished for producer in producers)
-    assert all(token.latency is not None for token in producers[0].tokens)
+    assert sorted(run.issued) == ["a", "b", "cin"]
+    for tokens in run.issued.values():
+        assert len(tokens) == len(vectors)
+        assert all(token.completed_at is not None for token in tokens)
+    assert all(token.latency is not None for token in run.issued["a"])
+
+
+def test_drive_raises_when_the_circuit_stops_acknowledging():
+    # Acknowledging on an output rail: the all-zero token never raises sum_t,
+    # so the producers wait for an acknowledge that never comes.
+    circuit = qdi_full_adder_block()
+    circuit.ack_nets = {name: "sum_t" for name in circuit.ack_nets}
+    with pytest.raises(HandshakeDeadlock):
+        drive(circuit, GateLevelSimulator(circuit.netlist), [{"a": 0, "b": 0, "cin": 0}])
 
 
 def test_qdi_full_adder_one_of_four():
@@ -93,18 +93,13 @@ def test_qdi_full_adder_one_of_four():
     assert circuit.style is LogicStyle.QDI_ONE_OF_FOUR
     assert not has_errors(validate_netlist(circuit.netlist))
     vectors = [(1, 0, 1), (1, 1, 1), (0, 0, 0), (0, 1, 1)]
-    simulator = GateLevelSimulator(circuit.netlist)
-    ab_values = [a | (b << 1) for a, b, _ in vectors]
-    producers = [
-        FourPhaseDualRailProducer(circuit.channel("ab"), ab_values, "ack"),
-        FourPhaseDualRailProducer(circuit.channel("cin"), [c for _, _, c in vectors], "ack"),
-    ]
-    sums = PassiveDualRailConsumer(circuit.channel("sum"), "ack")
-    carries = PassiveDualRailConsumer(circuit.channel("cout"), "ack")
-    HandshakeHarness(simulator, producers + [sums, carries]).run()
+    run = drive(
+        circuit,
+        GateLevelSimulator(circuit.netlist),
+        [{"ab": a | (b << 1), "cin": c} for a, b, c in vectors],
+    )
     expected = [reference_sum_carry(*v) for v in vectors]
-    assert sums.received == [s for s, _ in expected]
-    assert carries.received == [c for _, c in expected]
+    assert [(out["sum"], out["cout"]) for out in run.outputs] == expected
 
 
 def test_qdi_full_adder_rejects_unknown_encoding():
@@ -140,11 +135,8 @@ def test_dims_buffer_is_identity():
         output_channels=[Channel("z", 1, DualRailEncoding())],
         function=lambda values: {"z": values["a"]},
     )
-    simulator = GateLevelSimulator(circuit.netlist)
-    producer = FourPhaseDualRailProducer(circuit.channel("a"), [1, 0, 1, 1], "ack")
-    consumer = PassiveDualRailConsumer(circuit.channel("z"), "ack")
-    HandshakeHarness(simulator, [producer, consumer]).run()
-    assert consumer.received == [1, 0, 1, 1]
+    run = drive(circuit, GateLevelSimulator(circuit.netlist), [{"a": a} for a in (1, 0, 1, 1)])
+    assert [out["z"] for out in run.outputs] == [1, 0, 1, 1]
 
 
 # ----------------------------------------------------------------------
@@ -163,19 +155,17 @@ def test_micropipeline_full_adder_structure():
 
 def test_micropipeline_full_adder_exhaustive():
     circuit = micropipeline_full_adder_stage()
-    input_channel = circuit.input_channels[0]
-    output_channel = circuit.output_channels[0]
     vectors = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-    encoded = [a | (b << 1) | (c << 2) for a, b, c in vectors]
-    simulator = GateLevelSimulator(circuit.netlist)
-    producer = FourPhaseBundledProducer(input_channel, encoded, input_channel.ack_wire)
-    consumer = FourPhaseBundledConsumer(output_channel, output_channel.req_wire, output_channel.ack_wire)
-    HandshakeHarness(simulator, [producer, consumer]).run()
+    run = drive(
+        circuit,
+        GateLevelSimulator(circuit.netlist),
+        [{"abc": a | (b << 1) | (c << 2)} for a, b, c in vectors],
+    )
     expected = []
     for a, b, c in vectors:
         s, carry = reference_sum_carry(a, b, c)
         expected.append(s | (carry << 1))
-    assert consumer.received == expected
+    assert [out["sc"] for out in run.outputs] == expected
 
 
 def test_micropipeline_stage_validates_channels_and_tables():
@@ -203,12 +193,9 @@ def test_wchb_stage_rejects_mismatched_channels():
 
 def test_wchb_pipeline_transports_tokens_in_order():
     pipeline = wchb_pipeline("fifo", stages=3, width_bits=2)
-    simulator = GateLevelSimulator(pipeline.netlist)
     values = [3, 0, 2, 1, 3]
-    producer = FourPhaseDualRailProducer(pipeline.channel("in"), values, "in_ack")
-    consumer = FourPhaseDualRailConsumer(pipeline.channel("out"), "out_ack")
-    HandshakeHarness(simulator, [producer, consumer]).run()
-    assert consumer.received == values
+    run = drive(pipeline, GateLevelSimulator(pipeline.netlist), [{"in": v} for v in values])
+    assert [out["out"] for out in run.outputs] == values
 
 
 def test_wchb_pipeline_requires_stage():
