@@ -69,9 +69,9 @@ def flow_artifact_key(
 
     Hashes everything the flow's outputs depend on — the circuit name, the
     architecture, the (cache-relevant) flow options and the code fingerprint
-    — mirroring :meth:`repro.sweep.spec.SweepPoint.key`.  Execution-side
-    knobs (``artifact_store`` itself, ``checkpoint_stages``) are excluded
-    from ``FlowOptions.to_dict`` precisely so they cannot perturb this key.
+    — mirroring :meth:`repro.sweep.spec.SweepPoint.key`.  The
+    execution-side ``artifact_store`` itself is excluded from
+    ``FlowOptions.to_dict`` precisely so it cannot perturb this key.
     """
     return stable_digest(
         {

@@ -32,7 +32,7 @@ from repro.cad.techmap import template_map, generic_map
 from repro.cad.pack import pack_design
 from repro.cad.place import NetCostCache, Placement, TimingObjective, place_design
 from repro.cad.route import RoutingResult, refine_critical_nets, route_design
-from repro.cad.timing import TimingEngine, TimingModel, TimingReport, analyse_timing
+from repro.cad.timing import TimingEngine, TimingReport, analyse_timing
 from repro.cad.metrics import FillingRatioReport, filling_ratio, utilisation_report
 from repro.cad.flow import CadFlow, FlowOptions, FlowResult
 
@@ -53,7 +53,6 @@ __all__ = [
     "refine_critical_nets",
     "RoutingResult",
     "TimingEngine",
-    "TimingModel",
     "TimingReport",
     "analyse_timing",
     "filling_ratio",

@@ -35,7 +35,7 @@ from repro.cad.pack import pack_design, packing_summary
 from repro.cad.place import Placement, TimingObjective, place_design
 from repro.cad.route import RoutingResult, refine_critical_nets, route_design
 from repro.cad.techmap import MappingError, generic_map, template_map
-from repro.cad.timing import TimingEngine, TimingModel, TimingReport, analyse_timing
+from repro.cad.timing import TimingEngine, TimingReport, analyse_timing
 from repro.core.bitstream import Bitstream
 from repro.core.fabric import Fabric
 from repro.core.params import ArchitectureParams, SerializableParams
@@ -67,14 +67,11 @@ class FlowOptions(SerializableParams):
     serialization for content-addressed storage and worker processes.
     """
 
-    use_template_mapping: bool = True
     run_placement: bool = True
     run_routing: bool = True
     generate_bitstream: bool = True
     placement_seed: int = 1
     placement_effort: float = 1.0
-    router_max_iterations: int = 30
-    timing_model: TimingModel = field(default_factory=TimingModel)
     #: Feed criticality from the timing engine back into the placer's blended
     #: cost and the router's ``crit * delay + (1 - crit) * congestion`` cost,
     #: then post-optimise critical nets for delay (see ``docs/flow.md``).
@@ -83,11 +80,6 @@ class FlowOptions(SerializableParams):
     #: 1.0 pure criticality-weighted bounding-box delay.  Only meaningful
     #: with ``timing_driven=True``.
     timing_tradeoff: float = 0.5
-    #: Run the static verifier (:mod:`repro.verify`) over every produced
-    #: stage artifact and the bitstream at the end of the flow.  The gate
-    #: never raises; findings land in ``FlowResult.lint_findings`` and the
-    #: summary gains ``lint_errors``/``lint_warnings`` counts.
-    verify_stages: bool = False
     #: Directory of an :class:`repro.artifacts.ArtifactStore`: when set,
     #: :meth:`CadFlow.run` checkpoints every stage boundary there and
     #: ``run(resume_from=...)`` can skip already-computed prefixes.
@@ -95,31 +87,14 @@ class FlowOptions(SerializableParams):
     #: hashing (``compare=False``) — where results are persisted must never
     #: change what they are, so no cache or artifact key may depend on it.
     artifact_store: str | None = field(default=None, compare=False)
-    #: Which stage boundaries to checkpoint (a subset of
-    #: :data:`repro.artifacts.STAGES`; ``None`` means all of them).  Only
-    #: meaningful with ``artifact_store``; excluded from :meth:`to_dict`
-    #: like it.
-    checkpoint_stages: tuple[str, ...] | None = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.checkpoint_stages is not None and not isinstance(self.checkpoint_stages, tuple):
-            # Normalise JSON-borne lists so the dataclass stays hashable.
-            object.__setattr__(self, "checkpoint_stages", tuple(self.checkpoint_stages))
 
     def to_dict(self) -> dict[str, object]:
         data = super().to_dict()
-        # The artifact knobs steer persistence, not semantics: dropping
-        # them keeps sweep keys, flow keys and stable_hash() byte-stable
-        # whether or not a run checkpoints.
+        # The artifact store steers persistence, not semantics: dropping it
+        # keeps sweep keys, flow keys and stable_hash() byte-stable whether
+        # or not a run checkpoints.
         del data["artifact_store"]
-        del data["checkpoint_stages"]
         return data
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "FlowOptions":
-        fields_ = dict(data)
-        fields_["timing_model"] = TimingModel.from_dict(dict(fields_.get("timing_model", {})))
-        return cls(**fields_)
 
 
 @dataclass
@@ -150,9 +125,6 @@ class FlowResult:
     #: Handshake cycle time right after negotiation, before the refinement
     #: pass — the baseline of the reported improvement delta.
     cycle_time_pre_refine_ps: int | None = None
-    #: Findings of the ``verify_stages`` lint gate (``None`` when the gate
-    #: did not run); each is a :class:`repro.verify.Finding`.
-    lint_findings: list | None = None
     #: The wirelength anneal this run computed or was handed: ``placement``
     #: itself on default flows, the layout the polish started from (and the
     #: routing ladder falls back to) on timing-driven ones.  ``None`` when
@@ -199,7 +171,7 @@ class FlowResult:
             ``False`` when it was computed and stored this run.
         ``routed_nets``, ``total_wirelength``, ``routing_success``
             Router outcome; ``routing_success`` is ``False`` when congestion
-            remained after ``router_max_iterations``.
+            remained after the router's iteration cap.
         ``router_iterations``, ``router_nets_rerouted``
             PathFinder perf counters: iterations until convergence and total
             net-route operations (the dirty-net router re-routes only nets
@@ -218,10 +190,6 @@ class FlowResult:
             Timing report (see :mod:`repro.cad.timing`).
         ``bitstream_bits_set``, ``bitstream_bits_total``
             Configuration bits programmed vs available on the fabric.
-        ``lint_errors``, ``lint_warnings``
-            Only when ``FlowOptions.verify_stages`` ran the static verifier
-            over the flow's artifacts: error and warning finding counts
-            (see ``docs/lint.md``).
         """
         data: dict[str, object] = {
             "circuit": self.circuit_name,
@@ -273,15 +241,6 @@ class FlowResult:
         if self.bitstream is not None:
             data["bitstream_bits_set"] = self.bitstream.used_bits()
             data["bitstream_bits_total"] = self.bitstream.total_bits
-        if self.lint_findings is not None:
-            # Only present when the verify_stages gate ran, so plain flows
-            # keep their historical key set.
-            data["lint_errors"] = sum(
-                1 for finding in self.lint_findings if finding.severity == "error"
-            )
-            data["lint_warnings"] = sum(
-                1 for finding in self.lint_findings if finding.severity == "warning"
-            )
         return data
 
     def report(self) -> str:
@@ -327,16 +286,6 @@ class _ArtifactSession:
         self.circuit = circuit_name
         self.store = ArtifactStore(options.artifact_store)
         self.flow_key = schemas.flow_artifact_key(circuit_name, architecture, options)
-        if options.checkpoint_stages is None:
-            self.stages = set(schemas.STAGES)
-        else:
-            unknown = sorted(set(options.checkpoint_stages) - set(schemas.STAGES))
-            if unknown:
-                raise ValueError(
-                    f"unknown checkpoint stages {unknown}; "
-                    f"expected a subset of {schemas.STAGES}"
-                )
-            self.stages = set(options.checkpoint_stages)
         #: The records a resume restored; the loop never rewrites them.
         self.loaded: dict[str, dict[str, object]] = {}
         self.saved = 0
@@ -388,8 +337,8 @@ class _ArtifactSession:
             )
 
     def checkpoint(self, stage: str, payload: Callable[[], Mapping[str, object]]) -> None:
-        """Persist ``payload()`` unless the stage was loaded or deselected."""
-        if stage not in self.stages or stage in self.loaded:
+        """Persist ``payload()`` unless the stage was loaded."""
+        if stage in self.loaded:
             return
         record = self._schemas.encode_envelope(
             stage, self.flow_key, self.circuit, self.architecture, self.options, payload()
@@ -439,18 +388,12 @@ class CadFlow:
                 "flow's architecture; rebuild it for these parameters instead of "
                 "reusing the stale mapping"
             )
-        if not self.options.use_template_mapping:
-            raise MappingError(
-                f"design {name!r} is pre-mapped (template-built) but the flow requests "
-                "generic mapping; run it with use_template_mapping=True"
-            )
         return mapped
 
     def map(self, circuit: StyledCircuit | Netlist) -> MappedDesign:
+        """Template-map a styled circuit; generic-map a raw netlist."""
         if isinstance(circuit, StyledCircuit):
-            if self.options.use_template_mapping:
-                return template_map(circuit, self.architecture.plb)
-            return generic_map(circuit.netlist, self.architecture.plb, style=circuit.style)
+            return template_map(circuit, self.architecture.plb)
         return generic_map(circuit, self.architecture.plb)
 
     def run(
@@ -492,9 +435,8 @@ class CadFlow:
         re-route critical nets for delay until the refinement pass stops
         improving.
 
-        With ``options.artifact_store`` set, the loop **checkpoints** each
-        stage's records (``options.checkpoint_stages``, default all of
-        :data:`repro.artifacts.STAGES`) into a content-addressed
+        With ``options.artifact_store`` set, the loop **checkpoints** every
+        stage record (:data:`repro.artifacts.STAGES`) into a content-addressed
         :class:`~repro.artifacts.ArtifactStore`, and ``resume_from``
         **resumes** from them: ``"auto"`` consumes the longest stored
         contiguous stage prefix, an explicit stage name consumes the stored
@@ -549,15 +491,6 @@ class CadFlow:
             if session is not None:
                 for record, payload in records.items():
                     session.checkpoint(record, payload)
-
-        if self.options.verify_stages:
-            # Lazy import: repro.verify consumes flow artifacts, so a
-            # module-level import would be circular.
-            from repro.verify.lint import lint_flow_artifacts
-
-            styled = circuit if isinstance(circuit, StyledCircuit) else None
-            report = lint_flow_artifacts(result, self, styled=styled)
-            result.lint_findings = list(report.findings)
 
         if session is not None:
             session.finish()
@@ -623,13 +556,9 @@ class CadFlow:
             # Criticalities come from the anneal's geometry (not just
             # structure), and the polish cannot tear up the routable layout
             # the way a full blended anneal can.
-            model = self.options.timing_model
             objective = TimingObjective(
                 self._engine(mapped, anneal).criticalities(exponent=CRITICALITY_EXPONENT),
                 tradeoff=self.options.timing_tradeoff,
-                wire_segment_delay_ps=model.wire_segment_delay_ps,
-                switch_delay_ps=model.switch_delay_ps,
-                cbox_delay_ps=model.cbox_delay_ps,
             )
             result.placement = place_design(
                 mapped,
@@ -671,7 +600,6 @@ class CadFlow:
         placement does not route falls back to the wirelength anneal.
         """
         mapped = result.mapped
-        model = self.options.timing_model
         baseline = result.baseline_placement
         # Only a flow that placed holds both the polished and the baseline
         # layout; a restored placement is already the one to route.
@@ -682,9 +610,7 @@ class CadFlow:
                 mapped,
                 target,
                 self.rr_graph,
-                max_iterations=self.options.router_max_iterations,
                 criticalities=crits,
-                timing_model=model if crits is not None else None,
                 # Timing-driven rungs are backed by this ladder itself;
                 # only the final congestion rung keeps the router's
                 # internal A*→Dijkstra restart (baseline semantics).
@@ -751,7 +677,6 @@ class CadFlow:
                     routing,
                     self.rr_graph,
                     engine.criticalities(),
-                    model,
                     max_wirelength=wirelength_budget,
                 )
                 if not improved:
@@ -777,7 +702,6 @@ class CadFlow:
                 result.mapped,
                 routing=result.routing,
                 graph=self.rr_graph if result.routing is not None else None,
-                model=self.options.timing_model,
                 placement=result.placement if timed else None,
                 fabric=self.fabric if timed else None,
                 # The route stage's delay state: bounding-box estimates for
@@ -804,6 +728,6 @@ class CadFlow:
 
     def _engine(self, mapped: MappedDesign, placement: Placement) -> TimingEngine:
         """A timing engine with every net estimated from *placement*."""
-        engine = TimingEngine(mapped, self.options.timing_model)
+        engine = TimingEngine(mapped)
         engine.estimate_from_placement(placement, self.fabric)
         return engine

@@ -280,16 +280,6 @@ class MappedDesign:
             nets.add(pde.output_net)
         return nets
 
-    def net_consumers(self) -> dict[str, list[str]]:
-        """Net name -> list of LE/PDE names reading it."""
-        consumers: dict[str, list[str]] = {}
-        for le in self.les:
-            for net in set(le.external_input_nets):
-                consumers.setdefault(net, []).append(le.name)
-        for pde in self.pdes:
-            consumers.setdefault(pde.input_net, []).append(pde.name)
-        return consumers
-
     def net_driver(self) -> dict[str, str]:
         """Net name -> name of the LE/PDE driving it (primary inputs absent)."""
         drivers: dict[str, str] = {}

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from repro.cad.lemap import MappedDesign
+from repro.cad.timing import CBOX_DELAY_PS, SWITCH_DELAY_PS, WIRE_SEGMENT_DELAY_PS
 from repro.core.fabric import Fabric, IOPad
 from repro.core.schema import decoding, require_version
 
@@ -285,8 +286,8 @@ class TimingObjective(WirelengthObjective):
     ``cost = (1 - tradeoff) * (dx + dy) + tradeoff * crit * delay_norm`` where
     ``delay_norm`` is the net's bounding-box delay estimate normalised by the
     wire-segment delay, keeping both terms in HPWL units.  ``criticalities``
-    come from :class:`repro.cad.timing.TimingEngine`; the delay parameters
-    are passed as plain numbers so this module needs no timing import.
+    come from :class:`repro.cad.timing.TimingEngine`, the delays from that
+    module's constants.
     """
 
     exact = False
@@ -295,19 +296,16 @@ class TimingObjective(WirelengthObjective):
         self,
         criticalities: Mapping[str, float],
         tradeoff: float = 0.5,
-        wire_segment_delay_ps: int = 80,
-        switch_delay_ps: int = 20,
-        cbox_delay_ps: int = 30,
     ) -> None:
         if not 0.0 <= tradeoff <= 1.0:
             raise ValueError(f"tradeoff must be in [0, 1], got {tradeoff}")
         self.criticalities = dict(criticalities)
         self.tradeoff = tradeoff
-        wire = float(wire_segment_delay_ps)
+        wire = float(WIRE_SEGMENT_DELAY_PS)
         # bbox delay of a net spanning s hops ~ 2*cbox + (s+1)*wire + s*switch
-        # (repro.cad.timing.TimingModel.bbox_net_delay), normalised by wire.
-        self._per_hop = (wire_segment_delay_ps + switch_delay_ps) / wire
-        self._base = (2 * cbox_delay_ps + wire_segment_delay_ps) / wire
+        # (repro.cad.timing.bbox_net_delay), normalised by wire.
+        self._per_hop = (WIRE_SEGMENT_DELAY_PS + SWITCH_DELAY_PS) / wire
+        self._base = (2 * CBOX_DELAY_PS + WIRE_SEGMENT_DELAY_PS) / wire
         self._crit: list[float] = []
 
     def bind(self, net_names: Sequence[str]) -> None:

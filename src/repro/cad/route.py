@@ -61,7 +61,12 @@ from typing import ClassVar, Iterable, Mapping, Sequence
 
 from repro.cad.lemap import MappedDesign
 from repro.cad.place import Placement
-from repro.cad.timing import TimingModel
+from repro.cad.timing import (
+    CBOX_DELAY_PS,
+    SWITCH_DELAY_PS,
+    WIRE_SEGMENT_DELAY_PS,
+    routed_net_delay,
+)
 from repro.core.rrgraph import RoutingResourceGraph
 from repro.core.schema import CorruptArtifactError, decoding, require_version
 
@@ -355,7 +360,7 @@ def _collect_net_endpoints(
     return sources, sinks, assignments
 
 
-def _delay_costs(graph: RoutingResourceGraph, model: TimingModel) -> list[float]:
+def _delay_costs(graph: RoutingResourceGraph) -> list[float]:
     """Per-node delay cost in HPWL-comparable units (wire segments).
 
     A wire node costs one segment plus one switch traversal; a pin node one
@@ -363,9 +368,9 @@ def _delay_costs(graph: RoutingResourceGraph, model: TimingModel) -> list[float]
     timing term on the same scale as the congestion term (base cost 1.0 per
     node), so the ``crit``-blend stays balanced.
     """
-    wire = float(model.wire_segment_delay_ps)
-    wire_cost = (model.wire_segment_delay_ps + model.switch_delay_ps) / wire
-    pin_cost = model.cbox_delay_ps / wire
+    wire = float(WIRE_SEGMENT_DELAY_PS)
+    wire_cost = (WIRE_SEGMENT_DELAY_PS + SWITCH_DELAY_PS) / wire
+    pin_cost = CBOX_DELAY_PS / wire
     return [wire_cost if is_wire else pin_cost for is_wire in graph.is_wire]
 
 
@@ -535,7 +540,6 @@ def route_design(
     max_iterations: int = 30,
     incremental: bool = True,
     criticalities: Mapping[str, float] | None = None,
-    timing_model: TimingModel | None = None,
     astar: bool = True,
     restart_on_failure: bool = True,
 ) -> RoutingResult:
@@ -548,8 +552,8 @@ def route_design(
 
     ``criticalities`` switches the node cost to the timing-driven blend
     ``crit * delay + (1 - crit) * congestion`` (per-net criticality from the
-    timing engine, capped at :data:`MAX_CRITICALITY`); ``timing_model``
-    supplies the delay numbers (defaults to :class:`TimingModel`).
+    timing engine, capped at :data:`MAX_CRITICALITY`); the delay numbers are
+    the :mod:`repro.cad.timing` constants.
 
     ``astar`` enables the admissible geometric lower bound (identical path
     costs, fewer heap pops — see ``RoutingResult.node_pops``).  Every search
@@ -584,8 +588,7 @@ def route_design(
 
     timing_driven = criticalities is not None
     if timing_driven:
-        model = timing_model if timing_model is not None else TimingModel()
-        delay_cost = _delay_costs(graph, model)
+        delay_cost = _delay_costs(graph)
         min_delay_cost = min(delay_cost)
     else:
         delay_cost = []
@@ -771,7 +774,6 @@ def route_design(
             max_iterations=max_iterations,
             incremental=incremental,
             criticalities=criticalities,
-            timing_model=timing_model,
             astar=False,
         )
         retry.node_pops += result.node_pops
@@ -788,7 +790,6 @@ def refine_critical_nets(
     routing: RoutingResult,
     graph: RoutingResourceGraph,
     criticalities: Mapping[str, float],
-    timing_model: TimingModel | None = None,
     max_wirelength: int | None = None,
 ) -> int:
     """Re-route critical nets of a *legal* routing for delay, in place.
@@ -817,12 +818,11 @@ def refine_critical_nets(
     """
     if not routing.success or not routing.routed:
         return 0
-    model = timing_model if timing_model is not None else TimingModel()
     search = _TreeSearch(graph)
     pins = search.pins
     capacity = graph.capacity
     base_cost = graph.base_cost
-    delay = _delay_costs(graph, model)
+    delay = _delay_costs(graph)
     delay_factor = 0.5 * min(delay)
     base_factor = 0.5 * min(base_cost)
     occupancy = [0] * len(graph)
@@ -869,7 +869,7 @@ def refine_critical_nets(
     for net in candidates:
         crit = criticalities.get(net, 0.0)
         old = routing.routed[net]
-        old_delay = model.routed_net_delay(graph, old.nodes)
+        old_delay = routed_net_delay(graph, old.nodes)
         source = old.source_node
         release(net, old.nodes)
 
@@ -877,14 +877,14 @@ def refine_critical_nets(
         displaced_moves: list[tuple[str, list[int], list[int]]] = []
 
         hard_tree = search.grow(source, old.sink_nodes, delay, hard_blocked, delay_factor)
-        if hard_tree is not None and model.routed_net_delay(graph, hard_tree) < old_delay:
+        if hard_tree is not None and routed_net_delay(graph, hard_tree) < old_delay:
             accepted = hard_tree
             occupy(net, accepted)
         else:
             free_tree = search.grow(source, old.sink_nodes, free_cost, pins, delay_factor)
             if (
                 free_tree is not None
-                and model.routed_net_delay(graph, free_tree) < old_delay
+                and routed_net_delay(graph, free_tree) < old_delay
             ):
                 # Who is in the way, and are they all less critical?
                 victims: set[str] = set()

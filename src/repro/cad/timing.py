@@ -33,9 +33,10 @@ Per-net **criticality** is the classic ratio: the longest path *through* the
 net divided by the critical-path delay, clamped to [0, 1].  The nets on the
 handshake-cycle critical path have criticality 1.0.
 
-The numbers come from a simple, explicit delay model
-(:class:`TimingModel`); they are architecture-relative, not silicon-accurate,
-which is all the shape-level experiments need.
+The numbers come from a simple, explicit delay model: the module constants
+below and the two net-delay formulas :func:`routed_net_delay` and
+:func:`bbox_net_delay`.  They are architecture-relative, not
+silicon-accurate, which is all the shape-level experiments need.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.cad.lemap import MappedDesign
-from repro.core.params import SerializableParams
 from repro.core.rrgraph import RoutingResourceGraph
 from repro.core.schema import decoding, require_version
 
@@ -54,47 +54,35 @@ if TYPE_CHECKING:  # imported only for type checking: route imports this module
     from repro.core.fabric import Fabric
 
 
-@dataclass(frozen=True)
-class TimingModel(SerializableParams):
-    """Delay model parameters (picoseconds)."""
+# The delay model (picoseconds).
+LE_DELAY_PS = 250
+IM_DELAY_PS = 50
+WIRE_SEGMENT_DELAY_PS = 80
+SWITCH_DELAY_PS = 20
+CBOX_DELAY_PS = 30
+IO_DELAY_PS = 100
+#: The flat per-net charge used before any geometry is known.
+DEFAULT_NET_DELAY_PS = WIRE_SEGMENT_DELAY_PS + CBOX_DELAY_PS
 
-    le_delay_ps: int = 250
-    im_delay_ps: int = 50
-    wire_segment_delay_ps: int = 80
-    switch_delay_ps: int = 20
-    cbox_delay_ps: int = 30
-    io_delay_ps: int = 100
 
-    def routed_net_delay(self, graph: RoutingResourceGraph, node_ids: Iterable[int]) -> int:
-        """Delay of one routed tree (conservatively: its total segment count)."""
-        is_wire = graph.is_wire
-        wires = sum(1 for node_id in node_ids if is_wire[node_id])
-        switches = max(0, wires - 1)
-        return (
-            self.cbox_delay_ps * 2
-            + wires * self.wire_segment_delay_ps
-            + switches * self.switch_delay_ps
-        )
+def routed_net_delay(graph: RoutingResourceGraph, nodes: Iterable[int]) -> int:
+    """Delay of one routed tree (conservatively: its total segment count)."""
+    is_wire = graph.is_wire
+    wires = sum(1 for node_id in nodes if is_wire[node_id])
+    switches = max(0, wires - 1)
+    return CBOX_DELAY_PS * 2 + wires * WIRE_SEGMENT_DELAY_PS + switches * SWITCH_DELAY_PS
 
-    def bbox_net_delay(self, span: float) -> int:
-        """Pre-route delay estimate of a net spanning *span* channel hops.
 
-        *span* is the half-perimeter of the net's terminal bounding box; the
-        estimate charges one wire segment per hop plus one to enter the
-        channel, with a switch between consecutive segments -- the same
-        formula :meth:`routed_net_delay` applies to the real tree.
-        """
-        segments = int(round(span)) + 1
-        return (
-            self.cbox_delay_ps * 2
-            + segments * self.wire_segment_delay_ps
-            + (segments - 1) * self.switch_delay_ps
-        )
+def bbox_net_delay(span: float) -> int:
+    """Pre-route delay estimate of a net spanning *span* channel hops.
 
-    @property
-    def default_net_delay_ps(self) -> int:
-        """The flat per-net charge used before any geometry is known."""
-        return self.wire_segment_delay_ps + self.cbox_delay_ps
+    *span* is the half-perimeter of the net's terminal bounding box; the
+    estimate charges one wire segment per hop plus one to enter the
+    channel, with a switch between consecutive segments -- the same
+    formula :func:`routed_net_delay` applies to the real tree.
+    """
+    segments = int(round(span)) + 1
+    return CBOX_DELAY_PS * 2 + segments * WIRE_SEGMENT_DELAY_PS + (segments - 1) * SWITCH_DELAY_PS
 
 
 #: Schema version of :meth:`TimingReport.to_dict` payloads.
@@ -193,9 +181,8 @@ class TimingEngine:
     arrival/required sweeps when a delay update dirtied the engine.
     """
 
-    def __init__(self, design: MappedDesign, model: TimingModel | None = None) -> None:
+    def __init__(self, design: MappedDesign) -> None:
         self.design = design
-        self.model = model if model is not None else TimingModel()
         self.net_delays_ps: dict[str, int] = {}
         self.recomputes = 0
         self._dirty = True
@@ -281,8 +268,8 @@ class TimingEngine:
         """Per-net delay estimates from placement geometry (no routing yet).
 
         Every net spanning blocks is charged by the half-perimeter of its
-        terminal bounding box (:meth:`TimingModel.bbox_net_delay`); the
-        estimates are folded into the engine and also returned.
+        terminal bounding box (:func:`bbox_net_delay`); the estimates are
+        folded into the engine and also returned.
         """
         from repro.cad.place import _build_net_terminals, _pad_position
 
@@ -308,7 +295,7 @@ class TimingEngine:
                 span = (max(xs) - min(xs)) + (max(ys) - min(ys))
             else:
                 span = 1.0
-            estimates[net] = self.model.bbox_net_delay(span)
+            estimates[net] = bbox_net_delay(span)
         self.set_net_delays(estimates)
         return estimates
 
@@ -317,7 +304,7 @@ class TimingEngine:
     ) -> dict[str, int]:
         """Swap in exact routed-tree delays for every routed net."""
         delays = {
-            net: self.model.routed_net_delay(graph, routed.nodes)
+            net: routed_net_delay(graph, routed.nodes)
             for net, routed in routing.routed.items()
         }
         self.set_net_delays(delays)
@@ -327,18 +314,17 @@ class TimingEngine:
     # Queries (lazily recomputed)
     # ------------------------------------------------------------------
     def _net_delay(self, net: str) -> int:
-        return self.net_delays_ps.get(net, self.model.default_net_delay_ps)
+        return self.net_delays_ps.get(net, DEFAULT_NET_DELAY_PS)
 
     def _edge_delay(self, edge: _TimingEdge) -> int:
         if edge.pred == _PI:
-            return self.model.io_delay_ps + self._net_delay(edge.net)
-        return self.model.le_delay_ps + self.model.im_delay_ps + self._net_delay(edge.net)
+            return IO_DELAY_PS + self._net_delay(edge.net)
+        return LE_DELAY_PS + IM_DELAY_PS + self._net_delay(edge.net)
 
     def _recompute(self) -> None:
         self.recomputes += 1
         self._dirty = False
-        model = self.model
-        terminal = model.le_delay_ps + model.im_delay_ps
+        terminal = LE_DELAY_PS + IM_DELAY_PS
 
         arrival: dict[str, int] = {}
         for name in self._order:
@@ -433,7 +419,6 @@ def analyse_timing(
     design: MappedDesign,
     routing: "RoutingResult | None" = None,
     graph: RoutingResourceGraph | None = None,
-    model: TimingModel | None = None,
     placement: "Placement | None" = None,
     fabric: "Fabric | None" = None,
     engine: TimingEngine | None = None,
@@ -446,9 +431,8 @@ def analyse_timing(
     lengths are used.  Pass an existing :class:`TimingEngine` to reuse its
     DAG and delay state instead of rebuilding.
     """
-    model = model if model is not None else TimingModel()
     if engine is None:
-        engine = TimingEngine(design, model)
+        engine = TimingEngine(design)
     report = TimingReport()
 
     if routing is not None and graph is not None:
@@ -458,7 +442,7 @@ def analyse_timing(
     else:
         for le in design.les:
             for net in le.external_input_nets:
-                report.net_delays_ps.setdefault(net, model.default_net_delay_ps)
+                report.net_delays_ps.setdefault(net, DEFAULT_NET_DELAY_PS)
 
     report.max_net_delay_ps = max(report.net_delays_ps.values(), default=0)
     report.le_levels = engine.le_levels
@@ -469,7 +453,7 @@ def analyse_timing(
 
     # Matched-delay adequacy for bundled-data designs.
     for pde in design.pdes:
-        datapath_delay = int((report.le_levels or 1) * (model.le_delay_ps + model.im_delay_ps))
+        datapath_delay = int((report.le_levels or 1) * (LE_DELAY_PS + IM_DELAY_PS))
         adequate = pde.delay_ps >= datapath_delay
         report.matched_delays[pde.name] = {
             "configured_ps": pde.delay_ps,

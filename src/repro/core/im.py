@@ -84,9 +84,6 @@ class InterconnectionMatrix:
     def used_destinations(self) -> int:
         return len(self.config.routes)
 
-    def used_sources(self) -> set[str]:
-        return set(self.config.routes.values())
-
     def utilisation(self) -> float:
         if not self.destinations:
             return 0.0

@@ -150,9 +150,6 @@ class LogicElement:
     def used_lut_input_pins(self) -> int:
         return len(self.lut.used_pins())
 
-    def validity_used(self) -> bool:
-        return self.validity_lut.configured
-
     def utilisation(self) -> dict[str, int]:
         return {
             "lut_inputs_used": self.used_lut_input_pins(),

@@ -48,10 +48,6 @@ class ProgrammableDelayElement:
     def max_delay_ps(self) -> int:
         return self.taps * self.step_ps
 
-    @property
-    def min_delay_ps(self) -> int:
-        return self.step_ps
-
     def configure(self, config: PDEConfig) -> None:
         if config.tap >= self.taps:
             raise ValueError(f"tap {config.tap} out of range (taps={self.taps})")

@@ -116,10 +116,6 @@ class TruthTable:
     def __call__(self, **assignment: int) -> int:
         return self.evaluate(assignment)
 
-    def evaluate_row(self, index: int) -> int:
-        """Evaluate by raw row index (``inputs[0]`` is the LSB)."""
-        return self.bits[index]
-
     # ------------------------------------------------------------------
     # Structural queries
     # ------------------------------------------------------------------

@@ -103,23 +103,8 @@ class NetlistBuilder:
     def and2(self, a: str, b: str, out: str | None = None, name: str | None = None) -> str:
         return self.gate("AND2", [a, b], out=out, name=name)
 
-    def and3(self, a: str, b: str, c: str, out: str | None = None, name: str | None = None) -> str:
-        return self.gate("AND3", [a, b, c], out=out, name=name)
-
     def or2(self, a: str, b: str, out: str | None = None, name: str | None = None) -> str:
         return self.gate("OR2", [a, b], out=out, name=name)
-
-    def or3(self, a: str, b: str, c: str, out: str | None = None, name: str | None = None) -> str:
-        return self.gate("OR3", [a, b, c], out=out, name=name)
-
-    def or4(self, a: str, b: str, c: str, d: str, out: str | None = None, name: str | None = None) -> str:
-        return self.gate("OR4", [a, b, c, d], out=out, name=name)
-
-    def nand2(self, a: str, b: str, out: str | None = None, name: str | None = None) -> str:
-        return self.gate("NAND2", [a, b], out=out, name=name)
-
-    def nor2(self, a: str, b: str, out: str | None = None, name: str | None = None) -> str:
-        return self.gate("NOR2", [a, b], out=out, name=name)
 
     def xor2(self, a: str, b: str, out: str | None = None, name: str | None = None) -> str:
         return self.gate("XOR2", [a, b], out=out, name=name)

@@ -20,37 +20,30 @@ least one of placement seeds 1-3 (ROADMAP item 7).
 from __future__ import annotations
 
 from repro.cad.flow import FlowResult
-from repro.cad.timing import TimingModel
+from repro.cad.timing import IM_DELAY_PS, LE_DELAY_PS, routed_net_delay
 from repro.core.fabric import Fabric
 from repro.core.rrgraph import cached_rr_graph
 from repro.sim.lesim import simulate_mapped_design
 from repro.sim.netsim import GateLevelSimulator
 
 
-def routed_net_delays(result: FlowResult, model: TimingModel | None = None) -> dict[str, int]:
+def routed_net_delays(result: FlowResult) -> dict[str, int]:
     """Per-net routed delay (ps) from a flow result that includes routing."""
     if result.routing is None:
         return {}
-    model = model if model is not None else TimingModel()
     # The flow routed on the shared graph of this geometry; reuse it.
     graph = cached_rr_graph(Fabric(result.architecture))
     return {
-        net: model.routed_net_delay(graph, routed.nodes)
+        net: routed_net_delay(graph, routed.nodes)
         for net, routed in result.routing.routed.items()
     }
 
 
-def simulate_on_fabric(
-    result: FlowResult,
-    model: TimingModel | None = None,
-    trace_all: bool = False,
-) -> GateLevelSimulator:
+def simulate_on_fabric(result: FlowResult, trace_all: bool = False) -> GateLevelSimulator:
     """A simulator of the mapped design with routed wire delays applied."""
-    model = model if model is not None else TimingModel()
-    delays = routed_net_delays(result, model)
     return simulate_mapped_design(
         result.mapped,
-        le_delay_ps=model.le_delay_ps + model.im_delay_ps,
-        extra_net_delays=delays,
+        le_delay_ps=LE_DELAY_PS + IM_DELAY_PS,
+        extra_net_delays=routed_net_delays(result),
         trace_all=trace_all,
     )

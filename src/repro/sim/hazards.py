@@ -93,7 +93,3 @@ def analyse_traces(
     return {
         net: count_glitches(changes, start, end) for net, changes in sorted(traces.items())
     }
-
-
-def total_glitches(traces: dict[str, list[tuple[int, int]]], start: int, end: int) -> int:
-    return sum(analyse_traces(traces, start, end).values())

@@ -17,7 +17,7 @@ analyser and the protocol checkers consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.netlist.celltypes import STATE_VARIABLE
@@ -220,9 +220,6 @@ class GateLevelSimulator:
         return SimulationResult(
             start_time=start, end_time=self.scheduler.now, events=events, settled=settled
         )
-
-    def run_until_stable(self, max_events: int = 200_000) -> SimulationResult:
-        return self.run(max_events=max_events, until=None)
 
     def apply_and_settle(self, assignment: Mapping[str, int], max_events: int = 200_000) -> SimulationResult:
         """Drive primary inputs and run until the circuit is quiescent."""

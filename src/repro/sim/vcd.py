@@ -40,10 +40,6 @@ class VcdWriter:
         if net_name not in self._signals:
             self._signals[net_name] = next(self._identifiers)
 
-    def declare_all(self, net_names: Iterable[str]) -> None:
-        for name in net_names:
-            self.declare(name)
-
     def change(self, time: int, net_name: str, value: int) -> None:
         self.declare(net_name)
         self._changes.append((time, net_name, 1 if value else 0))

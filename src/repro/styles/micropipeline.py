@@ -22,7 +22,7 @@ handshake correctness is exercised by the simulation tests.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.asynclogic.channels import Channel
 from repro.asynclogic.encodings import BundledDataEncoding

@@ -43,7 +43,6 @@ from repro.sweep.runner import (
     SweepRunner,
     ThreadExecutor,
     available_executors,
-    create_executor,
     execute_point,
     register_executor,
     report_from_records,
@@ -84,7 +83,6 @@ __all__ = [
     "SweepSpec",
     "ThreadExecutor",
     "available_executors",
-    "create_executor",
     "execute_point",
     "format_report",
     "format_stats",

@@ -71,18 +71,16 @@ When a store is attached, each flow's wirelength anneal
 (``FlowResult.baseline_placement``) is cached under
 :meth:`~repro.sweep.spec.SweepPoint.placement_key`, which hashes only what
 the anneal depends on (circuit + code fingerprint, fabric geometry, seed,
-effort, mapping mode), together with the packed design it placed.  A later
-point differing only in routing-side or timing options (channel width,
-router iterations, ``timing_driven``, ...) misses the flow-summary cache
-but *hits* the placement cache: the runner hands the stored design and
-anneal to :meth:`CadFlow.run`, which neither builds nor maps the circuit
-(it still re-packs the design), skips annealing (a timing-driven flow still
-polishes it) and goes on to routing.  Points with ``verify_stages`` (the
-lint reads the styled circuit) or generic mapping (the flow rejects a
-pre-mapped design there) build and map as on a miss.  The summary then
-carries ``placement_cache_hit`` (``True``/``False``), and — because the
-design and the anneal are deterministic in their key — the result is
-bit-identical to a cold run.
+effort), together with the packed design it placed.  A later point
+differing only in routing-side or timing options (channel width,
+``timing_driven``, ...) misses the flow-summary cache but *hits* the
+placement cache: the runner hands the stored design and anneal to
+:meth:`CadFlow.run`, which neither builds nor maps the circuit (it still
+re-packs the design), skips annealing (a timing-driven flow still polishes
+it) and goes on to routing.  The summary then carries
+``placement_cache_hit`` (``True``/``False``), and — because the design and
+the anneal are deterministic in their key — the result is bit-identical to
+a cold run.
 """
 
 from __future__ import annotations
@@ -133,9 +131,8 @@ def execute_point(point_data: Mapping[str, object]) -> dict[str, object]:
     placement cache first and persists any freshly computed wirelength
     anneal, with the packed design it placed, after a successful flow.  A
     hit runs the flow from the stored design, so it calls neither
-    ``build_circuit`` nor the mapper, unless the point sets
-    ``verify_stages`` or generic mapping.  A record whose placement or
-    design does not decode is flagged ``placement_cache_corrupt`` and the
+    ``build_circuit`` nor the mapper.  A record whose placement or design
+    does not decode is flagged ``placement_cache_corrupt`` and the
     point runs as a miss.  Store writes are atomic, so parallel workers can
     share one directory.
 
@@ -198,17 +195,8 @@ def execute_point(point_data: Mapping[str, object]) -> dict[str, object]:
 
         # A hit runs from the packed design its anneal placed: the placement
         # key hashes every input of that design, so re-building and
-        # re-mapping the circuit would reproduce it exactly.  The lint's
-        # netlist tier reads the styled circuit, and generic mapping rejects
-        # a pre-mapped design, so those points still build.
-        if (
-            design is not None
-            and point.options.use_template_mapping
-            and not point.options.verify_stages
-        ):
-            circuit: object = design
-        else:
-            circuit = build_circuit(point.circuit)
+        # re-mapping the circuit would reproduce it exactly.
+        circuit = design if design is not None else build_circuit(point.circuit)
         flow_options = point.options
         if artifact_store_root:
             flow_options = dataclasses.replace(
@@ -496,12 +484,6 @@ def check_executor(name: str) -> None:
             f"unknown executor {name!r}; "
             f"registered: {', '.join(available_executors())}"
         )
-
-
-def create_executor(config: RunnerConfig) -> Executor:
-    """Instantiate the backend *config* names."""
-    check_executor(config.executor)
-    return _EXECUTOR_FACTORIES[config.executor](config)
 
 
 register_executor("serial", lambda config: SerialExecutor())
@@ -969,9 +951,12 @@ def report_from_records(
     A store spanning a code edit holds several *generations* of the same
     points; pass *current_fingerprint* to keep only records stamped with it
     (what the CLI does by default) -- otherwise every generation is included
-    and points can appear once per generation.
+    and points can appear once per generation.  A retired generation whose
+    point no longer decodes (its options carry a field this code removed)
+    is skipped, and one WARNING counts the skipped records.
     """
     report = SweepReport(executor="store")
+    undecodable = 0
     for _key, record in records:
         if record.get("kind", "flow") != "flow":
             continue
@@ -980,12 +965,10 @@ def report_from_records(
             and record.get("fingerprint") != current_fingerprint
         ):
             continue
-        point_data = record.get("point")
-        if not isinstance(point_data, Mapping):
-            continue
         try:
-            point = SweepPoint.from_dict(point_data)
+            point = SweepPoint.from_dict(record["point"])  # type: ignore[arg-type]
         except (KeyError, TypeError, ValueError):
+            undecodable += 1
             continue
         report.outcomes.append(
             SweepOutcome(
@@ -997,6 +980,10 @@ def report_from_records(
                 attempts=list(record.get("attempts") or []),  # type: ignore[arg-type]
                 duration_s=record.get("duration_s"),  # type: ignore[arg-type]
             )
+        )
+    if undecodable:
+        logger.warning(
+            "skipped %d stored flow records whose point does not decode", undecodable
         )
     report.outcomes.sort(key=lambda outcome: outcome.point.label())
     report.cache_hits = len(report.outcomes)

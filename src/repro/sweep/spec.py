@@ -99,14 +99,14 @@ class SweepPoint:
         The record holds the wirelength anneal, which depends on strictly
         less than the full point: the circuit (and the code that maps it,
         folded in via the fingerprint), the fabric *geometry* -- grid size,
-        PLB parameters, IO pads per side -- the annealing seed/effort and the
-        mapping mode.  Routing-side knobs (channel width, connection/switch-box
-        topology, router iterations, bitstream generation) are deliberately
-        **excluded**: two points differing only in those share one placement
-        record, which is what lets the runner re-route an options-only
-        change without re-placing (incremental re-route).  So are the timing
-        knobs: a timing-driven flow polishes the cached anneal itself, so
-        timing-driven and default points with the same seed share a record.
+        PLB parameters, IO pads per side -- and the annealing seed/effort.
+        Routing-side knobs (channel width, connection/switch-box topology,
+        bitstream generation) are deliberately **excluded**: two points
+        differing only in those share one placement record, which is what
+        lets the runner re-route an options-only change without re-placing
+        (incremental re-route).  So are the timing knobs: a timing-driven
+        flow polishes the cached anneal itself, so timing-driven and default
+        points with the same seed share a record.
         """
         arch = self.architecture
         payload = {
@@ -121,7 +121,6 @@ class SweepPoint:
             },
             "seed": self.options.placement_seed,
             "effort": self.options.placement_effort,
-            "use_template_mapping": self.options.use_template_mapping,
         }
         return stable_digest(payload)
 

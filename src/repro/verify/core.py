@@ -10,10 +10,10 @@ Design notes
   rule declares which :class:`LintContext` artifacts it ``requires``; the
   runner silently skips rules whose inputs are absent (a netlist-only lint
   run does not "fail" the routing rules -- it never runs them).
-* Severities are ``"error"`` and ``"warning"``.  The CLI exit code and the
-  flow gate count both, but only errors are fatal by default: the paper's
-  structural warnings (isochronic forks, dangling diagnostic nets) are
-  expected on real circuits.
+* Severities are ``"error"`` and ``"warning"``.  The CLI reports both, but
+  only errors are fatal by default: the paper's structural warnings
+  (isochronic forks, dangling diagnostic nets) are expected on real
+  circuits.
 """
 
 from __future__ import annotations

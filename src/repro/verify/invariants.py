@@ -3,11 +3,11 @@
 The plain functions in this module are the single source of truth for the
 per-stage structural checks: :mod:`repro.fuzz` calls them on the mapped
 design and then on the finished ``CadFlow.run`` result (directly, not through
-the ``verify_stages`` gate, whose netlist rules would flag the degenerate
-netlists it generates on purpose), keeping its failure signatures and
-messages byte for byte so the shrunk corpus under ``tests/corpus/`` still
-replays.  The ``STG*`` lint rules below wrap the same functions for
-``repro-lint`` and the ``FlowOptions.verify_stages`` gate.
+:func:`repro.verify.lint.lint_flow_artifacts`, whose netlist rules would flag
+the degenerate netlists it generates on purpose), keeping its failure
+signatures and messages byte for byte so the shrunk corpus under
+``tests/corpus/`` still replays.  The ``STG*`` lint rules below wrap the same
+functions for ``repro-lint`` and ``lint_flow_artifacts``.
 
 Each function returns a list of problem strings (empty = the invariant
 holds) or ``None``/``str`` for single-shot checks; they never raise on a

@@ -7,8 +7,8 @@ Two entry points:
   the full CAD flow runs on a :func:`repro.circuits.generate.recommended_fabric`
   so the stage and bitstream tiers get real artifacts to audit.
 * :func:`lint_flow_artifacts` — audit the artifacts of an already executed
-  :class:`~repro.cad.flow.FlowResult`; this is what the
-  ``FlowOptions.verify_stages`` gate calls at the end of ``CadFlow.run``.
+  :class:`~repro.cad.flow.FlowResult`: the lint gate to run after
+  ``CadFlow.run`` (pass the styled circuit to add the netlist tier).
 * :func:`lint_stored_artifacts` — audit a
   :class:`~repro.artifacts.StoredFlowArtifacts` view rehydrated from an
   artifact store, re-deriving the fabric, RR graph, bitstream and per-PLB

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.verify.core import LintContext
-from repro.verify.lint import build_context, lint_circuit, _fill_from_flow, _stage_flow
+from repro.verify.lint import build_context, _fill_from_flow, _stage_flow
 
 #: Small circuits the mutators start from.
 QDI_SEED = "qdi_full_adder"

@@ -279,11 +279,7 @@ def test_stage_keys_are_distinct_and_validated():
 
 def test_flow_key_ignores_execution_side_options(tmp_path):
     plain = flow_artifact_key("qdi_full_adder", ARCH, FlowOptions())
-    stored = flow_artifact_key(
-        "qdi_full_adder",
-        ARCH,
-        FlowOptions(artifact_store=str(tmp_path), checkpoint_stages=("mapped",)),
-    )
+    stored = flow_artifact_key("qdi_full_adder", ARCH, FlowOptions(artifact_store=str(tmp_path)))
     assert plain == stored
     assert plain != flow_artifact_key("qdi_ripple_adder_2", ARCH, FlowOptions())
     assert plain != flow_artifact_key("qdi_full_adder", ARCH, FlowOptions(timing_driven=True))

@@ -7,17 +7,23 @@ from repro.cad.bitgen import ConfigurationError, configure_plb, generate_bitstre
 from repro.cad.flow import CadFlow, FlowOptions
 from repro.cad.lemap import LEFunction, MappedDesign, MappedLE, MappedPDE, MappedPLB
 from repro.cad.pack import pack_design
-from repro.cad.place import Placement, PlacementError, place_design
+from repro.cad.place import PlacementError, place_design
 from repro.cad.route import RoutingError, route_design
 from repro.cad.techmap import template_map
-from repro.cad.timing import TimingModel, analyse_timing
+from repro.cad.timing import (
+    CBOX_DELAY_PS,
+    SWITCH_DELAY_PS,
+    WIRE_SEGMENT_DELAY_PS,
+    analyse_timing,
+    routed_net_delay,
+)
 from repro.circuits.fulladder import micropipeline_full_adder, qdi_full_adder
 from repro.circuits.registry import build_circuit, circuit_registry
 from repro.core.fabric import Fabric
-from repro.core.params import ArchitectureParams, PLBParams
+from repro.core.params import ArchitectureParams
 from repro.core.plb import PLB
 from repro.core.rrgraph import RoutingResourceGraph, RRNodeType
-from repro.logic.functions import and_table, c_element_table, or_table
+from repro.logic.functions import c_element_table, or_table
 
 
 def _packed_qdi():
@@ -163,10 +169,9 @@ def test_every_registry_matched_delay_covers_its_datapath():
 def test_timing_model_routed_net_delay():
     params = ArchitectureParams(width=2, height=2)
     graph = RoutingResourceGraph(Fabric(params))
-    model = TimingModel()
     wire_ids = [node.node_id for node in graph.nodes if node.node_type is RRNodeType.WIRE][:3]
-    delay = model.routed_net_delay(graph, wire_ids)
-    assert delay == model.cbox_delay_ps * 2 + 3 * model.wire_segment_delay_ps + 2 * model.switch_delay_ps
+    delay = routed_net_delay(graph, wire_ids)
+    assert delay == CBOX_DELAY_PS * 2 + 3 * WIRE_SEGMENT_DELAY_PS + 2 * SWITCH_DELAY_PS
 
 
 # ----------------------------------------------------------------------
@@ -267,10 +272,10 @@ def test_cad_flow_options_allow_mapping_only():
 def test_cad_flow_generic_mapping_option():
     flow = CadFlow(
         ArchitectureParams(width=8, height=8),
-        FlowOptions(use_template_mapping=False, run_placement=False, run_routing=False,
-                    generate_bitstream=False),
+        FlowOptions(run_placement=False, run_routing=False, generate_bitstream=False),
     )
-    result = flow.run(qdi_full_adder())
+    # A raw netlist takes the generic gate-level mapper.
+    result = flow.run(qdi_full_adder().netlist)
     # The naive gate-level mapping needs far more LEs than the template mapping.
     assert len(result.mapped.les) > 10
 

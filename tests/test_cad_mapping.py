@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cad.lemap import LEFunction, MappedDesign, MappedLE, MappedPDE, MappedPLB, merge_mapped_designs
+from repro.cad.lemap import LEFunction, MappedDesign, MappedLE, MappedPLB, merge_mapped_designs
 from repro.cad.metrics import filling_ratio, utilisation_report
 from repro.cad.pack import PackingError, pack_design, packing_summary
 from repro.cad.techmap import MappingError, _qdi_rail_tables, generic_map, template_map

@@ -32,7 +32,7 @@ from repro.cad.pack import pack_design
 from repro.cad.place import NetCostCache, TimingObjective, place_design
 from repro.cad import route as route_module
 from repro.cad.route import RoutedNet, RoutingResult, refine_critical_nets, route_design
-from repro.cad.timing import TimingEngine, TimingModel, analyse_timing
+from repro.cad.timing import TimingEngine, analyse_timing, routed_net_delay
 from repro.circuits.registry import build_circuit
 from repro.core.fabric import Fabric
 from repro.core.params import ArchitectureParams, RoutingParams
@@ -105,11 +105,10 @@ def test_estimate_and_routed_delays_feed_the_engine():
 
     routing = route_design(design, placement, flow.rr_graph)
     assert routing.success
-    model = TimingModel()
     exact = engine.update_from_routing(routing, flow.rr_graph)
     assert exact.keys() == routing.routed.keys()
     for net, routed in routing.routed.items():
-        assert exact[net] == model.routed_net_delay(flow.rr_graph, routed.nodes)
+        assert exact[net] == routed_net_delay(flow.rr_graph, routed.nodes)
     assert engine.cycle_time_ps > 0
     assert flat_cycle > 0
 
@@ -245,13 +244,12 @@ def test_refine_critical_nets_improves_multiplier_and_stays_legal():
     placement = place_design(design, flow.fabric, seed=1)
     routing = route_design(design, placement, flow.rr_graph)
     assert routing.success
-    model = TimingModel()
-    engine = TimingEngine(design, model)
+    engine = TimingEngine(design)
     engine.update_from_routing(routing, flow.rr_graph)
     before_cycle = engine.cycle_time_ps
     before_wirelength = routing.total_wirelength
     before = {
-        net: model.routed_net_delay(flow.rr_graph, routed.nodes)
+        net: routed_net_delay(flow.rr_graph, routed.nodes)
         for net, routed in routing.routed.items()
     }
 
@@ -259,7 +257,6 @@ def test_refine_critical_nets_improves_multiplier_and_stays_legal():
         routing,
         flow.rr_graph,
         engine.criticalities(),
-        model,
         max_wirelength=int(before_wirelength * 1.02),
     )
     assert improved > 0  # the displacement pass finds real detours to cut
@@ -271,7 +268,7 @@ def test_refine_critical_nets_improves_multiplier_and_stays_legal():
     # Refined critical nets only ever got faster.
     crits = engine.criticalities()
     for net, routed in routing.routed.items():
-        after = model.routed_net_delay(flow.rr_graph, routed.nodes)
+        after = routed_net_delay(flow.rr_graph, routed.nodes)
         if crits.get(net, 0.0) >= 0.999:
             assert after <= before[net]
 

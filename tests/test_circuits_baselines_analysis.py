@@ -20,7 +20,6 @@ from repro.circuits.fifo import wchb_fifo, wchb_ring
 from repro.circuits.fulladder import micropipeline_full_adder, qdi_full_adder
 from repro.circuits.multiplier import qdi_multiplier
 from repro.circuits.registry import build_circuit, circuit_registry
-from repro.core.fabric import Fabric
 from repro.core.params import ArchitectureParams
 from repro.sim import GateLevelSimulator, drive
 from repro.sim.lesim import simulate_mapped_design

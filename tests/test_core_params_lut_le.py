@@ -6,7 +6,6 @@ from repro.core.le import LEConfig, LogicElement, ValiditySource, VALIDITY_SOURC
 from repro.core.lut import LUT, MultiOutputLUT, pin_names
 from repro.core.params import ArchitectureParams, LEParams, PLBParams, RoutingParams
 from repro.logic.functions import and_table, c_element_table, or_table, xor_table
-from repro.logic.truthtable import TruthTable
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,6 @@ from repro.circuits.fulladder import micropipeline_full_adder, qdi_full_adder, r
 from repro.core.params import ArchitectureParams
 from repro.sim import drive
 from repro.sim.fabricsim import simulate_on_fabric
-from repro.sim.hazards import count_glitches
 from repro.styles.base import LogicStyle
 
 

@@ -7,8 +7,6 @@ re-mapping or re-placing** its circuit — the summary reports
 to a cold run of the same point.
 """
 
-import pytest
-
 import repro.circuits.registry as registry
 from repro.artifacts import STAGES, ArtifactStore, load_flow_artifacts
 from repro.cad.flow import CadFlow, FlowOptions
@@ -76,11 +74,11 @@ def test_placement_match_rejects_other_design():
 def test_placement_key_ignores_routing_only_knobs():
     base = SweepPoint("qdi_full_adder", ARCH_CW8, FULL)
     rerouted = SweepPoint("qdi_full_adder", ARCH_CW10, FULL)
-    more_iterations = SweepPoint(
-        "qdi_full_adder", ARCH_CW8, FlowOptions(router_max_iterations=50)
+    no_bitstream = SweepPoint(
+        "qdi_full_adder", ARCH_CW8, FlowOptions(generate_bitstream=False)
     )
     assert base.placement_key() == rerouted.placement_key()
-    assert base.placement_key() == more_iterations.placement_key()
+    assert base.placement_key() == no_bitstream.placement_key()
     assert base.key() != rerouted.key()  # the *flow* keys still differ
 
 
@@ -262,22 +260,6 @@ def test_timing_driven_ladder_sweep_matches_cold_flows(tmp_path, monkeypatch):
             _assert_matches_cold_flows(points, report)
 
 
-@pytest.mark.parametrize(
-    "options",
-    [FlowOptions(verify_stages=True), FlowOptions(use_template_mapping=False)],
-    ids=["verify_stages", "generic_mapping"],
-)
-def test_lint_and_generic_mapping_hits_build_their_circuit(tmp_path, monkeypatch, options):
-    # The lint's netlist tier reads the styled circuit, and generic mapping
-    # rejects a pre-mapped design, so these hits build and map like a miss.
-    builds = _count_calls(monkeypatch, registry, "build_circuit")
-    points = _ladder("qdi_full_adder", options)
-    report = SweepRunner(store=tmp_path).run(points)
-    assert [o.summary["placement_cache_hit"] for o in report.outcomes] == [False, True]
-    assert builds == [("qdi_full_adder",)] * 2
-    _assert_matches_cold_flows(points, report)
-
-
 def test_stored_design_is_the_packed_artifact(tmp_path):
     # The record's design is the one the pack stage wrote: no later stage
     # (polish, routing ladder, refinement, timing, bitgen) may change it, or
@@ -303,11 +285,11 @@ def test_hit_writes_the_stage_artifacts_of_a_cold_run(tmp_path):
     assert hit == cold
 
 
-def test_router_iteration_change_also_hits_placement_cache(tmp_path):
+def test_timing_mode_change_also_hits_placement_cache(tmp_path):
     runner = SweepRunner(store=tmp_path)
     runner.run(SweepSpec.build(["qdi_full_adder"], ARCH_CW8, FULL))
     tweaked = SweepSpec.build(
-        ["qdi_full_adder"], ARCH_CW8, FlowOptions(router_max_iterations=50)
+        ["qdi_full_adder"], ARCH_CW8, FlowOptions(timing_driven=True)
     )
     report = runner.run(tweaked)
     assert report.cache_misses == 1

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 
 import pytest
 
@@ -39,7 +40,7 @@ def test_architecture_params_round_trip():
 
 
 def test_flow_options_round_trip_and_hashable():
-    options = FlowOptions(placement_seed=7, router_max_iterations=5)
+    options = FlowOptions(placement_seed=7, timing_tradeoff=0.25)
     rebuilt = FlowOptions.from_dict(options.to_dict())
     assert rebuilt == options
     assert hash(rebuilt) == hash(options)  # frozen dataclass
@@ -195,26 +196,6 @@ def test_premapped_circuit_rejected_on_mismatched_plb_params():
     assert mismatched.status == "error"
     assert mismatched.error["type"] == "MappingError"
     assert "different PLB parameters" in mismatched.error["message"]
-
-
-def test_premapped_circuit_rejected_when_generic_mapping_requested():
-    # A pre-mapped (template-built) registry circuit cannot honour
-    # use_template_mapping=False without a gate-level circuit to re-map from;
-    # serving the template numbers under the generic-mapping cache key would
-    # silently duplicate results across the two option sets.
-    generic = FlowOptions(
-        use_template_mapping=False,
-        run_placement=False,
-        run_routing=False,
-        generate_bitstream=False,
-    )
-    spec = SweepSpec.build(["qdi_ripple_adder_2"], ArchitectureParams(), (ANALYSIS_ONLY, generic))
-    report = SweepRunner().run(spec)
-    template_run, generic_run = report.outcomes
-    assert template_run.ok
-    assert generic_run.status == "error"
-    assert generic_run.error["type"] == "MappingError"
-    assert "generic mapping" in generic_run.error["message"]
 
 
 def test_transient_errors_are_not_cached(tmp_path, monkeypatch):
@@ -554,6 +535,23 @@ def test_report_from_records_filters_by_fingerprint(tmp_path):
         store.records(), current_fingerprint=code_fingerprint()
     )
     assert len(current_only.outcomes) == 1
+
+
+def test_report_from_records_counts_undecodable_records(tmp_path, caplog):
+    store = SweepResultStore(tmp_path)
+    spec = SweepSpec.build(["qdi_full_adder"], ArchitectureParams(), ANALYSIS_ONLY)
+    SweepRunner(store=store).run(spec)
+    # A retired generation whose options carry a field FlowOptions lost.
+    retired = json.loads(json.dumps(next(store.records())[1]))
+    retired["point"]["options"]["kernel"] = "numpy"
+    store.put("ff" + "0" * 62, retired)
+
+    with caplog.at_level(logging.WARNING, logger="repro.sweep.runner"):
+        report = report_from_records(store.records())
+    assert len(report.outcomes) == 1
+    warnings = [r for r in caplog.records if r.name == "repro.sweep.runner"]
+    assert [r.levelno for r in warnings] == [logging.WARNING]
+    assert "skipped 1 stored flow record" in warnings[0].getMessage()
 
 
 def test_placement_cache_disabled_strips_flag_from_cache_hits(tmp_path):

@@ -23,7 +23,6 @@ import pytest
 from repro.circuits.registry import build_circuit, circuit_registry
 from repro.verify import (
     LintConfig,
-    LintContext,
     lint_circuit,
     rule_registry,
     run_rules,
@@ -256,26 +255,24 @@ def test_validate_shim_dangling_escalation():
 
 
 # ----------------------------------------------------------------------
-# Flow gate: FlowOptions.verify_stages
+# Auditing an executed flow: lint_flow_artifacts
 # ----------------------------------------------------------------------
-def test_flow_verify_stages_gate():
+def test_lint_flow_artifacts_audits_a_clean_flow():
     from types import SimpleNamespace
 
-    from repro.cad.flow import CadFlow, FlowOptions
+    from repro.cad.flow import CadFlow
     from repro.cad.techmap import template_map
     from repro.circuits.generate import recommended_fabric
+    from repro.verify.lint import lint_flow_artifacts
 
     circuit = build_circuit("qdi_full_adder")
     architecture = recommended_fabric(SimpleNamespace(mapped=template_map(circuit)), slack=2)
-    result = CadFlow(architecture, FlowOptions(verify_stages=True)).run(circuit)
-    assert result.lint_findings == []
-    summary = result.summary()
-    assert summary["lint_errors"] == 0
-    assert summary["lint_warnings"] == 0
-
-    plain = CadFlow(architecture, FlowOptions()).run(circuit)
-    assert plain.lint_findings is None
-    assert "lint_errors" not in plain.summary()
+    flow = CadFlow(architecture)
+    result = flow.run(circuit)
+    report = lint_flow_artifacts(result, flow, styled=circuit)
+    assert report.findings == []
+    # The audit runs beside the flow: it adds nothing to the summary.
+    assert not [key for key in result.summary() if key.startswith("lint_")]
 
 
 # ----------------------------------------------------------------------
