@@ -15,6 +15,7 @@ from repro.cad.timing import (
     SWITCH_DELAY_PS,
     WIRE_SEGMENT_DELAY_PS,
     analyse_timing,
+    bbox_net_delay,
     routed_net_delay,
 )
 from repro.circuits.fulladder import micropipeline_full_adder, qdi_full_adder
@@ -172,6 +173,16 @@ def test_timing_model_routed_net_delay():
     wire_ids = [node.node_id for node in graph.nodes if node.node_type is RRNodeType.WIRE][:3]
     delay = routed_net_delay(graph, wire_ids)
     assert delay == CBOX_DELAY_PS * 2 + 3 * WIRE_SEGMENT_DELAY_PS + 2 * SWITCH_DELAY_PS
+
+
+def test_bbox_net_delay_estimates_a_straight_routed_tree():
+    # A net spanning k hops is charged like a routed tree of k + 1 segments.
+    params = ArchitectureParams(width=2, height=2)
+    graph = RoutingResourceGraph(Fabric(params))
+    wire_ids = [node.node_id for node in graph.nodes if node.node_type is RRNodeType.WIRE]
+    for span in range(3):
+        assert bbox_net_delay(span) == routed_net_delay(graph, wire_ids[: span + 1])
+    assert bbox_net_delay(1.4) == bbox_net_delay(1)  # half-perimeters round to whole hops
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Acceptance criterion: resuming ``CadFlow.run`` at any stage boundary — in
 this process or a fresh one — produces a bitstream and a ``summary()`` that
 are bit-identical to the straight-through run, for both circuit styles and
-for the timing-driven option variant.
+for the timing-driven option variant, and a resumed flow's stages audit
+exactly like the straight-through run's.
 """
 
 import json
@@ -20,6 +21,7 @@ from repro.cad.flow import CadFlow, FlowOptions
 from repro.circuits.generate import recommended_fabric
 from repro.circuits.registry import build_circuit
 from repro.core.params import ArchitectureParams, RoutingParams
+from repro.verify.lint import lint_flow_artifacts
 
 #: Two circuits per handshake style, small enough for a bounded runtime.
 PER_STAGE_CIRCUITS = ("qdi_full_adder", "micropipeline_full_adder")
@@ -112,6 +114,28 @@ def test_fallback_ladder_resume_is_bit_identical(tmp_path, caplog):
             )
         )
         != baseline
+    ]
+    assert mismatches == []
+
+
+def test_verify_stages_resume_is_bit_identical(tmp_path):
+    # lint_flow_artifacts audits the stages from the flow's artifacts alone,
+    # so a resumed flow must audit exactly like the straight-through run.
+    architecture = _architecture("qdi_full_adder")
+    options = FlowOptions(artifact_store=str(tmp_path / "arts"))
+
+    def audited(resume_from=None):
+        circuit = build_circuit("qdi_full_adder")
+        flow = CadFlow(architecture, options)
+        result = flow.run(circuit, resume_from=resume_from)
+        return _fingerprint(result), lint_flow_artifacts(result, flow, styled=circuit).to_json()
+
+    baseline = audited()
+    assert (baseline[1]["errors"], baseline[1]["warnings"]) == (0, 0)
+    mismatches = [
+        resume_from
+        for resume_from in ("placement", "routing", "auto")
+        if audited(resume_from) != baseline
     ]
     assert mismatches == []
 

@@ -19,6 +19,7 @@ from repro import api
 from repro.cad.flow import CadFlow, FlowOptions
 from repro.circuits.fulladder import qdi_full_adder
 from repro.core.params import ArchitectureParams
+from repro.verify.lint import lint_flow_artifacts
 
 GOLDEN_FILLING_RATIOS = {
     "micropipeline": 0.5185,
@@ -111,6 +112,18 @@ def test_golden_analysis_only_summary_key_set():
     options = FlowOptions(run_placement=False, run_routing=False, generate_bitstream=False)
     result = CadFlow(options=options).run(qdi_full_adder())
     assert set(result.summary().keys()) == ANALYSIS_ONLY_SUMMARY_KEYS
+
+
+def test_golden_summary_keys_with_verify_stages_gate():
+    # The lint gate audits a finished flow beside it and adds no summary key,
+    # so the locked base set is untouched (stored sweep records stay loadable).
+    flow = CadFlow(ArchitectureParams(width=5, height=5))
+    circuit = qdi_full_adder()
+    result = flow.run(circuit)
+    report = lint_flow_artifacts(result, flow, styled=circuit)
+    assert set(result.summary().keys()) == FULL_FLOW_SUMMARY_KEYS
+    assert report.error_count == 0
+    assert report.warning_count == 0
 
 
 def test_golden_flow_options_key_set():
