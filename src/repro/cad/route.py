@@ -20,12 +20,17 @@ Three cost layers compose in the hot loop:
   each coordinate, so ``manhattan / 2`` hops (times the cheapest possible
   per-node cost) never over-estimates the remaining cost.  RR-node
   coordinates take few values (49 grid cells on a 6x6 fabric), so the bound
-  is a per-cell table.  ``RoutingResult.node_pops`` counts heap pops, the
-  headline counter A* reduces.  Each search is additionally pruned to the
-  net's terminal bounding box (plus a margin); a net that cannot be reached
-  inside its box falls back to an unpruned search, so pruning never costs
-  routability.  Foreign pins and out-of-box nodes start every search
-  marked visited, so the relaxation loop tests neither.
+  is a per-cell table, built once per RR graph.  ``RoutingResult.node_pops``
+  counts heap pops, the headline counter A* reduces.  Each search is
+  additionally pruned to the net's terminal bounding box (plus a margin); a
+  net that cannot be reached inside its box falls back to an unpruned
+  search, so pruning never costs routability.
+
+The searches walk the RR graph's wire-only adjacency: a pin belongs to one
+net, so each search splices its own target pins in next to their wires
+(in a per-call copy; the shared graph is never written) and can reach no
+foreign pin.  Out-of-box wires start every search marked visited, so the
+relaxation loop tests neither pins nor boxes.
 
 The router is **incremental**: the first iteration routes every net, but
 later iterations rip up and re-route only *dirty* nets — nets whose routed
@@ -55,7 +60,6 @@ from __future__ import annotations
 
 import heapq
 import logging
-import operator
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Mapping, Sequence
 
@@ -377,67 +381,39 @@ def _delay_costs(graph: RoutingResourceGraph) -> list[float]:
 class _TreeSearch:
     """Grows routing trees over one RR graph: Dijkstra, or A* on a per-cell bound.
 
-    One instance serves one :func:`route_design` or
-    :func:`refine_critical_nets` call and memoises what recurs across its
-    searches: each node's grid cell, the Manhattan rows of the A* bound and
-    the blocked-node bytes of every pruning box.  Nothing is attached to the
-    graph.  ``pops`` counts heap pops over every :meth:`grow`.
+    The static tables come from the graph, built once per geometry: the
+    wire-only adjacency, each node's grid cell, the per-cell Manhattan rows
+    of the A* bound and the pruning-box masks.  One instance serves one
+    :func:`route_design` or :func:`refine_critical_nets` call.  It holds its
+    own copy of the adjacency's outer list, into which each :meth:`grow`
+    splices its target pins and restores the graph's entries afterwards, so
+    the graph's shared lists are never written and concurrent calls may
+    share one cached graph.  It memoises the blocked bytes of every pruning
+    box.  ``pops`` counts heap pops over every :meth:`grow`.
     """
 
     def __init__(self, graph: RoutingResourceGraph) -> None:
-        # Each node's own edge list, shared with the graph (no per-call copies).
-        self.neighbours = [node.edges for node in graph.nodes]
-        self.node_x = graph.x
-        self.node_y = graph.y
-        # RR-node coordinates take few distinct values (7x7 cells on a 6x6
-        # fabric), so per-cell tables are far smaller than per-node ones.
-        x0 = min(graph.x)
-        y0 = min(graph.y)
-        columns = max(graph.x) - x0 + 1
-        rows = max(graph.y) - y0 + 1
-        self.cell_of = [(x - x0) * rows + (y - y0) for x, y in zip(graph.x, graph.y)]
-        self.cell_x = [x0 + cell // rows for cell in range(columns * rows)]
-        self.cell_y = [y0 + cell % rows for cell in range(columns * rows)]
-        self.zero_bound = [0.0] * (columns * rows)
-        # Nodes no search may enter, one byte per node: every pin (a pin
-        # belongs to exactly one net) and, per pruning box, every node
-        # outside it.  Boxes and sink sets recur on every re-route.  A
-        # search copies the bytes into its visited flags and clears its own
-        # net's pins, so the inner loop needs no pin or box test of its own.
-        self.pins = bytes(not wire for wire in graph.is_wire)
+        self.graph = graph
+        self.adjacency = graph.wire_adjacency
+        self.neighbours = list(self.adjacency)
+        self.is_wire = graph.is_wire
+        self.cell_of = graph.cell_of
+        self.cell_distances = graph.cell_distances
+        self.zero_bound = [0.0] * len(graph.cell_distances)
+        # Wires no search may enter, one byte per node, per pruning box.
+        # Boxes recur on every re-route.  No search can reach a foreign pin,
+        # so pins are never flagged.
         self._blocked_by_box: dict[tuple[int, int, int, int] | None, bytes] = {
-            None: self.pins
+            None: bytes(len(graph))
         }
-        self._distance_rows: dict[int, list[int]] = {}
         self.pops = 0
 
     def blocked(self, box: tuple[int, int, int, int] | None) -> bytes:
-        """Every pin, plus every node outside *box* (``None``: no box)."""
+        """Every wire outside *box* (``None``: no box)."""
         blocked = self._blocked_by_box.get(box)
         if blocked is None:
-            x0, x1, y0, y1 = box
-            outside = bytes(
-                not (x0 <= x <= x1 and y0 <= y <= y1)
-                for x, y in zip(self.cell_x, self.cell_y)
-            )
-            if any(outside):
-                blocked = bytes(
-                    map(operator.or_, self.pins, map(outside.__getitem__, self.cell_of))
-                )
-            else:
-                blocked = self.pins  # the box spans the whole grid
-            self._blocked_by_box[box] = blocked
+            blocked = self._blocked_by_box[box] = self.graph.wires_outside(*box)
         return blocked
-
-    def _distances_to(self, sink: int) -> list[int]:
-        """Manhattan distance from every cell to *sink*'s cell."""
-        row = self._distance_rows.get(sink)
-        if row is None:
-            sx = self.node_x[sink]
-            sy = self.node_y[sink]
-            row = [abs(x - sx) + abs(y - sy) for x, y in zip(self.cell_x, self.cell_y)]
-            self._distance_rows[sink] = row
-        return row
 
     def grow(
         self,
@@ -454,23 +430,51 @@ class _TreeSearch:
         Stepping onto node ``n`` costs ``cost[n]``, or the timing blend
         ``crit * delay[n] + (1 - crit) * cost[n]`` when *crit* is nonzero.
         Nodes flagged in *blocked* (other than the source and the targets)
-        are never entered.  With an A* *factor* (``None``: plain Dijkstra)
-        the lower bound is ``factor`` times the Manhattan distance to the
-        nearest remaining target; it is admissible when *factor* is half the
-        cheapest step, since one hop moves at most one unit in each
-        coordinate.  ``None`` when a target cannot be reached.
+        are never entered, nor is any pin but the source and the targets.
+        With an A* *factor* (``None``: plain Dijkstra) the lower bound is
+        ``factor`` times the Manhattan distance to the nearest remaining
+        target; it is admissible when *factor* is half the cheapest step,
+        since one hop moves at most one unit in each coordinate.  ``None``
+        when a target cannot be reached.
         """
+        adjacency = self.adjacency
+        neighbours = self.neighbours
+        is_wire = self.is_wire
+        remaining = set(targets)
+        blocked = bytearray(blocked)
+        blocked[source] = 0
+        # Splice each target pin in next to its wires, in this instance's
+        # copy of the adjacency; the graph's own lists are never written.
+        spliced: list[int] = []
+        for sink in remaining:
+            blocked[sink] = 0
+            if not is_wire[sink]:
+                for wire in adjacency[sink]:
+                    neighbours[wire] = neighbours[wire] + [sink]
+                    spliced.append(wire)
+        try:
+            return self._search(source, remaining, cost, blocked, factor, crit, delay)
+        finally:
+            for wire in spliced:
+                neighbours[wire] = adjacency[wire]
+
+    def _search(
+        self,
+        source: int,
+        remaining: set[int],
+        cost: Sequence[float],
+        blocked: bytearray,
+        factor: float | None,
+        crit: float,
+        delay: Sequence[float],
+    ) -> list[int] | None:
         neighbours = self.neighbours
         cell_of = self.cell_of
+        cell_distances = self.cell_distances
         node_count = len(neighbours)
         infinity = float("inf")
         tree: set[int] = {source}
-        remaining = set(targets)
         anti_crit = 1.0 - crit
-        blocked = bytearray(blocked)
-        blocked[source] = 0
-        for sink in remaining:
-            blocked[sink] = 0
         pops = 0
         heappush = heapq.heappush
         heappop = heapq.heappop
@@ -479,7 +483,7 @@ class _TreeSearch:
             if factor is None:
                 bound = self.zero_bound
             else:
-                rows = [self._distances_to(sink) for sink in remaining]
+                rows = [cell_distances[cell_of[sink]] for sink in remaining]
                 nearest = rows[0] if len(rows) == 1 else list(map(min, *rows))
                 bound = [factor * distance for distance in nearest]
             # Dijkstra/A* from the current tree to the nearest remaining
@@ -800,7 +804,7 @@ def refine_critical_nets(
     result legal by construction:
 
     1. *hard-capacity* re-route: the new tree may only use free resources
-       (every pin but the net's own and every full node is blocked) — kept
+       (every full node is blocked; no search enters a foreign pin) — kept
        when its modelled delay strictly improves;
     2. *displacement*: when free resources don't suffice, the net takes its
        minimum-delay tree anyway (full nodes cost an epsilon per net they
@@ -819,7 +823,6 @@ def refine_critical_nets(
     if not routing.success or not routing.routed:
         return 0
     search = _TreeSearch(graph)
-    pins = search.pins
     capacity = graph.capacity
     base_cost = graph.base_cost
     delay = _delay_costs(graph)
@@ -829,9 +832,9 @@ def refine_critical_nets(
     # Which nets occupy each node (for displacement bookkeeping).
     users: dict[int, set[str]] = {}
     # The search inputs that follow occupancy, kept current node by node:
-    # hard capacity blocks every pin and every full node, and the
-    # displacement search's cost adds an epsilon per net a node would lose.
-    hard_blocked = bytearray(pins)
+    # hard capacity blocks every full node, and the displacement search's
+    # cost adds an epsilon per net a node would lose.
+    hard_blocked = bytearray(len(graph))
     free_cost = list(delay)
 
     def restep(node_id: int) -> None:
@@ -840,7 +843,7 @@ def refine_critical_nets(
             hard_blocked[node_id] = 1
             free_cost[node_id] = delay[node_id] + 0.001 * over
         else:
-            hard_blocked[node_id] = pins[node_id]
+            hard_blocked[node_id] = 0
             free_cost[node_id] = delay[node_id]
 
     def occupy(net: str, nodes: Sequence[int]) -> None:
@@ -881,7 +884,9 @@ def refine_critical_nets(
             accepted = hard_tree
             occupy(net, accepted)
         else:
-            free_tree = search.grow(source, old.sink_nodes, free_cost, pins, delay_factor)
+            free_tree = search.grow(
+                source, old.sink_nodes, free_cost, search.blocked(None), delay_factor
+            )
             if (
                 free_tree is not None
                 and routed_net_delay(graph, free_tree) < old_delay

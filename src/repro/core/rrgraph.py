@@ -57,10 +57,16 @@ class RoutingResourceGraph:
 
     Besides the :class:`RRNode` object list the graph carries **flattened
     parallel arrays** (:attr:`base_cost`, :attr:`capacity`, :attr:`is_wire`,
-    :attr:`x` and :attr:`y`), built once after construction.  The router's
-    hot loops index these plain lists (and each node's own ``edges`` list)
-    instead of chasing ``graph.node(i).attr`` per edge relaxation; the graph
-    is immutable after ``__init__``, so the arrays never go stale.
+    :attr:`x` and :attr:`y`) and the router's static search tables, built
+    once after construction: the wire-only :attr:`wire_adjacency`, each
+    node's grid cell (:attr:`cell_of`) with the per-cell Manhattan rows of
+    the A* bound (:attr:`cell_distances`), and the per-column and per-row
+    prefix masks (:attr:`wires_left_of`, :attr:`wires_below`) that
+    :meth:`wires_outside` turns into a pruning box's blocked bytes.  The
+    router's hot loops index these plain lists instead of chasing
+    ``graph.node(i).attr`` per edge relaxation.  The graph is immutable
+    after ``__init__``, so the tables never go stale, and one instance can
+    be shared by concurrent routers (:func:`cached_rr_graph`).
     """
 
     def __init__(self, fabric: Fabric) -> None:
@@ -210,17 +216,78 @@ class RoutingResourceGraph:
                 self._add_edge(ipin.node_id, wire)
 
     def _flatten(self) -> None:
-        """Build the flat parallel arrays the router's inner loops index."""
-        self.base_cost: list[float] = [node.base_cost for node in self.nodes]
-        self.capacity: list[int] = [node.capacity for node in self.nodes]
-        self.is_wire: list[bool] = [
-            node.node_type is RRNodeType.WIRE for node in self.nodes
-        ]
+        """Build the flat parallel arrays and search tables the router reads."""
+        nodes = self.nodes
+        self.base_cost: list[float] = [node.base_cost for node in nodes]
+        self.capacity: list[int] = [node.capacity for node in nodes]
+        self.is_wire: list[bool] = [node.node_type is RRNodeType.WIRE for node in nodes]
         # Node coordinates, flattened for the router's A* lower bound (one
         # switch-box or connection-box hop moves at most one unit in each
         # coordinate, so Manhattan distance / 2 under-counts the hops left).
-        self.x: list[int] = [node.x for node in self.nodes]
-        self.y: list[int] = [node.y for node in self.nodes]
+        self.x: list[int] = [node.x for node in nodes]
+        self.y: list[int] = [node.y for node in nodes]
+        # The search adjacency.  A pin belongs to exactly one net, so a
+        # search may enter no pin but its own source and sinks: a wire lists
+        # only its wire neighbours, and a pin keeps its own edge list, which
+        # holds only wires.  A search splices its target pins in next to
+        # their wires in a copy of its own.
+        self.wire_adjacency: list[list[int]] = [
+            [other for other in node.edges if self.is_wire[other]] if wire else node.edges
+            for node, wire in zip(nodes, self.is_wire)
+        ]
+        # RR-node coordinates take few distinct values (7x7 cells on a 6x6
+        # fabric), so the A* bound is a per-cell table: cell_distances[c]
+        # holds the Manhattan distance from every cell to cell c.
+        x0, y0 = min(self.x), min(self.y)
+        columns = max(self.x) - x0 + 1
+        rows = max(self.y) - y0 + 1
+        self.cell_of: list[int] = [
+            (x - x0) * rows + (y - y0) for x, y in zip(self.x, self.y)
+        ]
+        cells = [(x0 + cell // rows, y0 + cell % rows) for cell in range(columns * rows)]
+        self.cell_distances: list[list[int]] = [
+            [abs(x - cx) + abs(y - cy) for x, y in cells] for cx, cy in cells
+        ]
+        # Pruning-box masks, one byte per node (byte i of the little-endian
+        # int is node i): wires_left_of[j] flags every wire with x < x0 + j,
+        # wires_below[j] every wire with y < y0 + j.  See wires_outside.
+        self._grid_origin = (x0, y0)
+        self.wires_left_of = self._prefix_masks(self.x, x0, columns)
+        self.wires_below = self._prefix_masks(self.y, y0, rows)
+
+    def _prefix_masks(self, coordinates: list[int], origin: int, count: int) -> list[int]:
+        bands = [bytearray(len(coordinates)) for _ in range(count)]
+        for node_id, (coordinate, wire) in enumerate(zip(coordinates, self.is_wire)):
+            if wire:
+                bands[coordinate - origin][node_id] = 1
+        masks = [0]
+        for band in bands:
+            masks.append(masks[-1] | int.from_bytes(band, "little"))
+        return masks
+
+    def wires_outside(self, x0: int, x1: int, y0: int, y1: int) -> bytes:
+        """One byte per node, 1 on every wire outside ``[x0, x1] x [y0, y1]``.
+
+        The box may spill past the grid or be empty (``x0 > x1``: every wire
+        is outside); pins are never flagged.
+        """
+        left = self.wires_left_of
+        below = self.wires_below
+        columns = len(left) - 1
+        rows = len(below) - 1
+        gx, gy = self._grid_origin
+
+        def clamp(value: int, top: int) -> int:
+            return 0 if value < 0 else top if value > top else value
+
+        # Outside: x < x0, or y < y0, or not both x <= x1 and y <= y1.
+        within_high = left[clamp(x1 + 1 - gx, columns)] & below[clamp(y1 + 1 - gy, rows)]
+        outside = (
+            left[clamp(x0 - gx, columns)]
+            | below[clamp(y0 - gy, rows)]
+            | (left[columns] ^ within_high)
+        )
+        return outside.to_bytes(len(self.nodes), "little")
 
     # ------------------------------------------------------------------
     # Statistics

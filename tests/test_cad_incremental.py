@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cad import route as route_module
 from repro.cad.flow import CadFlow
 from repro.cad.pack import pack_design
 from repro.cad.place import (
@@ -412,6 +413,27 @@ def test_dirty_net_first_iteration_routes_every_net():
         count <= incremental.reroutes_per_iteration[0]
         for count in incremental.reroutes_per_iteration
     )
+
+
+def test_empty_pruning_box_falls_back_to_the_unpruned_search(monkeypatch):
+    # A margin of -100 empties every net's pruning box, so each search fails
+    # in its box (one pop: the source, whose wires are all blocked) and
+    # retries unpruned; a margin of 100 spans the grid, which is the same.
+    design, placement, graph = _place_and_graph("qdi_ripple_adder_2", 1)
+    monkeypatch.setattr(route_module, "BBOX_MARGIN", -100)
+    empty = route_design(design, placement, graph)
+    monkeypatch.setattr(route_module, "BBOX_MARGIN", 100)
+    spanning = route_design(design, placement, graph)
+
+    assert empty.success and spanning.success
+    _assert_legal(empty, graph)
+    assert empty.bbox_fallbacks == empty.total_reroutes > 0
+    assert spanning.bbox_fallbacks == 0
+    assert {net: tree.nodes for net, tree in empty.routed.items()} == {
+        net: tree.nodes for net, tree in spanning.routed.items()
+    }
+    assert empty.reroutes_per_iteration == spanning.reroutes_per_iteration
+    assert empty.node_pops == spanning.node_pops + empty.bbox_fallbacks
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The CAD hot paths: the placer's cost cache and default-option routing.
+"""The CAD hot paths: the placer's cost cache and the router's tree search.
 
 The annealer runs one cost cache, :class:`repro.cad.place.NetCostCache`,
 which proposes moves by terminal id over flat coordinate lists.
@@ -7,16 +7,28 @@ replaced, kept here as the oracle.  A hypothesis-driven random anneal
 protocol (single moves and swaps of PLB and IO terminals, then commit or
 reject) runs both move by move under both objectives and demands the same
 delta, total and counters at every step, and the plain total equal to the
-full :func:`repro.cad.place._hpwl` recompute.  The acceptance benches
-(``qdi_multiplier_2x2``, ``gen:mult8x8@micropipeline``) must route under
-default options, and a flow and a one-point sweep must route in a
-process where numpy cannot be imported.  Exact flow outputs are pinned by
+full :func:`repro.cad.place._hpwl` recompute.
+
+The router's ``_TreeSearch`` walks the RR graph's wire-only adjacency and
+splices each search's target pins in; :func:`reference_grow` is the search
+it replaced (full edge lists, pins blocked by byte, per-sink bound rows),
+and a hypothesis test demands the same tree and heap pops from both on
+random inputs.  Threads routing on one cached graph must reproduce their
+serial runs.  The acceptance benches (``qdi_multiplier_2x2``,
+``gen:mult8x8@micropipeline``) must route under default options, and a
+flow and a one-point sweep must route in a process where numpy cannot be
+imported.  Exact flow outputs are pinned by
 ``tests/test_golden_digests.py``.
 """
 
+import functools
+import heapq
+import operator
 import os
+import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -25,8 +37,11 @@ from hypothesis import strategies as st
 
 from repro.cad.flow import CadFlow, FlowOptions
 from repro.cad.place import NetCostCache, TimingObjective, WirelengthObjective, _hpwl
+from repro.cad.route import _delay_costs, _TreeSearch, route_design
 from repro.circuits.registry import build_circuit
+from repro.core.fabric import Fabric
 from repro.core.params import ArchitectureParams, RoutingParams
+from repro.core.rrgraph import RoutingResourceGraph, cached_rr_graph
 
 #: The standard routable fabric (the golden multiplier test's geometry).
 ROUTABLE = ArchitectureParams(routing=RoutingParams(channel_width=10))
@@ -344,3 +359,189 @@ def _check_against_reference(protocol, timing):
             reference.reject()
             cache.reject()
         same_state()
+
+
+# ----------------------------------------------------------------------
+# Router tree search against the reference, property-based
+# ----------------------------------------------------------------------
+def reference_grow(graph, source, targets, cost, blocked, factor, crit=0.0, delay=()):
+    """The router's tree search before it walked a wire-only adjacency.
+
+    It relaxes every node's full ``edges`` list, keeps foreign pins out
+    with one blocked byte per pin, and builds the A* bound per node from
+    each remaining sink's Manhattan distance.  *blocked* flags the other
+    nodes to keep out (outside the box, full).  Returns ``(tree, pops)``,
+    with ``None`` for the tree when a target cannot be reached.
+    """
+    count = len(graph)
+    start = bytearray(flag or not wire for flag, wire in zip(blocked, graph.is_wire))
+    start[source] = 0
+    for sink in targets:
+        start[sink] = 0
+    anti_crit = 1.0 - crit
+    tree = {source}
+    remaining = set(targets)
+    pops = 0
+    while remaining:
+        if factor is None:
+            bound = [0.0] * count
+        else:
+            bound = [
+                factor * min(abs(x - graph.x[s]) + abs(y - graph.y[s]) for s in remaining)
+                for x, y in zip(graph.x, graph.y)
+            ]
+        distances = [float("inf")] * count
+        previous = [0] * count
+        visited = bytearray(start)
+        for node_id in tree:
+            distances[node_id] = 0.0
+        heap = [(bound[node_id], 0.0, node_id) for node_id in tree]
+        heapq.heapify(heap)
+        found = -1
+        while heap:
+            _priority, distance, node_id = heapq.heappop(heap)
+            pops += 1
+            if visited[node_id]:
+                continue
+            visited[node_id] = 1
+            if node_id in remaining:
+                found = node_id
+                break
+            for neighbour in graph.nodes[node_id].edges:
+                if visited[neighbour]:
+                    continue
+                step = cost[neighbour]
+                if crit:
+                    step = crit * delay[neighbour] + anti_crit * step
+                new_distance = distance + step
+                if new_distance < distances[neighbour]:
+                    distances[neighbour] = new_distance
+                    previous[neighbour] = node_id
+                    heapq.heappush(
+                        heap, (new_distance + bound[neighbour], new_distance, neighbour)
+                    )
+        if found < 0:
+            return None, pops
+        cursor = found
+        while cursor not in tree:
+            tree.add(cursor)
+            cursor = previous[cursor]
+        remaining.discard(found)
+    return sorted(tree), pops
+
+
+@functools.cache
+def _search_graph(switchbox):
+    """A 4x4 fabric with IO pads, and its adjacency as first built."""
+    routing = RoutingParams(channel_width=4, switchbox=switchbox, io_pads_per_side=2)
+    graph = RoutingResourceGraph(Fabric(ArchitectureParams(width=4, height=4, routing=routing)))
+    return graph, tuple(map(tuple, graph.wire_adjacency))
+
+
+@st.composite
+def _search_case(draw):
+    graph, _adjacency = _search_graph(draw(st.sampled_from(["disjoint", "wilton"])))
+    count = len(graph)
+    pins = [node_id for node_id, wire in enumerate(graph.is_wire) if not wire]
+    source = draw(st.sampled_from(pins))
+    targets = draw(
+        st.lists(st.sampled_from(pins), min_size=1, max_size=4, unique=True).filter(
+            lambda targets: source not in targets
+        )
+    )
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    # PathFinder costs: base 1.0, with present overuse and history on a
+    # fifth of the nodes, so most steps tie.
+    cost = [1.0] * count
+    for node_id in rng.sample(range(count), count // 5):
+        cost[node_id] = 1.0 + 0.5 * rng.randint(1, 3) + 0.4 * rng.randint(0, 3)
+    # None, inside the grid (0..4 here), spilling past it, or empty.
+    box = draw(st.none() | st.tuples(*[st.integers(-3, 7)] * 4))
+    # Refinement's hard capacity: full nodes, pins included.
+    full = bytes(rng.random() < 0.1 for _ in range(count)) if draw(st.booleans()) else None
+    crit = draw(st.sampled_from([0.0, 0.3, 0.98]))
+    astar = draw(st.booleans())
+    return graph, source, targets, cost, box, full, crit, astar
+
+
+@settings(max_examples=200, deadline=None)
+@given(_search_case())
+def test_tree_search_matches_reference_search(case):
+    graph, source, targets, cost, box, full, crit, astar = case
+    delay = _delay_costs(graph)
+    factor = 0.5 * (crit * min(delay) + (1.0 - crit) * min(cost)) if astar else None
+    search = _TreeSearch(graph)
+    blocked = search.blocked(box)
+    if box is None:
+        outside = bytes(len(graph))
+    else:
+        x0, x1, y0, y1 = box
+        outside = bytes(
+            not (x0 <= x <= x1 and y0 <= y <= y1) for x, y in zip(graph.x, graph.y)
+        )
+    if full is not None:
+        blocked = bytes(map(operator.or_, blocked, full))
+        outside = bytes(map(operator.or_, outside, full))
+
+    tree = search.grow(source, targets, cost, blocked, factor, crit, delay)
+    assert (tree, search.pops) == reference_grow(
+        graph, source, targets, cost, outside, factor, crit, delay
+    )
+    # The splice lives in the search's own copy, and is undone after the grow.
+    assert all(map(operator.is_, search.neighbours, graph.wire_adjacency))
+    assert tuple(map(tuple, graph.wire_adjacency)) == _search_graph(
+        graph.fabric.params.routing.switchbox
+    )[1]
+
+
+# ----------------------------------------------------------------------
+# Concurrent routes on one shared cached RR graph
+# ----------------------------------------------------------------------
+def test_threads_routing_on_one_cached_graph_match_serial_runs():
+    # Four threads, more than the CPUs, switching every microsecond, each
+    # route their own placed design several times on the same cached graph.
+    cases = [
+        ("qdi_full_adder", 1),
+        ("micropipeline_full_adder", 2),
+        ("qdi_ripple_adder_2", 3),
+        ("wchb_fifo_4", 4),
+    ]
+    graph = cached_rr_graph(Fabric(ROUTABLE))
+    placed = []
+    for name, seed in cases:
+        flow = CadFlow(ROUTABLE, FlowOptions(placement_seed=seed, generate_bitstream=False))
+        result = flow.run(build_circuit(name))
+        assert flow.rr_graph is graph
+        placed.append((result.mapped, result.placement))
+
+    def outcome(design, placement):
+        routing = route_design(design, placement, graph)
+        trees = {net: tree.nodes for net, tree in routing.routed.items()}
+        return trees, routing.node_pops, routing.success
+
+    serial = [outcome(*pair) for pair in placed]
+    repeats = 3
+    results = [[] for _ in placed]
+    errors = []
+
+    def work(index):
+        try:
+            for _ in range(repeats):
+                results[index].append(outcome(*placed[index]))
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(index,)) for index in range(len(placed))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    assert all(success for _trees, _pops, success in serial)
+    assert results == [[expected] * repeats for expected in serial]
