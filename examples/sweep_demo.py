@@ -28,23 +28,24 @@ from pathlib import Path
 from repro import api, cli
 from repro.cad.flow import FlowOptions
 from repro.core.params import ArchitectureParams
-from repro.sweep import format_report, write_csv, write_json
+from repro.sweep import RunnerConfig, format_report, write_csv, write_json
 
 
 def demo_api(cache_dir: str) -> None:
     architectures = (ArchitectureParams(), ArchitectureParams().scaled(8, 8))
     options = FlowOptions(run_placement=False, run_routing=False, generate_bitstream=False)
+    config = RunnerConfig(executor="process", workers=4)
 
     print("=== Cold run: 4 workers, empty cache ===")
     report = api.run_sweep(
-        architectures=architectures, options=options, workers=4, cache_dir=cache_dir
+        architectures=architectures, options=options, store=cache_dir, config=config
     )
     print(format_report(report))
     print()
 
     print("=== Warm run: every point served from the store ===")
     cached = api.run_sweep(
-        architectures=architectures, options=options, workers=4, cache_dir=cache_dir
+        architectures=architectures, options=options, store=cache_dir, config=config
     )
     print(f"stats: {cached.stats()}")
     assert cached.flow_executions == 0, "second run must not re-execute any flow"

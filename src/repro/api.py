@@ -22,14 +22,15 @@ walk-throughs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.cad.flow import CadFlow, FlowOptions, FlowResult
 from repro.circuits.fulladder import micropipeline_full_adder, qdi_full_adder, reference_sum_carry
 from repro.core.params import ArchitectureParams
-from repro.sweep.runner import RetryPolicy, RunnerConfig, SweepReport, SweepRunner
+from repro.sweep.runner import RunnerConfig, SweepReport, SweepRunner
 from repro.sweep.spec import SweepSpec
+from repro.sweep.store import SweepResultStore
 from repro.sim.handshake import drive
 from repro.sim.lesim import simulate_mapped_design
 from repro.sim.netsim import GateLevelSimulator
@@ -88,18 +89,14 @@ def run_sweep(
     circuits: Iterable[str] | None = None,
     architectures: Iterable[ArchitectureParams] | ArchitectureParams | None = None,
     options: Iterable[FlowOptions] | FlowOptions | None = None,
-    workers: int = 1,
-    cache_dir: str | os.PathLike[str] | None = None,
-    executor: str | None = None,
+    store: SweepResultStore | str | os.PathLike[str] | None = None,
+    config: RunnerConfig = RunnerConfig(),
     placement_cache: bool = True,
-    artifact_dir: str | os.PathLike[str] | None = None,
-    timeout: float | None = None,
-    retries: int = 1,
-    backoff: float = 0.0,
-    fail_fast: bool = False,
-    fallback: Iterable[str] = (),
+    artifacts: str | os.PathLike[str] | None = None,
 ) -> SweepReport:
     """Run a (circuit × architecture × options) grid through the batch engine.
+
+    The last four parameters are :class:`~repro.sweep.SweepRunner`'s own.
 
     Parameters
     ----------
@@ -109,42 +106,27 @@ def run_sweep(
     architectures, options:
         Grid axes; single values or iterables, defaulting to the reference
         architecture with default flow options.
-    workers:
-        Pool size for the parallel backends; without an explicit ``executor``,
-        ``workers > 1`` selects the process backend and ``<= 1`` runs serial.
-    cache_dir:
-        Directory of the content-addressed result store.  Repeated sweeps are
-        served from it, and successful placements are cached alongside the
-        summaries, with the packed designs they placed, so a routing-only
-        option change re-routes without re-mapping or re-placing (the
-        summary then carries ``placement_cache_hit``).
-    executor:
-        Backend name -- ``"serial"``, ``"thread"``, ``"process"`` or anything
-        registered via :func:`repro.sweep.register_executor`.
+    store:
+        The content-addressed result store, or the directory of one.
+        Repeated sweeps are served from it, and successful placements are
+        cached alongside the summaries, with the packed designs they
+        placed, so a routing-only option change re-routes without
+        re-mapping or re-placing (the summary then carries
+        ``placement_cache_hit``).
+    config:
+        How the misses execute (:class:`~repro.sweep.RunnerConfig`): the
+        backend and its worker count, the per-point timeout, retries and
+        their backoff, fail-fast and the fallback ladder
+        (``docs/robustness.md``).  The default runs serially, one attempt
+        per point.
     placement_cache:
         Set ``False`` to disable placement caching / incremental re-route
         while keeping the summary cache.
-    artifact_dir:
+    artifacts:
         Directory of a stage-artifact store: each executed flow then
         checkpoints its stage boundaries there for bitstream re-rendering,
         lint audits and resumes (see ``docs/artifacts.md``).  Summaries and
         cache keys are unaffected.
-    timeout:
-        Per-point wall-clock budget in seconds; overruns record
-        ``status="timeout"`` and are never cached (``docs/robustness.md``).
-    retries:
-        Total attempts per point for transient failures and timeouts
-        (``1`` = no retries); maps to
-        :attr:`repro.sweep.RetryPolicy.max_attempts`.
-    backoff:
-        Base delay in seconds of the deterministic exponential backoff
-        between attempts; ``0`` retries immediately.
-    fail_fast:
-        Stop submitting after the first non-ok point; the rest of the grid
-        records ``status="skipped"``.
-    fallback:
-        Opt-in executor degradation ladder (e.g. ``("thread", "serial")``)
-        engaged after repeated worker-pool failures.
 
     Returns
     -------
@@ -161,34 +143,17 @@ def run_sweep(
             architectures if architectures is not None else ArchitectureParams(),
             options,
         )
-    config = RunnerConfig.from_workers(workers, executor)
-    config = replace(
-        config,
-        timeout_s=timeout,
-        retry=RetryPolicy(max_attempts=max(1, int(retries)), backoff_s=backoff),
-        fail_fast=fail_fast,
-        fallback=tuple(fallback),
-    )
-    runner = SweepRunner(
-        store=cache_dir,
-        config=config,
-        placement_cache=placement_cache,
-        artifacts=str(artifact_dir) if artifact_dir is not None else None,
-    )
-    return runner.run(spec)
+    return SweepRunner(store, config, placement_cache, artifacts).run(spec)
 
 
 def reproduce_filling_ratios(
     architecture: ArchitectureParams | None = None,
-    workers: int = 1,
-    cache_dir: str | os.PathLike[str] | None = None,
 ) -> list[dict[str, object]]:
     """The Section 5 experiment: filling ratios of both full adders.
 
     Returns one row per style with the measured filling ratio and the paper's
-    reported value for comparison.  Runs through the sweep engine (serial by
-    default, which is bit-identical to the single-flow path; pass ``workers``
-    / ``cache_dir`` to parallelise or cache).
+    reported value for comparison.  Runs through the sweep engine serially,
+    which is bit-identical to the single-flow path.
     """
     paper_values = {
         LogicStyle.MICROPIPELINE.value: 0.51,
@@ -198,8 +163,6 @@ def reproduce_filling_ratios(
         circuits=("micropipeline_full_adder", "qdi_full_adder"),
         architectures=architecture if architecture is not None else ArchitectureParams(),
         options=FlowOptions(run_placement=False, run_routing=False, generate_bitstream=False),
-        workers=workers,
-        cache_dir=cache_dir,
     )
     rows: list[dict[str, object]] = []
     for outcome in report.outcomes:

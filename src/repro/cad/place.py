@@ -44,8 +44,8 @@ from repro.cad.timing import CBOX_DELAY_PS, SWITCH_DELAY_PS, WIRE_SEGMENT_DELAY_
 from repro.core.fabric import Fabric, IOPad
 from repro.core.schema import decoding, require_version
 
-#: Schema version of :meth:`Placement.to_dict` payloads (version 0 = the
-#: unstamped PR-3 placement-cache layout, still accepted on read).
+#: Schema version of :meth:`Placement.to_dict` payloads; no other version
+#: is read.
 PLACEMENT_SCHEMA = 1
 
 #: Moves per temperature step: the annealer precomputes ``1 / temperature``
@@ -130,34 +130,31 @@ class Placement:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "Placement":
+        """Decode a :meth:`to_dict` payload; a missing key is corrupt."""
         require_version(data, "placement", PLACEMENT_SCHEMA)
         with decoding("placement"):
-            return cls._from_payload(data)
-
-    @classmethod
-    def _from_payload(cls, data: Mapping[str, object]) -> "Placement":
-        plb_sites = {
-            str(name): (int(site[0]), int(site[1]))
-            for name, site in dict(data["plb_sites"]).items()
-        }
-        io_sites = {
-            str(net): IOPad(
-                side=str(pad["side"]), position=int(pad["position"]), index=int(pad["index"])
+            return cls(
+                plb_sites={
+                    str(name): (int(site[0]), int(site[1]))
+                    for name, site in dict(data["plb_sites"]).items()
+                },
+                io_sites={
+                    str(net): IOPad(
+                        side=str(pad["side"]),
+                        position=int(pad["position"]),
+                        index=int(pad["index"]),
+                    )
+                    for net, pad in dict(data["io_sites"]).items()
+                },
+                cost=float(data["cost"]),
+                iterations=int(data["iterations"]),
+                initial_cost=float(data["initial_cost"]),
+                moves_accepted=int(data["moves_accepted"]),
+                net_evaluations=int(data["net_evaluations"]),
+                net_count=int(data["net_count"]),
+                wirelength=float(data["wirelength"]),
+                bbox_updates=int(data["bbox_updates"]),
             )
-            for net, pad in dict(data["io_sites"]).items()
-        }
-        return cls(
-            plb_sites=plb_sites,
-            io_sites=io_sites,
-            cost=float(data.get("cost", 0.0)),
-            iterations=int(data.get("iterations", 0)),
-            initial_cost=float(data.get("initial_cost", 0.0)),
-            moves_accepted=int(data.get("moves_accepted", 0)),
-            net_evaluations=int(data.get("net_evaluations", 0)),
-            net_count=int(data.get("net_count", 0)),
-            wirelength=float(data.get("wirelength", data.get("cost", 0.0))),
-            bbox_updates=int(data.get("bbox_updates", 0)),
-        )
 
     def matches_design(self, design: MappedDesign, fabric: Fabric) -> bool:
         """Whether this placement covers exactly *design* on *fabric*.

@@ -101,6 +101,9 @@ HIST_FAC = 0.4
 #: search pruning.
 BBOX_MARGIN = 3
 
+#: PathFinder iterations one negotiation may take before it fails.
+MAX_ITERATIONS = 30
+
 
 class RoutingError(RuntimeError):
     """Raised when the router cannot complete (unroutable or pin overflow)."""
@@ -541,7 +544,6 @@ def route_design(
     design: MappedDesign,
     placement: Placement,
     graph: RoutingResourceGraph,
-    max_iterations: int = 30,
     incremental: bool = True,
     criticalities: Mapping[str, float] | None = None,
     astar: bool = True,
@@ -549,6 +551,7 @@ def route_design(
 ) -> RoutingResult:
     """PathFinder routing of all inter-block nets of a placed design.
 
+    Negotiation runs at most :data:`MAX_ITERATIONS` PathFinder iterations.
     With ``incremental=True`` (the default) only dirty nets — nets whose
     routed trees touch an overused node — are ripped up and re-routed after
     the first iteration; ``incremental=False`` re-routes every net each
@@ -680,7 +683,7 @@ def route_design(
     best_overuse: int | None = None
     stalled = 0
     full_recovery = False
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         if iteration == 1 or not incremental or full_recovery:
             dirty = net_order
         else:
@@ -775,7 +778,6 @@ def route_design(
             design,
             placement,
             graph,
-            max_iterations=max_iterations,
             incremental=incremental,
             criticalities=criticalities,
             astar=False,

@@ -35,6 +35,7 @@ from typing import Sequence
 from repro.cad.flow import FlowOptions
 from repro.core.params import ArchitectureParams, RoutingParams
 from repro.sweep import (
+    RunnerConfig,
     StoreLockTimeout,
     SweepResultStore,
     available_executors,
@@ -153,20 +154,24 @@ def _options(args: argparse.Namespace) -> list[FlowOptions]:
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro import api
 
+    workers = max(1, args.workers)
+    config = RunnerConfig(
+        executor=args.executor or ("process" if workers > 1 else "serial"),
+        workers=workers,
+        timeout_s=args.timeout,
+        max_attempts=args.retries,
+        backoff_s=args.backoff,
+        fallback=tuple(args.fallback or ()),
+        fail_fast=args.fail_fast,
+    )
     report = api.run_sweep(
         circuits=args.circuit or None,
         architectures=_architectures(args),
         options=_options(args),
-        workers=args.workers,
-        cache_dir=args.store,
-        executor=args.executor,
+        store=args.store,
+        config=config,
         placement_cache=not args.no_placement_cache,
-        artifact_dir=args.artifacts,
-        timeout=args.timeout,
-        retries=args.retries,
-        backoff=args.backoff,
-        fail_fast=args.fail_fast,
-        fallback=tuple(args.fallback or ()),
+        artifacts=args.artifacts,
     )
     if args.csv:
         print(f"wrote {write_csv(report, args.csv)}")
@@ -310,7 +315,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     import json as json_module
 
     from repro.sweep.chaos import FaultPlan, run_campaign
-    from repro.sweep.runner import RetryPolicy
     from repro.sweep.spec import SweepSpec
 
     widths = args.channel_width or [8, 10]
@@ -343,16 +347,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         faulted_attempts=args.faulted_attempts,
         poison=args.poison or (),
     )
-    outcome = run_campaign(
-        spec,
-        plan,
-        store=args.store,
+    config = RunnerConfig(
         executor=args.executor,
         workers=args.workers,
         timeout_s=args.timeout,
-        retry=RetryPolicy(max_attempts=args.retries),
+        max_attempts=args.retries,
         max_point_crashes=args.max_point_crashes,
     )
+    outcome = run_campaign(spec, plan, store=args.store, config=config)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json_module.dump(outcome, handle, indent=1, sort_keys=True)

@@ -18,14 +18,14 @@ netlists:
 * :mod:`~repro.netlist.verilog` -- structural-Verilog export (for inspection
   and interoperability).
 * :mod:`~repro.netlist.dot` -- Graphviz export used by the examples.
-* :mod:`~repro.netlist.validate` -- structural lint checks (dangling nets,
-  multiple drivers, combinational loops outside state cells, ...).
+
+Structural lint checks (dangling nets, undriven nets, combinational loops
+outside state cells, ...) are the ``NET*`` rules of :mod:`repro.verify`.
 """
 
 from repro.netlist.celltypes import CellType, Library, standard_library
 from repro.netlist.netlist import Cell, Net, Netlist, PortDirection
 from repro.netlist.builder import NetlistBuilder
-from repro.netlist.validate import NetlistIssue, validate_netlist
 from repro.netlist.verilog import to_verilog
 from repro.netlist.dot import to_dot
 
@@ -38,8 +38,6 @@ __all__ = [
     "Netlist",
     "PortDirection",
     "NetlistBuilder",
-    "NetlistIssue",
-    "validate_netlist",
     "to_verilog",
     "to_dot",
 ]

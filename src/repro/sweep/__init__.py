@@ -17,8 +17,9 @@ The subsystem has six pieces:
   :class:`Executor` protocol (``serial`` / ``thread`` / ``process`` backends
   in-tree, third-party ones via :func:`register_executor`), with cache
   hit/miss accounting, incremental re-route from cached placements, and a
-  supervision layer (:class:`RetryPolicy` retries, per-point timeouts,
-  worker-crash recovery, poison quarantine, executor fallback);
+  supervision layer (retries with doubling backoff, per-point timeouts,
+  worker-crash recovery, poison quarantine, executor fallback), every
+  setting of which is a field of one :class:`RunnerConfig`;
 * :mod:`repro.sweep.chaos` -- the deterministic fault-injection harness
   (:class:`FaultPlan` / :class:`ChaosExecutor` / :class:`ChaosStore` /
   :func:`run_campaign`) that proves the supervision layer's recovery paths;
@@ -35,7 +36,6 @@ from repro.sweep.report import format_report, format_stats, write_csv, write_jso
 from repro.sweep.runner import (
     Executor,
     ProcessExecutor,
-    RetryPolicy,
     RunnerConfig,
     SerialExecutor,
     SweepOutcome,
@@ -66,7 +66,6 @@ __all__ = [
     "FaultPlan",
     "ProcessExecutor",
     "RECORD_STATUSES",
-    "RetryPolicy",
     "RunnerConfig",
     "STATUS_ERROR",
     "STATUS_OK",

@@ -9,10 +9,10 @@ kill produces a summary bit-identical to a fault-free run.
 Everything here is **seeded and deterministic**: whether attempt *n* of
 point *label* faults (and how) is a pure function of
 ``(FaultPlan.seed, label, n)`` via sha256, exactly like the fuzzer's seed
-streams and :meth:`RetryPolicy.delay_s`'s jitter.  Re-running a campaign
-with the same plan replays the same faults in the same order, which is
-what lets the test suite assert exact statuses and lets
-``repro-sweep chaos`` be a CI smoke step instead of a flake machine.
+streams.  Re-running a campaign with the same plan replays the same faults
+in the same order, which is what lets the test suite assert exact statuses
+and lets ``repro-sweep chaos`` be a CI smoke step instead of a flake
+machine.
 
 Three pieces:
 
@@ -48,7 +48,6 @@ from repro.sweep.runner import (
     _EXECUTOR_FACTORIES,
     BrokenExecutor,
     Executor,
-    RetryPolicy,
     RunnerConfig,
     SweepRunner,
     register_executor,
@@ -330,17 +329,13 @@ def run_campaign(
     spec_or_points: SweepSpec | Sequence[SweepPoint],
     plan: FaultPlan,
     store: str | None = None,
-    executor: str = "serial",
-    workers: int = 1,
-    timeout_s: float | None = None,
-    retry: RetryPolicy | None = None,
-    max_point_crashes: int = 2,
-    fallback: tuple[str, ...] = (),
+    config: RunnerConfig = RunnerConfig(),
 ) -> dict[str, object]:
     """Run one seeded chaos campaign and audit every recovery path.
 
     Three steps: a fault-free serial baseline (no store), the chaos run
-    (faults injected per *plan*, results written to *store* when given,
+    (faults injected per *plan* into the backend ``config.executor`` names,
+    run under the rest of *config*; results written to *store* when given,
     torn writes applied there), and the audit -- every chaos outcome that
     still carries a summary must match the baseline **bit-identically**
     (``summaries_match``), repeat-killers must end ``poisoned``, torn
@@ -349,7 +344,6 @@ def run_campaign(
     asserts on it.
     """
     points = as_points(spec_or_points)
-    retry = retry or RetryPolicy()
 
     baseline = SweepRunner(store=None).run(points)
     expected = {
@@ -357,20 +351,14 @@ def run_campaign(
     }
 
     chaos_store = ChaosStore(store, plan) if store is not None else None
-    with chaos_executor(plan, inner=executor) as instances:
-        config = RunnerConfig(
-            executor="chaos",
-            workers=workers,
-            timeout_s=timeout_s,
-            retry=retry,
-            max_point_crashes=max_point_crashes,
-            fallback=fallback,
-        )
+    with chaos_executor(plan, inner=config.executor) as instances:
         # placement_cache off: its summaries are documented bit-identical
         # to store-less runs, which is what makes the baseline comparison
         # exact (the cache would add a placement_cache_hit provenance key).
         report = SweepRunner(
-            store=chaos_store, config=config, placement_cache=False
+            store=chaos_store,
+            config=dataclasses.replace(config, executor="chaos"),
+            placement_cache=False,
         ).run(points)
 
     injected: Counter[str] = Counter()

@@ -48,15 +48,15 @@ Cache misses run under a supervision loop (see ``docs/robustness.md``):
   by discarding an overrun result -- where it cannot), producing
   ``status="timeout"`` records that are never cached;
 * **transient** failures (``OSError`` / ``MemoryError``, plus anything the
-  executor infrastructure itself raises) are retried per the seeded
-  :class:`RetryPolicy` with deterministic exponential backoff;
+  executor infrastructure itself raises) are re-attempted up to
+  ``max_attempts`` times, the delay doubling from ``backoff_s``;
 * a broken worker pool (``BrokenProcessPool`` and friends) no longer aborts
   the sweep: the pool is rebuilt, in-flight points are resubmitted, and a
   point that kills its worker more than ``max_point_crashes`` times is
   quarantined as ``status="poisoned"`` -- cached *with* its attempt history
   so ``repro-sweep stats`` can report it;
 * an opt-in ``fallback`` ladder degrades the backend (e.g. process -> thread
-  -> serial) after ``max_pool_rebuilds`` rebuilds of the same backend;
+  -> serial) after :data:`MAX_POOL_REBUILDS` rebuilds of the same backend;
 * ``fail_fast`` stops submitting after the first non-ok point and marks the
   rest ``status="skipped"``.
 
@@ -86,7 +86,6 @@ a cold run.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import logging
 import time
 from concurrent.futures import (
@@ -115,9 +114,13 @@ logger = logging.getLogger(__name__)
 
 #: Exception classes whose flow failures are *environmental* rather than
 #: deterministic: never cached, and retried in-run by the supervision loop
-#: when the :class:`RetryPolicy` grants attempts.  ``TimeoutError`` is an
+#: while ``RunnerConfig.max_attempts`` allows.  ``TimeoutError`` is an
 #: ``OSError`` subclass, so backend timeouts classify as transient too.
 TRANSIENT_EXCEPTIONS = (OSError, MemoryError)
+
+#: Pool rebuilds tolerated per backend before the ``fallback`` ladder
+#: degrades to the next backend (when one is configured).
+MAX_POOL_REBUILDS = 3
 
 
 def execute_point(point_data: Mapping[str, object]) -> dict[str, object]:
@@ -244,7 +247,7 @@ def execute_point(point_data: Mapping[str, object]) -> dict[str, object]:
             exc, TRANSIENT_EXCEPTIONS + (KeyError, MappingError)
         )
         # Transient (environmental) failures are additionally retried
-        # *in-run* by the supervision loop when the RetryPolicy allows.
+        # *in-run* by the supervision loop while max_attempts allows.
         record["transient"] = isinstance(exc, TRANSIENT_EXCEPTIONS)
     record["duration_s"] = round(time.perf_counter() - started, 6)
     # A single-attempt history; the supervision loop replaces it with the
@@ -362,64 +365,6 @@ class ProcessExecutor(_PoolExecutor):
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
-    """When and how the supervision loop re-attempts a failed point.
-
-    Only **transient** outcomes are retried: environmental flow failures
-    (``OSError`` / ``MemoryError``, marked ``transient`` in the record),
-    per-point timeouts, and executor-infrastructure errors.  Deterministic
-    flow failures (unroutable, unplaceable, mapping errors...) would fail
-    identically on every attempt, so they are never retried.  Worker
-    crashes are governed separately by ``RunnerConfig.max_point_crashes``
-    -- a crashed point is always resubmitted until it poisons out.
-
-    The policy is fully serializable and its backoff is **deterministic**:
-    the jitter for retry *n* of a given point is derived from
-    ``(seed, token, n)`` via sha256, so a replayed sweep sleeps the exact
-    same schedule (the chaos harness relies on this for bit-identical
-    replays).
-    """
-
-    #: Total attempts per point (1 = no retries).
-    max_attempts: int = 1
-    #: Base delay before the first retry; 0 disables backoff entirely.
-    backoff_s: float = 0.0
-    #: Exponential growth factor between consecutive retries.
-    backoff_factor: float = 2.0
-    #: Fractional +- jitter applied to each delay (0.1 = +-10%).
-    jitter: float = 0.1
-    #: Seed for the deterministic jitter stream.
-    seed: int = 0
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "max_attempts": self.max_attempts,
-            "backoff_s": self.backoff_s,
-            "backoff_factor": self.backoff_factor,
-            "jitter": self.jitter,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "RetryPolicy":
-        known = {f: data[f] for f in cls.__dataclass_fields__ if f in data}
-        return cls(**known)  # type: ignore[arg-type]
-
-    def delay_s(self, retry: int, token: str = "") -> float:
-        """Deterministic backoff before the *retry*-th re-attempt (1-based)."""
-        if self.backoff_s <= 0:
-            return 0.0
-        base = self.backoff_s * (self.backoff_factor ** max(0, retry - 1))
-        if self.jitter <= 0:
-            return base
-        digest = hashlib.sha256(
-            f"{self.seed}|{token}|{retry}".encode("utf-8")
-        ).digest()
-        unit = int.from_bytes(digest[:8], "big") / 2**64  # [0, 1)
-        return base * (1.0 + self.jitter * (2.0 * unit - 1.0))
-
-
-@dataclass(frozen=True)
 class RunnerConfig:
     """How a sweep executes -- independent of what it computes.
 
@@ -435,27 +380,23 @@ class RunnerConfig:
     #: the serial backend detects overruns cooperatively after the fact.
     #: Either way the point records ``status="timeout"`` and is never cached.
     timeout_s: float | None = None
-    #: Transient-failure retry policy (attempts, deterministic backoff).
-    retry: RetryPolicy = RetryPolicy()
+    #: Total attempts per point (1 = no retries).  Only transient outcomes
+    #: are re-attempted: environmental flow failures (``OSError`` /
+    #: ``MemoryError``), timeouts and executor-infrastructure errors.
+    #: Deterministic flow failures would fail identically every time, and
+    #: worker crashes are budgeted by ``max_point_crashes`` instead.
+    max_attempts: int = 1
+    #: Delay before the first re-attempt; re-attempt *n* waits
+    #: ``backoff_s * 2 ** (n - 1)`` seconds.  0 re-attempts at once.
+    backoff_s: float = 0.0
     #: A point that breaks the worker pool more than this many times is
     #: quarantined as ``status="poisoned"`` instead of being resubmitted.
     max_point_crashes: int = 2
-    #: Pool rebuilds tolerated per backend before the opt-in ``fallback``
-    #: ladder degrades to the next backend (when one is configured).
-    max_pool_rebuilds: int = 3
     #: Opt-in graceful-degradation ladder, e.g. ``("thread", "serial")``.
     fallback: tuple[str, ...] = ()
     #: Stop submitting after the first non-ok point; the rest of the grid
     #: is recorded as ``status="skipped"``.
     fail_fast: bool = False
-
-    @classmethod
-    def from_workers(cls, workers: int, executor: str | None = None) -> "RunnerConfig":
-        """The historical ``workers`` contract: ``<= 1`` serial, else process."""
-        workers = max(1, int(workers))
-        if executor is None:
-            executor = "process" if workers > 1 else "serial"
-        return cls(executor=executor, workers=workers)
 
 
 _EXECUTOR_FACTORIES: dict[str, Callable[[RunnerConfig], Executor]] = {}
@@ -504,7 +445,7 @@ class _PointRun:
         self.point = point
         #: Full per-attempt trail: ``{"outcome", "error", "duration_s"}``.
         self.attempts: list[dict[str, object]] = []
-        #: Attempts consumed against ``RetryPolicy.max_attempts`` (timeouts,
+        #: Attempts consumed against ``RunnerConfig.max_attempts`` (timeouts,
         #: transient flow errors, infrastructure errors -- NOT crashes).
         self.failures = 0
         #: Worker-pool breakages blamed on this point (poison budget).
@@ -555,7 +496,7 @@ class _Supervisor:
         self.pool_rebuilds += 1
         self._rebuilds_this_backend += 1
         if (
-            self._rebuilds_this_backend > self.config.max_pool_rebuilds
+            self._rebuilds_this_backend > MAX_POOL_REBUILDS
             and self._rung + 1 < len(self._ladder)
         ):
             self._rung += 1
@@ -580,7 +521,7 @@ class _Supervisor:
         """A pool that breaks before accepting work attaches no blame --
         but it must not loop forever either."""
         self._submit_failures += 1
-        budget = (self.config.max_pool_rebuilds + 1) * len(self._ladder) + 4
+        budget = (MAX_POOL_REBUILDS + 1) * len(self._ladder) + 4
         if self._submit_failures > budget:
             raise BrokenExecutor(
                 f"worker pool keeps breaking before accepting work "
@@ -659,18 +600,11 @@ class _Supervisor:
                     self._finalise_skipped(run)
                 break
             batch, pending = pending, []
-            # Deterministic backoff: one sleep per resubmission round, the
-            # longest of the batch's per-point delays.
-            delay = max(
-                (
-                    self.config.retry.delay_s(len(run.attempts), run.point.label())
-                    for run in batch
-                    if run.attempts
-                ),
-                default=0.0,
-            )
-            if delay > 0:
-                time.sleep(delay)
+            # Backoff: one sleep per resubmission round, for the batch's
+            # most re-attempted point (the delay doubles per re-attempt).
+            reattempt = max(len(run.attempts) for run in batch)
+            if reattempt and self.config.backoff_s > 0:
+                time.sleep(self.config.backoff_s * 2 ** (reattempt - 1))
             tokens: list[object] = []
             accepted = True
             for run in batch:
@@ -705,7 +639,7 @@ class _Supervisor:
         return [run.record for run in runs]  # type: ignore[misc]
 
     def _retryable(self, run: _PointRun) -> bool:
-        return run.failures < self.config.retry.max_attempts
+        return run.failures < self.config.max_attempts
 
     def _on_timeout(self, run: _PointRun, elapsed: float, pending: list) -> None:
         budget = self.config.timeout_s
@@ -998,15 +932,11 @@ class SweepRunner:
     store:
         A :class:`SweepResultStore`, a directory path to open one in, or
         ``None`` to disable caching entirely.
-    workers:
-        Pool size for the parallel backends.  Without an explicit
-        ``executor`` the historical contract applies: ``<= 1`` runs serial,
-        ``> 1`` selects the process backend.
-    executor:
-        Backend name (``serial`` / ``thread`` / ``process`` or anything
-        registered via :func:`register_executor`); overrides the
-        workers-based default.  A full :class:`RunnerConfig` may be passed
-        instead of the two scalars via ``config``.
+    config:
+        How the misses execute: the backend (``serial`` / ``thread`` /
+        ``process`` or anything registered via :func:`register_executor`),
+        its worker count and the supervision settings.  The default runs
+        serially, one attempt per point.
     placement_cache:
         When a store is attached, also cache wirelength anneals with the
         packed designs they placed, and re-route incrementally on
@@ -1025,28 +955,16 @@ class SweepRunner:
     def __init__(
         self,
         store: SweepResultStore | str | None = None,
-        workers: int = 1,
-        executor: str | None = None,
-        config: RunnerConfig | None = None,
+        config: RunnerConfig = RunnerConfig(),
         placement_cache: bool = True,
         artifacts: str | None = None,
     ) -> None:
         if isinstance(store, (str,)) or hasattr(store, "__fspath__"):
             store = SweepResultStore(store)
         self.store: SweepResultStore | None = store
-        if config is None:
-            config = RunnerConfig.from_workers(workers, executor)
-        elif workers != 1 or executor is not None:
-            raise ValueError(
-                "pass either config or the workers/executor scalars, not both"
-            )
         self.config = config
         self.placement_cache = placement_cache
         self.artifacts = str(artifacts) if artifacts is not None else None
-
-    @property
-    def workers(self) -> int:
-        return self.config.workers
 
     def run(
         self,

@@ -8,8 +8,8 @@ tiers:
   enable/suppress via :class:`LintConfig`, and the :class:`LintReport`
   text/JSON reporters;
 * :mod:`repro.verify.netlist_rules` -- the **netlist tier** (``NET*``,
-  ``QDI*``, ``MP*``): the structural checks historically in
-  :mod:`repro.netlist.validate` plus the paper-specific asynchronous
+  ``QDI*``, ``MP*``): the structural checks (undriven and dangling nets,
+  combinational loops, ...) plus the paper-specific asynchronous
   invariants (dual-rail coherence, completion coverage, acknowledge
   reachability, isochronic forks, hazard-prone gates, matched delays);
 * :mod:`repro.verify.invariants` -- the **stage tier** (``STG*``): the

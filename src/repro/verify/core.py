@@ -105,9 +105,8 @@ class LintConfig:
     suppressed: frozenset[str] = frozenset()
     #: Fanout bound of the isochronic-fork heuristic (NET008).
     isochronic_fanout_limit: int = 8
-    #: Severity overrides keyed by rule code or name (the
-    #: :func:`repro.netlist.validate.validate_netlist` compatibility shim
-    #: uses this to escalate dangling nets when requested).
+    #: Severity overrides keyed by rule code or name, e.g.
+    #: ``{"NET002": "error"}`` escalates dangling nets.
     severity_overrides: Mapping[str, str] = field(default_factory=dict)
 
     def selects(self, rule: "LintRule") -> bool:

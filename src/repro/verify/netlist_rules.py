@@ -1,10 +1,10 @@
 """Netlist-tier lint rules: ``NET*`` structure, ``QDI*`` protocol, ``MP*`` timing.
 
-The ``NET*`` rules absorb the historical :mod:`repro.netlist.validate`
-checks (which now delegate here through a compatibility shim) and add the
-dataflow cones; the ``QDI*`` rules encode the paper's quasi-delay-
-insensitive structural discipline; ``MP001`` bounds every micropipeline
-matched delay against a static estimate of the logic depth it covers.
+The ``NET*`` rules check netlist structure (undriven and dangling nets,
+unused inputs, combinational loops) and the dataflow cones; the ``QDI*``
+rules encode the paper's quasi-delay-insensitive structural discipline;
+``MP001`` bounds every micropipeline matched delay against a static
+estimate of the logic depth it covers.
 """
 
 from __future__ import annotations

@@ -91,9 +91,11 @@ def test_route_design_success_and_capacity_respected():
         assert routed.source_node in routed.nodes
 
 
-def test_route_design_narrow_channels_may_fail_gracefully():
+def test_route_design_narrow_channels_may_fail_gracefully(monkeypatch):
+    import repro.cad.route as route_module
     from repro.core.params import RoutingParams
 
+    monkeypatch.setattr(route_module, "MAX_ITERATIONS", 3)
     design = _packed_qdi()
     params = ArchitectureParams(width=2, height=2, routing=RoutingParams(channel_width=2, io_pads_per_side=6))
     fabric = Fabric(params)
@@ -103,7 +105,7 @@ def test_route_design_narrow_channels_may_fail_gracefully():
     # track index) some pin pairs are genuinely unreachable, so the router may
     # legitimately raise; otherwise it must either succeed or report overuse.
     try:
-        result = route_design(design, placement, graph, max_iterations=3)
+        result = route_design(design, placement, graph)
     except RoutingError:
         return
     if not result.success:

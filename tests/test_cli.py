@@ -7,7 +7,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.fingerprint import code_fingerprint
-from repro.sweep import SweepResultStore
+from repro.sweep import RunnerConfig, SweepResultStore
 
 RUN_ARGS = [
     "run",
@@ -284,7 +284,17 @@ def test_supervision_flags_reject_bad_values():
         assert excinfo.value.code == 2, argv
 
 
-def test_run_accepts_supervision_flags(tmp_path, capsys):
+def test_run_accepts_supervision_flags(tmp_path, capsys, monkeypatch):
+    import repro.api as api
+
+    configs = []
+    runner = api.SweepRunner
+
+    def recording_runner(store, config, *rest):
+        configs.append(config)
+        return runner(store, config, *rest)
+
+    monkeypatch.setattr(api, "SweepRunner", recording_runner)
     store_dir = str(tmp_path / "store")
     assert (
         main(
@@ -306,6 +316,16 @@ def test_run_accepts_supervision_flags(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert "ok=2" in out and "poisoned=0" in out and "skipped=0" in out
+    config = configs[0]
+    assert (config.timeout_s, config.max_attempts, config.backoff_s) == (120.0, 2, 0.001)
+    assert config.fail_fast and config.executor == "serial"
+    # --workers alone keeps the documented default: process when > 1, and
+    # --executor overrides it.  Every point is cached by now, so no pool starts.
+    assert main(RUN_ARGS + ["--store", store_dir, "--workers", "2", "--quiet"]) == 0
+    assert configs[1] == RunnerConfig(executor="process", workers=2)
+    argv = RUN_ARGS + ["--store", store_dir, "--workers", "2", "--executor", "thread"]
+    assert main(argv + ["--quiet"]) == 0
+    assert configs[2] == RunnerConfig(executor="thread", workers=2)
 
 
 def test_chaos_rejects_unknown_poison_label(capsys):

@@ -3,15 +3,19 @@
 The CI docs gate: every import statement inside a ```python fence of
 README.md / docs/*.md must execute, every dotted ``repro.*`` name anywhere
 in those files must resolve to a real module/attribute, every ``api.<name>``
-reference must exist on :mod:`repro.api`, every ``repro-sweep``
-subcommand the docs mention must exist in the CLI parser, and every long
-``--flag`` must be an option of ``repro-sweep``, ``repro-lint``,
-``repro-fuzz`` or ``benchmarks/bench_cad_flow.py``.  Renaming a public
-symbol or deleting a flag without updating the docs fails this file.
+reference must exist on :mod:`repro.api`, every keyword a python fence
+passes to an ``api.*`` function or to a name imported from ``repro`` must
+be a parameter of that callable, every ``repro-sweep`` subcommand the docs
+mention must exist in the CLI parser, and every long ``--flag`` must be an
+option of ``repro-sweep``, ``repro-lint``, ``repro-fuzz`` or
+``benchmarks/bench_cad_flow.py``.  Renaming a public symbol, a parameter
+or a flag without updating the docs fails this file.
 """
 
 import argparse
+import ast
 import importlib
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -96,6 +100,54 @@ def test_api_references_exist():
     for name, text in _doc_texts():
         for attribute in API_RE.findall(text):
             assert hasattr(repro.api, attribute), f"{name}: api.{attribute} missing"
+
+
+def _repro_bindings(tree: ast.AST) -> dict[str, object]:
+    """Local name -> object for ``api`` and every ``from repro... import``."""
+    bindings: dict[str, object] = {"api": repro.api}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "repro":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                bindings[alias.asname or alias.name] = getattr(module, alias.name)
+    return bindings
+
+
+def _callee(func: ast.expr, bindings: dict[str, object]) -> object | None:
+    """What a call's callee names, when it is a binding or an attribute path
+    from one (``api.run_sweep``, ``SweepSpec.build``); else ``None``."""
+    if isinstance(func, ast.Name):
+        return bindings.get(func.id)
+    if isinstance(func, ast.Attribute):
+        owner = _callee(func.value, bindings)
+        if owner is not None:
+            assert hasattr(owner, func.attr), f"{ast.unparse(func)} does not exist"
+            return getattr(owner, func.attr)
+    return None
+
+
+def test_documented_keywords_are_parameters():
+    checked = 0
+    for name, code in _python_fences():
+        tree = ast.parse(code)
+        bindings = _repro_bindings(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = _callee(node.func, bindings)
+            if not callable(callee):
+                continue
+            parameters = inspect.signature(callee).parameters
+            if any(p.kind is p.VAR_KEYWORD for p in parameters.values()):
+                continue  # forwards keywords it does not name
+            for keyword in node.keywords:
+                if keyword.arg is None:
+                    continue  # a ** mapping
+                checked += 1
+                assert keyword.arg in parameters, (
+                    f"{name}: {ast.unparse(node.func)}() has no parameter {keyword.arg!r}"
+                )
+    assert checked, "docs should pass keywords to repro callables"
 
 
 def test_cli_subcommand_references_exist():

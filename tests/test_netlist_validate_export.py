@@ -2,9 +2,17 @@
 
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.netlist import Netlist, PortDirection
-from repro.netlist.validate import has_errors, validate_netlist
 from repro.netlist.verilog import library_stub, to_verilog
 from repro.netlist.dot import to_dot
+from repro.verify.core import LintConfig, LintContext, LintReport, run_rules
+
+#: The structural rules (undriven, dangling, undriven output, unused input,
+#: combinational loop).
+STRUCTURAL = LintConfig(enabled=frozenset({"NET001", "NET002", "NET003", "NET004", "NET005"}))
+
+
+def _validate(netlist: Netlist) -> LintReport:
+    return run_rules(LintContext(name=netlist.name, netlist=netlist), STRUCTURAL)
 
 
 def _good_netlist() -> Netlist:
@@ -16,41 +24,43 @@ def _good_netlist() -> Netlist:
 
 
 def test_validate_clean_netlist():
-    issues = validate_netlist(_good_netlist())
-    assert not has_errors(issues)
+    assert _validate(_good_netlist()).ok
 
 
 def test_validate_undriven_net():
     netlist = Netlist("bad")
     netlist.add_port("o", PortDirection.OUTPUT)
     netlist.add_cell("g", "INV", {"a": "floating", "z": "o"})
-    issues = validate_netlist(netlist)
-    assert has_errors(issues)
-    assert any(issue.code == "undriven-net" for issue in issues)
+    report = _validate(netlist)
+    assert not report.ok
+    assert any(finding.name == "undriven-net" for finding in report.findings)
 
 
 def test_validate_undriven_output():
     netlist = Netlist("bad2")
     netlist.add_port("o", PortDirection.OUTPUT)
-    issues = validate_netlist(netlist)
-    assert any(issue.code == "undriven-output" for issue in issues)
+    report = _validate(netlist)
+    assert any(finding.name == "undriven-output" for finding in report.findings)
 
 
 def test_validate_unused_input_warning():
     netlist = Netlist("warn")
     netlist.add_port("i", PortDirection.INPUT)
-    issues = validate_netlist(netlist)
-    assert any(issue.code == "unused-input" and issue.severity == "warning" for issue in issues)
-    assert not has_errors(issues)
+    report = _validate(netlist)
+    assert any(
+        finding.name == "unused-input" and finding.severity == "warning"
+        for finding in report.findings
+    )
+    assert report.ok
 
 
 def test_validate_dangling_net_warning():
     builder = NetlistBuilder("dangle")
     a = builder.input("a")
     builder.inv(a)  # output net read by nothing
-    issues = validate_netlist(builder.build())
-    assert any(issue.code == "dangling-net" for issue in issues)
-    assert not has_errors(issues)
+    report = _validate(builder.build())
+    assert any(finding.name == "dangling-net" for finding in report.findings)
+    assert report.ok
 
 
 def test_validate_combinational_loop():
@@ -58,24 +68,14 @@ def test_validate_combinational_loop():
     netlist.add_port("i", PortDirection.INPUT)
     netlist.add_cell("g1", "AND2", {"a0": "i", "a1": "w2", "z": "w1"})
     netlist.add_cell("g2", "BUF", {"a": "w1", "z": "w2"})
-    issues = validate_netlist(netlist)
-    assert any(issue.code == "combinational-loop" for issue in issues)
-    assert has_errors(issues)
+    report = _validate(netlist)
+    assert any(finding.name == "combinational-loop" for finding in report.findings)
+    assert not report.ok
 
 
 def test_validate_sequential_loop_ok():
-    issues = validate_netlist(_good_netlist())
-    assert not any(issue.code == "combinational-loop" for issue in issues)
-
-
-def test_issue_str():
-    issues = validate_netlist(Netlist("empty") )
-    # Just exercise __str__ on a synthetic issue.
-    from repro.netlist.validate import NetlistIssue
-
-    text = str(NetlistIssue("error", "some-code", "message"))
-    assert "some-code" in text and "error" in text
-    assert issues == []
+    report = _validate(_good_netlist())
+    assert not any(finding.name == "combinational-loop" for finding in report.findings)
 
 
 def test_verilog_export_structure():

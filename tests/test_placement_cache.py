@@ -7,6 +7,8 @@ re-mapping or re-placing** its circuit — the summary reports
 to a cold run of the same point.
 """
 
+import pytest
+
 import repro.circuits.registry as registry
 from repro.artifacts import STAGES, ArtifactStore, load_flow_artifacts
 from repro.cad.flow import CadFlow, FlowOptions
@@ -16,9 +18,10 @@ from repro.circuits.registry import build_circuit
 from repro.cad.techmap import template_map
 from repro.core.fabric import Fabric
 from repro.core.params import ArchitectureParams, RoutingParams
+from repro.core.schema import CorruptArtifactError
 from repro.cad.pack import pack_design
 from repro.styles.base import StyledCircuit
-from repro.sweep import SweepPoint, SweepResultStore, SweepRunner, SweepSpec
+from repro.sweep import RunnerConfig, SweepPoint, SweepResultStore, SweepRunner, SweepSpec
 
 ARCH_CW8 = ArchitectureParams()
 ARCH_CW10 = ArchitectureParams(routing=RoutingParams(channel_width=10))
@@ -42,6 +45,28 @@ def test_placement_round_trips_through_dict():
     assert rebuilt.io_sites == placement.io_sites
     assert rebuilt.cost == placement.cost
     assert rebuilt.matches_design(mapped, fabric)
+
+
+@pytest.mark.parametrize(
+    "counter",
+    [
+        "cost",
+        "iterations",
+        "initial_cost",
+        "moves_accepted",
+        "net_evaluations",
+        "net_count",
+        "wirelength",
+        "bbox_updates",
+    ],
+)
+def test_placement_missing_counter_is_corrupt(counter):
+    # A truncated record must not decode with the counter read as zero.
+    _, _, placement = _placed_design()
+    payload = placement.to_dict()
+    del payload[counter]
+    with pytest.raises(CorruptArtifactError, match=counter):
+        Placement.from_dict(payload)
 
 
 def test_placement_match_rejects_overlapping_sites_and_pads():
@@ -185,7 +210,9 @@ def test_parallel_run_matches_serial_placement_cache_behaviour(tmp_path):
     )
     spec = SweepSpec.build(["qdi_full_adder"], architectures, FULL)
     serial = SweepRunner(store=tmp_path / "serial").run(spec)
-    parallel = SweepRunner(store=tmp_path / "parallel", workers=3).run(spec)
+    parallel = SweepRunner(
+        store=tmp_path / "parallel", config=RunnerConfig(executor="process", workers=3)
+    ).run(spec)
     hits = [outcome.summary["placement_cache_hit"] for outcome in parallel.outcomes]
     assert hits == [False, True, True]  # leader placed, followers reused
     assert parallel.summaries() == serial.summaries()

@@ -6,7 +6,6 @@ from repro.asynclogic.channels import Channel
 from repro.asynclogic.encodings import BundledDataEncoding, DualRailEncoding
 from repro.circuits.fulladder import reference_sum_carry
 from repro.logic.functions import xor_table
-from repro.netlist.validate import has_errors, validate_netlist
 from repro.sim import GateLevelSimulator, drive
 from repro.sim.handshake import HandshakeDeadlock
 from repro.styles import (
@@ -21,6 +20,16 @@ from repro.styles import (
     wchb_pipeline,
 )
 from repro.styles.base import StyledCircuit
+from repro.verify import LintConfig, LintContext, run_rules
+
+#: The structural netlist rules (undriven, dangling, undriven output,
+#: unused input, combinational loop).
+STRUCTURAL = LintConfig(enabled=frozenset({"NET001", "NET002", "NET003", "NET004", "NET005"}))
+
+
+def _structurally_sound(circuit: StyledCircuit) -> bool:
+    context = LintContext(name=circuit.name, netlist=circuit.netlist)
+    return run_rules(context, STRUCTURAL).ok
 
 
 # ----------------------------------------------------------------------
@@ -55,7 +64,7 @@ def test_styled_circuit_helpers():
 def test_qdi_full_adder_structure():
     circuit = qdi_full_adder_block()
     assert circuit.style is LogicStyle.QDI_DUAL_RAIL
-    assert not has_errors(validate_netlist(circuit.netlist))
+    assert _structurally_sound(circuit)
     histogram = circuit.netlist.cell_histogram()
     # DIMS: one C-tree per input combination (8 combinations) plus completion.
     assert sum(count for name, count in histogram.items() if name.startswith("C")) >= 8
@@ -91,7 +100,7 @@ def test_drive_raises_when_the_circuit_stops_acknowledging():
 def test_qdi_full_adder_one_of_four():
     circuit = qdi_full_adder_block(encoding="1-of-4")
     assert circuit.style is LogicStyle.QDI_ONE_OF_FOUR
-    assert not has_errors(validate_netlist(circuit.netlist))
+    assert _structurally_sound(circuit)
     vectors = [(1, 0, 1), (1, 1, 1), (0, 0, 0), (0, 1, 1)]
     run = drive(
         circuit,
@@ -148,7 +157,7 @@ def test_micropipeline_full_adder_structure():
     assert circuit.uses_delay_element
     assert circuit.netlist.cell_histogram().get("DELAY") == 1
     assert circuit.netlist.cell_histogram().get("LATCH") == 2
-    assert not has_errors(validate_netlist(circuit.netlist))
+    assert _structurally_sound(circuit)
     delay_cell = [c for c in circuit.netlist.iter_cells() if c.type_name == "DELAY"][0]
     assert int(delay_cell.attributes["delay"]) == circuit.metadata["matched_delay"]
 

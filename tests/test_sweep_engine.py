@@ -1,6 +1,7 @@
 """Tests of the batch sweep engine: spec hashing, store, runner, reporters."""
 
 import csv
+import dataclasses
 import json
 import logging
 
@@ -25,6 +26,7 @@ from repro.sweep import (
 )
 
 ANALYSIS_ONLY = FlowOptions(run_placement=False, run_routing=False, generate_bitstream=False)
+TWO_PROCESSES = RunnerConfig(executor="process", workers=2)
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +126,7 @@ def test_serial_sweep_matches_direct_flow():
     spec = SweepSpec.build(
         ["qdi_full_adder", "micropipeline_full_adder"], arch, ANALYSIS_ONLY
     )
-    report = SweepRunner(store=None, workers=1).run(spec)
+    report = SweepRunner(store=None).run(spec)
     assert report.cache_hits == 0
     assert report.flow_executions == 2
     for outcome in report.outcomes:
@@ -207,12 +209,12 @@ def test_transient_errors_are_not_cached(tmp_path, monkeypatch):
     monkeypatch.setattr(registry_module, "build_circuit", explode)
     spec = SweepSpec.build(["qdi_full_adder"], ArchitectureParams(), ANALYSIS_ONLY)
     store = SweepResultStore(tmp_path)
-    report = SweepRunner(store=store, workers=1).run(spec)
+    report = SweepRunner(store=store).run(spec)
     assert report.outcomes[0].status == "error"
     assert len(store) == 0  # environmental failure: retried next run
 
     monkeypatch.undo()
-    retried = SweepRunner(store=store, workers=1).run(spec)
+    retried = SweepRunner(store=store).run(spec)
     assert retried.outcomes[0].ok and retried.cache_misses == 1
     assert len(store) == 1  # the deterministic success is cached
 
@@ -267,15 +269,15 @@ def test_store_migration_mapper_change_misses_old_entry(tmp_path, monkeypatch):
     # point instead of replaying the pre-fix result.
     spec = SweepSpec.build(["qdi_full_adder"], ArchitectureParams(), ANALYSIS_ONLY)
     store = SweepResultStore(tmp_path)
-    first = SweepRunner(store=store, workers=1).run(spec)
+    first = SweepRunner(store=store).run(spec)
     assert first.cache_misses == 1
-    warm = SweepRunner(store=store, workers=1).run(spec)
+    warm = SweepRunner(store=store).run(spec)
     assert warm.cache_hits == 1 and warm.flow_executions == 0
 
     import repro.sweep.spec as spec_module
 
     monkeypatch.setattr(spec_module, "code_fingerprint", lambda: "post-fix-code")
-    after_edit = SweepRunner(store=store, workers=1).run(spec)
+    after_edit = SweepRunner(store=store).run(spec)
     assert after_edit.cache_hits == 0
     assert after_edit.flow_executions == 1  # the old entry was missed
     # Both generations coexist on disk; stats() exposes the retired records.
@@ -291,14 +293,14 @@ def test_parallel_full_registry_sweep_matches_serial_and_caches(tmp_path):
     spec = SweepSpec.full_registry(architectures, ANALYSIS_ONLY)
     assert len(spec) == 2 * len(circuit_registry())
 
-    serial = SweepRunner(store=None, workers=1).run(spec)
-    parallel = SweepRunner(store=tmp_path / "cache", workers=2).run(spec)
+    serial = SweepRunner(store=None).run(spec)
+    parallel = SweepRunner(store=tmp_path / "cache", config=TWO_PROCESSES).run(spec)
     assert parallel.workers == 2
     assert parallel.summaries() == serial.summaries()
     assert [o.status for o in parallel.outcomes] == [o.status for o in serial.outcomes]
     assert parallel.cache_misses == len(spec)
 
-    rerun = SweepRunner(store=tmp_path / "cache", workers=2).run(spec)
+    rerun = SweepRunner(store=tmp_path / "cache", config=TWO_PROCESSES).run(spec)
     assert rerun.flow_executions == 0  # zero flow re-executions
     assert rerun.cache_hits == len(spec)
     assert all(outcome.cached for outcome in rerun.outcomes)
@@ -307,8 +309,8 @@ def test_parallel_full_registry_sweep_matches_serial_and_caches(tmp_path):
 
 def test_cache_shared_between_serial_and_parallel_runners(tmp_path):
     spec = SweepSpec.build(["wchb_fifo_4"], ArchitectureParams(), ANALYSIS_ONLY)
-    first = SweepRunner(store=tmp_path, workers=1).run(spec)
-    second = SweepRunner(store=tmp_path, workers=2).run(spec)
+    first = SweepRunner(store=tmp_path).run(spec)
+    second = SweepRunner(store=tmp_path, config=TWO_PROCESSES).run(spec)
     assert first.cache_misses == 1
     assert second.cache_hits == 1 and second.flow_executions == 0
     assert second.summaries() == first.summaries()
@@ -326,7 +328,7 @@ def test_executor_parity_serial_thread_process():
         ANALYSIS_ONLY,
     )
     reports = {
-        name: SweepRunner(store=None, workers=2, executor=name).run(spec)
+        name: SweepRunner(store=None, config=RunnerConfig(executor=name, workers=2)).run(spec)
         for name in ("serial", "thread", "process")
     }
     serial = reports["serial"]
@@ -336,26 +338,33 @@ def test_executor_parity_serial_thread_process():
         assert [o.status for o in report.outcomes] == [o.status for o in serial.outcomes]
 
 
-def test_workers_contract_selects_backend():
-    assert SweepRunner(workers=1).config == RunnerConfig(executor="serial", workers=1)
-    assert SweepRunner(workers=4).config == RunnerConfig(executor="process", workers=4)
-    assert SweepRunner(workers=4, executor="thread").config == RunnerConfig(
-        executor="thread", workers=4
-    )
+def test_runner_config_fields_and_serial_default():
+    # Every execution setting of a sweep is one of these fields.
+    assert [field.name for field in dataclasses.fields(RunnerConfig)] == [
+        "executor",
+        "workers",
+        "timeout_s",
+        "max_attempts",
+        "backoff_s",
+        "max_point_crashes",
+        "fallback",
+        "fail_fast",
+    ]
+    config = SweepRunner().config
+    assert (config.executor, config.workers, config.max_attempts) == ("serial", 1, 1)
     explicit = RunnerConfig(executor="thread", workers=2)
     assert SweepRunner(config=explicit).config == explicit
-    with pytest.raises(ValueError, match="not both"):
-        SweepRunner(workers=8, config=explicit)  # conflicting styles
 
 
 def test_unknown_executor_raises_with_known_names(tmp_path):
     spec = SweepSpec.build(["qdi_full_adder"], ArchitectureParams(), ANALYSIS_ONLY)
+    slurm = RunnerConfig(executor="slurm")
     with pytest.raises(ValueError, match="slurm"):
-        SweepRunner(executor="slurm").run(spec)
+        SweepRunner(config=slurm).run(spec)
     # A typo'd backend must fail fast even when every point is cached.
     SweepRunner(store=tmp_path).run(spec)
     with pytest.raises(ValueError, match="slurm"):
-        SweepRunner(store=tmp_path, executor="slurm").run(spec)
+        SweepRunner(store=tmp_path, config=slurm).run(spec)
     for name in ("serial", "thread", "process"):
         assert name in available_executors()
 
@@ -382,7 +391,7 @@ def test_third_party_executor_registration():
     register_executor("recording", lambda config: RecordingExecutor())
     try:
         spec = SweepSpec.build(["qdi_full_adder"], ArchitectureParams(), ANALYSIS_ONLY)
-        report = SweepRunner(executor="recording").run(spec)
+        report = SweepRunner(config=RunnerConfig(executor="recording")).run(spec)
         assert report.stats()["executor"] == "recording"
         assert calls == {"submitted": 1, "shutdown": True}
         assert report.summaries() == SweepRunner().run(spec).summaries()
@@ -409,7 +418,7 @@ def test_incomplete_executor_is_rejected():
     try:
         spec = SweepSpec.build(["qdi_full_adder"], ArchitectureParams(), ANALYSIS_ONLY)
         with pytest.raises(TypeError, match="submit, result, rebuild and shutdown"):
-            SweepRunner(executor="gather-only").run(spec)
+            SweepRunner(config=RunnerConfig(executor="gather-only")).run(spec)
     finally:
         import repro.sweep.runner as runner_module
 

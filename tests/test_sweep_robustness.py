@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import repro.circuits.registry as registry
 import repro.fingerprint as fingerprint_module
+import repro.sweep.runner as runner_module
 from repro.artifacts import ArtifactStore
 from repro.cad.flow import FlowOptions
 from repro.core.params import ArchitectureParams, RoutingParams
@@ -30,7 +31,6 @@ from repro.sweep import (
     STATUS_TIMEOUT,
     ChaosStore,
     FaultPlan,
-    RetryPolicy,
     RunnerConfig,
     SweepResultStore,
     SweepRunner,
@@ -64,20 +64,24 @@ def _chaos_config(**kwargs):
 
 
 # ----------------------------------------------------------------------
-# RetryPolicy
+# Backoff
 # ----------------------------------------------------------------------
-def test_retry_policy_backoff_is_deterministic_and_serializable():
-    policy = RetryPolicy(max_attempts=4, backoff_s=0.5, backoff_factor=3.0, seed=9)
-    delays = [policy.delay_s(n, "point@6x6/cw8") for n in (1, 2, 3)]
-    assert delays == [policy.delay_s(n, "point@6x6/cw8") for n in (1, 2, 3)]
-    # Exponential growth dominates the +-10% jitter.
-    assert delays[0] < delays[1] < delays[2]
-    assert delays[0] == pytest.approx(0.5, rel=policy.jitter)
-    assert delays[1] == pytest.approx(1.5, rel=policy.jitter)
-    # A different point jitters differently (seeded per token).
-    assert policy.delay_s(1, "other@6x6/cw8") != delays[0]
-    assert RetryPolicy.from_dict(policy.to_dict()) == policy
-    assert RetryPolicy(max_attempts=2).delay_s(1, "x") == 0.0  # no backoff_s
+def test_backoff_doubles_per_reattempt(monkeypatch):
+    # Re-attempt n waits backoff_s * 2 ** (n - 1): no jitter, no seed.
+    sleeps = []
+    monkeypatch.setattr(runner_module.time, "sleep", sleeps.append)
+    label = _spec().points()[0].label()
+    plan = FaultPlan.build(scripted={label: ("oserror", "oserror", "oserror")})
+    with chaos_executor(plan):
+        config = _chaos_config(max_attempts=4, backoff_s=0.25)
+        report = SweepRunner(store=None, config=config).run(_spec())
+    assert report.outcomes[0].status == STATUS_OK
+    assert sleeps == [0.25, 0.5, 1.0]
+    # Without backoff_s a re-attempt never sleeps.
+    sleeps.clear()
+    with chaos_executor(plan):
+        SweepRunner(store=None, config=_chaos_config(max_attempts=4)).run(_spec())
+    assert sleeps == []
 
 
 # ----------------------------------------------------------------------
@@ -123,7 +127,7 @@ def test_transient_flow_error_is_retried_and_recovers(monkeypatch):
         return real(name, *args, **kwargs)
 
     monkeypatch.setattr(registry, "build_circuit", flaky)
-    config = RunnerConfig(executor="serial", retry=RetryPolicy(max_attempts=2))
+    config = RunnerConfig(executor="serial", max_attempts=2)
     report = SweepRunner(store=None, config=config).run(_spec())
     outcome = report.outcomes[0]
     assert outcome.status == STATUS_OK
@@ -140,7 +144,7 @@ def test_transient_error_exhausting_retries_is_not_cached(tmp_path, monkeypatch)
         raise OSError("persistently flaky environment")
 
     monkeypatch.setattr(registry, "build_circuit", always_transient)
-    config = RunnerConfig(executor="serial", retry=RetryPolicy(max_attempts=3))
+    config = RunnerConfig(executor="serial", max_attempts=3)
     store = SweepResultStore(tmp_path)
     report = SweepRunner(store=store, config=config).run(_spec())
     outcome = report.outcomes[0]
@@ -165,9 +169,7 @@ def test_cooperative_timeout_on_serial_backend(tmp_path):
     assert outcome.attempts[0]["error"]["type"] == "TimeoutError"
     assert store.get(outcome.point.key()) is None
     # Retries make it attempt the point again before giving up.
-    config = RunnerConfig(
-        executor="serial", timeout_s=1e-9, retry=RetryPolicy(max_attempts=2)
-    )
+    config = RunnerConfig(executor="serial", timeout_s=1e-9, max_attempts=2)
     report = SweepRunner(store=None, config=config).run(_spec())
     assert len(report.outcomes[0].attempts) == 2
 
@@ -176,7 +178,7 @@ def test_injected_hang_recovers_on_retry():
     label = _spec().points()[0].label()
     plan = FaultPlan.build(scripted={label: ("hang",)})
     with chaos_executor(plan):
-        config = _chaos_config(timeout_s=60.0, retry=RetryPolicy(max_attempts=2))
+        config = _chaos_config(timeout_s=60.0, max_attempts=2)
         report = SweepRunner(store=None, config=config).run(_spec())
     outcome = report.outcomes[0]
     assert outcome.status == STATUS_OK
@@ -244,14 +246,15 @@ def test_fail_fast_skips_the_rest_of_the_grid(tmp_path):
     assert store.get(spec.points()[1].key()) is None
 
 
-def test_fallback_ladder_degrades_to_a_working_backend():
+def test_fallback_ladder_degrades_to_a_working_backend(monkeypatch):
     spec = _spec(widths=(8, 10))
     # Poisoning every label makes the chaos backend crash on every attempt;
     # with a zero rebuild budget the supervisor must degrade to the serial
     # backend (no faults there) and complete the grid cleanly.
     plan = FaultPlan.build(poison=[p.label() for p in spec.points()])
+    monkeypatch.setattr(runner_module, "MAX_POOL_REBUILDS", 0)
     with chaos_executor(plan):
-        config = _chaos_config(max_pool_rebuilds=0, fallback=("serial",))
+        config = _chaos_config(fallback=("serial",))
         report = SweepRunner(store=None, config=config).run(spec)
     assert report.fallbacks == ["serial"]
     assert [o.status for o in report.outcomes] == [STATUS_OK, STATUS_OK]
@@ -408,10 +411,8 @@ def test_chaos_campaign_replays_bit_identically(tmp_path):
         p_torn_write=0.5,
         poison=[labels[0]],
     )
-    kwargs = dict(
-        timeout_s=60.0, retry=RetryPolicy(max_attempts=3), max_point_crashes=2
-    )
-    first = run_campaign(spec, plan, store=str(tmp_path / "a"), **kwargs)
+    config = RunnerConfig(timeout_s=60.0, max_attempts=3, max_point_crashes=2)
+    first = run_campaign(spec, plan, store=str(tmp_path / "a"), config=config)
     # Crashes, hangs, OSErrors and torn writes all fired, yet the campaign
     # completed, the repeat-killer poisoned out, torn records quarantined,
     # and every surviving summary equals the fault-free baseline.
@@ -420,7 +421,7 @@ def test_chaos_campaign_replays_bit_identically(tmp_path):
     assert first["injected"]  # at least one fault actually fired
     assert first["torn_keys"] and first["quarantined"] >= len(first["torn_keys"])
     # Deterministic replay: same plan, fresh store, identical trajectory.
-    second = run_campaign(spec, plan, store=str(tmp_path / "b"), **kwargs)
+    second = run_campaign(spec, plan, store=str(tmp_path / "b"), config=config)
     for key in ("statuses", "injected", "faulted_labels", "torn_keys", "plan"):
         assert first[key] == second[key]
     assert FaultPlan.from_dict(plan.to_dict()) == plan

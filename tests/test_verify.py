@@ -12,8 +12,7 @@ Four groups:
 * **Reporters** — the JSON schema of :meth:`LintReport.to_json` is stable.
 * **CLI** — ``repro-lint`` exit codes: 0 clean, 1 findings, 2 usage error.
 
-The :func:`repro.netlist.validate.validate_netlist` compatibility shim is
-covered here too (stable rule codes, cycle-path reporting).
+The structural loop finding is covered here too (it names the cycle path).
 """
 
 import json
@@ -99,10 +98,14 @@ def test_enable_restricts_to_named_rules():
 
 
 def test_severity_override_rewrites_findings():
-    config = LintConfig(severity_overrides={"dangling-net": "error"})
-    report = run_rules(MUTATORS["NET002"](), config)
-    assert all(f.severity == "error" for f in report.findings_for("NET002"))
-    assert report.findings_for("NET002")
+    context = MUTATORS["NET002"]()
+    dangling = run_rules(context).findings_for("NET002")
+    assert dangling and all(f.severity == "warning" for f in dangling)
+    # Overrides are keyed by kebab name or stable code alike.
+    for key in ("dangling-net", "NET002"):
+        report = run_rules(context, LintConfig(severity_overrides={key: "error"}))
+        assert all(f.severity == "error" for f in report.findings_for("NET002"))
+        assert report.findings_for("NET002")
 
 
 # ----------------------------------------------------------------------
@@ -226,32 +229,14 @@ def test_cli_suppress_silences_rule(capsys):
 
 
 # ----------------------------------------------------------------------
-# validate_netlist compatibility shim
+# The structural loop finding names its cycle
 # ----------------------------------------------------------------------
-def test_validate_shim_reports_stable_rule_codes():
-    from repro.netlist.validate import validate_netlist
-
-    context = MUTATORS["NET005"]()
-    issues = validate_netlist(context.netlist)
-    loops = [issue for issue in issues if issue.code == "combinational-loop"]
-    assert loops and loops[0].rule == "NET005"
-    # The loop finding now names the actual cycle path, not just a cell set.
+def test_combinational_loop_names_its_cycle_path():
+    loops = run_rules(MUTATORS["NET005"]()).findings_for("NET005")
+    assert loops and loops[0].name == "combinational-loop"
+    # The loop finding names the actual cycle path, not just a cell set.
     assert " -> " in loops[0].message
     assert "mut_l1" in loops[0].message and "mut_l2" in loops[0].message
-
-
-def test_validate_shim_dangling_escalation():
-    from repro.netlist.validate import has_errors, validate_netlist
-
-    netlist = MUTATORS["NET002"]().netlist
-    tolerated = validate_netlist(netlist, allow_dangling_outputs=True)
-    dangling = [i for i in tolerated if i.code == "dangling-net"]
-    assert dangling and dangling[0].severity == "warning"
-    assert not has_errors(dangling)
-    escalated = validate_netlist(netlist, allow_dangling_outputs=False)
-    dangling = [i for i in escalated if i.code == "dangling-net"]
-    assert dangling and dangling[0].severity == "error"
-    assert has_errors(dangling)
 
 
 # ----------------------------------------------------------------------
