@@ -12,9 +12,9 @@ For every packed PLB the generator:
    to PLB output pins;
 4. programs the PDE tap from the mapped matched delay.
 
-The per-tile configurations are then serialised into the fabric-level
-:class:`~repro.core.bitstream.Bitstream` using each block's ``config_vector``
-layout, which the round-trip tests exercise.
+Each PLB configuration is then encoded through the architecture's one
+:class:`~repro.core.layout.PLBLayout` into its region of the fabric-level
+:class:`~repro.core.bitstream.Bitstream`.
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ from repro.cad.lemap import MappedDesign, MappedPLB
 from repro.cad.place import Placement
 from repro.core.bitstream import Bitstream, BitstreamBudget
 from repro.core.im import IMConfig
+from repro.core.layout import PLBLayout
 from repro.core.le import LEConfig
 from repro.core.params import ArchitectureParams
-from repro.core.pde import PDEConfig
-from repro.core.plb import PLB, PLBConfig
+from repro.core.pde import PDEConfig, tap_for_delay
+from repro.core.plb import PLBConfig
 
 
 class ConfigurationError(RuntimeError):
@@ -50,7 +51,6 @@ def configure_plb(plb: MappedPLB, params: ArchitectureParams) -> ConfiguredPLB:
     """Build the :class:`PLBConfig` realising one packed PLB."""
     plb_params = params.plb
     le_params = plb_params.le
-    reference = PLB(plb_params)
 
     internal_signal_of_net: dict[str, str] = {}
     for le_index, le in enumerate(plb.les):
@@ -122,11 +122,11 @@ def configure_plb(plb: MappedPLB, params: ArchitectureParams) -> ConfiguredPLB:
     # PDE configuration and feed.
     pde_config = PDEConfig()
     if plb.pde is not None:
-        pde = reference.pde
         try:
-            pde_config = pde.configure_delay(plb.pde.delay_ps)
+            tap = tap_for_delay(plb.pde.delay_ps, plb_params.pde_taps, plb_params.pde_step_ps)
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from exc
+        pde_config = PDEConfig(tap=tap, used=True)
         im_routes["pde_in"] = input_signal_for(plb.pde.input_net)
 
     # PLB outputs: everything produced here may be consumed outside; export in
@@ -157,6 +157,7 @@ def generate_bitstream(
 ) -> tuple[Bitstream, dict[str, ConfiguredPLB]]:
     """Produce the full fabric bitstream for a packed & placed design."""
     budget = BitstreamBudget.for_architecture(params)
+    layout = PLBLayout.for_params(params.plb)
     bitstream = Bitstream(budget)
     configured: dict[str, ConfiguredPLB] = {}
 
@@ -164,15 +165,6 @@ def generate_bitstream(
         configured_plb = configure_plb(plb, params)
         configured[plb.name] = configured_plb
         x, y = placement.site_of(plb.name)
-
-        # Program a scratch PLB to obtain the exact bit layout.
-        hardware = PLB(params.plb, name=plb.name)
-        hardware.configure(configured_plb.config)
-        bits: list[int] = []
-        for le in hardware.les:
-            bits.extend(le.config_vector())
-        bits.extend(hardware.pde.config_vector())
-        bits.extend(hardware.im.config_vector())
-        bitstream.set_region(f"plb_{x}_{y}", bits)
+        bitstream.set_region(f"plb_{x}_{y}", layout.encode(configured_plb.config))
 
     return bitstream, configured

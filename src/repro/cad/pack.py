@@ -12,33 +12,12 @@ delayed signal when possible, otherwise to any PLB with a free PDE.
 
 from __future__ import annotations
 
-from repro.cad.lemap import MappedDesign, MappedLE, MappedPLB
+from repro.cad.lemap import MappedDesign, MappedPLB
 from repro.core.params import PLBParams
 
 
 class PackingError(RuntimeError):
     """Raised when a design cannot be packed under the PLB constraints."""
-
-
-def _affinity(a: MappedLE, b: MappedLE) -> int:
-    """Number of nets shared between two LEs (inputs or outputs)."""
-    nets_a = set(a.external_input_nets) | set(a.output_nets)
-    nets_b = set(b.external_input_nets) | set(b.output_nets)
-    return len(nets_a & nets_b)
-
-
-def _try_add(plb: MappedPLB, le: MappedLE, params: PLBParams) -> MappedPLB | None:
-    """A new PLB with *le* added, or ``None`` if the constraints break."""
-    candidate = MappedPLB(name=plb.name, les=plb.les + [le], pde=plb.pde)
-    if len(candidate.les) > params.les_per_plb:
-        return None
-    if len(candidate.external_input_nets) > params.plb_inputs:
-        return None
-    if len(candidate.output_nets) > params.plb_outputs + params.les_per_plb:
-        # Allow a small slack because not every LE output needs to leave the
-        # PLB; the definitive check happens at pin assignment time.
-        return None
-    return candidate
 
 
 def pack_design(design: MappedDesign, params: PLBParams | None = None) -> MappedDesign:
@@ -55,53 +34,66 @@ def pack_design(design: MappedDesign, params: PLBParams | None = None) -> Mapped
                 f"({len(le.lut_input_nets)} inputs, {len(le.functions)} functions)"
             )
 
-    remaining = list(design.les)
+    # Each LE's nets, derived once: external inputs, outputs (a tuple, so a
+    # PLB's output count keeps any repeats), and both together, whose
+    # overlap between two LEs is their affinity.
+    inputs = [frozenset(le.external_input_nets) for le in design.les]
+    outputs = [le.output_nets for le in design.les]
+    nets = [needs.union(made) for needs, made in zip(inputs, outputs)]
+    # A PLB may claim a small output slack because not every LE output needs
+    # to leave it; the definitive check happens at pin assignment time.
+    output_limit = params.plb_outputs + params.les_per_plb
+
+    remaining = list(range(len(design.les)))
     plbs: list[MappedPLB] = []
+    plb_inputs: list[set[str]] = []
 
     while remaining:
         seed = remaining.pop(0)
-        plb = MappedPLB(name=f"plb{len(plbs)}", les=[seed])
-        # Greedily add the most-affine LEs that still fit.
-        while len(plb.les) < params.les_per_plb and remaining:
+        members = [seed]
+        needed = set(inputs[seed])
+        produced = set(outputs[seed])
+        output_count = len(outputs[seed])
+        # Greedily add the most-affine LE that still fits; the first of
+        # equally affine LEs wins.
+        while len(members) < params.les_per_plb and remaining:
             best_index = -1
-            best_candidate: MappedPLB | None = None
             best_score = -1
-            for index, le in enumerate(remaining):
-                candidate = _try_add(plb, le, params)
-                if candidate is None:
+            for index, candidate in enumerate(remaining):
+                score = sum(len(nets[candidate] & nets[member]) for member in members)
+                if score <= best_score:
                     continue
-                score = sum(_affinity(le, packed) for packed in plb.les)
-                if score > best_score:
-                    best_score = score
-                    best_index = index
-                    best_candidate = candidate
-            if best_candidate is None:
+                if output_count + len(outputs[candidate]) > output_limit:
+                    continue
+                external = (needed | inputs[candidate]) - produced
+                if len(external.difference(outputs[candidate])) > params.plb_inputs:
+                    continue
+                best_score = score
+                best_index = index
+            if best_index < 0:
                 break
-            plb = best_candidate
-            remaining.pop(best_index)
-        plbs.append(plb)
+            chosen = remaining.pop(best_index)
+            members.append(chosen)
+            needed |= inputs[chosen]
+            produced.update(outputs[chosen])
+            output_count += len(outputs[chosen])
+        les = [design.les[member] for member in members]
+        plbs.append(MappedPLB(name=f"plb{len(plbs)}", les=les))
+        plb_inputs.append(needed)
 
-    # Attach delay elements.
+    # Attach each delay element to the first PLB without one that reads its
+    # output, else to the first PLB without one, else to a new PLB.
     for pde in design.pdes:
-        consumers = [
-            plb
-            for plb in plbs
-            if pde.output_net in plb.external_input_nets
-            or any(pde.output_net in le.external_input_nets for le in plb.les)
-        ]
-        target = None
-        for plb in consumers:
-            if plb.pde is None:
-                target = plb
-                break
-        if target is None:
-            for plb in plbs:
-                if plb.pde is None:
-                    target = plb
-                    break
-        if target is None:
+        free = [(plb, read) for plb, read in zip(plbs, plb_inputs) if plb.pde is None]
+        readers = [plb for plb, read in free if pde.output_net in read]
+        if readers:
+            target = readers[0]
+        elif free:
+            target = free[0][0]
+        else:
             target = MappedPLB(name=f"plb{len(plbs)}")
             plbs.append(target)
+            plb_inputs.append(set())
         target.pde = pde
 
     design.plbs = plbs

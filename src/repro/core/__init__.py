@@ -19,6 +19,8 @@ Everything in this package models Section 3 of the paper:
   surrounded by IO blocks, with horizontal/vertical routing channels.
 * :mod:`~repro.core.rrgraph` -- the routing-resource graph derived from the
   fabric, consumed by the router.
+* :mod:`~repro.core.layout` -- the bit layout of one PLB configuration
+  region, through which the bitstream is encoded and audited.
 * :mod:`~repro.core.bitstream` -- configuration-bit budgeting, encoding and
   decoding.
 * :mod:`~repro.core.stats` -- fabric-level statistics used by the
@@ -34,6 +36,7 @@ from repro.core.plb import PLB, PLBConfig
 from repro.core.fabric import Fabric, Tile, TileType
 from repro.core.rrgraph import RoutingResourceGraph, RRNode, RRNodeType
 from repro.core.bitstream import Bitstream, BitstreamBudget
+from repro.core.layout import PLBLayout
 from repro.core.stats import fabric_statistics
 
 __all__ = [
@@ -59,5 +62,6 @@ __all__ = [
     "RRNodeType",
     "Bitstream",
     "BitstreamBudget",
+    "PLBLayout",
     "fabric_statistics",
 ]

@@ -3,21 +3,22 @@
 The bitstream is organised in named *regions*, one per configurable resource:
 
 * one region per PLB tile (LUT truth tables, validity-LUT selectors, PDE tap,
-  IM routing), laid out exactly as the corresponding ``config_vector``
-  methods produce them;
+  IM routing), laid out by :class:`~repro.core.layout.PLBLayout`;
 * one region per connection-box pin (one bit per connectable track);
 * one region per switch-box corner (one bit per track pair the box can join).
 
-:class:`BitstreamBudget` computes the size of every region from the
-architecture parameters alone (this is the "config-bit area" metric of the
-architecture experiments), and :class:`Bitstream` holds actual bit values with
-serialisation and round-trip support.
+:class:`BitstreamBudget` computes the size and offset of every region from
+the architecture parameters alone (this is the "config-bit area" metric of
+the architecture experiments), and :class:`Bitstream` holds actual bit values
+with serialisation and round-trip support.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from repro.core.fabric import Fabric
 from repro.core.params import ArchitectureParams
@@ -25,6 +26,11 @@ from repro.core.schema import CorruptArtifactError, decoding, require_version
 
 #: Schema version of :meth:`Bitstream.to_dict` payloads.
 BITSTREAM_SCHEMA = 1
+
+#: ``bytes.translate`` tables: any non-zero byte to 1, and 0/1 to and from ASCII.
+_ONE_PER_BIT = b"\x00" + b"\x01" * 255
+_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -34,24 +40,39 @@ class BitstreamRegion:
     name: str
     bits: int
     kind: str  # "plb", "cbox", "sbox", "io"
+    #: Index of the region's first bit in the budget's flat bit order.
+    offset: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class BitstreamBudget:
-    """The complete configuration-bit budget of a fabric."""
+    """The complete configuration-bit budget of a fabric, in region order."""
 
     params: ArchitectureParams
-    regions: list[BitstreamRegion] = field(default_factory=list)
+    regions: tuple[BitstreamRegion, ...]
+    total_bits: int = field(init=False, compare=False)
+    _by_name: Mapping[str, BitstreamRegion] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "total_bits", sum(region.bits for region in self.regions))
+        by_name = {region.name: region for region in self.regions}
+        object.__setattr__(self, "_by_name", MappingProxyType(by_name))
 
     @classmethod
+    @lru_cache(maxsize=16)
     def for_architecture(cls, params: ArchitectureParams) -> "BitstreamBudget":
+        """The one shared budget of *params* (built on first use)."""
         fabric = Fabric(params)
         routing = params.routing
         regions: list[BitstreamRegion] = []
 
+        def add(name: str, bits: int, kind: str) -> None:
+            offset = regions[-1].offset + regions[-1].bits if regions else 0
+            regions.append(BitstreamRegion(name=name, bits=bits, kind=kind, offset=offset))
+
         plb_bits = params.plb.config_bits
         for x, y in fabric.plb_sites():
-            regions.append(BitstreamRegion(name=f"plb_{x}_{y}", bits=plb_bits, kind="plb"))
+            add(f"plb_{x}_{y}", plb_bits, "plb")
 
         # Connection boxes: one bit per (pin, connectable track).
         fc_in_tracks = routing.tracks_per_pin(routing.fc_in)
@@ -60,33 +81,28 @@ class BitstreamBudget:
             params.plb.plb_inputs * fc_in_tracks + params.plb.plb_outputs * fc_out_tracks
         )
         for x, y in fabric.plb_sites():
-            regions.append(BitstreamRegion(name=f"cbox_{x}_{y}", bits=cb_bits_per_plb, kind="cbox"))
+            add(f"cbox_{x}_{y}", cb_bits_per_plb, "cbox")
 
         # Switch boxes: a disjoint box can join each incident segment pair per track.
         for corner_x, corner_y in fabric.switchbox_corners():
             incident = len(fabric.corner_incident_channels(corner_x, corner_y))
             pairs = incident * (incident - 1) // 2
-            regions.append(
-                BitstreamRegion(
-                    name=f"sbox_{corner_x}_{corner_y}",
-                    bits=pairs * routing.channel_width,
-                    kind="sbox",
-                )
-            )
+            add(f"sbox_{corner_x}_{corner_y}", pairs * routing.channel_width, "sbox")
 
         # IO pads: one enable + one direction bit each.
         for pad in fabric.io_pads():
-            regions.append(BitstreamRegion(name=f"io_{pad.name}", bits=2, kind="io"))
+            add(f"io_{pad.name}", 2, "io")
 
-        return cls(params=params, regions=regions)
+        return cls(params=params, regions=tuple(regions))
+
+    def __reduce__(self) -> tuple[object, ...]:
+        # The region index is a read-only view, which does not pickle; a
+        # budget is rebuilt from its parameters, so a copy is the shared one.
+        return (BitstreamBudget.for_architecture, (self.params,))
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    @property
-    def total_bits(self) -> int:
-        return sum(region.bits for region in self.regions)
-
     def bits_by_kind(self) -> dict[str, int]:
         result: dict[str, int] = {}
         for region in self.regions:
@@ -94,48 +110,59 @@ class BitstreamBudget:
         return dict(sorted(result.items()))
 
     def region(self, name: str) -> BitstreamRegion:
-        for region in self.regions:
-            if region.name == name:
-                return region
-        raise KeyError(f"unknown bitstream region {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise KeyError(f"unknown bitstream region {name!r}") from None
+
+
+def _as_bits(bits: Sequence[int]) -> bytes:
+    """*bits* as one byte per bit, every true value read as 1."""
+    if isinstance(bits, (bytes, bytearray)):
+        return bits.translate(_ONE_PER_BIT)
+    return bytes(map(bool, bits))
 
 
 class Bitstream:
-    """Actual configuration data for one fabric instance."""
+    """Actual configuration data for one fabric instance.
+
+    The bits live in one ``bytearray`` in budget order, one byte (0 or 1) per
+    bit, so a region is a slice of it.
+    """
 
     def __init__(self, budget: BitstreamBudget) -> None:
         self.budget = budget
-        self._data: dict[str, list[int]] = {
-            region.name: [0] * region.bits for region in budget.regions
-        }
+        self._bits = bytearray(budget.total_bits)
 
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    def set_region(self, name: str, bits: tuple[int, ...] | list[int]) -> None:
+    def set_region(self, name: str, bits: Sequence[int]) -> None:
+        """Overwrite region *name* with *bits*, zero-padded to its size."""
         region = self.budget.region(name)
-        bits = list(bits)
         if len(bits) > region.bits:
             raise ValueError(
                 f"region {name!r} holds {region.bits} bits; got {len(bits)}"
             )
-        padded = bits + [0] * (region.bits - len(bits))
-        self._data[name] = [1 if bit else 0 for bit in padded]
+        start = region.offset
+        self._bits[start : start + region.bits] = _as_bits(bits).ljust(region.bits, b"\x00")
 
     def set_bit(self, name: str, index: int, value: int) -> None:
         region = self.budget.region(name)
         if not 0 <= index < region.bits:
             raise IndexError(f"bit {index} out of range for region {name!r} ({region.bits} bits)")
-        self._data[name][index] = 1 if value else 0
+        self._bits[region.offset + index] = 1 if value else 0
 
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def region_bits(self, name: str) -> tuple[int, ...]:
-        return tuple(self._data[name])
+    def region_bits(self, name: str) -> bytes:
+        """Region *name*'s bits, one byte (0 or 1) per bit."""
+        region = self.budget.region(name)
+        return bytes(self._bits[region.offset : region.offset + region.bits])
 
     def used_bits(self) -> int:
-        return sum(sum(bits) for bits in self._data.values())
+        return self._bits.count(1)
 
     @property
     def total_bits(self) -> int:
@@ -145,29 +172,21 @@ class Bitstream:
     # Serialisation
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
-        """Concatenate all regions (budget order) into a byte string, LSB first."""
-        all_bits: list[int] = []
-        for region in self.budget.regions:
-            all_bits.extend(self._data[region.name])
-        out = bytearray((len(all_bits) + 7) // 8)
-        for index, bit in enumerate(all_bits):
-            if bit:
-                out[index // 8] |= 1 << (index % 8)
-        return bytes(out)
+        """All bits in budget order, packed eight to a byte, LSB first."""
+        value = int(self._bits[::-1].translate(_TO_ASCII), 2)
+        return value.to_bytes((len(self._bits) + 7) // 8, "little")
 
     @classmethod
     def from_bytes(cls, budget: BitstreamBudget, data: bytes) -> "Bitstream":
-        bitstream = cls(budget)
+        """Unpack :meth:`to_bytes` output; bytes beyond the budget are ignored."""
         total = budget.total_bits
         if len(data) * 8 < total:
             raise ValueError(f"bitstream data too short: {len(data) * 8} bits < {total}")
-        cursor = 0
-        for region in budget.regions:
-            bits = []
-            for _ in range(region.bits):
-                bits.append((data[cursor // 8] >> (cursor % 8)) & 1)
-                cursor += 1
-            bitstream.set_region(region.name, bits)
+        needed = (total + 7) // 8
+        value = int.from_bytes(data[:needed], "little")
+        text = format(value, f"0{needed * 8}b")[::-1][:total]
+        bitstream = cls(budget)
+        bitstream._bits[:] = text.encode("ascii").translate(_FROM_ASCII)
         return bitstream
 
     def to_dict(self) -> dict[str, object]:
@@ -210,7 +229,7 @@ class Bitstream:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Bitstream):
             return NotImplemented
-        return self._data == other._data
+        return self.budget.regions == other.budget.regions and self._bits == other._bits
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Bitstream({self.total_bits} bits, {self.used_bits()} set)"

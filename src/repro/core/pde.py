@@ -15,6 +15,23 @@ import math
 from dataclasses import dataclass
 
 
+def tap_for_delay(delay_ps: int, taps: int, step_ps: int) -> int:
+    """The smallest tap of a *taps* x *step_ps* line whose delay is at least *delay_ps*.
+
+    Raises ``ValueError`` when the request exceeds the line's range -- the
+    CAD flow reports this as an unrealisable timing assumption.
+    """
+    if delay_ps <= 0:
+        raise ValueError("requested delay must be positive")
+    tap = math.ceil(delay_ps / step_ps) - 1
+    if tap >= taps:
+        raise ValueError(
+            f"requested delay {delay_ps} ps exceeds the PDE range "
+            f"({taps} taps x {step_ps} ps = {taps * step_ps} ps)"
+        )
+    return tap
+
+
 @dataclass(frozen=True)
 class PDEConfig:
     """Configuration of one PDE: the selected tap (0 = minimum delay)."""
@@ -44,30 +61,15 @@ class ProgrammableDelayElement:
     def config_bits(self) -> int:
         return max(1, math.ceil(math.log2(self.taps)))
 
-    @property
-    def max_delay_ps(self) -> int:
-        return self.taps * self.step_ps
-
     def configure(self, config: PDEConfig) -> None:
         if config.tap >= self.taps:
             raise ValueError(f"tap {config.tap} out of range (taps={self.taps})")
         self.config = config
 
     def configure_delay(self, delay_ps: int) -> PDEConfig:
-        """Pick the smallest tap whose delay is at least *delay_ps*.
-
-        Raises ``ValueError`` when the request exceeds the PDE's range -- the
-        CAD flow reports this as an unrealisable timing assumption.
-        """
-        if delay_ps <= 0:
-            raise ValueError("requested delay must be positive")
-        tap = math.ceil(delay_ps / self.step_ps) - 1
-        if tap >= self.taps:
-            raise ValueError(
-                f"requested delay {delay_ps} ps exceeds the PDE range "
-                f"({self.taps} taps x {self.step_ps} ps = {self.max_delay_ps} ps)"
-            )
-        config = PDEConfig(tap=tap, used=True)
+        """Pick the smallest tap whose delay is at least *delay_ps* (see
+        :func:`tap_for_delay`)."""
+        config = PDEConfig(tap=tap_for_delay(delay_ps, self.taps, self.step_ps), used=True)
         self.configure(config)
         return config
 

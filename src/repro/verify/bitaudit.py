@@ -1,20 +1,24 @@
 """Bitstream-tier lint rules (``BIT*``): static audit of a generated bitstream.
 
 The audit *decodes* each PLB region back into its components (per-LE LUT /
-validity / selector segments, PDE tap, IM routes) using the architecture's
-``config_vector`` layouts, then cross-checks them against the packed design,
-the placement and the routed trees — no simulation anywhere.
+validity / selector segments, PDE tap, IM routes) through the architecture's
+:class:`~repro.core.layout.PLBLayout`, the layout the generator encodes
+with, then cross-checks them against the packed design, the placement and
+the routed trees — no simulation anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
+from repro.core.im import IMConfig
+from repro.core.layout import PLBLayout
 from repro.verify.core import ERROR, Finding, LintConfig, LintContext, LintRule, register
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.im import IMConfig
+    from repro.cad.bitgen import ConfiguredPLB
+    from repro.cad.lemap import MappedPLB
     from repro.core.params import ArchitectureParams
 
 
@@ -23,59 +27,28 @@ class DecodedPLBRegion:
     """One PLB bitstream region split back into its components."""
 
     name: str
-    le_segments: list[tuple[int, ...]] = field(default_factory=list)
-    pde_bits: tuple[int, ...] = ()
+    le_segments: list[bytes] = field(default_factory=list)
     pde_tap: int = 0
-    im_bits: tuple[int, ...] = ()
-    im_config: "IMConfig | None" = None
+    im_config: IMConfig | None = None
 
 
 def decode_plb_region(
-    params: "ArchitectureParams", bits: tuple[int, ...], name: str = "plb"
+    params: "ArchitectureParams", bits: Sequence[int], name: str = "plb"
 ) -> DecodedPLBRegion:
-    """Split a PLB region's raw bits per the ``config_vector`` layout."""
-    from repro.core.im import InterconnectionMatrix
-    from repro.core.plb import PLB
-
-    reference = PLB(params.plb)
-    decoded = DecodedPLBRegion(name=name)
-    cursor = 0
-    for le in reference.les:
-        width = le.config_bits
-        decoded.le_segments.append(tuple(bits[cursor : cursor + width]))
-        cursor += width
-    pde_width = reference.pde.config_bits
-    decoded.pde_bits = tuple(bits[cursor : cursor + pde_width])
-    cursor += pde_width
-    tap = 0
-    for index, bit in enumerate(decoded.pde_bits):
-        tap |= (1 if bit else 0) << index
-    decoded.pde_tap = tap
-    im_width = reference.im.config_bits
-    decoded.im_bits = tuple(bits[cursor : cursor + im_width])
+    """Split a PLB region's raw bits per the architecture's PLB layout."""
+    layout = PLBLayout.for_params(params.plb)
+    decoded = DecodedPLBRegion(
+        name=name,
+        le_segments=[bytes(bits[le_slice]) for le_slice in layout.le_slices],
+        pde_tap=layout.decode_tap(bits),
+    )
     try:
-        decoded.im_config = InterconnectionMatrix.decode_config_vector(
-            reference.im_source_names(),
-            reference.im_destination_names(),
-            decoded.im_bits,
-        )
-    except (ValueError, IndexError):
+        decoded.im_config = IMConfig(routes=layout.decode_routes(bits))
+    except ValueError:
         # Selector codes beyond the source count: corrupt bits.  Leave the
         # config as None so the IM rule reports it instead of crashing.
         decoded.im_config = None
     return decoded
-
-
-def _expected_region_bits(
-    params: "ArchitectureParams", config
-) -> tuple[list[tuple[int, ...]], tuple[int, ...], tuple[int, ...]]:
-    """Re-encode a PLBConfig exactly as ``generate_bitstream`` does."""
-    from repro.core.plb import PLB
-
-    hardware = PLB(params.plb)
-    hardware.configure(config)
-    le_bits = [tuple(le.config_vector()) for le in hardware.les]
-    return le_bits, tuple(hardware.pde.config_vector()), tuple(hardware.im.config_vector())
 
 
 def _plb_of_site(context: LintContext) -> dict[tuple[int, int], str]:
@@ -132,7 +105,9 @@ class ConfiguredRegionRule(BitstreamRule):
 
     requires = ("bitstream", "placement", "mapped", "architecture", "configured_plbs")
 
-    def _regions(self, context: LintContext):
+    def _regions(
+        self, context: LintContext
+    ) -> Iterator[tuple["MappedPLB", "ConfiguredPLB", DecodedPLBRegion]]:
         for plb in context.mapped.plbs:
             configured = context.configured_plbs.get(plb.name)
             if configured is None:
@@ -160,13 +135,13 @@ class LUTConfigRule(ConfiguredRegionRule):
     )
 
     def check(self, context: LintContext, config: LintConfig) -> Iterator[Finding]:
+        layout = PLBLayout.for_params(context.architecture.plb)
         for plb, configured, decoded in self._regions(context):
-            expected_les, _pde, _im = _expected_region_bits(
-                context.architecture, configured.config
-            )
-            for index, (expected, actual) in enumerate(
-                zip(expected_les, decoded.le_segments)
+            encoded = layout.encode(configured.config)
+            for index, (le_slice, actual) in enumerate(
+                zip(layout.le_slices, decoded.le_segments)
             ):
+                expected = encoded[le_slice]
                 if expected != actual:
                     diff = sum(1 for a, b in zip(expected, actual) if a != b)
                     yield self.finding(

@@ -19,7 +19,7 @@ Design notes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.cad.bitgen import ConfiguredPLB
@@ -105,21 +105,12 @@ class LintConfig:
     suppressed: frozenset[str] = frozenset()
     #: Fanout bound of the isochronic-fork heuristic (NET008).
     isochronic_fanout_limit: int = 8
-    #: Severity overrides keyed by rule code or name, e.g.
-    #: ``{"NET002": "error"}`` escalates dangling nets.
-    severity_overrides: Mapping[str, str] = field(default_factory=dict)
 
     def selects(self, rule: "LintRule") -> bool:
         keys = {rule.code, rule.name}
         if self.enabled is not None and not (keys & set(self.enabled)):
             return False
         return not (keys & set(self.suppressed))
-
-    def severity_for(self, rule: "LintRule") -> str:
-        for key in (rule.code, rule.name):
-            if key in self.severity_overrides:
-                return str(self.severity_overrides[key])
-        return rule.severity
 
 
 class LintRule:
@@ -261,18 +252,7 @@ def run_rules(
         if not rule.applies(context):
             continue
         report.rules_run.append(code)
-        severity = config.severity_for(rule)
-        for finding in rule.check(context, config):
-            if finding.severity == rule.severity and severity != rule.severity:
-                finding = Finding(
-                    rule=finding.rule,
-                    name=finding.name,
-                    severity=severity,
-                    tier=finding.tier,
-                    message=finding.message,
-                    location=finding.location,
-                )
-            report.findings.append(finding)
+        report.findings.extend(rule.check(context, config))
     severity_rank = {ERROR: 0, WARNING: 1}
     report.findings.sort(key=lambda f: (severity_rank.get(f.severity, 2), f.rule))
     return report

@@ -250,34 +250,31 @@ def _mut_lut_config() -> LintContext:
 
 
 def _mut_pde_tap() -> LintContext:
-    from repro.core.plb import PLB
+    from repro.core.layout import PLBLayout
 
     context = _flow_context(MP_SEED)  # micropipelines map a real PDE
     plb = next(p for p in context.mapped.plbs if p.pde is not None)
     x, y = context.placement.site_of(plb.name)
     region = f"plb_{x}_{y}"
-    reference = PLB(context.architecture.plb)
-    offset = sum(le.config_bits for le in reference.les)
-    for index in range(reference.pde.config_bits):
-        context.bitstream.set_bit(region, offset + index, 0)  # zero the tap
+    pde = PLBLayout.for_params(context.architecture.plb).pde_slice
+    for index in range(pde.start, pde.stop):
+        context.bitstream.set_bit(region, index, 0)  # zero the tap
     return context
 
 
 def _mut_im_config() -> LintContext:
-    from repro.core.plb import PLB
+    from repro.core.layout import PLBLayout
 
     context = _flow_context()
     plb_name = context.mapped.plbs[0].name
     x, y = context.placement.site_of(plb_name)
     region = f"plb_{x}_{y}"
-    reference = PLB(context.architecture.plb)
-    offset = sum(le.config_bits for le in reference.les) + reference.pde.config_bits
-    width = reference.im.selector_bits
+    layout = PLBLayout.for_params(context.architecture.plb)
+    width = layout.im_selector_width
     bits = context.bitstream.region_bits(region)
     # Route a destination that is unconnected (all-zero selector): the new
     # code 1 is always a valid source index, so the segment still decodes.
-    for index in range(len(reference.im.destinations)):
-        start = offset + index * width
+    for start in layout.destination_offsets.values():
         if not any(bits[start : start + width]):
             context.bitstream.set_bit(region, start, 1)
             return context

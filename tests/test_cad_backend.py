@@ -20,6 +20,7 @@ from repro.cad.timing import (
 )
 from repro.circuits.fulladder import micropipeline_full_adder, qdi_full_adder
 from repro.circuits.registry import build_circuit, circuit_registry
+from repro.core.params import PLBParams
 from repro.core.fabric import Fabric
 from repro.core.params import ArchitectureParams
 from repro.core.plb import PLB
@@ -31,6 +32,80 @@ def _packed_qdi():
     design = template_map(qdi_full_adder())
     pack_design(design)
     return design
+
+
+# ----------------------------------------------------------------------
+# Packing
+# ----------------------------------------------------------------------
+def reference_pack(design: MappedDesign, params: PLBParams) -> MappedDesign:
+    """The packer as it was before it derived each LE's nets once per call:
+    a candidate PLB per (open PLB, remaining LE) pair, its nets and every
+    affinity re-derived through the ``MappedLE`` / ``MappedPLB`` views."""
+
+    def affinity(a, b):
+        nets_a = set(a.external_input_nets) | set(a.output_nets)
+        nets_b = set(b.external_input_nets) | set(b.output_nets)
+        return len(nets_a & nets_b)
+
+    def try_add(plb, le):
+        candidate = MappedPLB(name=plb.name, les=plb.les + [le], pde=plb.pde)
+        if len(candidate.les) > params.les_per_plb:
+            return None
+        if len(candidate.external_input_nets) > params.plb_inputs:
+            return None
+        if len(candidate.output_nets) > params.plb_outputs + params.les_per_plb:
+            return None
+        return candidate
+
+    remaining = list(design.les)
+    plbs = []
+    while remaining:
+        plb = MappedPLB(name=f"plb{len(plbs)}", les=[remaining.pop(0)])
+        while len(plb.les) < params.les_per_plb and remaining:
+            best_index, best_candidate, best_score = -1, None, -1
+            for index, le in enumerate(remaining):
+                candidate = try_add(plb, le)
+                if candidate is None:
+                    continue
+                score = sum(affinity(le, packed) for packed in plb.les)
+                if score > best_score:
+                    best_index, best_candidate, best_score = index, candidate, score
+            if best_candidate is None:
+                break
+            plb = best_candidate
+            remaining.pop(best_index)
+        plbs.append(plb)
+    for pde in design.pdes:
+        consumers = [
+            plb
+            for plb in plbs
+            if pde.output_net in plb.external_input_nets
+            or any(pde.output_net in le.external_input_nets for le in plb.les)
+        ]
+        target = next((plb for plb in consumers if plb.pde is None), None)
+        if target is None:
+            target = next((plb for plb in plbs if plb.pde is None), None)
+        if target is None:
+            target = MappedPLB(name=f"plb{len(plbs)}")
+            plbs.append(target)
+        target.pde = pde
+    design.plbs = plbs
+    return design
+
+
+def test_pack_matches_the_reference_loop_on_every_circuit():
+    from test_golden_digests import COMPOSED
+
+    circuits = {name: build_circuit(name) for name in circuit_registry()}
+    circuits.update((name, build()) for name, build in COMPOSED.items())
+    flow = CadFlow(ArchitectureParams())
+    for name, circuit in circuits.items():
+        mapped = getattr(circuit, "mapped", None) or flow.map(circuit)
+        payload = mapped.to_dict()
+        expected = reference_pack(MappedDesign.from_dict(payload), mapped.params)
+        packed = pack_design(MappedDesign.from_dict(payload))
+        assert packed.plbs, name
+        assert packed.to_dict() == expected.to_dict(), name
 
 
 # ----------------------------------------------------------------------
