@@ -7,9 +7,10 @@ For every packed PLB the generator:
    validity inputs to ``v0``/``v1``;
 2. rewrites the mapped truth tables over those physical pins;
 3. routes the PLB's interconnection matrix: LE inputs are fed either from
-   another LE output inside the PLB, from the PDE output, or from a PLB input
-   pin (allocated deterministically); externally consumed outputs are routed
-   to PLB output pins;
+   another LE output inside the PLB, from the PDE output, or from the PLB
+   input pin the design's pin binding (:func:`repro.cad.pack.bind_pins`)
+   gives the net; each exported output is routed to its bound output pin.
+   The router connects the routed nets to the same pins;
 4. programs the PDE tap from the mapped matched delay.
 
 Each PLB configuration is then encoded through the architecture's one
@@ -19,9 +20,11 @@ Each PLB configuration is then encoded through the architecture's one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Mapping
 
 from repro.cad.lemap import MappedDesign, MappedPLB
+from repro.cad.pack import bind_pins
 from repro.cad.place import Placement
 from repro.core.bitstream import Bitstream, BitstreamBudget
 from repro.core.im import IMConfig
@@ -38,17 +41,32 @@ class ConfigurationError(RuntimeError):
 
 @dataclass
 class ConfiguredPLB:
-    """One PLB's configuration plus the net <-> pin binding used to build it."""
+    """One PLB's configuration plus the net <-> pin binding it was built from."""
 
     plb_name: str
     config: PLBConfig
-    input_pin_of_net: dict[str, str] = field(default_factory=dict)
-    output_pin_of_net: dict[str, str] = field(default_factory=dict)
-    internal_signal_of_net: dict[str, str] = field(default_factory=dict)
+    input_pin_of_net: Mapping[str, str]
+    output_pin_of_net: Mapping[str, str]
+    internal_signal_of_net: dict[str, str]
 
 
-def configure_plb(plb: MappedPLB, params: ArchitectureParams) -> ConfiguredPLB:
-    """Build the :class:`PLBConfig` realising one packed PLB."""
+def configure_plbs(design: MappedDesign, params: ArchitectureParams) -> dict[str, ConfiguredPLB]:
+    """Build the :class:`PLBConfig` realising every packed PLB, by PLB name."""
+    binding = bind_pins(design)
+    return {
+        plb.name: _configure_plb(
+            plb, binding.inputs[plb.name], binding.outputs[plb.name], params
+        )
+        for plb in design.plbs
+    }
+
+
+def _configure_plb(
+    plb: MappedPLB,
+    input_pin_of_net: Mapping[str, str],
+    output_pin_of_net: Mapping[str, str],
+    params: ArchitectureParams,
+) -> ConfiguredPLB:
     plb_params = params.plb
     le_params = plb_params.le
 
@@ -61,20 +79,8 @@ def configure_plb(plb: MappedPLB, params: ArchitectureParams) -> ConfiguredPLB:
     if plb.pde is not None:
         internal_signal_of_net[plb.pde.output_net] = "pde_out"
 
-    # Allocate PLB input pins for externally produced nets.
-    input_pin_of_net: dict[str, str] = {}
-
     def input_signal_for(net: str) -> str:
-        if net in internal_signal_of_net:
-            return internal_signal_of_net[net]
-        if net not in input_pin_of_net:
-            index = len(input_pin_of_net)
-            if index >= plb_params.plb_inputs:
-                raise ConfigurationError(
-                    f"PLB {plb.name} needs more than {plb_params.plb_inputs} input pins"
-                )
-            input_pin_of_net[net] = f"in{index}"
-        return input_pin_of_net[net]
+        return internal_signal_of_net.get(net) or input_pin_of_net[net]
 
     im_routes: dict[str, str] = {}
     le_configs: list[LEConfig] = []
@@ -129,15 +135,8 @@ def configure_plb(plb: MappedPLB, params: ArchitectureParams) -> ConfiguredPLB:
         pde_config = PDEConfig(tap=tap, used=True)
         im_routes["pde_in"] = input_signal_for(plb.pde.input_net)
 
-    # PLB outputs: everything produced here may be consumed outside; export in
-    # deterministic order up to the output pin budget.
-    output_pin_of_net: dict[str, str] = {}
-    for net in plb.output_nets:
-        index = len(output_pin_of_net)
-        if index >= plb_params.plb_outputs:
-            break
-        pin = f"out{index}"
-        output_pin_of_net[net] = pin
+    # PLB outputs: each exported net leaves on its bound output pin.
+    for net, pin in output_pin_of_net.items():
         im_routes[pin] = internal_signal_of_net[net]
 
     config = PLBConfig(le_configs=le_configs, pde_config=pde_config, im_config=IMConfig(routes=im_routes))
@@ -159,12 +158,8 @@ def generate_bitstream(
     budget = BitstreamBudget.for_architecture(params)
     layout = PLBLayout.for_params(params.plb)
     bitstream = Bitstream(budget)
-    configured: dict[str, ConfiguredPLB] = {}
-
-    for plb in design.plbs:
-        configured_plb = configure_plb(plb, params)
-        configured[plb.name] = configured_plb
-        x, y = placement.site_of(plb.name)
+    configured = configure_plbs(design, params)
+    for name, configured_plb in configured.items():
+        x, y = placement.site_of(name)
         bitstream.set_region(f"plb_{x}_{y}", layout.encode(configured_plb.config))
-
     return bitstream, configured

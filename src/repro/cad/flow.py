@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, ClassVar, Mapping
 
-from repro.cad.bitgen import ConfiguredPLB, configure_plb, generate_bitstream
+from repro.cad.bitgen import ConfiguredPLB, configure_plbs, generate_bitstream
 from repro.cad.lemap import MappedDesign
 from repro.cad.metrics import FillingRatioReport, filling_ratio
 from repro.cad.pack import pack_design, packing_summary
@@ -715,11 +715,9 @@ class CadFlow:
             return {}
         if "bitstream" in stored:
             result.bitstream = Bitstream.from_dict(stored["bitstream"])
-            # configure_plb is pure, so the per-PLB views accompanying a
+            # configure_plbs is pure, so the per-PLB views accompanying a
             # stored bitstream are recomputed rather than serialized.
-            result.configured_plbs = {
-                plb.name: configure_plb(plb, self.architecture) for plb in result.mapped.plbs
-            }
+            result.configured_plbs = configure_plbs(result.mapped, self.architecture)
         else:
             result.bitstream, result.configured_plbs = generate_bitstream(
                 result.mapped, result.placement, self.architecture

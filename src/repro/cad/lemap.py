@@ -241,18 +241,7 @@ class MappedPLB:
             return False
         if any(not le.fits(params) for le in self.les):
             return False
-        if len(self.external_input_nets) > params.plb_inputs:
-            return False
-        exported = [net for net in self.output_nets]
-        if len(exported) > params.plb_outputs + 0:
-            # Not every internal net must leave the PLB, but the conservative
-            # check keeps packing safely within the output budget.
-            return len(self.externally_visible_outputs(set())) <= params.plb_outputs
-        return True
-
-    def externally_visible_outputs(self, consumed_elsewhere: set[str]) -> tuple[str, ...]:
-        """Outputs read outside this PLB (or that are primary outputs)."""
-        return tuple(net for net in self.output_nets if net in consumed_elsewhere)
+        return len(self.external_input_nets) <= params.plb_inputs
 
 
 @dataclass

@@ -8,11 +8,20 @@ halves of a dual-rail pair, or a datapath latch next to its controller).
 
 Delay elements are attached to the PLB that already hosts a consumer of the
 delayed signal when possible, otherwise to any PLB with a free PDE.
+
+:func:`bind_pins` then decides which net sits on which pin of each packed
+PLB.  The router connects its routes to those pins and the bitstream
+generator programs the interconnection matrix from them, so both read one
+binding.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Iterable, Mapping
+
 from repro.cad.lemap import MappedDesign, MappedPLB
+from repro.core.lut import pin_names
 from repro.core.params import PLBParams
 
 
@@ -41,7 +50,7 @@ def pack_design(design: MappedDesign, params: PLBParams | None = None) -> Mapped
     outputs = [le.output_nets for le in design.les]
     nets = [needs.union(made) for needs, made in zip(inputs, outputs)]
     # A PLB may claim a small output slack because not every LE output needs
-    # to leave it; the definitive check happens at pin assignment time.
+    # to leave it; bind_pins makes the definitive check.
     output_limit = params.plb_outputs + params.les_per_plb
 
     remaining = list(range(len(design.les)))
@@ -98,6 +107,63 @@ def pack_design(design: MappedDesign, params: PLBParams | None = None) -> Mapped
 
     design.plbs = plbs
     return design
+
+
+@dataclass(frozen=True)
+class PinBinding:
+    """Which net sits on which pin of each packed PLB, keyed by PLB name."""
+
+    #: PLB -> external input net -> its ``in*`` pin.
+    inputs: Mapping[str, Mapping[str, str]]
+    #: PLB -> exported net -> its ``out*`` pin.
+    outputs: Mapping[str, Mapping[str, str]]
+    #: Net -> the PLB driving it.
+    drivers: Mapping[str, str]
+    #: Net -> the PLBs reading it from the fabric, in ``design.plbs`` order
+    #: (never its driver: a PLB reads its own outputs inside).
+    consumers: Mapping[str, list[str]]
+
+
+def bind_pins(design: MappedDesign) -> PinBinding:
+    """Bind every packed PLB's external nets to its physical pins.
+
+    A PLB's external input nets sit, sorted by name, on ``in0, in1, ...``.
+    The nets it drives that another PLB reads or that are primary outputs
+    sit, sorted, on ``out0, out1, ...``; its other outputs stay inside.
+
+    Raises :class:`PackingError` when a PLB needs more pins than it has.
+    """
+    params = design.params
+    input_pins = pin_names(params.plb_inputs, prefix="in")
+    output_pins = pin_names(params.plb_outputs, prefix="out")
+    drivers: dict[str, str] = {}
+    consumers: dict[str, list[str]] = {}
+    inputs: dict[str, dict[str, str]] = {}
+    for plb in design.plbs:
+        for net in plb.output_nets:
+            drivers[net] = plb.name
+        external = plb.external_input_nets
+        inputs[plb.name] = _bind(plb.name, external, input_pins, "input")
+        for net in external:
+            consumers.setdefault(net, []).append(plb.name)
+
+    exported: dict[str, list[str]] = {plb.name: [] for plb in design.plbs}
+    primary_outputs = set(design.primary_outputs)
+    for net, driver in drivers.items():
+        if net in primary_outputs or net in consumers:
+            exported[driver].append(net)
+    outputs = {name: _bind(name, nets, output_pins, "output") for name, nets in exported.items()}
+    return PinBinding(inputs=inputs, outputs=outputs, drivers=drivers, consumers=consumers)
+
+
+def _bind(plb_name: str, nets: Iterable[str], pins: tuple[str, ...], kind: str) -> dict[str, str]:
+    """*nets*, sorted by name, on the first of *pins*."""
+    ordered = sorted(nets)
+    if len(ordered) > len(pins):
+        raise PackingError(
+            f"PLB {plb_name} needs {len(ordered)} {kind} pins but has {len(pins)}"
+        )
+    return dict(zip(ordered, pins))
 
 
 def packing_summary(design: MappedDesign) -> dict[str, object]:

@@ -50,10 +50,9 @@ capacity adds every full node to the blocked bytes, and displacement (take
 the minimum-delay tree, relocate the less critical nets in its way) searches
 a delay cost list that charges an epsilon per net a full node would lose.
 
-Before routing, logical PLB pins are assigned to physical pins: every external
-input net of a packed PLB gets one of the PLB's ``in*`` pins and every
-externally consumed output one of the ``out*`` pins, in deterministic order.
-Primary inputs/outputs use the IO pads chosen by the placer.
+Each net runs from and to the PLB pins :func:`repro.cad.pack.bind_pins`
+gives it, the binding the bitstream generator programs the interconnection
+matrix from.  Primary inputs/outputs use the IO pads chosen by the placer.
 """
 
 from __future__ import annotations
@@ -64,6 +63,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Mapping, Sequence
 
 from repro.cad.lemap import MappedDesign
+from repro.cad.pack import bind_pins
 from repro.cad.place import Placement
 from repro.cad.timing import (
     CBOX_DELAY_PS,
@@ -270,71 +270,26 @@ def _collect_net_endpoints(
     graph: RoutingResourceGraph,
 ) -> tuple[dict[str, int], dict[str, list[int]], list[PinAssignment]]:
     """Compute, for every net that leaves a block, its source node and sink nodes."""
-    fabric = graph.fabric
+    binding = bind_pins(design)
+    primary_inputs = set(design.primary_inputs)
+    primary_outputs = set(design.primary_outputs)
     assignments: list[PinAssignment] = []
-
-    driver_plb: dict[str, str] = {}
-    for plb in design.plbs:
-        for net in plb.output_nets:
-            driver_plb[net] = plb.name
-
-    consumers: dict[str, list[str]] = {}
-    for plb in design.plbs:
-        for net in plb.external_input_nets:
-            consumers.setdefault(net, []).append(plb.name)
-
     sources: dict[str, int] = {}
     sinks: dict[str, list[int]] = {}
 
-    # Per-PLB physical pin allocation.
-    input_pin_cursor: dict[str, int] = {plb.name: 0 for plb in design.plbs}
-    output_pin_cursor: dict[str, int] = {plb.name: 0 for plb in design.plbs}
-    input_pins = fabric.plb_input_pins()
-    output_pins = fabric.plb_output_pins()
-
-    def next_input_pin(plb_name: str) -> str:
-        cursor = input_pin_cursor[plb_name]
-        if cursor >= len(input_pins):
-            raise RoutingError(f"PLB {plb_name} needs more than {len(input_pins)} input pins")
-        input_pin_cursor[plb_name] = cursor + 1
-        return input_pins[cursor]
-
-    def next_output_pin(plb_name: str) -> str:
-        cursor = output_pin_cursor[plb_name]
-        if cursor >= len(output_pins):
-            raise RoutingError(f"PLB {plb_name} needs more than {len(output_pins)} output pins")
-        output_pin_cursor[plb_name] = cursor + 1
-        return output_pins[cursor]
-
-    interesting_nets: list[str] = []
-    for net in sorted(set(list(consumers) + design.primary_outputs)):
-        driven_by_plb = net in driver_plb
-        consumed_by_plbs = [
-            name for name in consumers.get(net, []) if name != driver_plb.get(net)
-        ]
-        is_primary_output = net in design.primary_outputs
-        is_primary_input = net in design.primary_inputs
-        needs_routing = (
-            (driven_by_plb and (consumed_by_plbs or is_primary_output))
-            or (is_primary_input and consumers.get(net))
-            # Pad-to-pad pass-through: a primary input that is also a primary
-            # output with no PLB consumers still needs a fabric path from its
-            # pad's output pin back to its input pin (small CRC chains shift
-            # initial-vector bits straight out).
-            or (is_primary_input and is_primary_output)
-        )
-        if needs_routing:
-            interesting_nets.append(net)
-
-    for net in interesting_nets:
-        # Source.
-        if net in driver_plb:
-            plb_name = driver_plb[net]
-            x, y = placement.site_of(plb_name)
-            pin = next_output_pin(plb_name)
+    for net in sorted(primary_outputs.union(binding.consumers)):
+        driver = binding.drivers.get(net)
+        # Source: the driving PLB's bound output pin, else the primary
+        # input's pad.  A pad-to-pad pass-through (a primary input that is
+        # also a primary output) still needs a fabric path from its pad's
+        # output pin back to its input pin (small CRC chains shift
+        # initial-vector bits straight out).
+        if driver is not None:
+            pin = binding.outputs[driver][net]
+            x, y = placement.site_of(driver)
             node = graph.opin(x, y, pin)
-            assignments.append(PinAssignment(net, plb_name, pin, node.node_id, True))
-        elif net in design.primary_inputs:
+            assignments.append(PinAssignment(net, driver, pin, node.node_id, True))
+        elif net in primary_inputs:
             pad = placement.pad_of(net)
             node = graph.io_opin(pad)
             assignments.append(PinAssignment(net, pad.name, "out", node.node_id, True))
@@ -342,27 +297,20 @@ def _collect_net_endpoints(
             continue
         sources[net] = node.node_id
 
-        # Sinks.
+        # Sinks: each reading PLB's bound input pin, and the output pad.
         net_sinks: list[int] = []
-        for plb_name in consumers.get(net, []):
-            if net in driver_plb and plb_name == driver_plb[net]:
-                continue  # internal to the PLB, no routing needed
+        for plb_name in binding.consumers.get(net, ()):
+            pin = binding.inputs[plb_name][net]
             x, y = placement.site_of(plb_name)
-            pin = next_input_pin(plb_name)
             sink = graph.ipin(x, y, pin)
             assignments.append(PinAssignment(net, plb_name, pin, sink.node_id, False))
             net_sinks.append(sink.node_id)
-        if net in design.primary_outputs and (
-            net in driver_plb or net in design.primary_inputs
-        ):
+        if net in primary_outputs:
             pad = placement.pad_of(net)
             sink = graph.io_ipin(pad)
             assignments.append(PinAssignment(net, pad.name, "in", sink.node_id, False))
             net_sinks.append(sink.node_id)
-        if net_sinks:
-            sinks[net] = net_sinks
-        else:
-            sources.pop(net, None)
+        sinks[net] = net_sinks
 
     return sources, sinks, assignments
 

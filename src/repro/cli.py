@@ -338,7 +338,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         )
         return 2
 
-    plan = FaultPlan.build(
+    plan = FaultPlan(
         seed=args.seed,
         p_crash=args.crash,
         p_hang=args.hang,

@@ -24,8 +24,8 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.core.lut import pin_names
 from repro.core.params import ArchitectureParams
-from repro.core.plb import PLB
 
 
 class TileType(enum.Enum):
@@ -77,11 +77,10 @@ class IOPad:
 
 
 class Fabric:
-    """A fabric instance: grid geometry plus a reference PLB for pin naming."""
+    """A fabric instance: grid geometry and PLB pin names."""
 
     def __init__(self, params: ArchitectureParams | None = None) -> None:
         self.params = params if params is not None else ArchitectureParams()
-        self.reference_plb = PLB(self.params.plb, name="plb_ref")
 
     # ------------------------------------------------------------------
     # Geometry
@@ -176,10 +175,10 @@ class Fabric:
     # Pin geometry
     # ------------------------------------------------------------------
     def plb_input_pins(self) -> tuple[str, ...]:
-        return self.reference_plb.input_names()
+        return pin_names(self.params.plb.plb_inputs, prefix="in")
 
     def plb_output_pins(self) -> tuple[str, ...]:
-        return self.reference_plb.output_names()
+        return pin_names(self.params.plb.plb_outputs, prefix="out")
 
     def pin_side(self, pin_index: int) -> int:
         """Distribute pins round-robin over the four sides (0..3)."""

@@ -11,8 +11,8 @@ A PLB region holds, in order (the order of the behavioural models'
   of its source (the source's index in :attr:`PLBLayout.im_sources` plus
   one; 0 leaves the destination unconnected).
 
-The region's budget (:attr:`PLBParams.config_bits`) may exceed the encoded
-fields; the tail stays zero.  :meth:`PLBLayout.for_params` computes every
+The last IM selector ends the region: its width is the budget's
+:attr:`PLBParams.config_bits`.  :meth:`PLBLayout.for_params` computes every
 offset once per :class:`~repro.core.params.PLBParams`, and the bitstream
 generator and the bitstream audit both read that one layout, so encoder and
 decoder share one enumeration of the region.  A layout is immutable, so

@@ -70,13 +70,18 @@ class LEParams(SerializableParams):
     lut_inputs: int = 7
     lut_outputs: int = 3
     validity_lut_inputs: int = 2
+    #: Always 1: the validity LUT drives the LE's single validity output, ov.
     validity_lut_outputs: int = 1
 
     def __post_init__(self) -> None:
         _check_positive("lut_inputs", self.lut_inputs)
         _check_positive("lut_outputs", self.lut_outputs)
         _check_positive("validity_lut_inputs", self.validity_lut_inputs)
-        _check_positive("validity_lut_outputs", self.validity_lut_outputs)
+        if self.validity_lut_outputs != 1:
+            raise ValueError(
+                "validity_lut_outputs must be 1: an LE has a single validity "
+                f"output, ov (got {self.validity_lut_outputs})"
+            )
 
     @property
     def lut_config_bits(self) -> int:

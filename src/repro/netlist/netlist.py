@@ -13,13 +13,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from repro.core.schema import decoding, require_version
 from repro.netlist.celltypes import CellType, Library, STANDARD_LIBRARY
-
-#: Schema version of :meth:`Netlist.to_dict` payloads.
-NETLIST_SCHEMA = 1
 
 
 class PortDirection(enum.Enum):
@@ -287,69 +283,6 @@ class Netlist:
             "area": self.total_area(),
             "histogram": self.cell_histogram(),
         }
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-safe, schema-versioned rendering (inverse of :meth:`from_dict`).
-
-        Cells reference their type by library name and their nets by name —
-        no object identity crosses the boundary.  Cell attributes are stored
-        verbatim, so they must be JSON-safe (the builders only ever attach
-        scalars).  Nets carry no state beyond connectivity, so only the names
-        of dangling (connection-free) nets need recording explicitly.
-        """
-        connected: set[str] = set()
-        for cell in self.cells.values():
-            connected.update(cell.connections.values())
-        connected.update(name for name, _direction in self._port_order)
-        return {
-            "schema": NETLIST_SCHEMA,
-            "name": self.name,
-            "ports": [[name, direction.value] for name, direction in self._port_order],
-            "cells": [
-                {
-                    "name": cell.name,
-                    "type": cell.type_name,
-                    "connections": dict(cell.connections),
-                    "attributes": dict(cell.attributes),
-                }
-                for cell in self.cells.values()
-            ],
-            "dangling_nets": sorted(set(self.nets) - connected),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any], library: Library | None = None) -> "Netlist":
-        """Rebuild from :meth:`to_dict` output (cell types resolved in *library*)."""
-        require_version(data, "netlist", NETLIST_SCHEMA)
-        with decoding("netlist"):
-            netlist = cls(str(data["name"]), library=library)
-            ports: list[tuple[str, PortDirection]] = [
-                (str(entry[0]), PortDirection(entry[1])) for entry in data["ports"]
-            ]
-            for port_name, direction in ports:
-                if direction is PortDirection.INPUT:
-                    netlist.add_port(port_name, direction)
-            for entry in data["cells"]:
-                attributes = dict(entry.get("attributes", {}))
-                netlist.add_cell(
-                    str(entry["name"]),
-                    str(entry["type"]),
-                    {str(pin): str(net) for pin, net in dict(entry["connections"]).items()},
-                    **attributes,
-                )
-            # Output ports are declared after the cells so their driver checks
-            # see the finished connectivity; _port_order is then restored to
-            # the recorded interleaving.
-            for port_name, direction in ports:
-                if direction is PortDirection.OUTPUT:
-                    netlist.add_port(port_name, direction)
-            netlist._port_order = ports
-            for net_name in data.get("dangling_nets", []):
-                netlist.add_net(str(net_name))
-            return netlist
 
     def copy(self, name: str | None = None) -> "Netlist":
         """A deep, independent copy of the netlist."""

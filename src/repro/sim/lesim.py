@@ -15,31 +15,19 @@ mapping preserved the circuit's behaviour.
 from __future__ import annotations
 
 from repro.cad.lemap import MappedDesign, MappedLE
+from repro.cad.timing import LE_DELAY_PS
 from repro.netlist.celltypes import CellType, STANDARD_LIBRARY
 from repro.netlist.netlist import Netlist, PortDirection
 from repro.sim.netsim import GateLevelSimulator
 
-#: Nominal delay of one LE evaluation (through the IM and the LUT), in ps.
-LE_DELAY_PS = 250
 
-
-def _le_cell_type(le: MappedLE, delay_ps: int = LE_DELAY_PS) -> CellType:
+def _le_cell_type(le: MappedLE, input_nets: list[str], delay_ps: int) -> CellType:
     """Build a cell type whose outputs reproduce the LE's configured functions.
 
-    Pin naming: inputs are ``p0, p1, ...`` (one per distinct input net,
-    including feedback nets); outputs are ``q0, q1, ...`` in the order of the
-    LE's functions followed by the validity function.
+    Pin naming: input ``p<n>`` reads ``input_nets[n]`` (each distinct input
+    net, feedback nets included); outputs are ``q0, q1, ...`` in the order of
+    the LE's functions followed by the validity function.
     """
-    input_nets: list[str] = []
-    for function in le.functions:
-        for net in function.input_nets:
-            if net not in input_nets:
-                input_nets.append(net)
-    if le.validity is not None:
-        for net in le.validity.input_nets:
-            if net not in input_nets:
-                input_nets.append(net)
-
     pin_of_net = {net: f"p{index}" for index, net in enumerate(input_nets)}
     inputs = tuple(pin_of_net[net] for net in input_nets)
 
@@ -88,16 +76,8 @@ def mapped_design_to_netlist(
         return renamed_outputs.get(net, net)
 
     for le in design.les:
-        cell_type = _le_cell_type(le, delay_ps=le_delay_ps)
-        input_nets: list[str] = []
-        for function in le.functions:
-            for net in function.input_nets:
-                if net not in input_nets:
-                    input_nets.append(net)
-        if le.validity is not None:
-            for net in le.validity.input_nets:
-                if net not in input_nets:
-                    input_nets.append(net)
+        input_nets = list(dict.fromkeys(le.lut_input_nets + le.validity_input_nets))
+        cell_type = _le_cell_type(le, input_nets, le_delay_ps)
         functions = list(le.functions) + ([le.validity] if le.validity is not None else [])
 
         connections = {}

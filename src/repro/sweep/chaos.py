@@ -85,7 +85,9 @@ class FaultPlan:
     guaranteed repeat-killers that must end ``status="poisoned"``.
     ``scripted`` pins exact per-label fault sequences (attempt 1, 2, ...;
     ``"none"`` for a clean attempt), for tests that need one precise
-    trajectory rather than a probability.
+    trajectory rather than a probability.  Both accept any sequence (and
+    ``scripted`` any mapping of label to kinds) and are kept as frozen
+    tuples, so equal plans compare and hash equal however they were built.
     """
 
     seed: int = 0
@@ -97,20 +99,12 @@ class FaultPlan:
     poison: tuple[str, ...] = ()
     scripted: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
-    @classmethod
-    def build(
-        cls,
-        scripted: Mapping[str, Sequence[str]] | None = None,
-        poison: Sequence[str] = (),
-        **kwargs: object,
-    ) -> "FaultPlan":
-        """Normalise mapping/sequence arguments into the frozen tuples."""
-        return cls(
-            poison=tuple(poison),
-            scripted=tuple(
-                (label, tuple(kinds)) for label, kinds in (scripted or {}).items()
-            ),
-            **kwargs,  # type: ignore[arg-type]
+    def __post_init__(self) -> None:
+        scripted = self.scripted
+        pairs = scripted.items() if isinstance(scripted, Mapping) else scripted
+        object.__setattr__(self, "poison", tuple(self.poison))
+        object.__setattr__(
+            self, "scripted", tuple((label, tuple(kinds)) for label, kinds in pairs)
         )
 
     def to_dict(self) -> dict[str, object]:
@@ -127,16 +121,8 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "FaultPlan":
-        known = {
-            f: data[f]
-            for f in cls.__dataclass_fields__
-            if f in data and f not in ("poison", "scripted")
-        }
-        return cls.build(
-            scripted=data.get("scripted") or {},  # type: ignore[arg-type]
-            poison=data.get("poison") or (),  # type: ignore[arg-type]
-            **known,  # type: ignore[arg-type]
-        )
+        fields = {name: data[name] for name in cls.__dataclass_fields__ if name in data}
+        return cls(**fields)  # type: ignore[arg-type]
 
     def fault_for(self, label: str, attempt: int) -> str | None:
         """The fault to inject into *attempt* (1-based) of *label*, if any."""

@@ -194,7 +194,8 @@ class IMConfigRule(ConfiguredRegionRule):
     name = "im-config"
     description = (
         "The stored IM routes decode to exactly the configured crossbar, and "
-        "the PLB's pin bindings agree with the routed trees' endpoints."
+        "every routed net arrives at and leaves from the PLB pin the IM binds "
+        "it to."
     )
 
     def check(self, context: LintContext, config: LintConfig) -> Iterator[Finding]:
@@ -224,29 +225,26 @@ class IMConfigRule(ConfiguredRegionRule):
                 )
             if context.routing is None:
                 continue
-            routed_in = {
-                assignment.net
-                for assignment in context.routing.pin_assignments
-                if assignment.block == plb.name and not assignment.is_driver
-            }
-            bound_in = set(configured.input_pin_of_net)
-            if routed_in != bound_in:
-                yield self.finding(
-                    f"PLB {plb.name} ({decoded.name}): routed sink nets "
-                    f"{sorted(routed_in)} disagree with the IM's input-pin "
-                    f"bindings {sorted(bound_in)}",
-                    location=decoded.name,
+            routed: dict[bool, dict[str, str]] = {True: {}, False: {}}
+            for assignment in context.routing.pin_assignments:
+                if assignment.block == plb.name:
+                    routed[assignment.is_driver][assignment.net] = assignment.pin
+            for is_driver, bound, side in (
+                (False, configured.input_pin_of_net, "input"),
+                (True, configured.output_pin_of_net, "output"),
+            ):
+                pins = routed[is_driver]
+                wrong = sorted(
+                    net for net in set(pins) | set(bound) if pins.get(net) != bound.get(net)
                 )
-            routed_out = {
-                assignment.net
-                for assignment in context.routing.pin_assignments
-                if assignment.block == plb.name and assignment.is_driver
-            }
-            bound_out = set(configured.output_pin_of_net)
-            if not routed_out <= bound_out:
-                unbound = sorted(routed_out - bound_out)
-                yield self.finding(
-                    f"PLB {plb.name} ({decoded.name}): nets {unbound} are "
-                    "routed from this PLB but bound to no output pin",
-                    location=decoded.name,
-                )
+                if wrong:
+                    detail = ", ".join(
+                        f"{net} routed to {pins.get(net, 'no pin')}, "
+                        f"bound to {bound.get(net, 'no pin')}"
+                        for net in wrong
+                    )
+                    yield self.finding(
+                        f"PLB {plb.name} ({decoded.name}): {side} pins disagree "
+                        f"with the IM's binding: {detail}",
+                        location=decoded.name,
+                    )

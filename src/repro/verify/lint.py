@@ -146,12 +146,12 @@ def lint_stored_artifacts(
 
     Everything transient is re-derived from the payloads: the fabric and RR
     graph from the stored architecture, the per-PLB configurations from the
-    packed design (``configure_plb`` is pure), and — when no bitstream was
+    packed design (``configure_plbs`` is pure), and — when no bitstream was
     checkpointed — the bitstream itself from packed + placement.  Rules
     whose inputs are absent from the store are skipped as usual, so a
     shallow checkpoint (e.g. ``mapped`` only) lints what it can.
     """
-    from repro.cad.bitgen import configure_plb
+    from repro.cad.bitgen import configure_plbs
     from repro.core.fabric import Fabric
     from repro.core.rrgraph import RoutingResourceGraph
 
@@ -172,8 +172,5 @@ def lint_stored_artifacts(
         and context.mapped is not None
         and context.mapped.plbs
     ):
-        context.configured_plbs = {
-            plb.name: configure_plb(plb, view.architecture)
-            for plb in context.mapped.plbs
-        }
+        context.configured_plbs = configure_plbs(context.mapped, view.architecture)
     return run_rules(context, config)

@@ -34,8 +34,6 @@ from repro.circuits.registry import build_circuit
 from repro.core.bitstream import Bitstream, BitstreamBudget
 from repro.core.params import ArchitectureParams
 from repro.core.schema import decoding, require_version
-from repro.netlist.builder import NetlistBuilder
-from repro.netlist.netlist import Netlist
 
 ARCH = ArchitectureParams()
 
@@ -97,19 +95,6 @@ def test_bitstream_round_trips(flow_and_result):
     assert Bitstream.from_dict(payload, budget) == result.bitstream
 
 
-def test_netlist_round_trips():
-    builder = NetlistBuilder("codec_probe")
-    a, b = builder.inputs("a", "b")
-    x = builder.and2(a, b)
-    builder.or2(x, a, out="y")
-    builder.output("y")
-    netlist = builder.netlist
-    payload = _json_round_trip(netlist.to_dict())
-    rebuilt = Netlist.from_dict(payload)
-    assert rebuilt.to_dict() == netlist.to_dict()
-    assert rebuilt.stats() == netlist.stats()
-
-
 # ----------------------------------------------------------------------
 # Hypothesis: codecs over generated values
 # ----------------------------------------------------------------------
@@ -148,21 +133,6 @@ def test_bitstream_round_trips_generated(data):
     bitstream = Bitstream.from_bytes(budget, padded)
     rebuilt = Bitstream.from_dict(_json_round_trip(bitstream.to_dict()))
     assert rebuilt.to_bytes() == bitstream.to_bytes()
-
-
-@given(chain=st.integers(1, 6), invert=st.lists(st.booleans(), min_size=1, max_size=6))
-@settings(max_examples=25, deadline=None)
-def test_netlist_round_trips_generated(chain, invert):
-    builder = NetlistBuilder("gen")
-    net = builder.input("in0")
-    for index in range(chain):
-        flip = invert[index % len(invert)]
-        net = builder.inv(net) if flip else builder.buf(net)
-    builder.netlist.add_net("out0")
-    builder.buf(net, out="out0")
-    builder.output("out0")
-    payload = _json_round_trip(builder.netlist.to_dict())
-    assert Netlist.from_dict(payload).to_dict() == builder.netlist.to_dict()
 
 
 # ----------------------------------------------------------------------

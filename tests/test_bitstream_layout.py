@@ -7,6 +7,8 @@ behavioural :class:`~repro.core.plb.PLB` configured the same way, its
 components' ``config_vector()`` outputs concatenated and zero-padded to the
 region.  A hypothesis property runs both over random configurations on the
 default and on a non-default :class:`~repro.core.params.PLBParams`.
+Another checks that the behavioural statistics, the area model, the
+bitstream budget and the layout count the same bits per PLB.
 
 :class:`~repro.core.bitstream.Bitstream` keeps one byte per bit in budget
 order and packs the whole array at once; :func:`reference_to_bytes` and
@@ -24,7 +26,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cad.bitgen import configure_plb, generate_bitstream
+from repro.analysis.area import plb_area_estimate
+from repro.cad.bitgen import configure_plbs, generate_bitstream
 from repro.cad.flow import CadFlow, FlowOptions
 from repro.circuits.registry import build_circuit
 from repro.core.bitstream import Bitstream, BitstreamBudget
@@ -41,17 +44,18 @@ from repro.core.lut import pin_names
 from repro.core.params import ArchitectureParams, LEParams, PLBParams
 from repro.core.pde import PDEConfig
 from repro.core.plb import PLB, PLBConfig
+from repro.core.stats import plb_statistics
 from repro.logic.truthtable import TruthTable
 
-#: A PLB unlike the paper's in every dimension; its validity LUT budgets two
-#: outputs, so the region holds more bits than the encoded fields.
+#: A PLB unlike the paper's in every dimension but the LE's one validity
+#: output.
 ODD_PLB = PLBParams(
     les_per_plb=3,
     plb_inputs=10,
     plb_outputs=5,
     pde_taps=5,
     pde_step_ps=70,
-    le=LEParams(lut_inputs=4, lut_outputs=2, validity_lut_inputs=3, validity_lut_outputs=2),
+    le=LEParams(lut_inputs=4, lut_outputs=2, validity_lut_inputs=3, validity_lut_outputs=1),
 )
 
 
@@ -96,9 +100,9 @@ def reference_bytes(design, placement, arch: ArchitectureParams) -> bytes:
     """The whole bitstream as the replaced generator serialised it."""
     budget = BitstreamBudget.for_architecture(arch)
     contents = {region.name: [0] * region.bits for region in budget.regions}
-    for plb in design.plbs:
-        x, y = placement.site_of(plb.name)
-        contents[f"plb_{x}_{y}"] = reference_region(arch.plb, configure_plb(plb, arch).config)
+    for name, configured in configure_plbs(design, arch).items():
+        x, y = placement.site_of(name)
+        contents[f"plb_{x}_{y}"] = reference_region(arch.plb, configured.config)
     return reference_to_bytes(budget, contents)
 
 
@@ -175,6 +179,51 @@ def test_layout_rejects_what_the_plb_rejects():
     corrupt[offset : offset + width] = b"\x01" * width  # beyond the 25 sources
     with pytest.raises(ValueError):
         layout.decode_routes(corrupt)
+
+
+# ----------------------------------------------------------------------
+# One PLB bit count
+# ----------------------------------------------------------------------
+@settings(max_examples=40, deadline=None)
+@given(
+    les_per_plb=st.integers(1, 4),
+    plb_inputs=st.integers(1, 24),
+    plb_outputs=st.integers(1, 12),
+    pde_taps=st.integers(1, 40),
+    lut_inputs=st.integers(1, 7),
+    lut_outputs=st.integers(1, 4),
+    validity_lut_inputs=st.integers(1, 3),
+)
+def test_every_plb_bit_count_agrees(
+    les_per_plb, plb_inputs, plb_outputs, pde_taps, lut_inputs, lut_outputs, validity_lut_inputs
+):
+    params = PLBParams(
+        les_per_plb=les_per_plb,
+        plb_inputs=plb_inputs,
+        plb_outputs=plb_outputs,
+        pde_taps=pde_taps,
+        le=LEParams(
+            lut_inputs=lut_inputs,
+            lut_outputs=lut_outputs,
+            validity_lut_inputs=validity_lut_inputs,
+        ),
+    )
+    arch = ArchitectureParams(width=1, height=1, plb=params)
+    layout = PLBLayout.for_params(params)
+    counts = {
+        "plb_statistics": plb_statistics(arch)["plb_config_bits"],
+        "plb_area_estimate": plb_area_estimate(params)["plb_config_bits"],
+        "budget": BitstreamBudget.for_architecture(arch).region("plb_0_0").bits,
+        "layout": layout.destination_offsets[layout.im_destinations[-1]] + layout.im_selector_width,
+    }
+    assert set(counts.values()) == {params.config_bits}, counts
+
+
+def test_an_le_has_one_validity_output():
+    with pytest.raises(ValueError, match="single validity output, ov"):
+        LEParams(validity_lut_outputs=2)
+    with pytest.raises(ValueError, match="single validity output, ov"):
+        LEParams(validity_lut_outputs=0)
 
 
 # ----------------------------------------------------------------------

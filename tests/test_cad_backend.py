@@ -3,10 +3,10 @@ end-to-end CAD flow."""
 
 import pytest
 
-from repro.cad.bitgen import ConfigurationError, configure_plb, generate_bitstream
+from repro.cad.bitgen import ConfigurationError, configure_plbs, generate_bitstream
 from repro.cad.flow import CadFlow, FlowOptions
 from repro.cad.lemap import LEFunction, MappedDesign, MappedLE, MappedPDE, MappedPLB
-from repro.cad.pack import pack_design
+from repro.cad.pack import PackingError, pack_design
 from repro.cad.place import PlacementError, place_design
 from repro.cad.route import RoutingError, route_design
 from repro.cad.techmap import template_map
@@ -265,7 +265,7 @@ def test_bbox_net_delay_estimates_a_straight_routed_tree():
 # ----------------------------------------------------------------------
 # Configuration generation
 # ----------------------------------------------------------------------
-def test_configure_plb_realises_c_element():
+def test_configure_plbs_realises_c_element():
     params = ArchitectureParams()
     table = c_element_table(("a", "b"), state="z").rename({"a": "a", "b": "b"})
     # Build the looped-LUT function explicitly over net names.
@@ -278,7 +278,10 @@ def test_configure_plb_realises_c_element():
         name="plb0",
         les=[MappedLE("le_c", functions=[LEFunction("z", table)])],
     )
-    configured = configure_plb(plb, params)
+    design = MappedDesign(
+        "c_element", params.plb, plbs=[plb], primary_inputs=["a", "b"], primary_outputs=["z"]
+    )
+    configured = configure_plbs(design, params)["plb0"]
     hardware = PLB(params.plb)
     hardware.configure(configured.config)
     # replicate C-element behaviour through the configured hardware
@@ -294,31 +297,45 @@ def test_configure_plb_realises_c_element():
     assert outputs[out_pin] == 0
 
 
-def test_configure_plb_rejects_overflow():
+def test_configure_plbs_rejects_input_overflow():
     params = ArchitectureParams()
-    wide_nets = tuple(f"n{i}" for i in range(params.plb.plb_inputs + 3))
+    # Two LEs reading 7 LUT and 2 validity nets each: 18 nets, 16 input pins.
+    nets = [f"n{i}" for i in range(18)]
     les = [
         MappedLE(
             f"le{i}",
-            functions=[LEFunction(f"o{i}", or_table(inputs=wide_nets[i * 7 : i * 7 + 7]))],
+            functions=[LEFunction(f"o{i}", or_table(inputs=tuple(nets[i * 9 : i * 9 + 7])))],
+            validity=LEFunction(f"v{i}", or_table(inputs=tuple(nets[i * 9 + 7 : i * 9 + 9]))),
         )
         for i in range(2)
     ]
     plb = MappedPLB(name="too_many_inputs", les=les)
-    if len(plb.external_input_nets) > params.plb.plb_inputs:
-        with pytest.raises(ConfigurationError):
-            configure_plb(plb, params)
+    design = MappedDesign("wide", params.plb, plbs=[plb], primary_inputs=nets)
+    with pytest.raises(PackingError, match="needs 18 input pins but has 16"):
+        configure_plbs(design, params)
 
 
-def test_configure_plb_pde_range_check():
+@pytest.mark.parametrize("run_routing", [True, False])
+def test_plb_exporting_more_nets_than_output_pins_fails_its_flow(run_routing):
+    # The QDI full adder's first PLB exports three nets; with two output pins
+    # the flow must fail in the first stage that binds pins, not drop a net.
+    architecture = ArchitectureParams(plb=PLBParams(plb_outputs=2))
+    flow = CadFlow(architecture, FlowOptions(run_routing=run_routing))
+    with pytest.raises(PackingError, match="needs 3 output pins but has 2") as caught:
+        flow.run(qdi_full_adder())
+    assert caught.value.flow_stage == ("route" if run_routing else "bitgen")
+
+
+def test_configure_plbs_pde_range_check():
     params = ArchitectureParams()
     plb = MappedPLB(
         name="plb0",
         les=[],
         pde=MappedPDE(name="pde", input_net="req", output_net="req_d", delay_ps=10 ** 6),
     )
+    design = MappedDesign("slow", params.plb, plbs=[plb], primary_inputs=["req"])
     with pytest.raises(ConfigurationError):
-        configure_plb(plb, params)
+        configure_plbs(design, params)
 
 
 def test_generate_bitstream_covers_all_plbs():

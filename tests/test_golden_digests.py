@@ -13,7 +13,9 @@ decomposed multiplier under default options, plus six timing-driven flows
 criticality-polished placement) on fabrics from 4x4 to 6x6.  Two of those
 (:data:`REFINING_FLOWS`) re-route critical nets in the post-negotiation
 refinement pass, so its accepted, displaced and rolled-back trees are pinned
-too, not only its searches.
+too, not only its searches.  Every golden flow also checks that each routed
+net reaches and leaves its PLBs on the pins their interconnection matrices
+bind it to.
 
 :data:`GOLDEN_MAPPED` pins the mapped design of every registry circuit on
 the paper-default architecture, one sha256 over its ``to_dict()`` JSON.  The
@@ -86,31 +88,31 @@ TIMING_FLOWS = (
 REFINING_FLOWS = {"qdi_multiplier_2x2@1", "qdi_multiplier_2x2@2"}
 
 GOLDEN_DEFAULT = {
-    "qdi_full_adder@1": "00b4114390d408a6526075ed80b0919d1a68b9d9157b8367bbdab5996a9adabe",
-    "qdi_full_adder@7": "095260c3bc0628fb0f4a2b88c7f7222f6903587f967d5a21eed3a3bef47ab8a6",
-    "qdi_full_adder_1of4@1": "d5bb55f320ee27abb75f867933f6a9b881e39164465b557b8264dd482dd2b01e",
-    "qdi_full_adder_1of4@7": "398b866b48151e017b7caefed809537c8a7efa24b5dfee1a1e4b055fdee6c573",
-    "micropipeline_full_adder@1": "b11553ed6960da49f7c41a83e804499dea8f9a7e794683ba169f5d09fa9dc06d",
-    "micropipeline_full_adder@7": "7095f00d11a3c3454af0dd1ebd82c7b6cbb4f92addfdee0b1351ac49c467fffd",
-    "qdi_multiplier_2x2@1": "f19810d9fff6746a6ec30950226ded6ec55e6346f62461f531c7e1bbafc6b9cb",
-    "qdi_multiplier_2x2@7": "6d2d7e55412d5f58cb4bff8572319470ac54bc24e37490b964074b46eab89b84",
-    "wchb_fifo_4@1": "f8b43994ae5a7754117a6931d54968ef31682f35b003c1d8985da1e332fbf2e8",
-    "wchb_fifo_4@7": "8306eda70f849fbe666ab38f31d20a363399271abafc071eb9f3935d32b85802",
-    "wchb_fifo_8@1": "8b45dfafcf70b2ce37d09594217bd26553ad24bc8e368a3218320fe792750dc5",
-    "wchb_fifo_8@7": "1dc7f2219596716db5bb1e163308455d974ef3c5f50382627974370ef597cd26",
-    "qdi_ripple_adder_2@1": "b4f9674682104e63f3e0248c7a5f72001b13c8ea3811fa060e6d993e177389ff",
-    "qdi_ripple_adder_2@7": "93dfc1b1f22ec3a791e71712f18f5f9e58f88d22790b55055a1ab6946c1379ca",
-    "qdi_ripple_adder_4@1": "fb8bebc37de3f128fc27ad3f0edda5c8a5e875fa9ce2cbaa208ae027317c18e4",
-    "qdi_ripple_adder_4@7": "0674e3aaabca1ec60af1e494c4e9f5432909ba8dcecde479bf8fa3b5ba656e1c",
+    "qdi_full_adder@1": "ccc1cffde57d7b42124b6c29aac83b81985efc6335a9af3d1b98e4d0b40a9abf",
+    "qdi_full_adder@7": "43f2868dbb9cec354153cd760e8fd4f5ccfd2388946decc6d77241b5cb212b6f",
+    "qdi_full_adder_1of4@1": "be0babbc050f2a6f4eb0b91019e132c08f8264bb793c0be4aca86f9fa73fa70c",
+    "qdi_full_adder_1of4@7": "f07e44ddd96547d2314f2fd70efa72de293e894dc7203790681ca0d5f577c85c",
+    "micropipeline_full_adder@1": "1c6a1767141305b3c468ac1efa6b818408e874715ad950c711f855c7d4d556a3",
+    "micropipeline_full_adder@7": "32746a3dcc4cf8554014cf8861d82597b2c191a057e1c1b48932d6b64f527995",
+    "qdi_multiplier_2x2@1": "ea6b3781afe7d81dd0f7d2abc63537cbb2b627ba465a76f4218faebc7ac6e502",
+    "qdi_multiplier_2x2@7": "8f372fbd33f295b4b0db5f5c5c4587fc4c1e5ebee82ffad3218a3c1cdf0964e2",
+    "wchb_fifo_4@1": "2facb05429baa3ef0dcf3881585ccfaf330522c25ccff8d5c852048bf6e634e9",
+    "wchb_fifo_4@7": "a2cea447e7bd567f6e6816da8ddec21be9c1f179c1cbd51b5cfacfc2787326a7",
+    "wchb_fifo_8@1": "83d2c0669803daea427d9545b3c7b70f36a634aac58f4cf4d5ddea2b1de06b4d",
+    "wchb_fifo_8@7": "b7342c5288b18f572c3c6de8eeed4128c647628b36ed15daf7ec71c5df6feb10",
+    "qdi_ripple_adder_2@1": "80aa0f0c3cae48c06d944a9647c8316ad14180363c525e2f0a7ff0d74a8cffa1",
+    "qdi_ripple_adder_2@7": "e416887a98b4c796397736b196929459a4238811692af59123533f06ee5c234b",
+    "qdi_ripple_adder_4@1": "a31df7253a33c1bfbc000832d63403d146e7a357cb707d0f9af78123f853a27b",
+    "qdi_ripple_adder_4@7": "46053f3bbd3ab866cde038abf7d3bacf527fbfae0d02c8c7fb380c0375f65d75",
 }
 
 GOLDEN_TIMING = {
-    "qdi_multiplier_2x2@5": "947fd825f1a73b3e8902f1a1c8f327312998f108b901d0414ab438c64af3fff3",
-    "wchb_fifo_8@5": "40f9fcf2becd96715d0d05a6efe6d63f50be8478bd43b5677a8ab722e0eb7e2f",
-    "qdi_ripple_adder_2@5": "a1ad5f75bf5d4ad612c4c86be2e42b7662ecc54b7d87c0d4ebb5ffa5d5dc0825",
-    "qdi_ripple_adder_4@8": "fdc2b51b46b71aa8cf192cf9ff699657db9fe1e19bbd9ae6a114d1cd2878521c",
-    "qdi_multiplier_2x2@1": "30d07cf24dfecb47ece7328b5d70cec3671f8f81f40659621c1cd87c010b27ca",
-    "qdi_multiplier_2x2@2": "198eb4b7a0399a110add8d7fea46275dc61d1b6c519a267879f0a4b0118d50c1",
+    "qdi_multiplier_2x2@5": "f976f5ed00839b6ad35511c6513658e09c3fef6d909aeb7dc8702399047956f4",
+    "wchb_fifo_8@5": "b19a8864ec24bbd1503a75d0f4514efa21edf934c5f11e03ae3487af769eca18",
+    "qdi_ripple_adder_2@5": "f6c140693c0eba8490bd59115832d5543a3c1bc5328c975e3ae0dc84bd974179",
+    "qdi_ripple_adder_4@8": "e10eb4e34fb074db1297b038517460c39975092776a0356afb0024c238c0f588",
+    "qdi_multiplier_2x2@1": "238ea98a961ca37b5da9e75d0f928b694c8ebc88054f83d2b25e459ab0f71dc4",
+    "qdi_multiplier_2x2@2": "5345ed025f9b125b78a21f3aabd8c30a0c44b50b4f6b349726541637b0f06bd6",
 }
 
 
@@ -296,12 +298,29 @@ def flow_digest(result) -> str:
     return digest.hexdigest()
 
 
+def assert_routes_meet_bound_pins(result) -> None:
+    """Every routed net reaches and leaves each PLB on the pin its IM binds."""
+    checked = 0
+    for assignment in result.routing.pin_assignments:
+        configured = result.configured_plbs.get(assignment.block)
+        if configured is None:
+            continue  # an IO pad
+        bound = configured.output_pin_of_net if assignment.is_driver else configured.input_pin_of_net
+        assert bound.get(assignment.net) == assignment.pin, assignment
+        checked += 1
+    assert checked == sum(
+        len(plb.input_pin_of_net) + len(plb.output_pin_of_net)
+        for plb in result.configured_plbs.values()
+    )
+
+
 @pytest.mark.parametrize("name", PARITY_CIRCUITS)
 @pytest.mark.parametrize("seed", PARITY_SEEDS)
 def test_default_flow_matches_golden_digest(name, seed, monkeypatch):
     placements = capture_placements(monkeypatch)
     result = CadFlow(ROUTABLE, FlowOptions(placement_seed=seed)).run(build_circuit(name))
     key = f"{name}@{seed}"
+    assert_routes_meet_bound_pins(result)
     assert flow_digest(result) == GOLDEN_DEFAULT[key]
     assert [placement_digest(p) for p in placements] == GOLDEN_PLACEMENTS[key]
 
@@ -315,6 +334,7 @@ def test_timing_driven_flow_matches_golden_digest(name, seed, architecture, monk
     key = f"{name}@{seed}"
     if key in REFINING_FLOWS:
         assert result.summary()["critical_nets_rerouted"] > 0
+    assert_routes_meet_bound_pins(result)
     assert flow_digest(result) == GOLDEN_TIMING[key]
     # Baseline anneal, then the polish under the blended objective.
     assert [placement_digest(p) for p in placements] == GOLDEN_PLACEMENTS[f"timing:{key}"]

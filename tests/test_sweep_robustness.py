@@ -71,7 +71,7 @@ def test_backoff_doubles_per_reattempt(monkeypatch):
     sleeps = []
     monkeypatch.setattr(runner_module.time, "sleep", sleeps.append)
     label = _spec().points()[0].label()
-    plan = FaultPlan.build(scripted={label: ("oserror", "oserror", "oserror")})
+    plan = FaultPlan(scripted={label: ("oserror", "oserror", "oserror")})
     with chaos_executor(plan):
         config = _chaos_config(max_attempts=4, backoff_s=0.25)
         report = SweepRunner(store=None, config=config).run(_spec())
@@ -176,7 +176,7 @@ def test_cooperative_timeout_on_serial_backend(tmp_path):
 
 def test_injected_hang_recovers_on_retry():
     label = _spec().points()[0].label()
-    plan = FaultPlan.build(scripted={label: ("hang",)})
+    plan = FaultPlan(scripted={label: ("hang",)})
     with chaos_executor(plan):
         config = _chaos_config(timeout_s=60.0, max_attempts=2)
         report = SweepRunner(store=None, config=config).run(_spec())
@@ -191,7 +191,7 @@ def test_injected_hang_recovers_on_retry():
 def test_injected_crash_is_resubmitted_and_recovers():
     spec = _spec(widths=(8, 10))
     label = spec.points()[0].label()
-    plan = FaultPlan.build(scripted={label: ("crash",)})
+    plan = FaultPlan(scripted={label: ("crash",)})
     with chaos_executor(plan) as instances:
         report = SweepRunner(store=None, config=_chaos_config()).run(spec)
     assert [o.status for o in report.outcomes] == [STATUS_OK, STATUS_OK]
@@ -205,7 +205,7 @@ def test_repeat_killer_is_poisoned_and_cached(tmp_path):
     spec = _spec(widths=(8, 10))
     points = spec.points()
     poison_label = points[0].label()
-    plan = FaultPlan.build(poison=[poison_label])
+    plan = FaultPlan(poison=[poison_label])
     store = SweepResultStore(tmp_path)
     with chaos_executor(plan):
         config = _chaos_config(max_point_crashes=2)
@@ -232,7 +232,7 @@ def test_repeat_killer_is_poisoned_and_cached(tmp_path):
 
 def test_fail_fast_skips_the_rest_of_the_grid(tmp_path):
     spec = _spec(widths=(8, 10, 12))
-    plan = FaultPlan.build(poison=[spec.points()[0].label()])
+    plan = FaultPlan(poison=[spec.points()[0].label()])
     store = SweepResultStore(tmp_path)
     with chaos_executor(plan):
         config = _chaos_config(max_point_crashes=0, fail_fast=True)
@@ -251,7 +251,7 @@ def test_fallback_ladder_degrades_to_a_working_backend(monkeypatch):
     # Poisoning every label makes the chaos backend crash on every attempt;
     # with a zero rebuild budget the supervisor must degrade to the serial
     # backend (no faults there) and complete the grid cleanly.
-    plan = FaultPlan.build(poison=[p.label() for p in spec.points()])
+    plan = FaultPlan(poison=[p.label() for p in spec.points()])
     monkeypatch.setattr(runner_module, "MAX_POOL_REBUILDS", 0)
     with chaos_executor(plan):
         config = _chaos_config(fallback=("serial",))
@@ -403,7 +403,7 @@ def test_torn_chaos_store_writes_are_quarantined_on_read(tmp_path):
 def test_chaos_campaign_replays_bit_identically(tmp_path):
     spec = _spec(widths=(8, 10, 12), options=FlowOptions(run_routing=False))
     labels = [p.label() for p in spec.points()]
-    plan = FaultPlan.build(
+    plan = FaultPlan(
         seed=7,
         p_crash=0.4,
         p_hang=0.3,
@@ -425,6 +425,19 @@ def test_chaos_campaign_replays_bit_identically(tmp_path):
     for key in ("statuses", "injected", "faulted_labels", "torn_keys", "plan"):
         assert first[key] == second[key]
     assert FaultPlan.from_dict(plan.to_dict()) == plan
+
+
+def test_fault_plans_built_from_lists_and_tuples_are_one_plan():
+    from_lists = FaultPlan(seed=3, poison=["a", "b"], scripted={"c": ["crash", "none"]})
+    from_tuples = FaultPlan(seed=3, poison=("a", "b"), scripted=(("c", ("crash", "none")),))
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
+    assert from_lists.scripted == (("c", ("crash", "none")),)
+    for plan in (from_lists, from_tuples):
+        assert FaultPlan.from_dict(json.loads(json.dumps(plan.to_dict()))) == plan
+    assert from_lists.fault_for("c", 1) == "crash"
+    assert from_lists.fault_for("c", 2) is None
+    assert from_lists.fault_for("a", 7) == "crash"
 
 
 def test_torn_writes_do_not_depend_on_the_code_fingerprint(tmp_path, monkeypatch):

@@ -82,6 +82,33 @@ def test_rule_fires_on_its_mutant(code):
     )
 
 
+def test_im_config_fires_when_two_routed_nets_swap_pins():
+    # The PLB still receives the same set of nets, but two of them arrive on
+    # each other's pins, so the IM would feed each LE input the wrong net.
+    from dataclasses import replace
+
+    from repro.verify.mutate import _flow_context
+
+    context = _flow_context()
+    assignments = context.routing.pin_assignments
+    sinks_by_plb: dict[str, list[int]] = {}
+    for index, assignment in enumerate(assignments):
+        if not assignment.is_driver:
+            sinks_by_plb.setdefault(assignment.block, []).append(index)
+    first, second = next(
+        indices[:2]
+        for plb, indices in sinks_by_plb.items()
+        if plb in context.configured_plbs and len(indices) >= 2
+    )
+    a, b = assignments[first], assignments[second]
+    assignments[first] = replace(a, pin=b.pin, node_id=b.node_id)
+    assignments[second] = replace(b, pin=a.pin, node_id=a.node_id)
+    report = run_rules(context)
+    assert report.codes() == {"BIT004"}
+    (finding,) = report.findings_for("BIT004")
+    assert f"{a.net} routed to {b.pin}, bound to {a.pin}" in finding.message
+
+
 def test_mutant_findings_are_suppressible():
     report = run_rules(
         MUTATORS["NET005"](), LintConfig(suppressed=frozenset({"NET005"}))
