@@ -1,5 +1,7 @@
 """Tests for benchmark circuits, baselines, analysis helpers and the API."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -165,6 +167,66 @@ def test_circuit_registry():
 #: Every registry circuit, and the compositions only the golden digests build.
 INTERFACE_CASES = {**circuit_registry(), **COMPOSED}
 
+#: sha256 of every :func:`drive` run of each :data:`INTERFACE_CASES` entry,
+#: one per simulator in the test's order (LE-level, then gate-level for
+#: styled circuits): outputs, ``end_time_ps`` and each issued token's value
+#: and handshake times (see :func:`_handshake_digest`).
+GOLDEN_HANDSHAKES = {
+    "gen:alu2@micropipeline": "ffec0e3b6e8a9ed7fe70e7ef6924f54047d033b80f6398d47e23d6ac79a9cfc4",
+    "gen:alu2@qdi": "e76a06f5170f99f290360ad32664ed87962d3811d2726ea21c09cf115c8d0fed",
+    "gen:alu4@micropipeline": "7f9a1564c149e6b88ac171bf315a0330d1e49164f9e2cf9555f1ce4810b7468d",
+    "gen:alu4@qdi": "4167ece73bc25ee7922b6645672ac782e45492edb7cd13df1ce9a4d70e276898",
+    "gen:crc4@micropipeline": "6d3ab84bd353b0d6a4443b30b8e3b735571d5c6946ffa5aceb03f984725c9090",
+    "gen:crc4@qdi": "65898d979c45db2162d597c29863963a1ac90e3c4c548ce31269aed3db516523",
+    "gen:crc8@micropipeline": "248c5e65d880fdf98ba17c945df87378bd04b57602b333d7517cfa0cb2cfe5fe",
+    "gen:crc8@qdi": "110ce6ff064b16c73cbae1b99b904e2ba4cdd86fbdc20f322a88415c266ba98c",
+    "gen:mac2@micropipeline": "bd274fb7825e476704bfea786b0b89be1b0ad218c69ecdbb1089604e6956965d",
+    "gen:mac2@qdi": "fcb6c3c39c99d326bf1de1fbc34f55b6a0734474aa5e139d848b36f6e8ac7fdb",
+    "gen:mac4@micropipeline": "c790bc3cda4427467b3c5404de7d7a5c38068e3996fcc172a44c0a3f34e44cec",
+    "gen:mac4@qdi": "b1d01b4b10aeb644017a0e4494c45d02427a851dab8c558e2aa19047c7ea00f9",
+    "gen:mult2x2@micropipeline": "0960ee34e76fae5a59a9ab62378ec1c9f76f7cf6fbb151537236efa62b08c92c",
+    "gen:mult2x2@qdi": "b64e630b4042453496c7c63a6d70c8719c4e88cfb64e5be78691337e9d0687da",
+    "gen:mult3x3@qdi": "904e2adc3a2fdd219a9555c297020e08b71534ca12176e4a17177d6ad9a0a1b2",
+    "gen:mult4x4@micropipeline": "9563bca3e3e9fa4badbdd699b47407fbd08f38c992b4612e6d57e3757f718ad8",
+    "gen:mult4x4@qdi": "802a193f3ced77f4bcf8874f99419b2b3c3cb991919b53e9fe443dca64decbc0",
+    "gen:mult8x8@micropipeline": "fa869987d1a642dbcd53f5105d85ee87f5d21fd96b65923728da77438b3a444a",
+    "micropipeline_full_adder": "a58f69a6d037f063efea7d21301d6d9f778646d64698742d98ee0ea5c163ca3f",
+    "micropipeline_ripple_adder_16": "baa13833fcf9b3cba00e596fc2b6ac0d617c95726b86319f2b90a70486061da8",
+    "micropipeline_ripple_adder_2": "b6ae12665b363c798f56c45b626775f5332795d69cba9c38d935eb802def1737",
+    "micropipeline_ripple_adder_4": "bd57dbf29261ce4155cae6366bbf4d8f862e0ce1ec894ca840c23d2fc10a645a",
+    "micropipeline_ripple_adder_8": "4cca079ba9a6c73782643011d2564e7d7c87cc8d90442c7758d2d8db435be0b9",
+    "qdi_full_adder": "c1f9686a6e453a68a08520140642218f1be28a34950db77591530a067b7fa581",
+    "qdi_full_adder_1of4": "3819ac422c6943aee57c4015282268b4c2348785e6276e254fd927a1ad141993",
+    "qdi_multiplier_2x2": "5a257e2135b59ef0c227ece25d42193f7f86fc996838bec57c9ec6542ca96252",
+    "qdi_multiplier_4x4": "b70da1625ea53ba5a3d5ce95e5afe281c0ad27502692714be7f420bbb5aba017",
+    "qdi_ripple_adder(1)": "4dac76e50589ef7a3c8ec6f42bc6957756201f246a978cc65c80066b3dc38579",
+    "qdi_ripple_adder(4, 1-of-4)": "2b3981d6cce716db52e9c71915c7e0b2307d9bfdf366b4d18bbd1a263171e088",
+    "qdi_ripple_adder_16": "1efb73571cf5c7d5f124358bc85f6cf3ebcea45b9a94437aad1e5066081a16ca",
+    "qdi_ripple_adder_2": "1c2d1e8135d1553a2e5037fa03ffa00aae5ee0f0c300432b403d0872285016f1",
+    "qdi_ripple_adder_4": "d3dbfadced2f2d80b1344253ae56d0cba06cbeec26bbbe0193b08577e1963fb7",
+    "qdi_ripple_adder_8": "418024c75a779e0c3a190da49d77fbaffe199056885f673abeb46db0a04c316a",
+    "wchb_fifo_4": "f3770af6e5b8ae5b37ceec492f289cd7657803560bf374f6aedde66eb866886d",
+    "wchb_fifo_8": "fa48e1212d742a6462b38522aebbbd20af0f8656b00e15874dec40d90df71b64",
+}
+
+
+def _handshake_digest(runs):
+    payload = [
+        {
+            "outputs": run.outputs,
+            "end_time_ps": run.end_time_ps,
+            "issued": {
+                name: [
+                    [token.value, token.issued_at, token.accepted_at, token.completed_at]
+                    for token in tokens
+                ]
+                for name, tokens in run.issued.items()
+            },
+        }
+        for run in runs
+    ]
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
 
 @pytest.mark.parametrize("name", sorted(INTERFACE_CASES))
 def test_every_circuit_handshakes_through_its_interface(name):
@@ -182,10 +244,11 @@ def test_every_circuit_handshakes_through_its_interface(name):
     else:
         simulators = [simulate_mapped_design(circuit.mapped)]
     names = {channel.name for channel in circuit.output_channels}
-    for simulator in simulators:
-        outputs = drive(circuit, simulator, tokens).outputs
-        assert len(outputs) == len(tokens)
-        assert all(set(out) == names for out in outputs)
+    runs = [drive(circuit, simulator, tokens) for simulator in simulators]
+    for run in runs:
+        assert len(run.outputs) == len(tokens)
+        assert all(set(out) == names for out in run.outputs)
+    assert _handshake_digest(runs) == GOLDEN_HANDSHAKES[name]
 
 
 # ----------------------------------------------------------------------
