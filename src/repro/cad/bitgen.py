@@ -43,11 +43,9 @@ class ConfigurationError(RuntimeError):
 class ConfiguredPLB:
     """One PLB's configuration plus the net <-> pin binding it was built from."""
 
-    plb_name: str
     config: PLBConfig
     input_pin_of_net: Mapping[str, str]
     output_pin_of_net: Mapping[str, str]
-    internal_signal_of_net: dict[str, str]
 
 
 def configure_plbs(design: MappedDesign, params: ArchitectureParams) -> dict[str, ConfiguredPLB]:
@@ -141,11 +139,7 @@ def _configure_plb(
 
     config = PLBConfig(le_configs=le_configs, pde_config=pde_config, im_config=IMConfig(routes=im_routes))
     return ConfiguredPLB(
-        plb_name=plb.name,
-        config=config,
-        input_pin_of_net=input_pin_of_net,
-        output_pin_of_net=output_pin_of_net,
-        internal_signal_of_net=internal_signal_of_net,
+        config=config, input_pin_of_net=input_pin_of_net, output_pin_of_net=output_pin_of_net
     )
 
 

@@ -213,35 +213,34 @@ class MappedPLB:
     les: list[MappedLE] = field(default_factory=list)
     pde: MappedPDE | None = None
 
+    def net_views(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """:attr:`output_nets` and :attr:`external_input_nets`, in one pass."""
+        functions = [
+            function
+            for le in self.les
+            for function in (*le.functions, le.validity)
+            if function is not None
+        ]
+        outputs = [function.output_net for function in functions]
+        if self.pde is not None:
+            outputs.append(self.pde.output_net)
+        own = set(outputs)
+        inputs = dict.fromkeys(
+            net for function in functions for net in function.table.inputs if net not in own
+        )
+        if self.pde is not None and self.pde.input_net not in own:
+            inputs[self.pde.input_net] = None
+        return tuple(outputs), tuple(inputs)
+
     @property
     def output_nets(self) -> tuple[str, ...]:
-        nets: list[str] = []
-        for le in self.les:
-            nets.extend(le.output_nets)
-        if self.pde is not None:
-            nets.append(self.pde.output_net)
-        return tuple(nets)
+        """Every net the PLB's LEs and PDE drive, LE by LE."""
+        return self.net_views()[0]
 
     @property
     def external_input_nets(self) -> tuple[str, ...]:
         """Nets that must be routed into this PLB from the fabric."""
-        own = set(self.output_nets)
-        nets: list[str] = []
-        for le in self.les:
-            for net in le.external_input_nets:
-                if net not in own and net not in nets:
-                    nets.append(net)
-        if self.pde is not None and self.pde.input_net not in own:
-            if self.pde.input_net not in nets:
-                nets.append(self.pde.input_net)
-        return tuple(nets)
-
-    def fits(self, params: PLBParams) -> bool:
-        if len(self.les) > params.les_per_plb:
-            return False
-        if any(not le.fits(params) for le in self.les):
-            return False
-        return len(self.external_input_nets) <= params.plb_inputs
+        return self.net_views()[1]
 
 
 @dataclass

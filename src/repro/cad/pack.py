@@ -1,7 +1,7 @@
 """Packing: grouping mapped LEs into PLBs.
 
 The packer fills PLBs with up to ``les_per_plb`` LEs each, under the PLB-level
-constraints (number of PLB input pins, one PDE per PLB).  It is
+constraints (number of PLB input and output pins, one PDE per PLB).  It is
 affinity-driven: LEs that share nets are packed together first, which both
 reduces external routing and mirrors the paper's Figure 3 groupings (the two
 halves of a dual-rail pair, or a datapath latch next to its controller).
@@ -9,10 +9,13 @@ halves of a dual-rail pair, or a datapath latch next to its controller).
 Delay elements are attached to the PLB that already hosts a consumer of the
 delayed signal when possible, otherwise to any PLB with a free PDE.
 
-:func:`bind_pins` then decides which net sits on which pin of each packed
-PLB.  The router connects its routes to those pins and the bitstream
-generator programs the interconnection matrix from them, so both read one
-binding.
+A PLB exports each net it drives that is a primary output or that another
+PLB reads.  The packer keeps those exports within ``plb_outputs``, and
+:func:`bind_pins` puts them on the ``out*`` pins, so every packed design
+binds.  The binding decides which net sits on which pin of each packed
+PLB: the placer and the router take each net's driver and readers from it,
+the router connects its routes to its pins and the bitstream generator
+programs the interconnection matrix from them.
 """
 
 from __future__ import annotations
@@ -32,6 +35,12 @@ class PackingError(RuntimeError):
 def pack_design(design: MappedDesign, params: PLBParams | None = None) -> MappedDesign:
     """Pack ``design.les`` / ``design.pdes`` into ``design.plbs`` (in place).
 
+    Every PLB keeps its external input nets within ``plb_inputs`` and the
+    nets it exports within ``plb_outputs``, by :func:`bind_pins`' rule (a
+    net leaves its PLB when it is a primary output or another PLB reads
+    it), so :func:`bind_pins` binds every design this returns.  Raises
+    :class:`PackingError` naming an LE or PDE no PLB can hold.
+
     Returns the same design object for chaining.
     """
     params = params if params is not None else design.params
@@ -45,17 +54,37 @@ def pack_design(design: MappedDesign, params: PLBParams | None = None) -> Mapped
 
     # Each LE's nets, derived once: external inputs, outputs (a tuple, so a
     # PLB's output count keeps any repeats), and both together, whose
-    # overlap between two LEs is their affinity.
+    # overlap between two LEs is their affinity.  Each attached PDE appends
+    # its input and output, so a PLB's members index these lists.
     inputs = [frozenset(le.external_input_nets) for le in design.les]
     outputs = [le.output_nets for le in design.les]
     nets = [needs.union(made) for needs, made in zip(inputs, outputs)]
-    # A PLB may claim a small output slack because not every LE output needs
-    # to leave it; bind_pins makes the definitive check.
-    output_limit = params.plb_outputs + params.les_per_plb
+    budget = params.plb_outputs
+    primary_outputs = set(design.primary_outputs)
+    readers: dict[str, set[int]] = {}  # net -> members reading it, built by the first count
+
+    def exported(members: list[int]) -> set[str]:
+        """The nets a PLB holding *members* drives and must export.
+
+        A PLB exports at most the nets it drives, so callers count only
+        once those outnumber its output pins.
+        """
+        if not readers:
+            for member, needs in enumerate(inputs):
+                for net in needs:
+                    readers.setdefault(net, set()).add(member)
+        inside = set(members)
+        return {
+            net
+            for member in members
+            for net in outputs[member]
+            if net in primary_outputs or not readers.get(net, inside) <= inside
+        }
 
     remaining = list(range(len(design.les)))
-    plbs: list[MappedPLB] = []
+    groups: list[list[int]] = []
     plb_inputs: list[set[str]] = []
+    output_counts: list[int] = []
 
     while remaining:
         seed = remaining.pop(0)
@@ -72,10 +101,13 @@ def pack_design(design: MappedDesign, params: PLBParams | None = None) -> Mapped
                 score = sum(len(nets[candidate] & nets[member]) for member in members)
                 if score <= best_score:
                     continue
-                if output_count + len(outputs[candidate]) > output_limit:
-                    continue
                 external = (needed | inputs[candidate]) - produced
                 if len(external.difference(outputs[candidate])) > params.plb_inputs:
+                    continue
+                if (
+                    output_count + len(outputs[candidate]) > budget
+                    and len(exported([*members, candidate])) > budget
+                ):
                     continue
                 best_score = score
                 best_index = index
@@ -86,24 +118,62 @@ def pack_design(design: MappedDesign, params: PLBParams | None = None) -> Mapped
             needed |= inputs[chosen]
             produced.update(outputs[chosen])
             output_count += len(outputs[chosen])
-        les = [design.les[member] for member in members]
-        plbs.append(MappedPLB(name=f"plb{len(plbs)}", les=les))
-        plb_inputs.append(needed)
+        # Only a lone seed can be over: each admitted LE kept its PLB within.
+        if output_count > budget and len(exported(members)) > budget:
+            raise PackingError(
+                f"LE {design.les[seed].name} exports {len(exported(members))} nets and "
+                f"no LE left to share its PLB brings that within {budget} output pins"
+            )
+        groups.append(members)
+        plb_inputs.append(needed - produced)
+        output_counts.append(output_count)
+    plbs = [
+        MappedPLB(name=f"plb{index}", les=[design.les[member] for member in group])
+        for index, group in enumerate(groups)
+    ]
 
     # Attach each delay element to the first PLB without one that reads its
-    # output, else to the first PLB without one, else to a new PLB.
+    # output, else to the first PLB without one, else to a new PLB: the
+    # first whose pins still hold it and the net it reads.
     for pde in design.pdes:
-        free = [(plb, read) for plb, read in zip(plbs, plb_inputs) if plb.pde is None]
-        readers = [plb for plb, read in free if pde.output_net in read]
+        member = len(inputs)
+        inputs.append(frozenset((pde.input_net,)))
+        outputs.append((pde.output_net,))
         if readers:
-            target = readers[0]
-        elif free:
-            target = free[0][0]
+            readers.setdefault(pde.input_net, set()).add(member)
+        free = [index for index, plb in enumerate(plbs) if plb.pde is None]
+        reading = [index for index in free if pde.output_net in plb_inputs[index]]
+        for target in [*reading, *free, len(plbs)]:
+            if target == len(plbs):
+                plbs.append(MappedPLB(name=f"plb{target}"))
+                groups.append([])
+                plb_inputs.append(set())
+                output_counts.append(0)
+            elif (
+                # The PDE's output, if the target reads it, comes from inside.
+                len(plb_inputs[target]) - (pde.output_net in plb_inputs[target])
+                >= params.plb_inputs
+                and pde.input_net not in plb_inputs[target]
+                and pde.input_net not in plbs[target].output_nets
+            ):
+                continue
+            groups[target].append(member)
+            output_counts[target] += 1
+            # Only the target and the PLB driving the PDE's input can now
+            # export more.
+            if all(
+                count <= budget or len(exported(group)) <= budget
+                for group, count in zip(groups, output_counts)
+            ):
+                break
+            groups[target].pop()
+            output_counts[target] -= 1
         else:
-            target = MappedPLB(name=f"plb{len(plbs)}")
-            plbs.append(target)
-            plb_inputs.append(set())
-        target.pde = pde
+            raise PackingError(
+                f"PDE {pde.name} reads {pde.input_net!r} from a PLB whose "
+                f"{budget} output pins are taken"
+            )
+        plbs[target].pde = pde
 
     design.plbs = plbs
     return design
@@ -140,9 +210,9 @@ def bind_pins(design: MappedDesign) -> PinBinding:
     consumers: dict[str, list[str]] = {}
     inputs: dict[str, dict[str, str]] = {}
     for plb in design.plbs:
-        for net in plb.output_nets:
+        made, external = plb.net_views()
+        for net in made:
             drivers[net] = plb.name
-        external = plb.external_input_nets
         inputs[plb.name] = _bind(plb.name, external, input_pins, "input")
         for net in external:
             consumers.setdefault(net, []).append(plb.name)

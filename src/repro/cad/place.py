@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from repro.cad.lemap import MappedDesign
+from repro.cad.pack import bind_pins
 from repro.cad.timing import CBOX_DELAY_PS, SWITCH_DELAY_PS, WIRE_SEGMENT_DELAY_PS
 from repro.core.fabric import Fabric, IOPad
 from repro.core.schema import decoding, require_version
@@ -185,31 +186,27 @@ def _build_net_terminals(design: MappedDesign) -> dict[str, list[str]]:
     """For every net spanning blocks: the block/terminal names it touches.
 
     Terminals are packed-PLB names or ``io:<net>`` pseudo-blocks for primary
-    inputs/outputs.
+    inputs/outputs.  Each net's driving and reading PLBs are the ones
+    :func:`~repro.cad.pack.bind_pins` gives the router and the bitstream
+    generator: the first reader, the driver, the other readers.
     """
+    binding = bind_pins(design)
     terminals: dict[str, list[str]] = {}
+    for net, readers in binding.consumers.items():
+        driver = binding.drivers.get(net)
+        terminals[net] = [readers[0], driver, *readers[1:]] if driver else list(readers)
 
     def add(net: str, terminal: str) -> None:
         bucket = terminals.setdefault(net, [])
         if terminal not in bucket:
             bucket.append(terminal)
 
-    driver_plb: dict[str, str] = {}
-    for plb in design.plbs:
-        for net in plb.output_nets:
-            driver_plb[net] = plb.name
-
-    for plb in design.plbs:
-        for net in plb.external_input_nets:
-            add(net, plb.name)
-            if net in driver_plb:
-                add(net, driver_plb[net])
     for net in design.primary_inputs:
         add(net, f"io:{net}")
     for net in design.primary_outputs:
         add(net, f"io:{net}")
-        if net in driver_plb:
-            add(net, driver_plb[net])
+        if net in binding.drivers:
+            add(net, binding.drivers[net])
 
     # Only nets touching at least two distinct terminals matter for placement.
     return {net: terms for net, terms in terminals.items() if len(terms) >= 2}

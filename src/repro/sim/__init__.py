@@ -14,11 +14,12 @@ The simulators here validate designs at three levels of abstraction:
 Support modules:
 
 * :mod:`~repro.sim.scheduler` -- the shared event-queue kernel.
-* :mod:`~repro.sim.handshake` -- the 4-phase producers and consumers of a
-  circuit's environment, and :func:`~repro.sim.handshake.drive`, the one
-  testbench: it picks an agent per channel from the circuit's channel
-  interface, pushes tokens through any of the three simulators and returns
-  what came out.
+* :mod:`~repro.sim.handshake` -- a circuit's environment: one 4-phase
+  producer and one acknowledging consumer for bundled-data and
+  delay-insensitive channels alike, a passive consumer, and
+  :func:`~repro.sim.handshake.drive`, the one testbench: it picks an agent
+  per channel from the circuit's channel interface, pushes tokens through
+  any of the three simulators and returns what came out.
 * :mod:`~repro.sim.hazards` -- glitch/monotonicity analysis of signal traces.
 * :mod:`~repro.sim.checkers` -- protocol checkers (dual-rail legality,
   4-phase alternation).
@@ -28,10 +29,8 @@ Support modules:
 from repro.sim.scheduler import Event, EventScheduler
 from repro.sim.netsim import GateLevelSimulator
 from repro.sim.handshake import (
-    FourPhaseBundledConsumer,
-    FourPhaseBundledProducer,
-    FourPhaseDualRailConsumer,
-    FourPhaseDualRailProducer,
+    FourPhaseConsumer,
+    FourPhaseProducer,
     HandshakeHarness,
     HandshakeRun,
     PassiveDualRailConsumer,
@@ -48,10 +47,8 @@ __all__ = [
     "HandshakeHarness",
     "HandshakeRun",
     "drive",
-    "FourPhaseDualRailProducer",
-    "FourPhaseDualRailConsumer",
-    "FourPhaseBundledProducer",
-    "FourPhaseBundledConsumer",
+    "FourPhaseProducer",
+    "FourPhaseConsumer",
     "PassiveDualRailConsumer",
     "TransitionTrace",
     "count_glitches",

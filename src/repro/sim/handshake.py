@@ -16,20 +16,21 @@ environment behaves and avoids any timing assumption on the environment side.
 :class:`~repro.circuits.adders.BenchmarkCircuit` carry them), one agent per
 channel:
 
-* an input channel with a request wire (bundled data) gets a
-  :class:`FourPhaseBundledProducer`, any other input channel a
-  :class:`FourPhaseDualRailProducer`; both wait on the channel's
-  ``ack_nets`` entry;
-* an output channel with a request wire gets a
-  :class:`FourPhaseBundledConsumer` on its ``req_nets`` and ``ack_nets``
-  entries;
+* every input channel gets a :class:`FourPhaseProducer` waiting on the
+  channel's ``ack_nets`` entry;
+* an output channel with a request wire (bundled data) gets a
+  :class:`FourPhaseConsumer` on its ``req_nets`` and ``ack_nets`` entries;
 * a delay-insensitive output channel whose ``ack_nets`` entry differs from
   the inputs' acknowledge (the first input channel's entry) gets a
-  :class:`FourPhaseDualRailConsumer` driving that entry: a WCHB pipeline's
-  output;
+  :class:`FourPhaseConsumer` driving that entry: a WCHB pipeline's output;
 * any other output channel gets a :class:`PassiveDualRailConsumer` sampling
   it when the inputs' acknowledge rises: a function block's outputs, and
   inputs a composition passes straight through to an output.
+
+A producer and an acknowledging consumer serve both kinds of channel;
+:attr:`~repro.asynclogic.channels.Channel.has_request_wire` tells them how a
+token is signalled: by a request wire beside the data, or by the data's
+code word alone.
 """
 
 from __future__ import annotations
@@ -72,11 +73,15 @@ class EnvironmentAgent:
 
 
 @dataclass
-class FourPhaseDualRailProducer(EnvironmentAgent):
-    """Drives a DI-encoded channel with a list of values using 4-phase RTZ.
+class FourPhaseProducer(EnvironmentAgent):
+    """Drives an input channel with a list of values in 4-phase RTZ.
 
-    The *ack_net* is the circuit output acknowledging the data (for the
-    paper's QDI full adder this is the completion-detection output).
+    A bundled-data channel signals a token by raising its request wire one
+    time unit after the data and withdraws it by lowering the request; a
+    delay-insensitive one signals it by the code word and withdraws it by
+    returning the data to neutral.  The *ack_net* is the circuit output
+    acknowledging the data (for the paper's QDI full adder this is the
+    completion-detection output).
     """
 
     channel: Channel
@@ -88,20 +93,25 @@ class FourPhaseDualRailProducer(EnvironmentAgent):
 
     def act(self, simulator: GateLevelSimulator) -> bool:
         ack = simulator.value(self.ack_net)
+        bundled = self.channel.has_request_wire
         if self._state == "idle":
             if self._index >= len(self.values) or ack != 0:
                 return False
             value = self.values[self._index]
-            token = Token(value=value, issued_at=simulator.now)
-            self.tokens.append(token)
+            self.tokens.append(Token(value=value, issued_at=simulator.now))
             simulator.set_inputs(self.channel.encode(value))
+            if bundled:
+                simulator.set_input(self.channel.req_wire, 1, delay=1)
             self._state = "valid"
             return True
         if self._state == "valid":
             if ack != 1:
                 return False
             self.tokens[-1].accepted_at = simulator.now
-            simulator.set_inputs(self.channel.neutral())
+            if bundled:
+                simulator.set_input(self.channel.req_wire, 0)
+            else:
+                simulator.set_inputs(self.channel.neutral())
             self._state = "rtz"
             return True
         if self._state == "rtz":
@@ -111,50 +121,6 @@ class FourPhaseDualRailProducer(EnvironmentAgent):
             self._index += 1
             self._state = "idle"
             # Immediately try to launch the next token.
-            return self.act(simulator)
-        return False
-
-    @property
-    def finished(self) -> bool:
-        return self._index >= len(self.values) and self._state == "idle"
-
-
-@dataclass
-class FourPhaseBundledProducer(EnvironmentAgent):
-    """Drives a bundled-data channel (single-rail data + request) in 4-phase."""
-
-    channel: Channel
-    values: Sequence[int]
-    ack_net: str
-    tokens: list[Token] = field(default_factory=list)
-    _index: int = 0
-    _state: str = "idle"
-
-    def act(self, simulator: GateLevelSimulator) -> bool:
-        ack = simulator.value(self.ack_net)
-        if self._state == "idle":
-            if self._index >= len(self.values) or ack != 0:
-                return False
-            value = self.values[self._index]
-            token = Token(value=value, issued_at=simulator.now)
-            self.tokens.append(token)
-            simulator.set_inputs(self.channel.encode(value))
-            simulator.set_input(self.channel.req_wire, 1, delay=1)
-            self._state = "valid"
-            return True
-        if self._state == "valid":
-            if ack != 1:
-                return False
-            self.tokens[-1].accepted_at = simulator.now
-            simulator.set_input(self.channel.req_wire, 0)
-            self._state = "rtz"
-            return True
-        if self._state == "rtz":
-            if ack != 0:
-                return False
-            self.tokens[-1].completed_at = simulator.now
-            self._index += 1
-            self._state = "idle"
             return self.act(simulator)
         return False
 
@@ -193,62 +159,38 @@ class PassiveDualRailConsumer(EnvironmentAgent):
 
 
 @dataclass
-class FourPhaseDualRailConsumer(EnvironmentAgent):
-    """Accepts tokens from a DI output channel by driving its acknowledge wire.
+class FourPhaseConsumer(EnvironmentAgent):
+    """Accepts tokens from an output channel by driving its acknowledge wire.
 
-    Used for pipeline stages (WCHB buffers) whose output channel has an
-    explicit acknowledge input.
+    A bundled-data channel offers a token by raising its request net
+    *req_net* and withdraws it by lowering it; a delay-insensitive one
+    offers a valid code word and withdraws it by returning to neutral (a
+    WCHB pipeline's output, whose channel has an explicit acknowledge
+    input).
     """
 
     channel: Channel
     ack_net: str
+    req_net: str | None = None
     received: list[int] = field(default_factory=list)
-    accept_times: list[int] = field(default_factory=list)
     _ack_value: int = 0
 
     def act(self, simulator: GateLevelSimulator) -> bool:
         wire_values = simulator.values_of(self.channel.data_wires())
-        if self.channel.is_valid(wire_values) and self._ack_value == 0:
+        if self.channel.has_request_wire:
+            request = simulator.value(self.req_net)
+            offered, withdrawn = request == 1, request == 0
+        else:
+            offered = self.channel.is_valid(wire_values)
+            withdrawn = self.channel.is_neutral(wire_values)
+        if offered and self._ack_value == 0:
             value = self.channel.decode(wire_values)
             if value is not None:
                 self.received.append(value)
-                self.accept_times.append(simulator.now)
             simulator.set_input(self.ack_net, 1)
             self._ack_value = 1
             return True
-        if self.channel.is_neutral(wire_values) and self._ack_value == 1:
-            simulator.set_input(self.ack_net, 0)
-            self._ack_value = 0
-            return True
-        return False
-
-    @property
-    def finished(self) -> bool:
-        return self._ack_value == 0
-
-
-@dataclass
-class FourPhaseBundledConsumer(EnvironmentAgent):
-    """Accepts tokens from a bundled-data output channel by toggling its ack."""
-
-    channel: Channel
-    req_net: str
-    ack_net: str
-    received: list[int] = field(default_factory=list)
-    accept_times: list[int] = field(default_factory=list)
-    _ack_value: int = 0
-
-    def act(self, simulator: GateLevelSimulator) -> bool:
-        req = simulator.value(self.req_net)
-        if req == 1 and self._ack_value == 0:
-            value = self.channel.decode(simulator.values_of(self.channel.data_wires()))
-            if value is not None:
-                self.received.append(value)
-                self.accept_times.append(simulator.now)
-            simulator.set_input(self.ack_net, 1)
-            self._ack_value = 1
-            return True
-        if req == 0 and self._ack_value == 1:
+        if withdrawn and self._ack_value == 1:
             simulator.set_input(self.ack_net, 0)
             self._ack_value = 0
             return True
@@ -318,25 +260,18 @@ def drive(
     """
     inputs = circuit.input_channels
     input_ack = circuit.ack_nets[inputs[0].name] if inputs else None
-    producers: dict[str, FourPhaseDualRailProducer | FourPhaseBundledProducer] = {}
-    for channel in inputs:
-        values = [token[channel.name] for token in tokens]
-        ack = circuit.ack_nets[channel.name]
-        if channel.has_request_wire:
-            producers[channel.name] = FourPhaseBundledProducer(channel, values, ack)
-        else:
-            producers[channel.name] = FourPhaseDualRailProducer(channel, values, ack)
-    consumers: dict[
-        str, FourPhaseBundledConsumer | FourPhaseDualRailConsumer | PassiveDualRailConsumer
-    ] = {}
+    producers = {
+        channel.name: FourPhaseProducer(
+            channel, [token[channel.name] for token in tokens], circuit.ack_nets[channel.name]
+        )
+        for channel in inputs
+    }
+    consumers: dict[str, FourPhaseConsumer | PassiveDualRailConsumer] = {}
     for channel in circuit.output_channels:
-        ack = circuit.ack_nets.get(channel.name)
-        if channel.has_request_wire:
-            consumers[channel.name] = FourPhaseBundledConsumer(
-                channel, circuit.req_nets[channel.name], circuit.ack_nets[channel.name]
+        if channel.has_request_wire or circuit.ack_nets.get(channel.name) not in (None, input_ack):
+            consumers[channel.name] = FourPhaseConsumer(
+                channel, circuit.ack_nets[channel.name], circuit.req_nets.get(channel.name)
             )
-        elif ack not in (None, input_ack):
-            consumers[channel.name] = FourPhaseDualRailConsumer(channel, ack)
         else:
             consumers[channel.name] = PassiveDualRailConsumer(channel, input_ack)
     end_time = HandshakeHarness(simulator, [*producers.values(), *consumers.values()]).run()

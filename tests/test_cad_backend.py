@@ -6,7 +6,7 @@ import pytest
 from repro.cad.bitgen import ConfigurationError, configure_plbs, generate_bitstream
 from repro.cad.flow import CadFlow, FlowOptions
 from repro.cad.lemap import LEFunction, MappedDesign, MappedLE, MappedPDE, MappedPLB
-from repro.cad.pack import PackingError, pack_design
+from repro.cad.pack import PackingError, bind_pins, pack_design
 from repro.cad.place import PlacementError, place_design
 from repro.cad.route import RoutingError, route_design
 from repro.cad.techmap import template_map
@@ -19,6 +19,7 @@ from repro.cad.timing import (
     routed_net_delay,
 )
 from repro.circuits.fulladder import micropipeline_full_adder, qdi_full_adder
+from repro.circuits.multiplier import qdi_multiplier
 from repro.circuits.registry import build_circuit, circuit_registry
 from repro.core.params import PLBParams
 from repro.core.fabric import Fabric
@@ -26,6 +27,7 @@ from repro.core.params import ArchitectureParams
 from repro.core.plb import PLB
 from repro.core.rrgraph import RoutingResourceGraph, RRNodeType
 from repro.logic.functions import c_element_table, or_table
+from repro.verify.lint import lint_flow_artifacts
 
 
 def _packed_qdi():
@@ -106,6 +108,72 @@ def test_pack_matches_the_reference_loop_on_every_circuit():
         packed = pack_design(MappedDesign.from_dict(payload))
         assert packed.plbs, name
         assert packed.to_dict() == expected.to_dict(), name
+
+
+def test_pde_output_skips_a_reading_plb_whose_output_pins_are_full():
+    # le_a drives two primary outputs, filling both output pins of its PLB,
+    # and reads the delayed request req_d, which le_b reads too.  A PDE in
+    # plb0 would export req_d to plb1 as a third net, so it goes to plb1,
+    # the next PLB reading it, which then exports z and req_d.
+    params = PLBParams(les_per_plb=1, plb_outputs=2)
+    les = [
+        MappedLE(
+            "le_a",
+            functions=[
+                LEFunction("x", or_table(inputs=("req_d", "i0"))),
+                LEFunction("y", or_table(inputs=("req_d", "i1"))),
+            ],
+        ),
+        MappedLE("le_b", functions=[LEFunction("z", or_table(inputs=("req_d", "i2")))]),
+    ]
+    design = MappedDesign(
+        "delayed_fanout",
+        params,
+        les=les,
+        pdes=[MappedPDE(name="pde", input_net="req", output_net="req_d", delay_ps=300)],
+        primary_inputs=["req", "i0", "i1", "i2"],
+        primary_outputs=["x", "y", "z"],
+    )
+    pack_design(design)
+    assert [(plb.name, [le.name for le in plb.les], plb.pde) for plb in design.plbs] == [
+        ("plb0", ["le_a"], None),
+        ("plb1", ["le_b"], design.pdes[0]),
+    ]
+    binding = bind_pins(design)
+    assert binding.outputs == {
+        "plb0": {"x": "out0", "y": "out1"},
+        "plb1": {"req_d": "out0", "z": "out1"},
+    }
+
+
+def test_pde_skips_a_free_plb_whose_input_pins_are_full():
+    # le_b reads both delayed requests, so the first PDE joins plb1.  The
+    # second has no free reader left; plb0 is free but both its input pins
+    # are taken, so the PDE gets a PLB of its own.
+    params = PLBParams(les_per_plb=1, plb_inputs=2)
+    les = [
+        MappedLE("le_a", functions=[LEFunction("x", or_table(inputs=("i0", "i1")))]),
+        MappedLE("le_b", functions=[LEFunction("y", or_table(inputs=("a_d", "b_d")))]),
+    ]
+    pdes = [
+        MappedPDE(name="pde_a", input_net="a", output_net="a_d", delay_ps=300),
+        MappedPDE(name="pde_b", input_net="b", output_net="b_d", delay_ps=300),
+    ]
+    design = MappedDesign(
+        "delayed_pair",
+        params,
+        les=les,
+        pdes=pdes,
+        primary_inputs=["i0", "i1", "a", "b"],
+        primary_outputs=["x", "y"],
+    )
+    pack_design(design)
+    assert [plb.pde.name if plb.pde else None for plb in design.plbs] == [
+        None,
+        "pde_a",
+        "pde_b",
+    ]
+    assert bind_pins(design).inputs["plb0"] == {"i0": "in0", "i1": "in1"}
 
 
 # ----------------------------------------------------------------------
@@ -317,13 +385,20 @@ def test_configure_plbs_rejects_input_overflow():
 
 @pytest.mark.parametrize("run_routing", [True, False])
 def test_plb_exporting_more_nets_than_output_pins_fails_its_flow(run_routing):
-    # The QDI full adder's first PLB exports three nets; with two output pins
-    # the flow must fail in the first stage that binds pins, not drop a net.
+    # On PLBs with two output pins the packer keeps every PLB's exported
+    # nets within them: the QDI full adder routes and lints clean.  The 2x2
+    # multiplier holds an LE exporting three nets alone and with any
+    # partner, so its flow fails in the pack stage, before annealing.
     architecture = ArchitectureParams(plb=PLBParams(plb_outputs=2))
     flow = CadFlow(architecture, FlowOptions(run_routing=run_routing))
-    with pytest.raises(PackingError, match="needs 3 output pins but has 2") as caught:
-        flow.run(qdi_full_adder())
-    assert caught.value.flow_stage == ("route" if run_routing else "bitgen")
+    adder = qdi_full_adder()
+    result = flow.run(adder)
+    if run_routing:
+        assert result.summary()["routing_success"] is True
+    assert lint_flow_artifacts(result, flow, styled=adder).error_count == 0
+    with pytest.raises(PackingError, match="LE le_p0_f__d1__d0 exports 3 nets") as caught:
+        flow.run(qdi_multiplier(2))
+    assert caught.value.flow_stage == "pack"
 
 
 def test_configure_plbs_pde_range_check():

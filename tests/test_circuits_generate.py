@@ -12,8 +12,10 @@ Three layers per family:
 
 import pytest
 
+import re
+
 from repro.cad.flow import CadFlow, FlowOptions
-from repro.cad.pack import pack_design
+from repro.cad.pack import PackingError, bind_pins, pack_design
 from repro.circuits.generate import alu_reference, crc4_reference, recommended_fabric
 from repro.circuits.registry import build_circuit, circuit_registry
 from repro.circuits.specs import (
@@ -24,8 +26,10 @@ from repro.circuits.specs import (
     generator_families,
     parse_spec,
 )
+from repro.core.params import PLBParams
 from repro.sim import drive
 from repro.sim.lesim import simulate_mapped_design
+from repro.verify.lint import lint_flow_artifacts
 
 FAMILIES = ("mult", "alu", "crc", "mac")
 
@@ -144,6 +148,90 @@ def test_full_flow_golden(family, style):
     assert _channel_width_used(flow, result.routing) == tracks_used
     assert result.bitstream is not None
     assert result.timing.cycle_time_ps > 0
+
+
+# ----------------------------------------------------------------------
+# Adapted PLBs: fewer output pins than the paper's eight
+# ----------------------------------------------------------------------
+def _build(spec: str, params: PLBParams):
+    """*spec* built for PLBs of *params* through its family's builder."""
+    parsed = parse_spec(spec)
+    return generator_families()[parsed.family].builder(parsed, params)
+
+
+#: Specs whose packed PLBs exported more nets than 3 or 4 output pins hold
+#: while the packer allowed ``plb_outputs + les_per_plb`` raw outputs.
+ADAPTED_FLOW_SPECS = (
+    "gen:mult2x2@qdi",
+    "gen:mult2x2@micropipeline",
+    "gen:alu2@qdi",
+    "gen:alu2@micropipeline",
+    "gen:mac2@qdi",
+    "gen:mac2@micropipeline",
+    "gen:crc2@qdi",
+    "gen:crc4@micropipeline",
+)
+
+
+@pytest.mark.parametrize("plb_outputs", [3, 4])
+@pytest.mark.parametrize("spec", ADAPTED_FLOW_SPECS)
+def test_adapted_plb_flows_route_and_lint_clean(spec, plb_outputs):
+    bench = _build(spec, PLBParams(plb_outputs=plb_outputs))
+    flow = CadFlow(recommended_fabric(bench), FlowOptions(placement_seed=1))
+    result = flow.run(bench)
+    assert result.summary()["routing_success"] is True
+    assert lint_flow_artifacts(result, flow).error_count == 0
+
+
+BINDING_SPECS = (
+    "gen:mult2x2@micropipeline",
+    "gen:mult3x3@micropipeline",
+    "gen:alu2@micropipeline",
+    "gen:alu4@micropipeline",
+    "gen:crc2@micropipeline",
+    "gen:crc4@micropipeline",
+    "gen:mac2@micropipeline",
+    "gen:mac4@micropipeline",
+    "gen:mult2x2@qdi",
+    "gen:alu2@qdi",
+    "gen:crc2@qdi",
+    "gen:mac2@qdi",
+)
+
+
+def _exported_nets(design, group) -> set[str]:
+    """Nets LEs *group* drive that are primary outputs or other LEs read."""
+    read_outside = {
+        net for le in design.les if le not in group for net in le.external_input_nets
+    }
+    return {
+        net
+        for le in group
+        for net in le.output_nets
+        if net in design.primary_outputs or net in read_outside
+    }
+
+
+@pytest.mark.parametrize("plb_outputs", range(2, 9))
+def test_pin_binding_accepts_every_packed_design(plb_outputs):
+    params = PLBParams(plb_outputs=plb_outputs)
+    for spec in BINDING_SPECS:
+        design = _build(spec, params).mapped
+        try:
+            pack_design(design, params)
+        except PackingError as exc:
+            # Only an LE exporting more nets than a PLB has output pins,
+            # alone and with every LE that could share its PLB, stops the
+            # packer (a PDE there could only export more).
+            name = re.match(r"LE (\S+) exports", str(exc)).group(1)
+            lonely = next(le for le in design.les if le.name == name)
+            assert all(
+                len(_exported_nets(design, [lonely, *partner])) > plb_outputs
+                for partner in [[]] + [[le] for le in design.les if le is not lonely]
+            ), (spec, str(exc))
+            continue
+        binding = bind_pins(design)
+        assert all(len(pins) <= plb_outputs for pins in binding.outputs.values()), spec
 
 
 def test_crc_qdi_routes_passthrough_iv_rails():
