@@ -215,19 +215,20 @@ class MappedPLB:
 
     def net_views(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
         """:attr:`output_nets` and :attr:`external_input_nets`, in one pass."""
-        functions = [
-            function
-            for le in self.les
-            for function in (*le.functions, le.validity)
-            if function is not None
-        ]
+        functions: list[LEFunction] = []
+        for le in self.les:
+            functions.extend(le.functions)
+            if le.validity is not None:
+                functions.append(le.validity)
         outputs = [function.output_net for function in functions]
         if self.pde is not None:
             outputs.append(self.pde.output_net)
         own = set(outputs)
-        inputs = dict.fromkeys(
-            net for function in functions for net in function.table.inputs if net not in own
-        )
+        inputs: dict[str, None] = {}  # ordered by first reader
+        for function in functions:
+            for net in function.table.inputs:
+                if net not in own:
+                    inputs[net] = None
         if self.pde is not None and self.pde.input_net not in own:
             inputs[self.pde.input_net] = None
         return tuple(outputs), tuple(inputs)

@@ -10,12 +10,11 @@ Delay elements are attached to the PLB that already hosts a consumer of the
 delayed signal when possible, otherwise to any PLB with a free PDE.
 
 A PLB exports each net it drives that is a primary output or that another
-PLB reads.  The packer keeps those exports within ``plb_outputs``, and
-:func:`bind_pins` puts them on the ``out*`` pins, so every packed design
-binds.  The binding decides which net sits on which pin of each packed
-PLB: the placer and the router take each net's driver and readers from it,
-the router connects its routes to its pins and the bitstream generator
-programs the interconnection matrix from them.
+PLB reads; the packer keeps those within its output pins.  :func:`bind_pins`
+then decides which net sits on which pin of each packed PLB.  The placer
+and the router take each net's driver and readers from it, the router
+connects its routes to those pins and the bitstream generator programs the
+interconnection matrix from them.
 """
 
 from __future__ import annotations
@@ -52,12 +51,17 @@ def pack_design(design: MappedDesign, params: PLBParams | None = None) -> Mapped
                 f"({len(le.lut_input_nets)} inputs, {len(le.functions)} functions)"
             )
 
-    # Each LE's nets, derived once: external inputs, outputs (a tuple, so a
-    # PLB's output count keeps any repeats), and both together, whose
+    # Each LE's nets, derived once: outputs (a tuple, so a PLB's output
+    # count keeps any repeats), external inputs, and both together, whose
     # overlap between two LEs is their affinity.  Each attached PDE appends
     # its input and output, so a PLB's members index these lists.
-    inputs = [frozenset(le.external_input_nets) for le in design.les]
     outputs = [le.output_nets for le in design.les]
+    inputs: list[frozenset[str]] = []
+    for le, made in zip(design.les, outputs):
+        needs = set(le.validity_input_nets)
+        for function in le.functions:
+            needs.update(function.input_nets)
+        inputs.append(frozenset(needs.difference(made)))
     nets = [needs.union(made) for needs, made in zip(inputs, outputs)]
     budget = params.plb_outputs
     primary_outputs = set(design.primary_outputs)
@@ -82,6 +86,7 @@ def pack_design(design: MappedDesign, params: PLBParams | None = None) -> Mapped
         }
 
     remaining = list(range(len(design.les)))
+    plbs: list[MappedPLB] = []
     groups: list[list[int]] = []
     plb_inputs: list[set[str]] = []
     output_counts: list[int] = []
@@ -124,13 +129,11 @@ def pack_design(design: MappedDesign, params: PLBParams | None = None) -> Mapped
                 f"LE {design.les[seed].name} exports {len(exported(members))} nets and "
                 f"no LE left to share its PLB brings that within {budget} output pins"
             )
+        les = [design.les[member] for member in members]
+        plbs.append(MappedPLB(name=f"plb{len(plbs)}", les=les))
         groups.append(members)
-        plb_inputs.append(needed - produced)
+        plb_inputs.append(needed)
         output_counts.append(output_count)
-    plbs = [
-        MappedPLB(name=f"plb{index}", les=[design.les[member] for member in group])
-        for index, group in enumerate(groups)
-    ]
 
     # Attach each delay element to the first PLB without one that reads its
     # output, else to the first PLB without one, else to a new PLB: the
@@ -149,23 +152,22 @@ def pack_design(design: MappedDesign, params: PLBParams | None = None) -> Mapped
                 groups.append([])
                 plb_inputs.append(set())
                 output_counts.append(0)
-            elif (
-                # The PDE's output, if the target reads it, comes from inside.
-                len(plb_inputs[target]) - (pde.output_net in plb_inputs[target])
-                >= params.plb_inputs
-                and pde.input_net not in plb_inputs[target]
-                and pde.input_net not in plbs[target].output_nets
-            ):
-                continue
+            plb = plbs[target]
+            plb.pde = pde
             groups[target].append(member)
             output_counts[target] += 1
-            # Only the target and the PLB driving the PDE's input can now
+            # Every PLB fit before: only the target can need one more input
+            # pin, and only it and the PLB driving the PDE's input can
             # export more.
-            if all(
+            if (
+                len(plb_inputs[target]) < params.plb_inputs
+                or len(plb.external_input_nets) <= params.plb_inputs
+            ) and all(
                 count <= budget or len(exported(group)) <= budget
                 for group, count in zip(groups, output_counts)
             ):
                 break
+            plb.pde = None
             groups[target].pop()
             output_counts[target] -= 1
         else:
@@ -173,7 +175,6 @@ def pack_design(design: MappedDesign, params: PLBParams | None = None) -> Mapped
                 f"PDE {pde.name} reads {pde.input_net!r} from a PLB whose "
                 f"{budget} output pins are taken"
             )
-        plbs[target].pde = pde
 
     design.plbs = plbs
     return design
