@@ -8,6 +8,10 @@ Three layers per family:
   :func:`recommended_fabric` with a routed-channel-width golden);
 * simulation equivalence at N=2 in both styles, against the pure-Python
   reference functions, through the handshake driver.
+
+Adapted PLBs (fewer output pins than the paper's eight, built through each
+family's builder) get full flows and a check that the pin binding accepts
+every packed design.
 """
 
 import pytest
