@@ -167,8 +167,8 @@ def test_circuit_registry():
 #: Every registry circuit, and the compositions only the golden digests build.
 INTERFACE_CASES = {**circuit_registry(), **COMPOSED}
 
-#: sha256 of every :func:`drive` run of each :data:`INTERFACE_CASES` entry,
-#: one per simulator in the test's order (LE-level, then gate-level for
+#: One sha256 per :data:`INTERFACE_CASES` entry over its :func:`drive` runs
+#: on every simulator the test runs, in order (LE-level, then gate-level for
 #: styled circuits): outputs, ``end_time_ps`` and each issued token's value
 #: and handshake times (see :func:`_handshake_digest`).
 GOLDEN_HANDSHAKES = {
