@@ -11,14 +11,16 @@ cost** of the inter-block nets:
 Cost evaluation is **incremental** (VPR-style) on two levels.  One per-net
 cost cache, :class:`NetCostCache`, gives every terminal an integer id and
 keeps a terminal→nets index, so a move or swap re-prices only the nets
-touching the moved terminals.  A net of three or more terminals updates its
-bounding box *incrementally* from the moved terminal's old/new coordinates
-(per-edge occupancy counts) and is only rescanned terminal-by-terminal when
-a terminal moves off a bounding-box edge it alone defined; a two-terminal
-net is priced straight from its endpoints.  The annealer proposes moves by
-terminal id and site or pad index.  Site and pad bookkeeping is O(1) per
-move (swap-pop free lists of indices), and the acceptance test uses a
-per-batch precomputed inverse temperature.
+touching the moved terminals.  A net of up to four terminals, all
+positioned, is priced straight from its members' live coordinates, as VPR
+prices the nets below its ``SMALL_NET`` cut-off.  A net of five or more
+terminals, or one with an unpositioned IO, updates its bounding box
+*incrementally* from the moved terminal's old/new coordinates (per-edge
+occupancy counts) and is only rescanned terminal-by-terminal when a
+terminal moves off a bounding-box edge it alone defined.  The annealer
+proposes moves by terminal id and site or pad index.  Site and pad
+bookkeeping is O(1) per move (swap-pop free lists of indices), and the
+acceptance test uses a per-batch precomputed inverse temperature.
 
 Determinism: for a given seed the anneal draws one fixed RNG stream —
 per-net costs are exact in the default objective (HPWL sums of integer-valued
@@ -80,9 +82,12 @@ class Placement:
     incremental placer's headline counter: a full-recompute annealer would
     have spent ``iterations * net_count`` of them, and incremental
     bounding-box updates (counted in ``bbox_updates``) avoid most of the
-    rest.  ``cost`` is the final objective value (equal to ``wirelength``
-    under the default HPWL objective); ``wirelength`` is always the pure
-    HPWL, whatever objective annealed.
+    rest.  A net of up to four terminals, priced from its members, keeps
+    no box but counts what one would have: a rescan when a moved terminal
+    alone held an extreme it leaves, a box update otherwise (two for a swap
+    of two of its members).  ``cost`` is the final objective value (equal
+    to ``wirelength`` under the default HPWL objective); ``wirelength`` is
+    always the pure HPWL, whatever objective annealed.
 
     Placements serialize (:meth:`to_dict` / :meth:`from_dict`) so the sweep
     engine can cache them on disk and re-inject them into
@@ -321,7 +326,8 @@ class TimingObjective(WirelengthObjective):
 
 #: Per-net bounding box: extremes plus how many terminals sit on each extreme
 #: (the occupancy counts that make shrinking moves detectable in O(1)).
-#: ``None`` marks nets with fewer than two positioned terminals (cost 0).
+#: ``None`` marks nets that keep no box (two to four terminals, all
+#: positioned) and nets with fewer than two positioned terminals (cost 0).
 _Box = list  # [xmin, xmax, ymin, ymax, n_xmin, n_xmax, n_ymin, n_ymax]
 
 
@@ -392,16 +398,19 @@ class NetCostCache:
     * :meth:`propose_move` moves one terminal to new coordinates;
     * :meth:`propose_swap` exchanges two terminals' coordinates.
 
-    Each runs one fused loop over the nets it touches.  A net of three or
-    more terminals updates its bounding box **incrementally** from the moved
-    terminal's old and new coordinates; it is rescanned only when a terminal
-    leaves an extreme it alone occupied.  A two-terminal net keeps no box and
-    is priced from its endpoints.  Each touched net is priced through the
-    objective: its span (HPWL) by default, the blend of
-    :meth:`WirelengthObjective.blend` otherwise.  A proposal applies its
-    coordinates at once and keeps the new per-net costs and boxes pending:
-    :meth:`commit` folds them in, :meth:`reject` restores the coordinates.
-    :attr:`total` is unchanged until a commit.
+    Each runs one fused loop over the nets it touches.  A net of two to four
+    terminals, all positioned, keeps no box: it is priced from its members'
+    live coordinates, with one unrolled min/max per axis.  Any other net (five
+    or more terminals, or an unpositioned IO among them) keeps a bounding box
+    that it updates **incrementally** from the moved terminal's old and new
+    coordinates; it is rescanned only when a terminal leaves an extreme it
+    alone occupied.  Which terminals are positioned never changes, so a net
+    keeps its kind.  Each touched net is priced through the objective: its
+    span (HPWL) by default, the blend of :meth:`WirelengthObjective.blend`
+    otherwise.  A proposal applies its coordinates at once and keeps the new
+    per-net costs and boxes pending: :meth:`commit` folds them in,
+    :meth:`reject` restores the coordinates.  :attr:`total` is unchanged
+    until a commit.
 
     Float order: a delta is ``sum(new costs) - sum(old costs)`` over the
     touched nets in first-touch order, and :meth:`commit` folds
@@ -411,7 +420,12 @@ class NetCostCache:
     what keeps their anneal reproducible.
 
     ``evaluations`` counts full terminal scans, and ``bbox_updates`` the
-    touched nets priced without one (see :class:`Placement`).
+    touched nets priced without one (see :class:`Placement`).  A net without
+    a box counts what a box would have: a move counts one rescan when, on an
+    axis it changes, the moved member lay strictly below or above the other
+    members' range, and one box update otherwise; a swap of two members of
+    one net is judged on the committed coordinates and counts two box
+    updates or one rescan.
     """
 
     def __init__(
@@ -447,31 +461,42 @@ class NetCostCache:
             if len(set(row)) < len(row):
                 raise ValueError(f"net {name!r} lists a terminal twice")
             self._rows.append(row)
-        # Per terminal id: ``(net index, partner)`` for every net it is on,
-        # in net order; ``partner`` is the other end of a two-terminal net
-        # and -1 on larger nets.
-        links: list[list[tuple[int, int]]] = [[] for _ in self.x]
-        for index, row in enumerate(self._rows):
-            for tid in row:
-                partner = (row[1] if row[0] == tid else row[0]) if len(row) == 2 else -1
-                links[tid].append((index, partner))
-        self._links: list[tuple[tuple[int, int], ...]] = [tuple(each) for each in links]
-        # The same nets as bare indices: a single move's first-touch order.
-        self._nets_of = [tuple(index for index, _ in each) for each in links]
+        # Per terminal id: ``(net index, other)`` for every net it is on, in
+        # net order.  ``other`` is the other end of a two-terminal net, -1
+        # on a net that keeps a box, and ``~k`` on a small net: one of three
+        # or four terminals, all positioned, whose other members are
+        # ``self._peers[k]``.  Moves never change which terminals are
+        # positioned, so a net keeps its kind.
+        px = self.x
+        links: list[list[tuple[int, int]]] = [[] for _ in px]
+        self._peers: list[tuple[int, ...]] = [()]  # unused: ~0 is -1, a boxed net
         self.evaluations = 0
         self.bbox_updates = 0
         self.boxes: list[_Box | None] = []
         self.costs: list[float] = []
         for index, row in enumerate(self._rows):
-            if len(row) == 2:
-                self.evaluations += 1  # a pair's scan is reading its two ends
+            small = len(row) in (3, 4) and all(px[tid] is not None for tid in row)
+            for tid in row:
+                if len(row) == 2:
+                    other = row[1] if row[0] == tid else row[0]
+                elif small:
+                    other = ~len(self._peers)
+                    self._peers.append(tuple(peer for peer in row if peer != tid))
+                else:
+                    other = -1
+                links[tid].append((index, other))
+            if len(row) == 2 or small:
+                self.evaluations += 1  # reading the members is this net's scan
                 box = None
             else:
                 box = self._scan_box(index)
             self.boxes.append(box)
             self.costs.append(self._price(index, row, box))
+        self._links: list[tuple[tuple[int, int], ...]] = [tuple(each) for each in links]
+        # The same nets as bare indices: a single move's first-touch order.
+        self._nets_of = [tuple(index for index, _ in each) for each in links]
         self.total: float = sum(self.costs)
-        # A proposal's box for each net it touched (two-terminal nets keep
+        # A proposal's box for each boxed net it touched (the others keep
         # None); commit copies them into ``boxes``.
         self._next_box: list[_Box | None] = [None] * len(self._rows)
         self._pending = _NOTHING
@@ -490,86 +515,11 @@ class NetCostCache:
     # Scans (initial pricing, rescans, the audit)
     # ------------------------------------------------------------------
     def _scan_box(self, index: int) -> _Box | None:
-        """Full terminal scan of one net (the costly path the counts avoid)."""
+        """Full terminal scan of one boxed net (the costly path the counts avoid)."""
         self.evaluations += 1
         px = self.x
         py = self.y
-        row = self._rows[index]
-        if len(row) == 3:
-            # Three-terminal nets dominate the rescans: unrolled, with the
-            # counts as boolean sums (the same float equality as count()).
-            tid_a, tid_b, tid_c = row
-            x_a = px[tid_a]
-            x_b = px[tid_b]
-            x_c = px[tid_c]
-            if x_a is not None and x_b is not None and x_c is not None:
-                y_a = py[tid_a]
-                y_b = py[tid_b]
-                y_c = py[tid_c]
-                xmin = x_b if x_b < x_a else x_a
-                if x_c < xmin:
-                    xmin = x_c
-                xmax = x_b if x_b > x_a else x_a
-                if x_c > xmax:
-                    xmax = x_c
-                ymin = y_b if y_b < y_a else y_a
-                if y_c < ymin:
-                    ymin = y_c
-                ymax = y_b if y_b > y_a else y_a
-                if y_c > ymax:
-                    ymax = y_c
-                return [
-                    xmin,
-                    xmax,
-                    ymin,
-                    ymax,
-                    (x_a == xmin) + (x_b == xmin) + (x_c == xmin),
-                    (x_a == xmax) + (x_b == xmax) + (x_c == xmax),
-                    (y_a == ymin) + (y_b == ymin) + (y_c == ymin),
-                    (y_a == ymax) + (y_b == ymax) + (y_c == ymax),
-                ]
-        elif len(row) == 4:
-            tid_a, tid_b, tid_c, tid_d = row
-            x_a = px[tid_a]
-            x_b = px[tid_b]
-            x_c = px[tid_c]
-            x_d = px[tid_d]
-            if x_a is not None and x_b is not None and x_c is not None and x_d is not None:
-                y_a = py[tid_a]
-                y_b = py[tid_b]
-                y_c = py[tid_c]
-                y_d = py[tid_d]
-                xmin = x_b if x_b < x_a else x_a
-                if x_c < xmin:
-                    xmin = x_c
-                if x_d < xmin:
-                    xmin = x_d
-                xmax = x_b if x_b > x_a else x_a
-                if x_c > xmax:
-                    xmax = x_c
-                if x_d > xmax:
-                    xmax = x_d
-                ymin = y_b if y_b < y_a else y_a
-                if y_c < ymin:
-                    ymin = y_c
-                if y_d < ymin:
-                    ymin = y_d
-                ymax = y_b if y_b > y_a else y_a
-                if y_c > ymax:
-                    ymax = y_c
-                if y_d > ymax:
-                    ymax = y_d
-                return [
-                    xmin,
-                    xmax,
-                    ymin,
-                    ymax,
-                    (x_a == xmin) + (x_b == xmin) + (x_c == xmin) + (x_d == xmin),
-                    (x_a == xmax) + (x_b == xmax) + (x_c == xmax) + (x_d == xmax),
-                    (y_a == ymin) + (y_b == ymin) + (y_c == ymin) + (y_d == ymin),
-                    (y_a == ymax) + (y_b == ymax) + (y_c == ymax) + (y_d == ymax),
-                ]
-        positioned = [tid for tid in row if px[tid] is not None]
+        positioned = [tid for tid in self._rows[index] if px[tid] is not None]
         if len(positioned) < 2:
             return None
         xs = [px[tid] for tid in positioned]
@@ -590,18 +540,18 @@ class NetCostCache:
         ]
 
     def _price(self, index: int, row: tuple[int, ...], box: _Box | None) -> float:
-        """One net's cost from its box, or from its endpoints when it has two."""
-        if len(row) == 2:
-            x_a, x_b = self.x[row[0]], self.x[row[1]]
-            if x_a is None or x_b is None:
-                return 0.0
-            dx = abs(x_a - x_b)
-            dy = abs(self.y[row[0]] - self.y[row[1]])
-        elif box is None:
-            return 0.0
-        else:
+        """One net's cost from its box, or from its members when it keeps none."""
+        if box is not None:
             dx = box[1] - box[0]
             dy = box[3] - box[2]
+        else:
+            positioned = [tid for tid in row if self.x[tid] is not None]
+            if len(positioned) < 2:
+                return 0.0
+            xs = [self.x[tid] for tid in positioned]
+            ys = [self.y[tid] for tid in positioned]
+            dx = max(xs) - min(xs)
+            dy = max(ys) - min(ys)
         return self.objective.net_cost(index, dx, dy)
 
     # ------------------------------------------------------------------
@@ -618,6 +568,7 @@ class NetCostCache:
         self._undo = ((tid, old_x, old_y),)
         boxes = self.boxes
         next_box = self._next_box
+        peers_of = self._peers
         blend = self._blend
         if blend is not None:
             scale, weights, base, per_hop = blend
@@ -639,7 +590,7 @@ class NetCostCache:
                 else:
                     evals += 1
                 span = (x - ox if x > ox else ox - x) + (y - oy if y > oy else oy - y)
-            else:
+            elif other == -1:
                 box = boxes[index]
                 if box is not None:
                     box = _shift_box(box, old_x, old_y, x, y)
@@ -652,6 +603,45 @@ class NetCostCache:
                     new_costs.append(0.0)
                     continue
                 span = (box[1] - box[0]) + (box[3] - box[2])
+            else:
+                # A small net: the other members' range, unrolled.
+                peers = peers_of[~other]
+                if len(peers) == 2:
+                    p, q = peers
+                    r = -1
+                else:
+                    p, q, r = peers
+                lo_x = px[p]
+                hi_x = px[q]
+                if lo_x > hi_x:
+                    lo_x, hi_x = hi_x, lo_x
+                lo_y = py[p]
+                hi_y = py[q]
+                if lo_y > hi_y:
+                    lo_y, hi_y = hi_y, lo_y
+                if r >= 0:
+                    r_x = px[r]
+                    if r_x < lo_x:
+                        lo_x = r_x
+                    elif r_x > hi_x:
+                        hi_x = r_x
+                    r_y = py[r]
+                    if r_y < lo_y:
+                        lo_y = r_y
+                    elif r_y > hi_y:
+                        hi_y = r_y
+                # A box would need a rescan when the member moved along an
+                # axis on which it alone held an extreme: strictly outside
+                # the others' range.
+                if (x != old_x and (old_x < lo_x or old_x > hi_x)) or (
+                    y != old_y and (old_y < lo_y or old_y > hi_y)
+                ):
+                    evals += 1
+                else:
+                    hits += 1
+                span = ((x if x > hi_x else hi_x) - (x if x < lo_x else lo_x)) + (
+                    (y if y > hi_y else hi_y) - (y if y < lo_y else lo_y)
+                )
             if blend is None:
                 new_costs.append(span)
             else:
@@ -666,8 +656,8 @@ class NetCostCache:
         """Cost delta of exchanging the coordinates of distinct terminals *a* and *b*.
 
         *a*'s nets are priced first, then *b*'s others.  A net on both sees
-        *a*'s box update, then *b*'s, and keeps its box: the swap only
-        permutes its coordinates.
+        *a*'s box update, then *b*'s, and keeps its box (or its span, on a
+        net without one): the swap only permutes its coordinates.
         """
         px = self.x
         py = self.y
@@ -683,6 +673,7 @@ class NetCostCache:
         rows = self._rows
         boxes = self.boxes
         next_box = self._next_box
+        peers_of = self._peers
         blend = self._blend
         if blend is not None:
             scale, weights, base, per_hop = blend
@@ -719,7 +710,7 @@ class NetCostCache:
                     else:
                         evals += 1
                     span = (x - ox if x > ox else ox - x) + (y - oy if y > oy else oy - y)
-                else:
+                elif other == -1:
                     shared = partner in rows[index]
                     if shared and second:
                         continue
@@ -740,6 +731,72 @@ class NetCostCache:
                         new_costs.append(0.0)
                         continue
                     span = (box[1] - box[0]) + (box[3] - box[2])
+                else:
+                    # The range of the moved member's peers at their
+                    # committed coordinates, then the rescan rule of a move,
+                    # then the span with the one live coordinate the range
+                    # leaves out folded in.
+                    peers = peers_of[~other]
+                    shared = partner in peers
+                    if shared:
+                        if second:
+                            continue
+                        # The swap permutes this net's members.  Its box
+                        # updates, a onto b's place and then b onto a's, are
+                        # judged on the committed coordinates, where b sits
+                        # at (x, y); only the first can need a rescan.
+                        lo_x = hi_x = x
+                        lo_y = hi_y = y
+                        for peer in peers:
+                            if peer != partner:
+                                p_x = px[peer]
+                                if p_x < lo_x:
+                                    lo_x = p_x
+                                elif p_x > hi_x:
+                                    hi_x = p_x
+                                p_y = py[peer]
+                                if p_y < lo_y:
+                                    lo_y = p_y
+                                elif p_y > hi_y:
+                                    hi_y = p_y
+                        out_x = old_x  # b's new place
+                        out_y = old_y
+                    else:
+                        if len(peers) == 2:
+                            p, q = peers
+                            r = -1
+                        else:
+                            p, q, r = peers
+                        lo_x = px[p]
+                        hi_x = px[q]
+                        if lo_x > hi_x:
+                            lo_x, hi_x = hi_x, lo_x
+                        lo_y = py[p]
+                        hi_y = py[q]
+                        if lo_y > hi_y:
+                            lo_y, hi_y = hi_y, lo_y
+                        if r >= 0:
+                            r_x = px[r]
+                            if r_x < lo_x:
+                                lo_x = r_x
+                            elif r_x > hi_x:
+                                hi_x = r_x
+                            r_y = py[r]
+                            if r_y < lo_y:
+                                lo_y = r_y
+                            elif r_y > hi_y:
+                                hi_y = r_y
+                        out_x = x
+                        out_y = y
+                    if (x != old_x and (old_x < lo_x or old_x > hi_x)) or (
+                        y != old_y and (old_y < lo_y or old_y > hi_y)
+                    ):
+                        evals += 1
+                    else:
+                        hits += 2 if shared else 1
+                    span = (
+                        (out_x if out_x > hi_x else hi_x) - (out_x if out_x < lo_x else lo_x)
+                    ) + ((out_y if out_y > hi_y else hi_y) - (out_y if out_y < lo_y else lo_y))
                 nets.append(index)
                 if blend is None:
                     new_costs.append(span)

@@ -54,9 +54,13 @@ class TruthTable:
             )
         if len(set(self.inputs)) != len(self.inputs):
             raise ValueError(f"duplicate input names in {self.inputs!r}")
-        for bit in self.bits:
-            if bit not in (0, 1):
-                raise ValueError(f"truth table bits must be 0/1, got {bit!r}")
+        bits = self.bits
+        # One C-level pass accepts exactly the bits equal to 0 or 1 (count()
+        # compares with ==, as ``in`` does); only a rejected table is walked,
+        # to name its first bad bit.
+        if bits.count(0) + bits.count(1) != len(bits):
+            bad = next(bit for bit in bits if bit not in (0, 1))
+            raise ValueError(f"truth table bits must be 0/1, got {bad!r}")
 
     # ------------------------------------------------------------------
     # Constructors
@@ -305,7 +309,7 @@ class TruthTable:
     def from_dict(cls, data: Mapping) -> "TruthTable":
         return cls(
             inputs=tuple(data["inputs"]),
-            bits=tuple(int(b) for b in data["bits"]),
+            bits=tuple(map(int, data["bits"])),
             name=str(data.get("name", "")),
         )
 

@@ -222,6 +222,29 @@ def test_bbox_update_avoids_rescan_for_interior_terminal():
         NetCostCache({"n0": ["a", "b", "a"]}, plb_sites, {})
 
 
+def test_bbox_update_avoids_rescan_for_interior_terminal_of_a_five_terminal_net():
+    # The same check where a box is kept: nets of up to four terminals are
+    # priced from their members, so the box path starts at five.
+    nets = {"n0": ["a", "b", "c", "d", "e"]}
+    plb_sites = {"a": (0, 0), "b": (4, 4), "c": (2, 2), "d": (3, 1), "e": (1, 3)}
+    cache = NetCostCache(nets, plb_sites, {})
+    assert cache.boxes == [[0.0, 4.0, 0.0, 4.0, 1, 1, 1, 1]]
+    scans_before = cache.evaluations
+    delta = cache.propose_move(cache.tid_of["c"], 1.0, 3.0)  # still interior
+    cache.commit()
+    assert delta == 0.0
+    assert cache.bbox_updates == 1
+    assert cache.evaluations == scans_before  # no terminal rescan happened
+    assert cache.boxes == [[0.0, 4.0, 0.0, 4.0, 1, 1, 1, 1]]
+    # Moving the sole terminal off an extreme degenerates into a rescan.
+    cache.propose_move(cache.tid_of["b"], 1.0, 1.0)
+    cache.commit()
+    assert cache.evaluations == scans_before + 1
+    assert cache.boxes == [[0.0, 3.0, 0.0, 3.0, 1, 1, 1, 2]]
+    moved = {"a": (0, 0), "b": (1, 1), "c": (1, 3), "d": (3, 1), "e": (1, 3)}
+    assert cache.total == _hpwl(nets, moved, {})
+
+
 def test_place_design_audited_anneal_and_final_cost():
     # audit_interval=1 asserts cache == full recompute inside every move of
     # the real anneal; the final cost must also match an independent

@@ -7,7 +7,10 @@ replaced, kept here as the oracle.  A hypothesis-driven random anneal
 protocol (single moves and swaps of PLB and IO terminals, then commit or
 reject) runs both move by move under both objectives and demands the same
 delta, total and counters at every step, and the plain total equal to the
-full :func:`repro.cad.place._hpwl` recompute.
+full :func:`repro.cad.place._hpwl` recompute.  The oracle boxes every net,
+so deterministic cases check that the nets the cache prices from their
+members (up to four terminals, all positioned) count exactly what a box
+would, without ever touching one.
 
 The router's ``_TreeSearch`` walks the RR graph's wire-only adjacency and
 splices each search's target pins in; :func:`reference_grow` is the search
@@ -35,6 +38,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cad import place as place_module
 from repro.cad.flow import CadFlow, FlowOptions
 from repro.cad.place import NetCostCache, TimingObjective, WirelengthObjective, _hpwl
 from repro.cad.route import _delay_costs, _TreeSearch, route_design
@@ -242,12 +246,14 @@ def _anneal_protocol(draw):
     plb_names = [f"plb{i}" for i in range(n_plbs)]
     io_names = ["in0", "in1", "out0"]
     # "io:float" is never positioned: its nets price without it, and a net
-    # it leaves with one positioned terminal rescans on every touch.
+    # it leaves with one positioned terminal rescans on every touch.  Nets
+    # of up to four positioned terminals are priced from their members;
+    # five or six terminals, or "io:float" among them, keep a box.
     terminals = plb_names + [f"io:{name}" for name in io_names] + ["io:float"]
     n_nets = draw(st.integers(min_value=1, max_value=7))
     nets = {
         f"net{i}": draw(
-            st.lists(st.sampled_from(terminals), min_size=1, max_size=4, unique=True)
+            st.lists(st.sampled_from(terminals), min_size=1, max_size=6, unique=True)
         )
         for i in range(n_nets)
     }
@@ -295,7 +301,11 @@ def test_cache_matches_reference_under_timing_objective(protocol):
 
 
 def _check_against_reference(protocol, timing):
-    """Run *protocol* on the cache and the oracle; compare after every step."""
+    """Run *protocol* on the cache and the oracle; compare after every step.
+
+    Returns the cache's ``(evaluations, bbox_updates)`` before the first
+    step and after each step it ran.
+    """
     nets, plb_sites, io_positions, steps, crits = protocol
 
     def objective():
@@ -328,6 +338,7 @@ def _check_against_reference(protocol, timing):
             assert cache.total == _hpwl(nets, live_sites, live_io)
 
     same_state()
+    counts = [(cache.evaluations, cache.bbox_updates)]
     for kind, first, second, y, commit in steps:
         if kind == "move":
             old = position(first)
@@ -359,6 +370,71 @@ def _check_against_reference(protocol, timing):
             reference.reject()
             cache.reject()
         same_state()
+        counts.append((cache.evaluations, cache.bbox_updates))
+    return counts
+
+
+def _forbidden(*args):
+    raise AssertionError("a net without a box reached the box path")
+
+
+@pytest.mark.parametrize("timing", [False, True])
+def test_swap_inside_a_small_net_counts_two_updates_or_one_rescan(monkeypatch, timing):
+    # A box would take the swap as the first member moving onto the
+    # second's place (the second still there), then the second onto the
+    # first's: only the first can leave an extreme it alone held.  Here a
+    # sits inside the others' range (b alone holds both maxima), so the
+    # swap counts two box updates; after it, a alone holds them, and
+    # swapping back counts one rescan.  Neither touches a box.
+    monkeypatch.setattr(place_module, "_shift_box", _forbidden)
+    monkeypatch.setattr(NetCostCache, "_scan_box", _forbidden)
+    nets = {"n0": ["a", "b", "c"]}
+    sites = {"a": (1, 1), "b": (2, 2), "c": (0, 0)}
+    steps = [("swap", "a", "b", 0, True), ("swap", "a", "b", 0, False)]
+    counts = _check_against_reference((nets, sites, {}, steps, {"n0": 0.5}), timing)
+    assert counts == [(1, 0), (1, 2), (2, 2)]
+    assert NetCostCache(nets, sites, {}).boxes == [None]
+
+
+def test_small_net_moves_price_from_members_and_count_like_a_box(monkeypatch):
+    # Four-terminal nets too.  A move counts a rescan only when, on an axis
+    # it changes, the member lay strictly outside the others' range.
+    monkeypatch.setattr(place_module, "_shift_box", _forbidden)
+    monkeypatch.setattr(NetCostCache, "_scan_box", _forbidden)
+    nets = {"n0": ["a", "b", "c", "d"], "n1": ["a", "c", "d"]}
+    sites = {"a": (1, 1), "b": (3, 2), "c": (0, 3), "d": (2, 2)}
+    steps = [
+        ("move", "a", 2, 1, True),  # inside n0; alone at n1's ymin, but y stays
+        ("move", "b", 3, 1, True),  # alone at n0's xmax, but x stays
+        ("move", "c", 1, 2, False),  # alone at both nets' xmin, and x changes
+    ]
+    counts = _check_against_reference((nets, sites, {}, steps, {}), timing=False)
+    assert counts == [(2, 0), (2, 2), (2, 3), (4, 3)]
+
+
+def test_triple_with_an_unpositioned_member_keeps_its_box(monkeypatch):
+    # An IO without a pad never gets one, so its nets keep the box path,
+    # three-terminal ones included.
+    shifts = []
+
+    def counting_shift(*args):
+        shifts.append(args)
+        return shift_box(*args)
+
+    shift_box = place_module._shift_box
+    monkeypatch.setattr(place_module, "_shift_box", counting_shift)
+    nets = {"n0": ["a", "b", "io:float"], "n1": ["a", "b", "c"]}
+    sites = {"a": (0, 0), "b": (0, 2), "c": (2, 1)}
+    cache = NetCostCache(nets, sites, {})
+    assert cache.boxes == [[0.0, 0.0, 0.0, 2.0, 2, 2, 1, 1], None]
+    steps = [
+        ("move", "a", 1, 0, True),  # shares xmin with b on both: updates
+        ("move", "a", 1, 1, True),  # alone at ymin on both: rescans
+        ("swap", "a", "b", 0, False),  # n0 rescans; n1 counts two updates
+    ]
+    counts = _check_against_reference((nets, sites, {}, steps, {}), timing=False)
+    assert counts == [(2, 0), (2, 2), (4, 2), (5, 4)]
+    assert len(shifts) == 3  # one per step, all on n0
 
 
 # ----------------------------------------------------------------------

@@ -45,6 +45,18 @@ def test_non_binary_bits_rejected():
         TruthTable(inputs=("a",), bits=(0, 2))
 
 
+@pytest.mark.parametrize("bit", [0, 1, True, False, 1.0, 2, "1", None])
+def test_bit_check_agrees_with_the_per_bit_rule(bit):
+    # The table checks its bits in one counting pass; it must accept and
+    # reject exactly what ``bit in (0, 1)`` does, and name the bad bit.
+    bits = (1, 0, bit, 0)
+    if bit in (0, 1):
+        assert TruthTable(inputs=("a", "b"), bits=bits).bits == bits
+    else:
+        with pytest.raises(ValueError, match=f"must be 0/1, got {bit!r}$"):
+            TruthTable(inputs=("a", "b"), bits=bits)
+
+
 def test_constant():
     one = TruthTable.constant(1)
     assert one.bits == (1,)
@@ -141,6 +153,10 @@ def test_serialisation_roundtrip():
     again = TruthTable.from_dict(data)
     assert again == table
     assert again.to_config_bits() == table.bits
+    # Decoding converts every bit to an int.
+    loose = TruthTable.from_dict({"inputs": ["a"], "bits": [True, 0.0]})
+    assert [type(bit) for bit in loose.bits] == [int, int]
+    assert loose.bits == (1, 0)
 
 
 def test_missing_assignment_raises():
