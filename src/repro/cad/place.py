@@ -11,13 +11,12 @@ cost** of the inter-block nets:
 Cost evaluation is **incremental** (VPR-style) on two levels.  One per-net
 cost cache, :class:`NetCostCache`, gives every terminal an integer id and
 keeps a terminal→nets index, so a move or swap re-prices only the nets
-touching the moved terminals.  A net of up to four terminals, all
-positioned, is priced straight from its members' live coordinates, as VPR
-prices the nets below its ``SMALL_NET`` cut-off.  A net of five or more
-terminals, or one with an unpositioned IO, updates its bounding box
-*incrementally* from the moved terminal's old/new coordinates (per-edge
-occupancy counts) and is only rescanned terminal-by-terminal when a
-terminal moves off a bounding-box edge it alone defined.  The annealer
+touching the moved terminals.  A net of two to four terminals is priced
+straight from its members' live coordinates, as VPR prices the nets below
+its ``SMALL_NET`` cut-off.  A net of five or more terminals updates its
+bounding box *incrementally* from the moved terminal's old/new coordinates
+(per-edge occupancy counts) and is only rescanned terminal-by-terminal
+when a terminal moves off a bounding-box edge it alone defined.  The annealer
 proposes moves by terminal id and site or pad index.  Site and pad
 bookkeeping is O(1) per move (swap-pop free lists of indices), and the
 acceptance test uses a per-batch precomputed inverse temperature.
@@ -43,7 +42,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.cad.lemap import MappedDesign
 from repro.cad.pack import bind_pins
-from repro.cad.timing import CBOX_DELAY_PS, SWITCH_DELAY_PS, WIRE_SEGMENT_DELAY_PS
+from repro.cad.timing import HOP_DELAY_PS, NET_BASE_DELAY_PS, WIRE_SEGMENT_DELAY_PS
 from repro.core.fabric import Fabric, IOPad
 from repro.core.schema import decoding, require_version
 
@@ -77,15 +76,15 @@ class Placement:
     ``io_sites`` maps primary input/output net names to IO pads.
 
     ``iterations`` counts proposed annealing moves, ``moves_accepted`` the
-    accepted ones, and ``net_evaluations`` every full per-net terminal scan
-    (including the ``net_count`` scans of the initial sweep) — the
-    incremental placer's headline counter: a full-recompute annealer would
-    have spent ``iterations * net_count`` of them, and incremental
-    bounding-box updates (counted in ``bbox_updates``) avoid most of the
-    rest.  A net of up to four terminals, priced from its members, keeps
-    no box but counts what one would have: a rescan when a moved terminal
-    alone held an extreme it leaves, a box update otherwise (two for a swap
-    of two of its members).  ``cost`` is the final objective value (equal
+    accepted ones, and ``net_evaluations`` every pricing of a net from its
+    members' coordinates: the ``net_count`` scans of the initial sweep,
+    each re-pricing of a net of two to four terminals and each rescan of a
+    larger net's bounding box.  It is the incremental placer's headline
+    counter: a full-recompute annealer would have spent ``iterations *
+    net_count`` of them.  ``bbox_updates`` counts the O(1) box updates of
+    nets of five or more terminals, each of which replaced a rescan.  A
+    swap of two members of one net leaves that net's cost as it is and
+    counts nothing for it.  ``cost`` is the final objective value (equal
     to ``wirelength`` under the default HPWL objective); ``wirelength`` is
     always the pure HPWL, whatever objective annealed.
 
@@ -227,30 +226,34 @@ def _pad_position(pad: IOPad, fabric: Fabric) -> tuple[float, float]:
     return (float(fabric.width), pad.position)
 
 
-def _hpwl(
-    nets: dict[str, list[str]],
-    plb_sites: dict[str, tuple[int, int]],
-    io_positions: dict[str, tuple[float, float]],
-) -> float:
-    """Full (non-incremental) HPWL: the reference the cache is audited against."""
-    total = 0.0
-    for terminals in nets.values():
+def _net_spans(
+    nets: Mapping[str, Sequence[str]],
+    plb_sites: Mapping[str, tuple[int, int]],
+    io_positions: Mapping[str, tuple[float, float]],
+) -> dict[str, float]:
+    """Each net's half-perimeter ``dx + dy``, from a full scan of its terminals."""
+    spans: dict[str, float] = {}
+    for net, terminals in nets.items():
         xs: list[float] = []
         ys: list[float] = []
         for terminal in terminals:
             if terminal.startswith("io:"):
-                position = io_positions.get(terminal[3:])
-                if position is None:
-                    continue
-                xs.append(position[0])
-                ys.append(position[1])
+                x, y = io_positions[terminal[3:]]
             else:
                 x, y = plb_sites[terminal]
-                xs.append(float(x))
-                ys.append(float(y))
-        if len(xs) >= 2:
-            total += (max(xs) - min(xs)) + (max(ys) - min(ys))
-    return total
+            xs.append(float(x))
+            ys.append(float(y))
+        spans[net] = (max(xs) - min(xs)) + (max(ys) - min(ys))
+    return spans
+
+
+def _hpwl(
+    nets: Mapping[str, Sequence[str]],
+    plb_sites: Mapping[str, tuple[int, int]],
+    io_positions: Mapping[str, tuple[float, float]],
+) -> float:
+    """Full (non-incremental) HPWL: the reference the cache is audited against."""
+    return sum(_net_spans(nets, plb_sites, io_positions).values(), 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -300,11 +303,10 @@ class TimingObjective(WirelengthObjective):
             raise ValueError(f"tradeoff must be in [0, 1], got {tradeoff}")
         self.criticalities = dict(criticalities)
         self.tradeoff = tradeoff
+        # repro.cad.timing.bbox_net_delay's coefficients, normalised by wire.
         wire = float(WIRE_SEGMENT_DELAY_PS)
-        # bbox delay of a net spanning s hops ~ 2*cbox + (s+1)*wire + s*switch
-        # (repro.cad.timing.bbox_net_delay), normalised by wire.
-        self._per_hop = (WIRE_SEGMENT_DELAY_PS + SWITCH_DELAY_PS) / wire
-        self._base = (2 * CBOX_DELAY_PS + WIRE_SEGMENT_DELAY_PS) / wire
+        self._per_hop = HOP_DELAY_PS / wire
+        self._base = NET_BASE_DELAY_PS / wire
         self._crit: list[float] = []
 
     def bind(self, net_names: Sequence[str]) -> None:
@@ -324,10 +326,10 @@ class TimingObjective(WirelengthObjective):
         )
 
 
-#: Per-net bounding box: extremes plus how many terminals sit on each extreme
-#: (the occupancy counts that make shrinking moves detectable in O(1)).
-#: ``None`` marks nets that keep no box (two to four terminals, all
-#: positioned) and nets with fewer than two positioned terminals (cost 0).
+#: Per-net bounding box of a net of five or more terminals: extremes plus how
+#: many terminals sit on each extreme (the occupancy counts that make
+#: shrinking moves detectable in O(1)).  Nets of two to four terminals keep
+#: ``None``.
 _Box = list  # [xmin, xmax, ymin, ymax, n_xmin, n_xmax, n_ymin, n_ymax]
 
 
@@ -388,29 +390,28 @@ _NOTHING: tuple = ((), ())
 class NetCostCache:
     """Per-net costs with delta evaluation for annealing moves.
 
-    Every PLB of ``plb_sites``, every IO net of ``io_positions`` (as
-    ``io:<net>``) and any other terminal of *nets* gets an integer *terminal
-    id* (:attr:`tid_of`).  The cache owns their coordinates from construction
-    on: the two dicts are read once, and :attr:`x` / :attr:`y` (``None`` for
-    an unpositioned IO) are the live state.  Moves are proposed by terminal
-    id, for positioned terminals:
+    Every PLB of ``plb_sites`` and every IO net of ``io_positions`` (as
+    ``io:<net>``) gets an integer *terminal id* (:attr:`tid_of`).  Each net
+    must list at least two of them, each once; a net that does not, or that
+    lists a terminal neither dict places, raises :class:`ValueError` naming
+    the net.  The cache owns the coordinates from construction on: the two
+    dicts are read once, and :attr:`x` / :attr:`y` are the live state.
+    Moves are proposed by terminal id:
 
     * :meth:`propose_move` moves one terminal to new coordinates;
     * :meth:`propose_swap` exchanges two terminals' coordinates.
 
     Each runs one fused loop over the nets it touches.  A net of two to four
-    terminals, all positioned, keeps no box: it is priced from its members'
-    live coordinates, with one unrolled min/max per axis.  Any other net (five
-    or more terminals, or an unpositioned IO among them) keeps a bounding box
-    that it updates **incrementally** from the moved terminal's old and new
-    coordinates; it is rescanned only when a terminal leaves an extreme it
-    alone occupied.  Which terminals are positioned never changes, so a net
-    keeps its kind.  Each touched net is priced through the objective: its
-    span (HPWL) by default, the blend of :meth:`WirelengthObjective.blend`
-    otherwise.  A proposal applies its coordinates at once and keeps the new
-    per-net costs and boxes pending: :meth:`commit` folds them in,
-    :meth:`reject` restores the coordinates.  :attr:`total` is unchanged
-    until a commit.
+    terminals keeps no box: it is priced from its members' live
+    coordinates, with one unrolled min/max per axis.  A net of five or more
+    terminals keeps a bounding box that it updates **incrementally** from
+    the moved terminal's old and new coordinates; it is rescanned only when
+    a terminal leaves an extreme it alone occupied.  Each touched net is
+    priced through the objective: its span (HPWL) by default, the blend of
+    :meth:`WirelengthObjective.blend` otherwise.  A proposal applies its
+    coordinates at once and keeps the new per-net costs and boxes pending:
+    :meth:`commit` folds them in, :meth:`reject` restores the coordinates.
+    :attr:`total` is unchanged until a commit.
 
     Float order: a delta is ``sum(new costs) - sum(old costs)`` over the
     touched nets in first-touch order, and :meth:`commit` folds
@@ -419,13 +420,11 @@ class NetCostCache:
     exactly at every step; blended costs are not, and this fixed order is
     what keeps their anneal reproducible.
 
-    ``evaluations`` counts full terminal scans, and ``bbox_updates`` the
-    touched nets priced without one (see :class:`Placement`).  A net without
-    a box counts what a box would have: a move counts one rescan when, on an
-    axis it changes, the moved member lay strictly below or above the other
-    members' range, and one box update otherwise; a swap of two members of
-    one net is judged on the committed coordinates and counts two box
-    updates or one rescan.
+    ``evaluations`` counts the nets priced from their members' coordinates:
+    every net once at construction, then each pricing of a net of two to
+    four terminals and each rescan of a box.  ``bbox_updates`` counts the
+    incremental box updates.  A swap of two members of one net keeps that
+    net's cost and box and counts nothing for it.
     """
 
     def __init__(
@@ -440,62 +439,55 @@ class NetCostCache:
         self.objective.bind(self.net_names)
         self._blend = self.objective.blend()
         self.tid_of: dict[str, int] = {}
-        self.x: list[float | None] = []
-        self.y: list[float | None] = []
+        self.x: list[float] = []
+        self.y: list[float] = []
         for name, site in plb_sites.items():
             self._add_terminal(name, site)
         for net, position in io_positions.items():
             self._add_terminal(f"io:{net}", position)
         self._rows: list[tuple[int, ...]] = []
         for name, terminals in nets.items():
+            if len(terminals) < 2:
+                raise ValueError(f"net {name!r} has fewer than two terminals")
             for terminal in terminals:
                 if terminal not in self.tid_of:
-                    # An IO without a position; a PLB without a site raises.
-                    self._add_terminal(
-                        terminal,
-                        io_positions.get(terminal[3:])
-                        if terminal.startswith("io:")
-                        else plb_sites[terminal],
-                    )
+                    raise ValueError(f"net {name!r} has an unplaced terminal {terminal!r}")
             row = tuple(self.tid_of[terminal] for terminal in terminals)
             if len(set(row)) < len(row):
                 raise ValueError(f"net {name!r} lists a terminal twice")
             self._rows.append(row)
         # Per terminal id: ``(net index, other)`` for every net it is on, in
         # net order.  ``other`` is the other end of a two-terminal net, -1
-        # on a net that keeps a box, and ``~k`` on a small net: one of three
-        # or four terminals, all positioned, whose other members are
-        # ``self._peers[k]``.  Moves never change which terminals are
-        # positioned, so a net keeps its kind.
-        px = self.x
-        links: list[list[tuple[int, int]]] = [[] for _ in px]
+        # on a net of five or more terminals, which keeps a box, and ``~k``
+        # on a net of three or four, whose other members are
+        # ``self._peers[k]``.
+        links: list[list[tuple[int, int]]] = [[] for _ in self.x]
         self._peers: list[tuple[int, ...]] = [()]  # unused: ~0 is -1, a boxed net
-        self.evaluations = 0
-        self.bbox_updates = 0
-        self.boxes: list[_Box | None] = []
-        self.costs: list[float] = []
         for index, row in enumerate(self._rows):
-            small = len(row) in (3, 4) and all(px[tid] is not None for tid in row)
             for tid in row:
                 if len(row) == 2:
                     other = row[1] if row[0] == tid else row[0]
-                elif small:
+                elif len(row) <= 4:
                     other = ~len(self._peers)
                     self._peers.append(tuple(peer for peer in row if peer != tid))
                 else:
                     other = -1
                 links[tid].append((index, other))
-            if len(row) == 2 or small:
-                self.evaluations += 1  # reading the members is this net's scan
-                box = None
-            else:
-                box = self._scan_box(index)
-            self.boxes.append(box)
-            self.costs.append(self._price(index, row, box))
         self._links: list[tuple[tuple[int, int], ...]] = [tuple(each) for each in links]
         # The same nets as bare indices: a single move's first-touch order.
         self._nets_of = [tuple(index for index, _ in each) for each in links]
+        self.boxes: list[_Box | None] = [
+            self._scan_box(index) if len(row) > 4 else None
+            for index, row in enumerate(self._rows)
+        ]
+        self.costs: list[float] = [
+            self.objective.net_cost(index, *self._extent(index))
+            for index in range(len(self._rows))
+        ]
         self.total: float = sum(self.costs)
+        # The initial sweep priced every net from its members.
+        self.evaluations = len(self._rows)
+        self.bbox_updates = 0
         # A proposal's box for each boxed net it touched (the others keep
         # None); commit copies them into ``boxes``.
         self._next_box: list[_Box | None] = [None] * len(self._rows)
@@ -504,8 +496,8 @@ class NetCostCache:
 
     def _add_terminal(self, terminal: str, position) -> None:
         self.tid_of[terminal] = len(self.x)
-        self.x.append(None if position is None else float(position[0]))
-        self.y.append(None if position is None else float(position[1]))
+        self.x.append(float(position[0]))
+        self.y.append(float(position[1]))
 
     @property
     def net_count(self) -> int:
@@ -514,16 +506,18 @@ class NetCostCache:
     # ------------------------------------------------------------------
     # Scans (initial pricing, rescans, the audit)
     # ------------------------------------------------------------------
-    def _scan_box(self, index: int) -> _Box | None:
-        """Full terminal scan of one boxed net (the costly path the counts avoid)."""
-        self.evaluations += 1
-        px = self.x
-        py = self.y
-        positioned = [tid for tid in self._rows[index] if px[tid] is not None]
-        if len(positioned) < 2:
-            return None
-        xs = [px[tid] for tid in positioned]
-        ys = [py[tid] for tid in positioned]
+    def _extent(self, index: int) -> tuple[float, float]:
+        """One net's ``(dx, dy)`` from a full scan of its members."""
+        row = self._rows[index]
+        xs = [self.x[tid] for tid in row]
+        ys = [self.y[tid] for tid in row]
+        return max(xs) - min(xs), max(ys) - min(ys)
+
+    def _scan_box(self, index: int) -> _Box:
+        """One boxed net's box from a full scan (the costly path the counts avoid)."""
+        row = self._rows[index]
+        xs = [self.x[tid] for tid in row]
+        ys = [self.y[tid] for tid in row]
         xmin = min(xs)
         xmax = max(xs)
         ymin = min(ys)
@@ -538,21 +532,6 @@ class NetCostCache:
             ys.count(ymin),
             ys.count(ymax),
         ]
-
-    def _price(self, index: int, row: tuple[int, ...], box: _Box | None) -> float:
-        """One net's cost from its box, or from its members when it keeps none."""
-        if box is not None:
-            dx = box[1] - box[0]
-            dy = box[3] - box[2]
-        else:
-            positioned = [tid for tid in row if self.x[tid] is not None]
-            if len(positioned) < 2:
-                return 0.0
-            xs = [self.x[tid] for tid in positioned]
-            ys = [self.y[tid] for tid in positioned]
-            dx = max(xs) - min(xs)
-            dy = max(ys) - min(ys)
-        return self.objective.net_cost(index, dx, dy)
 
     # ------------------------------------------------------------------
     # Proposals
@@ -579,32 +558,20 @@ class NetCostCache:
             if other >= 0:
                 ox = px[other]
                 oy = py[other]
-                if ox is None:
-                    evals += 1
-                    new_costs.append(0.0)
-                    continue
-                # The moved end's box update succeeds when its axis did not
-                # move or the box was degenerate on it.
-                if (x == old_x or old_x == ox) and (y == old_y or old_y == oy):
-                    hits += 1
-                else:
-                    evals += 1
                 span = (x - ox if x > ox else ox - x) + (y - oy if y > oy else oy - y)
+                evals += 1
             elif other == -1:
-                box = boxes[index]
-                if box is not None:
-                    box = _shift_box(box, old_x, old_y, x, y)
-                    if box is not None:
-                        hits += 1
+                box = _shift_box(boxes[index], old_x, old_y, x, y)
                 if box is None:
                     box = self._scan_box(index)
+                    evals += 1
+                else:
+                    hits += 1
                 next_box[index] = box
-                if box is None:
-                    new_costs.append(0.0)
-                    continue
                 span = (box[1] - box[0]) + (box[3] - box[2])
             else:
-                # A small net: the other members' range, unrolled.
+                # Three or four terminals: the other members' range,
+                # unrolled, with the moved one folded in.
                 peers = peers_of[~other]
                 if len(peers) == 2:
                     p, q = peers
@@ -630,18 +597,10 @@ class NetCostCache:
                         lo_y = r_y
                     elif r_y > hi_y:
                         hi_y = r_y
-                # A box would need a rescan when the member moved along an
-                # axis on which it alone held an extreme: strictly outside
-                # the others' range.
-                if (x != old_x and (old_x < lo_x or old_x > hi_x)) or (
-                    y != old_y and (old_y < lo_y or old_y > hi_y)
-                ):
-                    evals += 1
-                else:
-                    hits += 1
                 span = ((x if x > hi_x else hi_x) - (x if x < lo_x else lo_x)) + (
                     (y if y > hi_y else hi_y) - (y if y < lo_y else lo_y)
                 )
+                evals += 1
             if blend is None:
                 new_costs.append(span)
             else:
@@ -655,9 +614,10 @@ class NetCostCache:
     def propose_swap(self, a: int, b: int) -> float:
         """Cost delta of exchanging the coordinates of distinct terminals *a* and *b*.
 
-        *a*'s nets are priced first, then *b*'s others.  A net on both sees
-        *a*'s box update, then *b*'s, and keeps its box (or its span, on a
-        net without one): the swap only permutes its coordinates.
+        *a*'s nets are priced first, then *b*'s others.  A net holding both
+        keeps its cost and box, since the swap only permutes its members:
+        it is listed at its old cost on *a*'s pass, so the delta sums in
+        first-touch order as for a move, and counts nothing.
         """
         px = self.x
         py = self.y
@@ -671,6 +631,7 @@ class NetCostCache:
         py[b] = ay
         self._undo = ((a, ax, ay), (b, bx, by))
         rows = self._rows
+        costs = self.costs
         boxes = self.boxes
         next_box = self._next_box
         peers_of = self._peers
@@ -685,118 +646,57 @@ class NetCostCache:
             ((a, b, ax, ay, bx, by), (b, a, bx, by, ax, ay))
         ):
             for index, other in self._links[tid]:
-                if other == partner:
-                    if second:
-                        continue
-                    # Both ends of a two-terminal net: each end's box update
-                    # succeeds only on a degenerate box.
-                    if x == old_x and y == old_y:
-                        hits += 2
-                    else:
-                        evals += 1
-                    span = (x - old_x if x > old_x else old_x - x) + (
-                        y - old_y if y > old_y else old_y - y
-                    )
-                elif other >= 0:
+                if other == partner or (other < 0 and partner in rows[index]):
+                    # It holds both: as it was, on a's pass only.
+                    if not second:
+                        nets.append(index)
+                        new_costs.append(costs[index])
+                        next_box[index] = boxes[index]
+                    continue
+                if other >= 0:
                     ox = px[other]
                     oy = py[other]
-                    if ox is None:
-                        evals += 1
-                        nets.append(index)
-                        new_costs.append(0.0)
-                        continue
-                    if (x == old_x or old_x == ox) and (y == old_y or old_y == oy):
-                        hits += 1
-                    else:
-                        evals += 1
                     span = (x - ox if x > ox else ox - x) + (y - oy if y > oy else oy - y)
+                    evals += 1
                 elif other == -1:
-                    shared = partner in rows[index]
-                    if shared and second:
-                        continue
-                    box = boxes[index]
-                    if box is not None:
-                        box = _shift_box(box, old_x, old_y, x, y)
-                        if box is not None:
-                            hits += 1
-                            if shared:
-                                box = _shift_box(box, x, y, old_x, old_y)
-                                if box is not None:
-                                    hits += 1
+                    box = _shift_box(boxes[index], old_x, old_y, x, y)
                     if box is None:
                         box = self._scan_box(index)
-                    next_box[index] = box
-                    if box is None:
-                        nets.append(index)
-                        new_costs.append(0.0)
-                        continue
-                    span = (box[1] - box[0]) + (box[3] - box[2])
-                else:
-                    # The range of the moved member's peers at their
-                    # committed coordinates, then the rescan rule of a move,
-                    # then the span with the one live coordinate the range
-                    # leaves out folded in.
-                    peers = peers_of[~other]
-                    shared = partner in peers
-                    if shared:
-                        if second:
-                            continue
-                        # The swap permutes this net's members.  Its box
-                        # updates, a onto b's place and then b onto a's, are
-                        # judged on the committed coordinates, where b sits
-                        # at (x, y); only the first can need a rescan.
-                        lo_x = hi_x = x
-                        lo_y = hi_y = y
-                        for peer in peers:
-                            if peer != partner:
-                                p_x = px[peer]
-                                if p_x < lo_x:
-                                    lo_x = p_x
-                                elif p_x > hi_x:
-                                    hi_x = p_x
-                                p_y = py[peer]
-                                if p_y < lo_y:
-                                    lo_y = p_y
-                                elif p_y > hi_y:
-                                    hi_y = p_y
-                        out_x = old_x  # b's new place
-                        out_y = old_y
-                    else:
-                        if len(peers) == 2:
-                            p, q = peers
-                            r = -1
-                        else:
-                            p, q, r = peers
-                        lo_x = px[p]
-                        hi_x = px[q]
-                        if lo_x > hi_x:
-                            lo_x, hi_x = hi_x, lo_x
-                        lo_y = py[p]
-                        hi_y = py[q]
-                        if lo_y > hi_y:
-                            lo_y, hi_y = hi_y, lo_y
-                        if r >= 0:
-                            r_x = px[r]
-                            if r_x < lo_x:
-                                lo_x = r_x
-                            elif r_x > hi_x:
-                                hi_x = r_x
-                            r_y = py[r]
-                            if r_y < lo_y:
-                                lo_y = r_y
-                            elif r_y > hi_y:
-                                hi_y = r_y
-                        out_x = x
-                        out_y = y
-                    if (x != old_x and (old_x < lo_x or old_x > hi_x)) or (
-                        y != old_y and (old_y < lo_y or old_y > hi_y)
-                    ):
                         evals += 1
                     else:
-                        hits += 2 if shared else 1
-                    span = (
-                        (out_x if out_x > hi_x else hi_x) - (out_x if out_x < lo_x else lo_x)
-                    ) + ((out_y if out_y > hi_y else hi_y) - (out_y if out_y < lo_y else lo_y))
+                        hits += 1
+                    next_box[index] = box
+                    span = (box[1] - box[0]) + (box[3] - box[2])
+                else:
+                    peers = peers_of[~other]
+                    if len(peers) == 2:
+                        p, q = peers
+                        r = -1
+                    else:
+                        p, q, r = peers
+                    lo_x = px[p]
+                    hi_x = px[q]
+                    if lo_x > hi_x:
+                        lo_x, hi_x = hi_x, lo_x
+                    lo_y = py[p]
+                    hi_y = py[q]
+                    if lo_y > hi_y:
+                        lo_y, hi_y = hi_y, lo_y
+                    if r >= 0:
+                        r_x = px[r]
+                        if r_x < lo_x:
+                            lo_x = r_x
+                        elif r_x > hi_x:
+                            hi_x = r_x
+                        r_y = py[r]
+                        if r_y < lo_y:
+                            lo_y = r_y
+                        elif r_y > hi_y:
+                            hi_y = r_y
+                    span = ((x if x > hi_x else hi_x) - (x if x < lo_x else lo_x)) + (
+                        (y if y > hi_y else hi_y) - (y if y < lo_y else lo_y)
+                    )
+                    evals += 1
                 nets.append(index)
                 if blend is None:
                     new_costs.append(span)
@@ -805,7 +705,7 @@ class NetCostCache:
         self.bbox_updates += hits
         self.evaluations += evals
         self._pending = (nets, new_costs)
-        return sum(new_costs) - sum(map(self.costs.__getitem__, nets))
+        return sum(new_costs) - sum(map(costs.__getitem__, nets))
 
     def commit(self) -> None:
         """Fold the pending per-net costs into the cache and the total."""
@@ -840,15 +740,9 @@ class NetCostCache:
         reference; :meth:`wirelength` passes plain HPWL).
         """
         net_cost = net_cost or self.objective.net_cost
-        px = self.x
-        py = self.y
         total = 0.0
-        for index, row in enumerate(self._rows):
-            positioned = [tid for tid in row if px[tid] is not None]
-            if len(positioned) >= 2:
-                xs = [px[tid] for tid in positioned]
-                ys = [py[tid] for tid in positioned]
-                total += net_cost(index, max(xs) - min(xs), max(ys) - min(ys))
+        for index in range(len(self._rows)):
+            total += net_cost(index, *self._extent(index))
         return total
 
     def wirelength(self) -> float:

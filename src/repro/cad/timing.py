@@ -63,6 +63,12 @@ CBOX_DELAY_PS = 30
 IO_DELAY_PS = 100
 #: The flat per-net charge used before any geometry is known.
 DEFAULT_NET_DELAY_PS = WIRE_SEGMENT_DELAY_PS + CBOX_DELAY_PS
+#: The fixed part of a net's pre-route estimate: a connection box at each
+#: end and the wire segment that enters the channel.
+NET_BASE_DELAY_PS = 2 * CBOX_DELAY_PS + WIRE_SEGMENT_DELAY_PS
+#: The estimate's delay per channel hop: one more segment and the switch
+#: before it.
+HOP_DELAY_PS = WIRE_SEGMENT_DELAY_PS + SWITCH_DELAY_PS
 
 
 def routed_net_delay(graph: RoutingResourceGraph, nodes: Iterable[int]) -> int:
@@ -81,8 +87,7 @@ def bbox_net_delay(span: float) -> int:
     channel, with a switch between consecutive segments -- the same
     formula :func:`routed_net_delay` applies to the real tree.
     """
-    segments = int(round(span)) + 1
-    return CBOX_DELAY_PS * 2 + segments * WIRE_SEGMENT_DELAY_PS + (segments - 1) * SWITCH_DELAY_PS
+    return NET_BASE_DELAY_PS + int(round(span)) * HOP_DELAY_PS
 
 
 #: Schema version of :meth:`TimingReport.to_dict` payloads.
@@ -271,31 +276,13 @@ class TimingEngine:
         terminal bounding box (:func:`bbox_net_delay`); the estimates are
         folded into the engine and also returned.
         """
-        from repro.cad.place import _build_net_terminals, _pad_position
+        from repro.cad.place import _build_net_terminals, _net_spans, _pad_position
 
         io_positions = {
             net: _pad_position(pad, fabric) for net, pad in placement.io_sites.items()
         }
-        estimates: dict[str, int] = {}
-        for net, terminals in _build_net_terminals(self.design).items():
-            xs: list[float] = []
-            ys: list[float] = []
-            for terminal in terminals:
-                if terminal.startswith("io:"):
-                    position = io_positions.get(terminal[3:])
-                    if position is None:
-                        continue
-                    xs.append(position[0])
-                    ys.append(position[1])
-                else:
-                    x, y = placement.plb_sites[terminal]
-                    xs.append(float(x))
-                    ys.append(float(y))
-            if len(xs) >= 2:
-                span = (max(xs) - min(xs)) + (max(ys) - min(ys))
-            else:
-                span = 1.0
-            estimates[net] = bbox_net_delay(span)
+        spans = _net_spans(_build_net_terminals(self.design), placement.plb_sites, io_positions)
+        estimates = {net: bbox_net_delay(span) for net, span in spans.items()}
         self.set_net_delays(estimates)
         return estimates
 

@@ -34,8 +34,8 @@ from typing import Callable, Mapping, Sequence
 
 from repro.asynclogic.channels import Channel
 from repro.asynclogic.encodings import BundledDataEncoding, DualRailEncoding
-from repro.cad.lemap import LEFunction
-from repro.cad.techmap import _pack_functions
+from repro.cad.lemap import LEFunction, MappedDesign
+from repro.cad.techmap import _pack_functions, generic_map, template_map
 from repro.circuits.adders import (
     BenchmarkCircuit,
     _compose_qdi,
@@ -46,6 +46,7 @@ from repro.circuits.adders import (
 from repro.circuits.specs import CircuitSpec, register_family
 from repro.core.params import PLBParams
 from repro.logic.truthtable import TruthTable
+from repro.netlist.netlist import Netlist
 from repro.styles.base import LogicStyle, StyledCircuit
 from repro.styles.micropipeline import DEFAULT_MATCHED_DELAY, MATCHED_DELAY_PER_LEVEL
 from repro.styles.qdi import dims_function_block
@@ -477,18 +478,21 @@ def generate_mac(spec: CircuitSpec, params: PLBParams | None = None) -> Benchmar
 
 
 def recommended_fabric(
-    circuit: BenchmarkCircuit | StyledCircuit,
+    circuit: BenchmarkCircuit | StyledCircuit | Netlist | MappedDesign,
     min_side: int = 3,
     slack: int = 1,
     channel_width: int | None = None,
 ) -> "ArchitectureParams":
     """A square fabric big enough to place, route and bit-gen *circuit*.
 
-    Sizes the grid from the packed PLB count (plus *slack* rows/columns of
-    headroom for the placer), scales the channel width with design size
-    (dense DIMS designs congest the default 8-track channels), and widens the
-    PDE tap count so every matched delay in the design fits the delay-line
-    range — deep bundled datapaths exceed the default 8x100 ps line.
+    *circuit* is anything :meth:`repro.cad.flow.CadFlow.run` accepts: a
+    styled circuit is template-mapped and a raw netlist generic-mapped on
+    the default PLB, as the flow would map them.  Sizes the grid from the
+    packed PLB count (plus *slack* rows/columns of headroom for the
+    placer), scales the channel width with design size (dense DIMS designs
+    congest the default 8-track channels), and widens the PDE tap count so
+    every matched delay in the design fits the delay-line range — deep
+    bundled datapaths exceed the default 8x100 ps line.
     """
     import math
     from dataclasses import replace
@@ -496,7 +500,12 @@ def recommended_fabric(
     from repro.cad.pack import pack_design
     from repro.core.params import ArchitectureParams
 
-    mapped = getattr(circuit, "mapped", circuit)
+    if isinstance(circuit, StyledCircuit):
+        mapped = template_map(circuit)
+    elif isinstance(circuit, Netlist):
+        mapped = generic_map(circuit)
+    else:
+        mapped = getattr(circuit, "mapped", circuit)
     plb_count = len(pack_design(mapped).plbs)
     side = max(min_side, math.ceil(math.sqrt(plb_count)) + slack)
     plb_params = mapped.params

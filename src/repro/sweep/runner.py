@@ -123,6 +123,19 @@ TRANSIENT_EXCEPTIONS = (OSError, MemoryError)
 MAX_POOL_REBUILDS = 3
 
 
+def _flow_record_header(point: SweepPoint) -> dict[str, object]:
+    """The keys that open every flow record: schema, kind, code and point."""
+    from repro.fingerprint import code_fingerprint
+
+    return {
+        "version": SWEEP_SCHEMA_VERSION,
+        "kind": "flow",
+        "fingerprint": code_fingerprint(),
+        "point": point.to_dict(),
+        "label": point.label(),
+    }
+
+
 def execute_point(point_data: Mapping[str, object]) -> dict[str, object]:
     """Run one sweep point (given as a plain dict) and return its record.
 
@@ -159,13 +172,7 @@ def execute_point(point_data: Mapping[str, object]) -> dict[str, object]:
     placement_store_root = data.pop("placement_store", None)
     artifact_store_root = data.pop("artifact_store", None)
     point = SweepPoint.from_dict(data)
-    record: dict[str, object] = {
-        "version": SWEEP_SCHEMA_VERSION,
-        "kind": "flow",
-        "fingerprint": code_fingerprint(),
-        "point": point.to_dict(),
-        "label": point.label(),
-    }
+    record = _flow_record_header(point)
     placement_store = (
         SweepResultStore(placement_store_root) if placement_store_root else None
     )
@@ -550,14 +557,8 @@ class _Supervisor:
         cacheable: bool,
         transient: bool,
     ) -> dict[str, object]:
-        from repro.fingerprint import code_fingerprint
-
         return {
-            "version": SWEEP_SCHEMA_VERSION,
-            "kind": "flow",
-            "fingerprint": code_fingerprint(),
-            "point": run.point.to_dict(),
-            "label": run.point.label(),
+            **_flow_record_header(run.point),
             "status": status,
             "summary": None,
             "error": error,
@@ -765,6 +766,21 @@ class SweepOutcome:
     #: Wall-clock seconds of the recorded (final) flow execution.
     duration_s: float | None = None
 
+    @classmethod
+    def from_record(
+        cls, point: SweepPoint, record: Mapping[str, object], cached: bool
+    ) -> "SweepOutcome":
+        """The outcome a stored or fresh flow record describes."""
+        return cls(
+            point=point,
+            status=str(record.get("status", "error")),
+            summary=record.get("summary"),  # type: ignore[arg-type]
+            error=record.get("error"),  # type: ignore[arg-type]
+            cached=cached,
+            attempts=list(record.get("attempts") or []),  # type: ignore[arg-type]
+            duration_s=record.get("duration_s"),  # type: ignore[arg-type]
+        )
+
     @property
     def ok(self) -> bool:
         return self.status == "ok"
@@ -904,17 +920,7 @@ def report_from_records(
         except (KeyError, TypeError, ValueError):
             undecodable += 1
             continue
-        report.outcomes.append(
-            SweepOutcome(
-                point=point,
-                status=str(record.get("status", "error")),
-                summary=record.get("summary"),  # type: ignore[arg-type]
-                error=record.get("error"),  # type: ignore[arg-type]
-                cached=True,
-                attempts=list(record.get("attempts") or []),  # type: ignore[arg-type]
-                duration_s=record.get("duration_s"),  # type: ignore[arg-type]
-            )
-        )
+        report.outcomes.append(SweepOutcome.from_record(point, record, cached=True))
     if undecodable:
         logger.warning(
             "skipped %d stored flow records whose point does not decode", undecodable
@@ -1075,15 +1081,7 @@ class SweepRunner:
         for index, (point, record) in enumerate(zip(points, records)):
             assert record is not None  # every index is either a hit or a miss
             report.outcomes.append(
-                SweepOutcome(
-                    point=point,
-                    status=str(record.get("status", "error")),
-                    summary=record.get("summary"),  # type: ignore[arg-type]
-                    error=record.get("error"),  # type: ignore[arg-type]
-                    cached=index not in missed,
-                    attempts=list(record.get("attempts") or []),  # type: ignore[arg-type]
-                    duration_s=record.get("duration_s"),  # type: ignore[arg-type]
-                )
+                SweepOutcome.from_record(point, record, cached=index not in missed)
             )
         report.elapsed_s = time.perf_counter() - started
         return report

@@ -18,7 +18,6 @@ Two entry points:
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from repro.verify.core import LintConfig, LintContext, LintReport, run_rules
@@ -72,21 +71,9 @@ def build_context(circuit, name: str | None = None) -> LintContext:
 def _stage_flow(circuit, context: LintContext) -> "tuple[CadFlow, FlowResult]":
     """Run the full flow on a generously sized fabric for *circuit*."""
     from repro.cad.flow import CadFlow, FlowOptions
-    from repro.cad.techmap import generic_map, template_map
     from repro.circuits.generate import recommended_fabric
-    from repro.netlist.netlist import Netlist
-    from repro.styles.base import StyledCircuit
 
-    if hasattr(circuit, "mapped"):
-        sized = circuit
-    elif isinstance(circuit, StyledCircuit):
-        sized = SimpleNamespace(mapped=template_map(circuit))
-    elif isinstance(circuit, Netlist):
-        sized = SimpleNamespace(mapped=generic_map(circuit))
-    else:
-        sized = SimpleNamespace(mapped=circuit)
-    architecture = recommended_fabric(sized, slack=2)
-    flow = CadFlow(architecture, FlowOptions())
+    flow = CadFlow(recommended_fabric(circuit, slack=2), FlowOptions())
     result = flow.run(circuit)
     return flow, result
 

@@ -200,31 +200,26 @@ def test_incremental_bbox_updates_equal_full_recompute(
         assert cache.audit_matches()
 
 
-def test_bbox_update_avoids_rescan_for_interior_terminal():
-    # Deterministic check that the O(1) path actually fires: moving a
-    # terminal strictly inside its net's bounding box must not rescan.
-    nets = {"n0": ["a", "b", "c"]}
-    plb_sites = {"a": (0, 0), "b": (4, 4), "c": (2, 2)}
-    cache = NetCostCache(nets, plb_sites, {})
-    scans_before = cache.evaluations
-    delta = cache.propose_move(cache.tid_of["c"], 1.0, 3.0)  # still interior
-    cache.commit()
-    assert delta == 0.0
-    assert cache.bbox_updates == 1
-    assert cache.evaluations == scans_before  # no terminal rescan happened
-    # Moving the sole terminal off an extreme degenerates into a rescan.
-    cache.propose_move(cache.tid_of["b"], 1.0, 1.0)
-    cache.commit()
-    assert cache.evaluations == scans_before + 1
-    assert cache.total == _hpwl(nets, {"a": (0, 0), "b": (1, 1), "c": (1, 3)}, {})
+def test_cache_rejects_unplaced_terminals_short_nets_and_repeats():
+    # Every terminal has a position and every net two distinct terminals:
+    # the cache prices no other kind of net.
+    plb_sites = {"a": (0, 0), "b": (4, 4)}
+    with pytest.raises(ValueError, match="net 'n0' has an unplaced terminal 'io:float'"):
+        NetCostCache({"n0": ["a", "io:float"]}, plb_sites, {})
+    with pytest.raises(ValueError, match="net 'n0' has an unplaced terminal 'c'"):
+        NetCostCache({"n0": ["a", "b", "c"]}, plb_sites, {})
+    with pytest.raises(ValueError, match="net 'n1' has fewer than two terminals"):
+        NetCostCache({"n0": ["a", "b"], "n1": ["a"]}, plb_sites, {})
     # A net listing a terminal twice has no single box update per move.
-    with pytest.raises(ValueError, match="lists a terminal twice"):
+    with pytest.raises(ValueError, match="net 'n0' lists a terminal twice"):
         NetCostCache({"n0": ["a", "b", "a"]}, plb_sites, {})
 
 
 def test_bbox_update_avoids_rescan_for_interior_terminal_of_a_five_terminal_net():
-    # The same check where a box is kept: nets of up to four terminals are
-    # priced from their members, so the box path starts at five.
+    # Deterministic check that the O(1) path actually fires: moving a
+    # terminal strictly inside its net's bounding box must not rescan.
+    # Nets of up to four terminals keep no box, so the box path starts at
+    # five.
     nets = {"n0": ["a", "b", "c", "d", "e"]}
     plb_sites = {"a": (0, 0), "b": (4, 4), "c": (2, 2), "d": (3, 1), "e": (1, 3)}
     cache = NetCostCache(nets, plb_sites, {})

@@ -20,6 +20,7 @@ import re
 
 from repro.cad.flow import CadFlow, FlowOptions
 from repro.cad.pack import PackingError, bind_pins, pack_design
+from repro.cad.techmap import generic_map, template_map
 from repro.circuits.generate import alu_reference, crc4_reference, recommended_fabric
 from repro.circuits.registry import build_circuit, circuit_registry
 from repro.circuits.specs import (
@@ -33,6 +34,7 @@ from repro.circuits.specs import (
 from repro.core.params import PLBParams
 from repro.sim import drive
 from repro.sim.lesim import simulate_mapped_design
+from repro.styles.base import StyledCircuit
 from repro.verify.lint import lint_flow_artifacts
 
 FAMILIES = ("mult", "alu", "crc", "mac")
@@ -152,6 +154,28 @@ def test_full_flow_golden(family, style):
     assert _channel_width_used(flow, result.routing) == tracks_used
     assert result.bitstream is not None
     assert result.timing.cycle_time_ps > 0
+
+
+#: The registry circuits that build as gate-level styled circuits.
+STYLED_REGISTRY = (
+    "qdi_full_adder",
+    "qdi_full_adder_1of4",
+    "micropipeline_full_adder",
+    "qdi_multiplier_2x2",
+    "wchb_fifo_4",
+    "wchb_fifo_8",
+)
+
+
+@pytest.mark.parametrize("name", STYLED_REGISTRY)
+def test_recommended_fabric_maps_styled_circuits_and_netlists(name):
+    # Styled circuits are template-mapped and raw netlists generic-mapped,
+    # as the flow maps them: the fabric is the one their mapped design gets.
+    circuit = build_circuit(name)
+    assert isinstance(circuit, StyledCircuit)
+    expected = recommended_fabric(template_map(circuit), slack=2)
+    assert recommended_fabric(circuit, slack=2) == expected
+    assert recommended_fabric(circuit.netlist) == recommended_fabric(generic_map(circuit.netlist))
 
 
 # ----------------------------------------------------------------------

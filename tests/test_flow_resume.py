@@ -31,12 +31,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _architecture(name: str) -> ArchitectureParams:
-    from types import SimpleNamespace
-
-    from repro.cad.techmap import template_map
-
-    sized = SimpleNamespace(mapped=template_map(build_circuit(name)))
-    return recommended_fabric(sized, slack=2)
+    return recommended_fabric(build_circuit(name), slack=2)
 
 
 def _fingerprint(result) -> tuple[str, str]:

@@ -88,31 +88,31 @@ TIMING_FLOWS = (
 REFINING_FLOWS = {"qdi_multiplier_2x2@1", "qdi_multiplier_2x2@2"}
 
 GOLDEN_DEFAULT = {
-    "qdi_full_adder@1": "ccc1cffde57d7b42124b6c29aac83b81985efc6335a9af3d1b98e4d0b40a9abf",
-    "qdi_full_adder@7": "43f2868dbb9cec354153cd760e8fd4f5ccfd2388946decc6d77241b5cb212b6f",
-    "qdi_full_adder_1of4@1": "be0babbc050f2a6f4eb0b91019e132c08f8264bb793c0be4aca86f9fa73fa70c",
-    "qdi_full_adder_1of4@7": "f07e44ddd96547d2314f2fd70efa72de293e894dc7203790681ca0d5f577c85c",
-    "micropipeline_full_adder@1": "1c6a1767141305b3c468ac1efa6b818408e874715ad950c711f855c7d4d556a3",
-    "micropipeline_full_adder@7": "32746a3dcc4cf8554014cf8861d82597b2c191a057e1c1b48932d6b64f527995",
-    "qdi_multiplier_2x2@1": "ea6b3781afe7d81dd0f7d2abc63537cbb2b627ba465a76f4218faebc7ac6e502",
-    "qdi_multiplier_2x2@7": "8f372fbd33f295b4b0db5f5c5c4587fc4c1e5ebee82ffad3218a3c1cdf0964e2",
-    "wchb_fifo_4@1": "2facb05429baa3ef0dcf3881585ccfaf330522c25ccff8d5c852048bf6e634e9",
-    "wchb_fifo_4@7": "a2cea447e7bd567f6e6816da8ddec21be9c1f179c1cbd51b5cfacfc2787326a7",
-    "wchb_fifo_8@1": "83d2c0669803daea427d9545b3c7b70f36a634aac58f4cf4d5ddea2b1de06b4d",
-    "wchb_fifo_8@7": "b7342c5288b18f572c3c6de8eeed4128c647628b36ed15daf7ec71c5df6feb10",
-    "qdi_ripple_adder_2@1": "80aa0f0c3cae48c06d944a9647c8316ad14180363c525e2f0a7ff0d74a8cffa1",
-    "qdi_ripple_adder_2@7": "e416887a98b4c796397736b196929459a4238811692af59123533f06ee5c234b",
-    "qdi_ripple_adder_4@1": "a31df7253a33c1bfbc000832d63403d146e7a357cb707d0f9af78123f853a27b",
-    "qdi_ripple_adder_4@7": "46053f3bbd3ab866cde038abf7d3bacf527fbfae0d02c8c7fb380c0375f65d75",
+    "qdi_full_adder@1": "b1c9b08bd698f15c93decea95eef6de822488c67173a862a4c956707155c4109",
+    "qdi_full_adder@7": "1491223476961ae787170e9ff3257f1bda9c161896a9efc612f7b67797e92902",
+    "qdi_full_adder_1of4@1": "b707f7331498b9235fba4e4f859223fb7535be8c45f89952f0ef2ccb6bdf5028",
+    "qdi_full_adder_1of4@7": "9015e5fa3d221c7586aa2977852ed7aa4f410b9a87a37713e9f5d5de03f2d911",
+    "micropipeline_full_adder@1": "019d1a7fcbcb6083ffb64262db16c5ff9497eaba18856c2dd31aa2d5ffade7ff",
+    "micropipeline_full_adder@7": "80e861ea5c71086e04a0563ea5f1fb63c4e648a42e139c1397e3c8338e850375",
+    "qdi_multiplier_2x2@1": "f85562b5d91ce09ab436ff04d4268cab834ceb62104a8c52a72a5fec2991eba1",
+    "qdi_multiplier_2x2@7": "9bf8024352fafc41af32c280ee07a9717f0aa61d5627dcd086338cbbb0c8dfd9",
+    "wchb_fifo_4@1": "f59c6e16e1d28e48dbf167d9d34599eb8bc1158567edfdc72ce486f0d57522fc",
+    "wchb_fifo_4@7": "ec463861b8f1465984119a32a181779f9283e83519e045ba05a9f05754fddc58",
+    "wchb_fifo_8@1": "7c559ec1a46da5967f79a5ef1ddfcf32daf45a844a8db355e52e82afe9e6a553",
+    "wchb_fifo_8@7": "f91cd3baf71850386051fd47f26223e53473797bd638041417b33df7226ed11c",
+    "qdi_ripple_adder_2@1": "cabcc80b41c2c3ba97d4a9696077384866d8e19886119f1d5bcf599f658b1550",
+    "qdi_ripple_adder_2@7": "06b8d8760fbdf606dab67734c8910ddca6a1cd1e9cecab8a1496e3f935b0a4dc",
+    "qdi_ripple_adder_4@1": "494cadbdaa3b7912af01477bf98f47af934c1b81776ea14ecf97650660b858d4",
+    "qdi_ripple_adder_4@7": "66afb5adcc3c0f4f9ad01181e0c55edcac4b6423dfc8dbd87482310743f28e9f",
 }
 
 GOLDEN_TIMING = {
-    "qdi_multiplier_2x2@5": "f976f5ed00839b6ad35511c6513658e09c3fef6d909aeb7dc8702399047956f4",
-    "wchb_fifo_8@5": "b19a8864ec24bbd1503a75d0f4514efa21edf934c5f11e03ae3487af769eca18",
-    "qdi_ripple_adder_2@5": "f6c140693c0eba8490bd59115832d5543a3c1bc5328c975e3ae0dc84bd974179",
-    "qdi_ripple_adder_4@8": "e10eb4e34fb074db1297b038517460c39975092776a0356afb0024c238c0f588",
-    "qdi_multiplier_2x2@1": "238ea98a961ca37b5da9e75d0f928b694c8ebc88054f83d2b25e459ab0f71dc4",
-    "qdi_multiplier_2x2@2": "5345ed025f9b125b78a21f3aabd8c30a0c44b50b4f6b349726541637b0f06bd6",
+    "qdi_multiplier_2x2@5": "7cfb4896ea41dee8719b1de814c6daacecf5d68aa7239cb3374b04f3bee2b3ae",
+    "wchb_fifo_8@5": "41438b142b271ce2aa3085048c837ccccf54932a10c95e09a24ada2fef6bceed",
+    "qdi_ripple_adder_2@5": "8a819725f21fa08424d1595009c0ac6f8e1b157b6ad7059f294049b46b97a467",
+    "qdi_ripple_adder_4@8": "ed237c28535857019db47b577686abebb083b415e8007b75fc5bd75e53cea897",
+    "qdi_multiplier_2x2@1": "f26483fec84ae450f356ac0f4edf2d034786c0035b820f2a69577fd001087724",
+    "qdi_multiplier_2x2@2": "7bf89537d94316d8eceb6da71379373f0ec9ddf89759748a7145c61ae91defc7",
 }
 
 
@@ -175,76 +175,76 @@ GOLDEN_COMPOSED = {
 #: default flow, the baseline anneal then the polish per timing-driven flow.
 GOLDEN_PLACEMENTS = {
     "qdi_full_adder@1": [
-        "f38ce3411b68c2b2c012db91bb88ac3b9c86193a4c932a90e9a3b6f0c6564cde",
+        "2adcb1d957e0347ab445892403b2630f8e041a20576832b1f684b6dd615ac641",
     ],
     "qdi_full_adder@7": [
-        "457f577a8f5233a2e526c31d83447234c52f3f585559279619136147ceb2e7f1",
+        "405f5293ee37f0a81de19be73b7abd33a2c6ad4c00faa15a65276e9ba1c2abb0",
     ],
     "qdi_full_adder_1of4@1": [
-        "701767593d5befaa69a9db93426a3d2c0d950863c3825531615de850f26c7c64",
+        "9810f1c8b1e3d1fd7d11d5a4e6e78c88f85b9a248613d1bbb79bf3506df1898e",
     ],
     "qdi_full_adder_1of4@7": [
-        "b23566567e6baf2e4eca9db47fb90d6a99bb1cda9fe09708d3916e8934fd9c36",
+        "f731a59d1ddbfdf360678a5af4607fd37ea24348667e8acbb7b570b5c0dd1647",
     ],
     "micropipeline_full_adder@1": [
-        "ab46153b91697dc9e6a1b2e38d8986a3572bd0528b4c19d804ff96a57bcf8ee8",
+        "7502bd1340f89fbbf65ccca77b5b4abad10571d174fe7abb5c45f47000bdf88e",
     ],
     "micropipeline_full_adder@7": [
-        "b33970f442f9e0faaf9f93c1e48f2400c447950cb8973b51b8dc69dae1036ca8",
+        "3b9d9e68c796002f754ec6a8c92bd8463de73b10e45708cd2e161d97ec8d3716",
     ],
     "qdi_multiplier_2x2@1": [
-        "677eec9461936db1c3b4d625879897fe64210f276d706adbf57d17187438736e",
+        "4bfd2601e61743fc225f070264bcb2d6db778cc6f56711f9b4f8458b455ede4a",
     ],
     "qdi_multiplier_2x2@7": [
-        "921626e3fa692a85fec0b0221ec10b02232d96543708acbbc96a6822015c652a",
+        "2073e5d4304c227a057b8e27dfbc1bf3208d71ee554c8b09423075b192c9d3e2",
     ],
     "wchb_fifo_4@1": [
-        "e0fb3062d219aa5dee4e5355fb87066141a4efdb03b78ed626234be9bd03abf3",
+        "48b164b5f5478c6e2da8177c8634b3b2b3eab15007e9b711aeea44a501b7ee89",
     ],
     "wchb_fifo_4@7": [
-        "de34e7e8317915c129f1da775444996314ec2ac9013f05e66275739b98cdd9dc",
+        "3ad3733f0603a0c549721810e00e16b25a3d2080af1dd5e499b1d60eaf193514",
     ],
     "wchb_fifo_8@1": [
-        "efebdc6d0012750388a2102d77908e4888d335f079e75570be4776b468c03a24",
+        "bbd59ac1fdbfb517ed54b1245ed2ae6c914ed90cae3e06c1b58d14d85e084cf5",
     ],
     "wchb_fifo_8@7": [
-        "a069a5c23b3127a46ed7447ffa6db1733041f675207094a803735813100fb1ae",
+        "8be95169ef76f812f501ddc87b8cdbabc6e4414dd7362d6846cccdab3d023dc0",
     ],
     "qdi_ripple_adder_2@1": [
-        "f187acf0f024dabb2f8e7ba45bb3e01e39cb1c6acd3c058ec21adc4e78ea291e",
+        "88da4b96087a2862f37f0b6d680d7ce224c3603800c3372352a86e02439de014",
     ],
     "qdi_ripple_adder_2@7": [
-        "2ecbd3299622c6715a32dc6f1a08bb69ef8192e84f1a5c40dc46398fd0b1e0c7",
+        "438e0a58dcb0cd4af028a63649cfb6674fa83703472222743e49a5edecd2d4eb",
     ],
     "qdi_ripple_adder_4@1": [
-        "d939b6547f652d8b987a0ad829f34dd61de2b28582ae332b290415fc8006a042",
+        "3febb06f9cc1103e2f18031c55d4d068a7f45f74dabde76979565ac997b2397c",
     ],
     "qdi_ripple_adder_4@7": [
-        "06019be164391d4a1ddcf4397af986d5515bd105da9f95430891768c73614ca9",
+        "84667f91d45fd56141a6a1bd4a3d9a4014b6a240d411f161c9a49b171b8dd547",
     ],
     "timing:qdi_multiplier_2x2@5": [
-        "d8f865e44ec522754b2d87ca8e954f38a780bc1aae8cd736d06012797946c5db",
-        "303e6fc4556027a6a37316f9ca0f3511057a68c4962780e702bb41929d67b648",
+        "9211bd1930aca754e5dfb857ead37551abf424f3129104fb5449e043338f7f0b",
+        "17e6b6dec18bbf125d2f9dda1a606568019db4adef418f85109499f452285c95",
     ],
     "timing:wchb_fifo_8@5": [
-        "1380ee148d07baa58894b84b966a65483e9d69212cedb6eeac87397c5a7a7881",
-        "e40550377a2d2a50091d057aec626fe7de03e7267de31362509a9d1ce4722c26",
+        "654ea38213da1164fad0b2899b56175934dacf174b1c40642d0a50dc98458cd4",
+        "f06456fce2390dfa52decce42dc1e31bd8fe596ad290e2bc742761373d8148e7",
     ],
     "timing:qdi_ripple_adder_2@5": [
-        "23d42d9e39b88d12237463d71179c2415db13a1f3cf409c0148738e594037fe3",
-        "725bdac7c66a4d107aa3264eab12371ea5c56f74faf1dfa369aba11980122982",
+        "e501cd1bc4021d8e5092e90a189f6902f8a35e30cc61a772850549e228f54b1e",
+        "e60b20eaa66eb1696354db731cff07bfea147868a0e9e654607bab4f4c173162",
     ],
     "timing:qdi_ripple_adder_4@8": [
-        "98d27b0671dc598a3bf5af3a54e8f92e94547eb587f8143093c711004e51da7d",
-        "f2973af88b9bd45633bfb7af1c4d2a8f5f5efb1389f04b38256eb552d29057cd",
+        "60eb6d4f6389f1e090697630485bb9b8e9e5acc24dae12c216362a5a6faf3481",
+        "3a2e44bdcfb5147762d68c6a0f66dc567cb59d1140542e497b1bd5c076809451",
     ],
     "timing:qdi_multiplier_2x2@1": [
-        "677eec9461936db1c3b4d625879897fe64210f276d706adbf57d17187438736e",
-        "2b2e177bab2985c2e2970fd6753e70e89981be9c75661bb5d076ad998776130d",
+        "4bfd2601e61743fc225f070264bcb2d6db778cc6f56711f9b4f8458b455ede4a",
+        "65d7dfde15122c8f79cf6ad3f9b0a13fb333c2406b62fd183e19796ad5ce52da",
     ],
     "timing:qdi_multiplier_2x2@2": [
-        "34a1b08af534d46b0c7c64d1524d20963e232b757fe2ea962bcbdc8346126b77",
-        "842d2457a6aa4f4d25b964cf7536aac19f2e05fa61be8ae6a059287cd5518395",
+        "a2f53be1f9969ab490420cfa7a00b2053df34dd816fefe2c3bdd53866ed6a9c5",
+        "dc92a8723a52bcdb8b8d07792378a27a795dfe5476bec17511f9d825a2d8be57",
     ],
 }
 
@@ -253,10 +253,10 @@ GOLDEN_PLACEMENTS = {
 #: between the interpreters.  Their sites, pads and counters do not.
 if sys.version_info >= (3, 12):
     GOLDEN_PLACEMENTS["timing:qdi_multiplier_2x2@5"][1] = (
-        "c88bfd8233b20f35c704484d95d834ffaf434c6286b20a416e167c6ac085e3a3"
+        "01c4a403f20a03e23bdd999c5dc3be674fbb452f4855e60630619af0b6fc53b7"
     )
     GOLDEN_PLACEMENTS["timing:qdi_multiplier_2x2@1"][1] = (
-        "5b02cff6826737bf48f3e96474b5a1288f011084a3434312c0bfb7caf62b1742"
+        "3e785514e4d30ac33738eec19c99303a9aefe3fad7541503742b09b84dead692"
     )
 
 

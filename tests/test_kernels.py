@@ -7,10 +7,10 @@ replaced, kept here as the oracle.  A hypothesis-driven random anneal
 protocol (single moves and swaps of PLB and IO terminals, then commit or
 reject) runs both move by move under both objectives and demands the same
 delta, total and counters at every step, and the plain total equal to the
-full :func:`repro.cad.place._hpwl` recompute.  The oracle boxes every net,
-so deterministic cases check that the nets the cache prices from their
-members (up to four terminals, all positioned) count exactly what a box
-would, without ever touching one.
+full :func:`repro.cad.place._hpwl` recompute.  The oracle boxes every net
+and counts by the cache's rule; deterministic cases pin that rule on each
+kind of net, and check that the nets the cache prices from their members
+(two to four terminals) never touch a box.
 
 The router's ``_TreeSearch`` walks the RR graph's wire-only adjacency and
 splices each search's target pins in; :func:`reference_grow` is the search
@@ -121,6 +121,11 @@ class ReferenceCache:
     the dicts when a terminal leaves an extreme it alone occupied.  The
     delta is ``sum(new) - sum(old)`` in first-touch order and
     :meth:`commit` folds the total in that order.
+
+    It boxes every net, but counts by the cache's rule: a net touched by
+    one move counts one evaluation when it has up to four terminals, and
+    otherwise one box update per shift or one evaluation for the rescan;
+    a net touched by both moves of a swap counts nothing.
     """
 
     def __init__(self, nets, plb_sites, io_positions, objective=None):
@@ -133,7 +138,7 @@ class ReferenceCache:
         for index, terminals in enumerate(self.terminals):
             for terminal in terminals:
                 self._nets_of.setdefault(terminal, []).append(index)
-        self.evaluations = 0
+        self.evaluations = len(self.terminals)
         self.bbox_updates = 0
         self.boxes = [self._scan_box(index) for index in range(len(self.terminals))]
         self.costs = [self._box_cost(index, box) for index, box in enumerate(self.boxes)]
@@ -142,23 +147,18 @@ class ReferenceCache:
 
     def _term_position(self, terminal):
         if terminal.startswith("io:"):
-            return self.io_positions.get(terminal[3:])
+            return self.io_positions[terminal[3:]]
         x, y = self.plb_sites[terminal]
         return (float(x), float(y))
 
     def _scan_box(self, index):
-        self.evaluations += 1
         positions = [self._term_position(t) for t in self.terminals[index]]
-        xs = [p[0] for p in positions if p is not None]
-        ys = [p[1] for p in positions if p is not None]
-        if len(xs) < 2:
-            return None
+        xs = [p[0] for p in positions]
+        ys = [p[1] for p in positions]
         xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
         return [xmin, xmax, ymin, ymax, xs.count(xmin), xs.count(xmax), ys.count(ymin), ys.count(ymax)]
 
     def _box_cost(self, index, box):
-        if box is None:
-            return 0.0
         return self.objective.net_cost(index, box[1] - box[0], box[3] - box[2])
 
     @staticmethod
@@ -187,35 +187,32 @@ class ReferenceCache:
         return True
 
     def propose_moves(self, moves):
-        pending_boxes = {}
-        order = []
-        final = set()  # rescanned nets already read the final positions
-        for terminal, old, new in moves:
-            for index in self._nets_of.get(terminal, ()):
-                if index in final:
+        touches = [
+            index for terminal, _old, _new in moves for index in self._nets_of.get(terminal, ())
+        ]
+        self._pending = []
+        for index in dict.fromkeys(touches):  # first-touch order
+            counted = touches.count(index) == 1
+            boxed = len(self.terminals[index]) > 4
+            box = self.boxes[index]
+            for terminal, old, new in moves:
+                if terminal not in self.terminals[index]:
                     continue
-                if index in pending_boxes:
-                    base = pending_boxes[index]
-                else:
-                    base = self.boxes[index]
-                    order.append(index)
-                if base is None:
-                    pending_boxes[index] = self._scan_box(index)
-                    final.add(index)
-                    continue
-                candidate = list(base)
+                candidate = list(box)
                 if self._shift_axis(candidate, 0, 1, old[0], new[0]) and self._shift_axis(
                     candidate, 2, 3, old[1], new[1]
                 ):
-                    self.bbox_updates += 1
-                    pending_boxes[index] = candidate
+                    box = candidate
+                    if counted and boxed:
+                        self.bbox_updates += 1
                 else:
-                    pending_boxes[index] = self._scan_box(index)
-                    final.add(index)
-        self._pending = [
-            (index, pending_boxes[index], self._box_cost(index, pending_boxes[index]))
-            for index in order
-        ]
+                    box = self._scan_box(index)  # reads every move's new position
+                    if counted and boxed:
+                        self.evaluations += 1
+                    break
+            if counted and not boxed:
+                self.evaluations += 1
+            self._pending.append((index, box, self._box_cost(index, box)))
         return sum(cost for _i, _b, cost in self._pending) - sum(
             self.costs[index] for index, _b, _c in self._pending
         )
@@ -240,29 +237,26 @@ _IO_SPOTS = [(-1.0, 0.0), (-1.0, 2.0), (0.0, -1.0), (2.0, 4.0)]
 def _anneal_protocol(draw):
     """Random nets and a random move/swap/commit protocol over them."""
     # A small grid makes shared coordinates and degenerate boxes common:
-    # that is where the box-update counters branch.
+    # that is where box updates and rescans branch.
     coord = st.integers(min_value=0, max_value=3)
     n_plbs = draw(st.integers(min_value=2, max_value=5))
     plb_names = [f"plb{i}" for i in range(n_plbs)]
     io_names = ["in0", "in1", "out0"]
-    # "io:float" is never positioned: its nets price without it, and a net
-    # it leaves with one positioned terminal rescans on every touch.  Nets
-    # of up to four positioned terminals are priced from their members;
-    # five or six terminals, or "io:float" among them, keep a box.
-    terminals = plb_names + [f"io:{name}" for name in io_names] + ["io:float"]
+    # Nets of two to four terminals are priced from their members; five or
+    # six terminals keep a box.
+    terminals = plb_names + [f"io:{name}" for name in io_names]
     n_nets = draw(st.integers(min_value=1, max_value=7))
     nets = {
         f"net{i}": draw(
-            st.lists(st.sampled_from(terminals), min_size=1, max_size=6, unique=True)
+            st.lists(st.sampled_from(terminals), min_size=2, max_size=6, unique=True)
         )
         for i in range(n_nets)
     }
     plb_sites = {name: (draw(coord), draw(coord)) for name in plb_names}
     io_positions = {name: draw(st.sampled_from(_IO_SPOTS)) for name in io_names}
-    movable = plb_names + [f"io:{name}" for name in io_names]
     step = st.one_of(
-        st.tuples(st.just("move"), st.sampled_from(movable), coord, coord, st.booleans()),
-        st.tuples(st.just("swap"), st.sampled_from(movable), st.sampled_from(movable),
+        st.tuples(st.just("move"), st.sampled_from(terminals), coord, coord, st.booleans()),
+        st.tuples(st.just("swap"), st.sampled_from(terminals), st.sampled_from(terminals),
                   st.just(0), st.booleans()),
         # Swap two terminals of one net (both ends, on a two-terminal net).
         st.tuples(st.just("net"), st.sampled_from(sorted(nets)), st.just(""),
@@ -276,9 +270,8 @@ def _anneal_protocol(draw):
 def _swap_pair(kind, first, second, nets):
     """The two same-kind terminals a swap step exchanges, or ``None``."""
     if kind == "net":
-        on_net = [t for t in nets[first] if t != "io:float"]
-        plbs = [t for t in on_net if not t.startswith("io:")]
-        ios = [t for t in on_net if t.startswith("io:")]
+        plbs = [t for t in nets[first] if not t.startswith("io:")]
+        ios = [t for t in nets[first] if t.startswith("io:")]
         pair = plbs[:2] if len(plbs) >= 2 else ios[:2]
         return tuple(pair) if len(pair) == 2 else None
     if first == second or first.startswith("io:") != second.startswith("io:"):
@@ -375,66 +368,68 @@ def _check_against_reference(protocol, timing):
 
 
 def _forbidden(*args):
-    raise AssertionError("a net without a box reached the box path")
+    raise AssertionError("the box path ran where no box applies")
+
+
+#: On every net it is on, ``a`` alone holds the low corner and ``d`` alone
+#: the top; ``b`` lies inside them, and ``f`` is on none.
+_SITES = {"a": (0, 0), "b": (1, 1), "c": (3, 3), "d": (1, 4), "e": (3, 1), "f": (2, 2)}
 
 
 @pytest.mark.parametrize("timing", [False, True])
-def test_swap_inside_a_small_net_counts_two_updates_or_one_rescan(monkeypatch, timing):
-    # A box would take the swap as the first member moving onto the
-    # second's place (the second still there), then the second onto the
-    # first's: only the first can leave an extreme it alone held.  Here a
-    # sits inside the others' range (b alone holds both maxima), so the
-    # swap counts two box updates; after it, a alone holds them, and
-    # swapping back counts one rescan.  Neither touches a box.
+@pytest.mark.parametrize(
+    ("members", "mover", "partner", "counts"),
+    [
+        # Each pricing of a net of two to four terminals is one evaluation.
+        (["a", "b"], "b", "f", [(1, 0), (2, 0), (3, 0)]),
+        (["a", "b", "c"], "b", "f", [(1, 0), (2, 0), (3, 0)]),
+        (["a", "b", "c", "d"], "b", "f", [(1, 0), (2, 0), (3, 0)]),
+        # A box: b's move updates it; a leaves the minima it alone held,
+        # which rescans.
+        (["a", "b", "c", "d", "e"], "b", "f", [(1, 0), (1, 1), (2, 1)]),
+        # The other way round: a's move rescans, then a leaves a minimum it
+        # shares, which updates.
+        (["a", "b", "c", "d", "e"], "a", "f", [(1, 0), (2, 0), (2, 1)]),
+        # A swap of two members permutes the net: it counts nothing.
+        (["a", "b", "c", "d", "e"], "b", "b", [(1, 0), (1, 1), (1, 1)]),
+    ],
+    ids=["pair", "triple", "quad", "five", "five-rescan-first", "both-swapped"],
+)
+def test_counters_count_pricings_box_updates_and_rescans(
+    monkeypatch, members, mover, partner, counts, timing
+):
+    # Counts after construction, after *mover* moves to (2, 1), and after a
+    # swaps with *partner*; the reference counts by the same rule.
+    if len(members) < 5:
+        monkeypatch.setattr(place_module, "_shift_box", _forbidden)
+        monkeypatch.setattr(NetCostCache, "_scan_box", _forbidden)
+    steps = [("move", mover, 2, 1, True), ("swap", "a", partner, 0, True)]
+    protocol = ({"n0": members}, _SITES, {}, steps, {"n0": 0.5})
+    assert _check_against_reference(protocol, timing) == counts
+
+
+def test_swap_inside_a_net_keeps_its_cost_and_box(monkeypatch):
+    # One net of each kind holds both a and b; the swap reads none of their
+    # boxes, counts nothing for them and re-prices only a's pair with f.
+    nets = {
+        "pair": ["a", "b"],
+        "triple": ["a", "b", "c"],
+        "quad": ["a", "b", "c", "d"],
+        "five": ["a", "b", "c", "d", "e"],
+        "af": ["a", "f"],
+    }
+    cache = NetCostCache(nets, _SITES, {}, TimingObjective(dict.fromkeys(nets, 0.5)))
+    boxes = list(cache.boxes)
+    costs = list(cache.costs)
     monkeypatch.setattr(place_module, "_shift_box", _forbidden)
     monkeypatch.setattr(NetCostCache, "_scan_box", _forbidden)
-    nets = {"n0": ["a", "b", "c"]}
-    sites = {"a": (1, 1), "b": (2, 2), "c": (0, 0)}
-    steps = [("swap", "a", "b", 0, True), ("swap", "a", "b", 0, False)]
-    counts = _check_against_reference((nets, sites, {}, steps, {"n0": 0.5}), timing)
-    assert counts == [(1, 0), (1, 2), (2, 2)]
-    assert NetCostCache(nets, sites, {}).boxes == [None]
-
-
-def test_small_net_moves_price_from_members_and_count_like_a_box(monkeypatch):
-    # Four-terminal nets too.  A move counts a rescan only when, on an axis
-    # it changes, the member lay strictly outside the others' range.
-    monkeypatch.setattr(place_module, "_shift_box", _forbidden)
-    monkeypatch.setattr(NetCostCache, "_scan_box", _forbidden)
-    nets = {"n0": ["a", "b", "c", "d"], "n1": ["a", "c", "d"]}
-    sites = {"a": (1, 1), "b": (3, 2), "c": (0, 3), "d": (2, 2)}
-    steps = [
-        ("move", "a", 2, 1, True),  # inside n0; alone at n1's ymin, but y stays
-        ("move", "b", 3, 1, True),  # alone at n0's xmax, but x stays
-        ("move", "c", 1, 2, False),  # alone at both nets' xmin, and x changes
-    ]
-    counts = _check_against_reference((nets, sites, {}, steps, {}), timing=False)
-    assert counts == [(2, 0), (2, 2), (2, 3), (4, 3)]
-
-
-def test_triple_with_an_unpositioned_member_keeps_its_box(monkeypatch):
-    # An IO without a pad never gets one, so its nets keep the box path,
-    # three-terminal ones included.
-    shifts = []
-
-    def counting_shift(*args):
-        shifts.append(args)
-        return shift_box(*args)
-
-    shift_box = place_module._shift_box
-    monkeypatch.setattr(place_module, "_shift_box", counting_shift)
-    nets = {"n0": ["a", "b", "io:float"], "n1": ["a", "b", "c"]}
-    sites = {"a": (0, 0), "b": (0, 2), "c": (2, 1)}
-    cache = NetCostCache(nets, sites, {})
-    assert cache.boxes == [[0.0, 0.0, 0.0, 2.0, 2, 2, 1, 1], None]
-    steps = [
-        ("move", "a", 1, 0, True),  # shares xmin with b on both: updates
-        ("move", "a", 1, 1, True),  # alone at ymin on both: rescans
-        ("swap", "a", "b", 0, False),  # n0 rescans; n1 counts two updates
-    ]
-    counts = _check_against_reference((nets, sites, {}, steps, {}), timing=False)
-    assert counts == [(2, 0), (2, 2), (4, 2), (5, 4)]
-    assert len(shifts) == 3  # one per step, all on n0
+    delta = cache.propose_swap(cache.tid_of["a"], cache.tid_of["b"])
+    cache.commit()
+    assert delta == cache.costs[4] - costs[4] < 0
+    assert cache.costs[:4] == costs[:4]
+    assert cache.boxes == boxes and cache.boxes[3] is boxes[3]
+    assert (cache.evaluations, cache.bbox_updates) == (6, 0)
+    assert cache.audit_matches()
 
 
 # ----------------------------------------------------------------------

@@ -265,15 +265,12 @@ def test_combinational_loop_names_its_cycle_path():
 # Auditing an executed flow: lint_flow_artifacts
 # ----------------------------------------------------------------------
 def test_lint_flow_artifacts_audits_a_clean_flow():
-    from types import SimpleNamespace
-
     from repro.cad.flow import CadFlow
-    from repro.cad.techmap import template_map
     from repro.circuits.generate import recommended_fabric
     from repro.verify.lint import lint_flow_artifacts
 
     circuit = build_circuit("qdi_full_adder")
-    architecture = recommended_fabric(SimpleNamespace(mapped=template_map(circuit)), slack=2)
+    architecture = recommended_fabric(circuit, slack=2)
     flow = CadFlow(architecture)
     result = flow.run(circuit)
     report = lint_flow_artifacts(result, flow, styled=circuit)
@@ -288,13 +285,9 @@ def test_lint_flow_artifacts_audits_a_clean_flow():
 def _checkpointed_store(tmp_path):
     from repro.cad.flow import CadFlow, FlowOptions
     from repro.circuits.generate import recommended_fabric
-    from repro.cad.techmap import template_map
-    from types import SimpleNamespace
 
     circuit = build_circuit("qdi_full_adder")
-    architecture = recommended_fabric(
-        SimpleNamespace(mapped=template_map(circuit)), slack=2
-    )
+    architecture = recommended_fabric(circuit, slack=2)
     store_dir = tmp_path / "arts"
     options = FlowOptions(artifact_store=str(store_dir))
     CadFlow(architecture, options).run(circuit)
