@@ -697,6 +697,8 @@ class CadFlow:
         if "timing" in stored:
             result.timing = TimingReport.from_dict(stored["timing"])
         else:
+            # Routed trees give every delay; without them a timing-driven
+            # flow estimates each net from its placed bounding box.
             timed = self.options.timing_driven and result.placement is not None
             result.timing = analyse_timing(
                 result.mapped,
@@ -704,9 +706,6 @@ class CadFlow:
                 graph=self.rr_graph if result.routing is not None else None,
                 placement=result.placement if timed else None,
                 fabric=self.fabric if timed else None,
-                # The route stage's delay state: bounding-box estimates for
-                # every net, which the routed trees then overwrite.
-                engine=self._engine(result.mapped, result.placement) if timed else None,
             )
         return {"timing": result.timing.to_dict}
 

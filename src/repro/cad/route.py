@@ -253,16 +253,6 @@ class RoutingResult:
                 critical_reroutes=int(data["critical_reroutes"]),
             )
 
-    def channel_occupancy(self, graph: RoutingResourceGraph) -> dict[int, int]:
-        """Usage count per wire node (diagnostics / fabric-exploration bench)."""
-        is_wire = graph.is_wire
-        usage: dict[int, int] = {}
-        for routed in self.routed.values():
-            for node_id in routed.nodes:
-                if is_wire[node_id]:
-                    usage[node_id] = usage.get(node_id, 0) + 1
-        return usage
-
 
 def _collect_net_endpoints(
     design: MappedDesign,

@@ -408,18 +408,15 @@ def analyse_timing(
     graph: RoutingResourceGraph | None = None,
     placement: "Placement | None" = None,
     fabric: "Fabric | None" = None,
-    engine: TimingEngine | None = None,
 ) -> TimingReport:
     """Estimate connection delays and the handshake cycle time.
 
     Without routing information every inter-LE connection is charged one
     average wire delay (or, when *placement* and *fabric* are given, its
     bounding-box estimate); with a routing result the actual routed tree
-    lengths are used.  Pass an existing :class:`TimingEngine` to reuse its
-    DAG and delay state instead of rebuilding.
+    lengths are used.
     """
-    if engine is None:
-        engine = TimingEngine(design)
+    engine = TimingEngine(design)
     report = TimingReport()
 
     if routing is not None and graph is not None:

@@ -456,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--timing-tradeoff",
         action="append",
-        type=float,
+        type=_probability,
         metavar="L",
         help="placement blend weight lambda in [0,1]; repeatable axis "
         "(implies --timing-driven; default: 0.5)",

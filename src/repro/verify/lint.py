@@ -72,7 +72,12 @@ def _stage_flow(circuit, context: LintContext) -> "tuple[CadFlow, FlowResult]":
     """Run the full flow on a generously sized fabric for *circuit*."""
     from repro.cad.flow import CadFlow, FlowOptions
     from repro.circuits.generate import recommended_fabric
+    from repro.netlist.netlist import Netlist
+    from repro.styles.base import StyledCircuit
 
+    if isinstance(circuit, (StyledCircuit, Netlist)):
+        # Map once: the fabric is sized from this design and the flow runs it.
+        circuit = CadFlow().map(circuit)
     flow = CadFlow(recommended_fabric(circuit, slack=2), FlowOptions())
     result = flow.run(circuit)
     return flow, result

@@ -27,6 +27,7 @@ from repro.core.params import ArchitectureParams
 from repro.core.plb import PLB
 from repro.core.rrgraph import RoutingResourceGraph, RRNodeType
 from repro.logic.functions import c_element_table, or_table
+from repro.verify.invariants import routing_problem
 from repro.verify.lint import lint_flow_artifacts
 
 
@@ -225,13 +226,9 @@ def test_route_design_success_and_capacity_respected():
     result = route_design(design, placement, graph)
     assert result.success
     assert result.routed  # at least the ack / rail nets between PLBs
-    occupancy = result.channel_occupancy(graph)
-    assert all(count <= 1 for count in occupancy.values())
     assert result.total_wirelength > 0
-    # every routed net reaches all of its sinks
-    for routed in result.routed.values():
-        assert set(routed.sink_nodes).issubset(set(routed.nodes))
-        assert routed.source_node in routed.nodes
+    # Every net is routed to all of its sinks, connected and within capacity.
+    assert routing_problem(design, placement, graph, result) is None
 
 
 def test_route_design_narrow_channels_may_fail_gracefully(monkeypatch):

@@ -284,6 +284,20 @@ def test_supervision_flags_reject_bad_values():
         assert excinfo.value.code == 2, argv
 
 
+def test_run_rejects_timing_tradeoff_outside_unit_interval(monkeypatch):
+    # The blend weight is checked while parsing: no point runs, and the
+    # command exits 2 instead of caching one ValueError per grid point.
+    import repro.api as api
+
+    runners = []
+    monkeypatch.setattr(api, "SweepRunner", lambda *args: runners.append(args))
+    for value in ("1.5", "-0.1", "half"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--circuit", "qdi_full_adder", "--timing-tradeoff", value])
+        assert excinfo.value.code == 2, value
+    assert runners == []
+
+
 def test_run_accepts_supervision_flags(tmp_path, capsys, monkeypatch):
     import repro.api as api
 
