@@ -171,14 +171,17 @@ class FlowResult:
             ``False`` when it was computed and stored this run.
         ``routed_nets``, ``total_wirelength``, ``routing_success``
             Router outcome; ``routing_success`` is ``False`` when congestion
-            remained after the router's iteration cap.
+            remained after every rung of the routing ladder.
         ``router_iterations``, ``router_nets_rerouted``
-            PathFinder perf counters: iterations until convergence and total
+            PathFinder perf counters, summed over every rung of the routing
+            ladder that ran on the routed placement: iterations and total
             net-route operations (the dirty-net router re-routes only nets
             touching overused nodes after the first iteration, so this stays
-            well below ``iterations * nets``).
+            well below ``iterations * nets``).  A failed timing-driven rung
+            on the discarded polished placement is not counted; its INFO
+            record on ``repro.cad.flow`` is.
         ``router_node_pops``
-            Dijkstra/A* heap pops over the whole routing run — the counter
+            Dijkstra/A* heap pops, summed over the same rungs — the counter
             the A* geometric lower bound reduces versus plain Dijkstra.
         ``timing_driven``, ``critical_nets_rerouted``,
         ``cycle_time_improvement_ps``
@@ -556,8 +559,10 @@ class CadFlow:
             # Criticalities come from the anneal's geometry (not just
             # structure), and the polish cannot tear up the routable layout
             # the way a full blended anneal can.
+            engine = TimingEngine(mapped)
+            engine.estimate_from_placement(anneal, self.fabric)
             objective = TimingObjective(
-                self._engine(mapped, anneal).criticalities(exponent=CRITICALITY_EXPONENT),
+                engine.criticalities(exponent=CRITICALITY_EXPONENT),
                 tradeoff=self.options.timing_tradeoff,
             )
             result.placement = place_design(
@@ -594,35 +599,53 @@ class CadFlow:
         return records
 
     def _route(self, result: FlowResult) -> None:
-        """Route ``result.placement`` down the fallback ladder, then refine.
+        """Route down the fallback ladder until a rung routes, then refine.
 
-        Settles ``result.placement``: a timing-driven flow whose polished
-        placement does not route falls back to the wirelength anneal.
+        Each rung ``(placement, criticalities on?, A*?)`` runs one
+        negotiation, and each failed rung logs one INFO record.  Settles
+        ``result.placement`` on the last rung's placement; the reported
+        routing's counters sum every rung on that placement.
         """
         mapped = result.mapped
         baseline = result.baseline_placement
-        # Only a flow that placed holds both the polished and the baseline
-        # layout; a restored placement is already the one to route.
-        ladder = self.options.timing_driven and baseline is not None
+        timed = self.options.timing_driven
+        # Only a timing-driven flow that placed holds both the polished and
+        # the baseline layout; a restored placement is the one to route.
+        both_layouts = timed and baseline is not None
+        fallback = baseline if baseline is not None else result.placement
+        rungs = [(result.placement, True, True)] if timed else []
+        if both_layouts:
+            rungs.append((baseline, True, True))
+        # Timing-driven costs never cost routability: the congestion-only
+        # rungs route the baseline as the default flow does.  A* ordering
+        # can livelock a borderline negotiation that Dijkstra resolves.
+        rungs += [(fallback, False, True), (fallback, False, False)]
 
-        def attempt(target: Placement, crits: Mapping[str, float] | None) -> RoutingResult:
+        # One engine serves every timing rung: each re-estimates every
+        # inter-block net from its placed bounding box.
+        engine = TimingEngine(mapped) if timed else None
+        spent = RoutingResult()
+        for target, critical, astar in rungs:
+            if target is not result.placement:
+                # A resume restores only the placement the flow routed and
+                # re-runs just its rungs, so a discarded placement's failed
+                # rung stays out of the counters (its INFO record remains).
+                spent = RoutingResult()
+            result.placement = target
+            criticalities = None
+            if critical and engine is not None:
+                engine.estimate_from_placement(target, self.fabric)
+                criticalities = engine.criticalities(exponent=CRITICALITY_EXPONENT)
             routing = route_design(
-                mapped,
-                target,
-                self.rr_graph,
-                criticalities=crits,
-                # Timing-driven rungs are backed by this ladder itself;
-                # only the final congestion rung keeps the router's
-                # internal A*→Dijkstra restart (baseline semantics).
-                restart_on_failure=crits is None,
+                mapped, target, self.rr_graph, criticalities=criticalities, astar=astar
             )
             if not routing.success:
-                # One record per failed rung of the ladder below, so a
-                # fallback never fires silently.
-                rung = "congestion routing" if crits is None else "timing-driven routing"
-                if ladder:
+                rung = "timing-driven routing" if critical else "congestion routing"
+                if both_layouts:
                     which = "baseline" if target is baseline else "polished"
                     rung += f" on the {which} placement"
+                if not critical:
+                    rung += " with A*" if astar else " with plain Dijkstra"
                 logger.info(
                     "%s: %s failed after %d iterations with %d overused nodes",
                     result.circuit_name,
@@ -630,34 +653,13 @@ class CadFlow:
                     routing.iterations,
                     routing.overused_nodes,
                 )
-            return routing
-
-        engine: TimingEngine | None = None
-        criticalities = None
-        if self.options.timing_driven:
-            # Re-estimate every inter-block net from its placed bounding
-            # box so the router sees geometry-aware criticalities.
-            engine = self._engine(mapped, result.placement)
-            criticalities = engine.criticalities(exponent=CRITICALITY_EXPONENT)
-        routing = attempt(result.placement, criticalities)
-        if ladder and not routing.success:
-            # The polished placement made a borderline fabric unroutable:
-            # fall back to the baseline layout (already in hand -- no
-            # re-anneal), still routing timing-driven.
-            engine = self._engine(mapped, baseline)
-            criticalities = engine.criticalities(exponent=CRITICALITY_EXPONENT)
-            retry = attempt(baseline, criticalities)
-            if retry.success:
-                result.placement = baseline
-                routing = retry
-        if engine is not None and not routing.success:
-            # Nor may timing-driven costs ever cost routability: finish on
-            # pure congestion negotiation (bit-identical to the baseline
-            # flow on the baseline placement); the refinement pass below
-            # still recovers the delay optimisation on the legal result.
-            if baseline is not None:
-                result.placement = baseline
-            routing = attempt(result.placement, None)
+            routing.iterations += spent.iterations
+            routing.node_pops += spent.node_pops
+            routing.bbox_fallbacks += spent.bbox_fallbacks
+            routing.reroutes_per_iteration[:0] = spent.reroutes_per_iteration
+            if routing.success:
+                break
+            spent = routing
         result.routing = routing
 
         if engine is not None and routing.success:
@@ -722,9 +724,3 @@ class CadFlow:
                 result.mapped, result.placement, self.architecture
             )
         return {"bitstream": result.bitstream.to_dict}
-
-    def _engine(self, mapped: MappedDesign, placement: Placement) -> TimingEngine:
-        """A timing engine with every net estimated from *placement*."""
-        engine = TimingEngine(mapped)
-        engine.estimate_from_placement(placement, self.fabric)
-        return engine

@@ -37,9 +37,10 @@ later iterations rip up and re-route only *dirty* nets — nets whose routed
 trees touch an overused node — escalating to full-recovery sweeps when the
 negotiation stalls (see ``route_design``).
 
-``route_design(..., incremental=False)`` restores the classic
-re-route-everything schedule; ``astar=False`` restores plain Dijkstra (the
-parity reference for the A* counters).
+One call runs one negotiation.  ``route_design(..., incremental=False)``
+restores the classic re-route-everything schedule; ``astar=False`` restores
+plain Dijkstra (the parity reference for the A* counters, and the last rung
+of the flow's fallback ladder in :meth:`repro.cad.flow.CadFlow._route`).
 
 After negotiation, :func:`refine_critical_nets` post-optimises a legal
 routing for cycle time: critical nets are ripped up one at a time and
@@ -485,7 +486,6 @@ def route_design(
     incremental: bool = True,
     criticalities: Mapping[str, float] | None = None,
     astar: bool = True,
-    restart_on_failure: bool = True,
 ) -> RoutingResult:
     """PathFinder routing of all inter-block nets of a placed design.
 
@@ -505,14 +505,11 @@ def route_design(
     is pruned to the net's terminal bounding box plus :data:`BBOX_MARGIN`,
     falling back to an unpruned search when the box turns out too tight.
 
-    ``restart_on_failure`` controls the built-in escalation: a failed A*
-    negotiation restarts once with plain Dijkstra ordering so enabling A*
-    can never cost routability.  Callers managing their own fallback ladder
-    (the timing-driven flow) disable it to avoid paying twice.
-
-    Each PathFinder iteration logs one DEBUG line on this module's logger
-    (dirty nets, overused nodes, ``pres_fac``, full recovery on/off); the
-    A*→Dijkstra restart logs at INFO.
+    One call runs one negotiation: a run still overused after the last
+    iteration returns ``success=False`` with its trees and counters, and the
+    caller decides what to try next (the flow's fallback ladder).  Each
+    PathFinder iteration logs one DEBUG line on this module's logger (dirty
+    nets, overused nodes, ``pres_fac``, full recovery on/off).
     """
     sources, sinks, assignments = _collect_net_endpoints(design, placement, graph)
 
@@ -668,10 +665,10 @@ def route_design(
         # one contested node back and forth while every alternative path is
         # held by clean nets that never move (their paths inflate with
         # pres_fac just as fast as the contested node).  When total overuse
-        # stops improving, escalate into *full-recovery* mode: restart the
-        # present-congestion pressure at its initial value and re-route every
+        # stops improving, escalate into *full-recovery* mode: reset the
+        # present-congestion pressure to its initial value and re-route every
         # net each iteration — history keeps the long-term congestion signal,
-        # and the restarted pressure lets the whole net population
+        # and the reset pressure lets the whole net population
         # redistribute the way early iterations do.  Recovery ends at the
         # first improvement, returning to cheap dirty-net iterations.
         # Well-behaved runs (monotonically shrinking overuse) never escalate.
@@ -698,35 +695,6 @@ def route_design(
     result.iterations = iteration
     result.success = False
     result.overused_nodes = len(overused)
-    if astar and restart_on_failure:
-        # A* is a search *accelerator*, not a quality knob: its tie-breaking
-        # steers equal-cost paths onto the geometric straight line, which
-        # can concentrate traffic enough to livelock a borderline-congested
-        # negotiation that classic frontier ordering resolves.  Rather than
-        # let the accelerator cost routability, restart the whole
-        # negotiation with plain Dijkstra — bit-identical to astar=False —
-        # and carry the counters over so the retry's cost stays visible.
-        logger.info(
-            "A* negotiation failed after %d iterations with %d overused nodes; "
-            "restarting with plain Dijkstra",
-            iteration,
-            len(overused),
-        )
-        retry = route_design(
-            design,
-            placement,
-            graph,
-            incremental=incremental,
-            criticalities=criticalities,
-            astar=False,
-        )
-        retry.node_pops += result.node_pops
-        retry.bbox_fallbacks += result.bbox_fallbacks
-        retry.reroutes_per_iteration = (
-            result.reroutes_per_iteration + retry.reroutes_per_iteration
-        )
-        retry.iterations += result.iterations
-        return retry
     return result
 
 

@@ -457,13 +457,16 @@ def test_empty_pruning_box_falls_back_to_the_unpruned_search(monkeypatch):
 # ----------------------------------------------------------------------
 # The paper's multiplier: channel-width / wirelength quality gate
 # ----------------------------------------------------------------------
-def _multiplier_route(channel_width: int, incremental: bool):
+def _multiplier_route(channel_width: int, incremental: bool, astar: bool = True):
     arch = ArchitectureParams(routing=RoutingParams(channel_width=channel_width))
     flow = CadFlow(arch)
     design = flow.map(build_circuit("qdi_multiplier_2x2"))
     pack_design(design, arch.plb)
     placement = place_design(design, flow.fabric, seed=1)
-    return route_design(design, placement, flow.rr_graph, incremental=incremental), flow
+    routing = route_design(
+        design, placement, flow.rr_graph, incremental=incremental, astar=astar
+    )
+    return routing, flow
 
 
 def test_multiplier_quality_gate_channel_width_10():
@@ -480,7 +483,8 @@ def test_multiplier_quality_gate_channel_width_10():
 def test_multiplier_routes_at_default_channel_width_8():
     # The seed router needed channel width 10; the incremental router's
     # recovery schedule closes the ROADMAP gap and routes the decomposed
-    # multiplier on the paper's default fabric (channel width 8).
-    incremental, flow = _multiplier_route(8, incremental=True)
+    # multiplier on the paper's default fabric (channel width 8).  Only
+    # plain Dijkstra ordering converges here, the flow's last ladder rung.
+    incremental, flow = _multiplier_route(8, incremental=True, astar=False)
     assert incremental.success
     _assert_legal(incremental, flow.rr_graph)

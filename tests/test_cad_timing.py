@@ -16,9 +16,10 @@ Four families of guarantees introduced by the criticality-fed CAD refactor:
 * **A\\* router** — routed parity with plain Dijkstra while popping fewer
   heap nodes on the largest benchmarked fabric.
 
-The routing fallbacks are pinned too: the flow's ladder logs one INFO record
-per failed rung, the A*→Dijkstra restart one INFO record, and PathFinder one
-DEBUG line per iteration.
+The routing fallbacks are pinned too: ``route_design`` runs one negotiation,
+the flow's ladder logs one INFO record per failed rung and sums the counters
+of every rung on the placement it routed, and PathFinder logs one DEBUG line
+per iteration.
 """
 
 import copy
@@ -205,26 +206,35 @@ def test_timing_driven_summary_key_set():
     }
 
 
-def test_timing_driven_flow_logs_each_failed_routing_rung(caplog, monkeypatch):
-    # Seed 5 on 6x6/cw10 fails the first timing-driven rung (the polished
-    # placement) and recovers further down the ladder: every failed rung
-    # must leave exactly one INFO record, so no fallback fires silently.
+def _record_flow_routes(monkeypatch) -> list:
+    """Wrap the flow's ``route_design`` and return the list it fills: one
+    ``(placement, success, iterations)`` per rung, as the rung returned."""
     import repro.cad.flow as flow_module
 
     attempts = []
 
-    def recording_route_design(*args, **kwargs):
-        attempts.append(route_design(*args, **kwargs))
-        return attempts[-1]
+    def recording_route_design(design, placement, *args, **kwargs):
+        routing = route_design(design, placement, *args, **kwargs)
+        attempts.append((placement, routing.success, routing.iterations))
+        return routing
 
     monkeypatch.setattr(flow_module, "route_design", recording_route_design)
+    return attempts
+
+
+def test_timing_driven_flow_logs_each_failed_routing_rung(caplog, monkeypatch):
+    # Seed 5 on 6x6/cw10 fails the first timing-driven rung (the polished
+    # placement) and recovers further down the ladder: every failed rung
+    # must leave exactly one INFO record, so no fallback fires silently.
+    attempts = _record_flow_routes(monkeypatch)
     arch = ArchitectureParams(width=6, height=6, routing=RoutingParams(channel_width=10))
     options = FlowOptions(timing_driven=True, placement_seed=5, generate_bitstream=False)
     with caplog.at_level(logging.DEBUG, logger="repro.cad"):
         result = CadFlow(arch, options).run(build_circuit("qdi_multiplier_2x2"))
 
-    assert result.summary()["routing_success"] is True
-    failed = [routing for routing in attempts if not routing.success]
+    summary = result.summary()
+    assert summary["routing_success"] is True
+    failed = [attempt for attempt in attempts if not attempt[1]]
     assert failed
     rungs = [r for r in caplog.records if r.name == "repro.cad.flow"]
     assert [r.levelno for r in rungs] == [logging.INFO] * len(failed)
@@ -233,7 +243,14 @@ def test_timing_driven_flow_logs_each_failed_routing_rung(caplog, monkeypatch):
     iterations = [
         r for r in caplog.records if r.name == "repro.cad.route" and r.levelno == logging.DEBUG
     ]
-    assert len(iterations) == sum(routing.iterations for routing in attempts)
+    assert len(iterations) == sum(attempt[2] for attempt in attempts)
+    # The reported counters sum every rung on the placement the flow routed;
+    # the failed rung on the discarded polished placement shows in its record.
+    assert result.placement is result.baseline_placement
+    assert summary["router_iterations"] == sum(
+        attempt[2] for attempt in attempts if attempt[0] is result.placement
+    )
+    assert f"failed after {failed[0][2]} iterations" in rungs[0].getMessage()
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +259,8 @@ def test_timing_driven_flow_logs_each_failed_routing_rung(caplog, monkeypatch):
 def test_refine_critical_nets_improves_multiplier_and_stays_legal():
     design, flow = _mapped("qdi_multiplier_2x2")
     placement = place_design(design, flow.fabric, seed=1)
-    routing = route_design(design, placement, flow.rr_graph)
+    # Plain Dijkstra: A* ordering does not converge on this instance.
+    routing = route_design(design, placement, flow.rr_graph, astar=False)
     assert routing.success
     engine = TimingEngine(design)
     engine.update_from_routing(routing, flow.rr_graph)
@@ -347,25 +365,50 @@ def test_astar_parity_and_pop_reduction_on_largest_fabric():
     assert plain.node_pops >= 1.05 * accelerated.node_pops
 
 
-def test_astar_failure_restarts_with_dijkstra_parity(caplog):
+def test_failed_astar_negotiation_runs_once(caplog, monkeypatch):
     # The knife-edge instance: the decomposed multiplier at channel width 8
-    # only converges under classic frontier ordering.  astar=True must reach
-    # the exact same routability via its internal restart.
+    # does not converge under A* ordering.  route_design reports the failure
+    # after MAX_ITERATIONS and runs no second negotiation.
     design, flow = _mapped("qdi_multiplier_2x2")
     placement = place_design(design, flow.fabric, seed=1)
+    calls = []
+
+    def counting_route_design(*args, **kwargs):
+        calls.append(kwargs.get("astar", True))
+        return route_design(*args, **kwargs)
+
+    monkeypatch.setattr(route_module, "route_design", counting_route_design)
     with caplog.at_level(logging.DEBUG, logger="repro.cad.route"):
-        accelerated = route_design(design, placement, flow.rr_graph, astar=True)
-    plain = route_design(design, placement, flow.rr_graph, astar=False)
-    assert accelerated.success == plain.success is True
-    assert accelerated.total_wirelength == plain.total_wirelength
-    # The restart is never silent, and every iteration of both negotiations
-    # logged its convergence state.
+        accelerated = route_module.route_design(design, placement, flow.rr_graph)
+    assert calls == [True]
+    assert not accelerated.success and accelerated.overused_nodes > 0
+    assert accelerated.iterations == route_module.MAX_ITERATIONS
+    assert len(accelerated.reroutes_per_iteration) == route_module.MAX_ITERATIONS
     records = [r for r in caplog.records if r.name == "repro.cad.route"]
-    restarts = [r for r in records if r.levelno == logging.INFO]
-    assert len(restarts) == 1
-    assert "restarting with plain Dijkstra" in restarts[0].getMessage()
-    iterations = [r for r in records if r.levelno == logging.DEBUG]
-    assert len(iterations) == accelerated.iterations
+    assert [r.levelno for r in records] == [logging.DEBUG] * route_module.MAX_ITERATIONS
+
+
+def test_default_flow_routes_knife_edge_on_the_dijkstra_rung(caplog, monkeypatch):
+    # The same instance through the default flow: the A* rung fails, logs
+    # one record, and the plain Dijkstra rung routes the trees a direct
+    # astar=False call returns, with both rungs' counters in the summary.
+    attempts = _record_flow_routes(monkeypatch)
+    flow = CadFlow(ArchitectureParams(), FlowOptions(generate_bitstream=False))
+    with caplog.at_level(logging.INFO, logger="repro.cad.flow"):
+        result = flow.run(build_circuit("qdi_multiplier_2x2"))
+    assert [attempt[1] for attempt in attempts] == [False, True]
+    assert all(attempt[0] is result.placement for attempt in attempts)
+    plain = route_design(result.mapped, result.placement, flow.rr_graph, astar=False)
+    assert plain.success
+    assert {net: tree.nodes for net, tree in result.routing.routed.items()} == {
+        net: tree.nodes for net, tree in plain.routed.items()
+    }
+    assert result.summary()["router_iterations"] == route_module.MAX_ITERATIONS + plain.iterations
+    records = [r for r in caplog.records if r.name == "repro.cad.flow"]
+    assert [r.levelno for r in records] == [logging.INFO]
+    message = records[0].getMessage()
+    assert "congestion routing with A* failed" in message
+    assert f"after {route_module.MAX_ITERATIONS} iterations" in message
 
 
 # ----------------------------------------------------------------------

@@ -111,8 +111,8 @@ GOLDEN_TIMING = {
     "wchb_fifo_8@5": "41438b142b271ce2aa3085048c837ccccf54932a10c95e09a24ada2fef6bceed",
     "qdi_ripple_adder_2@5": "8a819725f21fa08424d1595009c0ac6f8e1b157b6ad7059f294049b46b97a467",
     "qdi_ripple_adder_4@8": "ed237c28535857019db47b577686abebb083b415e8007b75fc5bd75e53cea897",
-    "qdi_multiplier_2x2@1": "f26483fec84ae450f356ac0f4edf2d034786c0035b820f2a69577fd001087724",
-    "qdi_multiplier_2x2@2": "7bf89537d94316d8eceb6da71379373f0ec9ddf89759748a7145c61ae91defc7",
+    "qdi_multiplier_2x2@1": "f0821981f1b6d88df81f601c8688937b97806b201837bf4b218212ae74b338ef",
+    "qdi_multiplier_2x2@2": "006fa781a439a58480f45ff9f5b413343761093a1be90c2bd7858ef72e000fd0",
 }
 
 
