@@ -32,6 +32,17 @@ net, so each search splices its own target pins in next to their wires
 foreign pin.  Out-of-box wires start every search marked visited, so the
 relaxation loop tests neither pins nor boxes.
 
+Each sink search pushes only heap entries that can pop.  It keeps the
+lowest priority of any target pin it has pushed, and pushes a relaxed node
+only at or below it: the heap pops entries in ``(priority, distance,
+node)`` order and the first target pop ends the search, so an entry above
+a queued target would pop only after the search stopped.  The distance and
+predecessor writes stay, so the trees and pops are those of the full
+search.  The only pins a search can reach are its spliced targets, so a
+pin it relaxes is a target.  One search object allocates its predecessor
+array once and memoises each A* row per ``(factor, remaining sink cells)``,
+and congestion-only nets relax in a loop without the timing blend.
+
 The router is **incremental**: the first iteration routes every net, but
 later iterations rip up and re-route only *dirty* nets — nets whose routed
 trees touch an overused node — escalating to full-recovery sweeps when the
@@ -331,7 +342,16 @@ class _TreeSearch:
     splices its target pins and restores the graph's entries afterwards, so
     the graph's shared lists are never written and concurrent calls may
     share one cached graph.  It memoises the blocked bytes of every pruning
-    box.  ``pops`` counts heap pops over every :meth:`grow`.
+    box and the A* row of every ``(factor, remaining sink cells)``, and
+    keeps one predecessor array for every sink search: a back-trace reads
+    only nodes its own search relaxed and stops at the tree, so a stale
+    slot is never read.  ``pops`` counts heap pops over every :meth:`grow`.
+
+    A sink search pushes no entry above the lowest priority of a target pin
+    it has pushed, since the first target pop ends it.  This rests on the
+    splice: the only pins a search reaches are its own targets, so a pin
+    entry is a target entry (over a graph with foreign pins the test would
+    have to be ``neighbour in remaining``).
     """
 
     def __init__(self, graph: RoutingResourceGraph) -> None:
@@ -342,6 +362,10 @@ class _TreeSearch:
         self.cell_of = graph.cell_of
         self.cell_distances = graph.cell_distances
         self.zero_bound = [0.0] * len(graph.cell_distances)
+        self.previous = [0] * len(graph)
+        # The A* rows, per (factor, remaining sink cells): a net's sink
+        # sets recur on every re-route.
+        self._bounds: dict[tuple[float, frozenset[int]], list[float]] = {}
         # Wires no search may enter, one byte per node, per pruning box.
         # Boxes recur on every re-route.  No search can reach a foreign pin,
         # so pins are never flagged.
@@ -411,8 +435,11 @@ class _TreeSearch:
         delay: Sequence[float],
     ) -> list[int] | None:
         neighbours = self.neighbours
+        is_wire = self.is_wire
         cell_of = self.cell_of
         cell_distances = self.cell_distances
+        bounds = self._bounds
+        previous = self.previous
         node_count = len(neighbours)
         infinity = float("inf")
         tree: set[int] = {source}
@@ -425,19 +452,25 @@ class _TreeSearch:
             if factor is None:
                 bound = self.zero_bound
             else:
-                rows = [cell_distances[cell_of[sink]] for sink in remaining]
-                nearest = rows[0] if len(rows) == 1 else list(map(min, *rows))
-                bound = [factor * distance for distance in nearest]
+                cells = frozenset([cell_of[sink] for sink in remaining])
+                bound = bounds.get((factor, cells))
+                if bound is None:
+                    rows = [cell_distances[cell] for cell in cells]
+                    nearest = rows[0] if len(rows) == 1 else list(map(min, *rows))
+                    bound = bounds[factor, cells] = [factor * distance for distance in nearest]
             # Dijkstra/A* from the current tree to the nearest remaining
             # sink.  Tree nodes sit at distance 0 and every step costs
             # more than 0, so no relaxation ever re-enters the tree.
             distances = [infinity] * node_count
-            previous = [0] * node_count
             visited = bytearray(blocked)
             for node_id in tree:
                 distances[node_id] = 0.0
             heap = [(bound[cell_of[node_id]], 0.0, node_id) for node_id in tree]
             heapq.heapify(heap)
+            # The lowest priority of a target entry in the heap: the first
+            # target pop ends the search, so no entry above it is pushed.
+            # Every pin a search reaches is a target (see the class docstring).
+            best = infinity
             found = -1
             while heap:
                 _priority, distance, node_id = heappop(heap)
@@ -448,24 +481,36 @@ class _TreeSearch:
                 if node_id in remaining:
                     found = node_id
                     break
-                for neighbour in neighbours[node_id]:
-                    if visited[neighbour]:
-                        continue
-                    step = cost[neighbour]
-                    if crit:
-                        step = crit * delay[neighbour] + anti_crit * step
-                    new_distance = distance + step
-                    if new_distance < distances[neighbour]:
-                        distances[neighbour] = new_distance
-                        previous[neighbour] = node_id
-                        heappush(
-                            heap,
-                            (
-                                new_distance + bound[cell_of[neighbour]],
-                                new_distance,
-                                neighbour,
-                            ),
+                # Two copies of one relaxation, so that a congestion-only net
+                # skips the timing blend's per-neighbour test.
+                if crit:
+                    for neighbour in neighbours[node_id]:
+                        if visited[neighbour]:
+                            continue
+                        new_distance = distance + (
+                            crit * delay[neighbour] + anti_crit * cost[neighbour]
                         )
+                        if new_distance < distances[neighbour]:
+                            distances[neighbour] = new_distance
+                            previous[neighbour] = node_id
+                            priority = new_distance + bound[cell_of[neighbour]]
+                            if priority <= best:
+                                if not is_wire[neighbour]:
+                                    best = priority
+                                heappush(heap, (priority, new_distance, neighbour))
+                else:
+                    for neighbour in neighbours[node_id]:
+                        if visited[neighbour]:
+                            continue
+                        new_distance = distance + cost[neighbour]
+                        if new_distance < distances[neighbour]:
+                            distances[neighbour] = new_distance
+                            previous[neighbour] = node_id
+                            priority = new_distance + bound[cell_of[neighbour]]
+                            if priority <= best:
+                                if not is_wire[neighbour]:
+                                    best = priority
+                                heappush(heap, (priority, new_distance, neighbour))
             if found < 0:
                 self.pops += pops
                 return None

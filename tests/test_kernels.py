@@ -16,11 +16,14 @@ The router's ``_TreeSearch`` walks the RR graph's wire-only adjacency and
 splices each search's target pins in; :func:`reference_grow` is the search
 it replaced (full edge lists, pins blocked by byte, per-sink bound rows),
 and a hypothesis test demands the same tree and heap pops from both on
-random inputs.  Threads routing on one cached graph must reproduce their
-serial runs.  The acceptance benches (``qdi_multiplier_2x2``,
-``gen:mult8x8@micropipeline``) must route under default options, and a
-flow and a one-point sweep must route in a process where numpy cannot be
-imported.  Exact flow outputs are pinned by
+random inputs, and no more heap pushes from the search.  Another grows two
+to four such cases back to back on one search object, whose predecessor
+array and A* rows outlive each grow, and a fixed fanout net pins the push
+cutoff (at least 1.2x fewer pushes than the reference).  Threads routing
+on one cached graph must reproduce their serial runs.  The acceptance
+benches (``qdi_multiplier_2x2``, ``gen:mult8x8@micropipeline``) must route
+under default options, and a flow and a one-point sweep must route in a
+process where numpy cannot be imported.  Exact flow outputs are pinned by
 ``tests/test_golden_digests.py``.
 """
 
@@ -35,7 +38,7 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cad import place as place_module
@@ -510,9 +513,8 @@ def _search_graph(switchbox):
 
 
 @st.composite
-def _search_case(draw):
-    graph, _adjacency = _search_graph(draw(st.sampled_from(["disjoint", "wilton"])))
-    count = len(graph)
+def _search_net(draw, graph):
+    """A source pin and one to four other pins as its targets."""
     pins = [node_id for node_id, wire in enumerate(graph.is_wire) if not wire]
     source = draw(st.sampled_from(pins))
     targets = draw(
@@ -520,6 +522,13 @@ def _search_case(draw):
             lambda targets: source not in targets
         )
     )
+    return source, targets
+
+
+@st.composite
+def _search_inputs(draw, graph, net):
+    """One grow of *net* on *graph*: costs, box, full nodes, criticality, A*."""
+    count = len(graph)
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     # PathFinder costs: base 1.0, with present overuse and history on a
     # fifth of the nodes, so most steps tie.
@@ -532,16 +541,34 @@ def _search_case(draw):
     full = bytes(rng.random() < 0.1 for _ in range(count)) if draw(st.booleans()) else None
     crit = draw(st.sampled_from([0.0, 0.3, 0.98]))
     astar = draw(st.booleans())
-    return graph, source, targets, cost, box, full, crit, astar
+    return (graph, *net, cost, box, full, crit, astar)
 
 
-@settings(max_examples=200, deadline=None)
-@given(_search_case())
-def test_tree_search_matches_reference_search(case):
+@st.composite
+def _search_case(draw):
+    graph, _adjacency = _search_graph(draw(st.sampled_from(["disjoint", "wilton"])))
+    return draw(_search_inputs(graph, draw(_search_net(graph))))
+
+
+@st.composite
+def _search_sequence(draw):
+    """Two to four grows on one graph, of nets drawn from a pool of one or two.
+
+    A net grown again sees its sink cells again, under another criticality
+    (so another A* factor), box or set of full nodes.
+    """
+    graph, _adjacency = _search_graph(draw(st.sampled_from(["disjoint", "wilton"])))
+    nets = draw(st.lists(_search_net(graph), min_size=1, max_size=2))
+    picks = draw(st.lists(st.sampled_from(nets), min_size=2, max_size=4))
+    return graph, [draw(_search_inputs(graph, net)) for net in picks]
+
+
+def _grow_like_the_reference(search, case):
+    """Grow *case* on *search*, demand the reference's tree and heap pops,
+    and return the heap pushes of the search and of the reference."""
     graph, source, targets, cost, box, full, crit, astar = case
     delay = _delay_costs(graph)
     factor = 0.5 * (crit * min(delay) + (1.0 - crit) * min(cost)) if astar else None
-    search = _TreeSearch(graph)
     blocked = search.blocked(box)
     if box is None:
         outside = bytes(len(graph))
@@ -554,15 +581,70 @@ def test_tree_search_matches_reference_search(case):
         blocked = bytes(map(operator.or_, blocked, full))
         outside = bytes(map(operator.or_, outside, full))
 
-    tree = search.grow(source, targets, cost, blocked, factor, crit, delay)
-    assert (tree, search.pops) == reference_grow(
-        graph, source, targets, cost, outside, factor, crit, delay
-    )
+    pushes = [0]
+    real_push = heapq.heappush
+
+    def counting_push(heap, item):
+        pushes[0] += 1
+        real_push(heap, item)
+
+    pops = search.pops
+    # Both searches look heappush up on the heapq module at call time.
+    heapq.heappush = counting_push
+    try:
+        tree = search.grow(source, targets, cost, blocked, factor, crit, delay)
+        grown = pushes[0]
+        expected = reference_grow(graph, source, targets, cost, outside, factor, crit, delay)
+    finally:
+        heapq.heappush = real_push
+    assert (tree, search.pops - pops) == expected
+    return grown, pushes[0] - grown
+
+
+@settings(max_examples=200, deadline=None)
+@given(_search_case())
+def test_tree_search_matches_reference_search(case):
+    graph = case[0]
+    search = _TreeSearch(graph)
+    pushes, reference_pushes = _grow_like_the_reference(search, case)
+    # The search pushes no entry the reference does not.
+    assert pushes <= reference_pushes
     # The splice lives in the search's own copy, and is undone after the grow.
     assert all(map(operator.is_, search.neighbours, graph.wire_adjacency))
     assert tuple(map(tuple, graph.wire_adjacency)) == _search_graph(
         graph.fabric.params.routing.switchbox
     )[1]
+
+
+def _fanout_case(crit):
+    """A four-sink net around its driver on base costs, with A*."""
+    graph, _adjacency = _search_graph("wilton")
+    pin = graph.node_by_name
+    source = pin("opin_1_1_out6").node_id
+    sinks = ("ipin_2_3_in6", "ipin_0_1_in12", "ipin_1_0_in13", "ipin_2_2_in6")
+    targets = [pin(name).node_id for name in sinks]
+    return (graph, source, targets, [1.0] * len(graph), None, None, crit, True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_search_sequence())
+# The same sink cells under two A* factors.
+@example((_fanout_case(0.0)[0], [_fanout_case(0.0), _fanout_case(0.98)]))
+def test_tree_search_state_carries_across_grows(sequence):
+    # One search object serves a whole route call: its predecessor array
+    # and its A* rows outlive each grow, and no grow may see another's.
+    graph, cases = sequence
+    search = _TreeSearch(graph)
+    for case in cases:
+        _grow_like_the_reference(search, case)
+
+
+def test_tree_search_pushes_only_entries_that_can_pop():
+    # Each sink search stops pushing once a target entry is queued below
+    # the new entries: 123 pushes against the reference's 291.
+    graph = _fanout_case(0.0)[0]
+    pushes, reference_pushes = _grow_like_the_reference(_TreeSearch(graph), _fanout_case(0.0))
+    assert reference_pushes >= 1.2 * pushes, (pushes, reference_pushes)
 
 
 # ----------------------------------------------------------------------
